@@ -113,36 +113,6 @@ def test_journal_resume_matches_uninterrupted_bit_exact():
         assert resumed.recovery.executed == 0
 
 
-def test_wheel_matches_heap_grid_bit_exact():
-    """The timer-wheel event core must be invisible in the results.
-
-    Same grid, same seeds, both scheduler backends: every cell's digest
-    must agree bit-for-bit with the reference binary heap.
-    """
-    heap = run_coexistence_grid(
-        coupled_factory(), seed=7, scheduler="heap", **TINY_GRID
-    )
-    wheel = run_coexistence_grid(
-        coupled_factory(), seed=7, scheduler="wheel", **TINY_GRID
-    )
-    assert _digests(heap) == _digests(wheel)
-
-
-def test_scheduler_bench_parity_and_speedup_gate():
-    """Wheel vs heap on the 4-cell population×spread grid.
-
-    Parity (identical dispatch trace + experiment digest) is a hard
-    bit-exactness gate; the aggregate events/sec ratio is the perf gate
-    the tentpole promises: >= 1.4x over the reference heap.
-    """
-    from repro.perf import bench_scheduler
-
-    record = bench_scheduler(events_per_cell=60_000, seed=7)
-    assert record.extra["matches_heap"] is True
-    assert record.extra["cells"] == 4
-    assert record.extra["speedup_vs_heap"] >= 1.4
-
-
 def test_shared_cache_single_flight():
     """N workers x the same figure cells -> each cell computed once."""
     from repro.perf import bench_shared_cache
@@ -197,7 +167,6 @@ def test_bench_payload_shape(tmp_path=None):
         "grid_cache_warm",
         "grid_supervised",
         "figure_resume",
-        "scheduler",
         "shared_cache",
     } <= names
     by_name = {bench["name"]: bench for bench in payload["benchmarks"]}
@@ -212,8 +181,6 @@ def test_bench_payload_shape(tmp_path=None):
     assert by_name["figure_resume"]["matches_serial"] is True
     assert by_name["figure_resume"]["matches_resume"] is True
     assert by_name["figure_resume"]["journal_overhead_ok"] is True
-    assert by_name["scheduler"]["matches_heap"] is True
-    assert by_name["scheduler"]["speedup_vs_heap"] > 0
     assert by_name["shared_cache"]["single_flight_ok"] is True
     if tmp_path is not None:
         path = write_bench_json(payload, tmp_path / "BENCH_smoke.json")
@@ -228,7 +195,6 @@ def main() -> int:
     test_parallel_matches_serial_bit_exact()
     test_cached_rerun_matches_and_hits()
     test_batched_links_match_unbatched_bit_exact()
-    test_wheel_matches_heap_grid_bit_exact()
     test_shared_cache_single_flight()
     test_supervised_matches_serial_bit_exact()
     test_journal_resume_matches_uninterrupted_bit_exact()

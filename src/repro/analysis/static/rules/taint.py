@@ -44,8 +44,8 @@ or ``sorted`` (order re-established) stops being tainted.
 **Sinks** (where tainted values are reported):
 
 * the time/delay argument of every engine scheduling entry point
-  (``schedule``, ``at``, ``call_later``, ``call_at``, ``at_reserved``,
-  ``stream_schedule``, ``every``, ``advance_to``);
+  (``schedule``, ``at``, ``at_reserved``, ``stream_schedule``,
+  ``every``, ``advance_to``);
 * assignments to probability-named targets (the PROB vocabulary) — the
   coupling law ``pc = (p')²`` is only meaningful for a reproducible p';
 * digest inputs — arguments to ``hashlib`` constructors and to
@@ -91,8 +91,6 @@ _SCHED_SINKS = frozenset(
         "stream_schedule",
         "every",
         "advance_to",
-        "call_later",
-        "call_at",
     }
 )
 

@@ -103,21 +103,11 @@ class Experiment:
     #: dispatches (bit-exact vs. the event-per-packet schedule; see
     #: :mod:`repro.net.link`).  Off is only useful for A/B measurement.
     link_batching: bool = True
-    #: Event-scheduler backend: ``"wheel"`` (timer wheel + overflow heap,
-    #: the default) or ``"heap"`` (the reference single binary heap).
-    #: Both dispatch in the identical (time, seq) order, so results are
-    #: bit-exact either way; heap is kept selectable for A/B parity runs
-    #: (``repro run --scheduler=heap``).
-    scheduler: str = "wheel"
     #: Watchdog budgets for the run (None = unlimited).
     max_events: Optional[int] = None
     max_wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler not in ("heap", "wheel"):
-            raise ConfigError(
-                f"scheduler must be 'heap' or 'wheel' (got {self.scheduler!r})"
-            )
         if self.capacity_bps <= 0:
             raise ConfigError(f"capacity must be positive (got {self.capacity_bps})")
         if self.duration <= 0:
@@ -375,7 +365,7 @@ def run_experiment(
     :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot lands on
     ``result.telemetry``.
     """
-    sim = Simulator(scheduler=experiment.scheduler)
+    sim = Simulator()
     streams = RandomStreams(experiment.seed)
     aqm = experiment.aqm_factory(streams.stream("aqm"))
     # Instrumentation must precede Dumbbell construction: attaching the
@@ -384,7 +374,6 @@ def run_experiment(
     install_aqm_tracer(aqm, tracer)
     sim.set_tracer(engine_tracer(tracer))
     registry = MetricsRegistry()
-    registry.set("scheduler", experiment.scheduler)
     registry.set("seed", experiment.seed)
     sim.register_metrics(registry)
     if aqm is not None:
@@ -416,7 +405,7 @@ def run_experiment(
                 group.rate_bps, start=group.start, stop=group.stop, label=group.label
             )
     for when, rate in experiment.capacity_schedule:
-        sim.call_at(when, bed.set_capacity, rate)
+        sim.at(when, bed.set_capacity, rate)
     if experiment.faults:
         bed.install_faults(experiment.faults, streams.stream("faults"))
     if experiment.validate:
@@ -429,7 +418,7 @@ def run_experiment(
 
     bed.link.register_metrics(registry)
 
-    sim.call_at(experiment.warmup, bed.flows.open_windows, experiment.warmup)
+    sim.at(experiment.warmup, bed.flows.open_windows, experiment.warmup)
     sim.run(until=experiment.duration)
     if bed.invariant_checker is not None:
         bed.invariant_checker.check_now()

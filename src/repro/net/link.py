@@ -240,9 +240,7 @@ class Link:
                 sim.now + tx_time, sim.reserve_seq(), self._on_tx_complete, packet
             )
         else:
-            # Fire-and-forget: nobody cancels a completion, so the pooled
-            # (no-handle) schedule avoids one Event allocation per packet.
-            sim.call_later(tx_time, self._on_tx_complete, packet)
+            sim.schedule(tx_time, self._on_tx_complete, packet)
 
     def _on_tx_complete(self, packet: Packet) -> None:
         """Deliver ``packet`` and drain further back-to-back transmissions.
@@ -320,8 +318,7 @@ class Link:
             if self.batching:
                 self._train_append(sink, packet)
             else:
-                # Fire-and-forget: deliveries are never cancelled.
-                self.sim.call_later(self.prop_delay, sink.deliver, packet)
+                self.sim.schedule(self.prop_delay, sink.deliver, packet)
         else:
             sink.deliver(packet)
 

@@ -106,10 +106,7 @@ class Pipe:
                 sim.stream_schedule(due, seq, self._drain)
                 self._train_pending = True
         else:
-            # Fire-and-forget: arrivals are never cancelled, so the
-            # pooled (no-handle) schedule avoids one Event allocation
-            # per packet on the unbatched / perturbed-delay paths.
-            self.sim.call_later(delay, self._arrive, packet)
+            self.sim.schedule(delay, self._arrive, packet)
 
     def _drain(self) -> None:
         """Deliver the due train entry, then coalesce successors inline.

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Mapping, Union
 __all__ = ["MetricsRegistry"]
 
 #: What a metric value may be: numbers for counters/gauges, strings for
-#: small identity facts (scheduler name, AQM class).
+#: small identity facts (AQM class).
 MetricValue = Union[int, float, str, None]
 
 

@@ -123,11 +123,8 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
             "events_processed": last.get("events_processed"),
             "events_batched": last.get("events_batched"),
             "batch_breaks": last.get("batch_breaks"),
-            "max_wheel": max(int(e.get("wheel") or 0) for e in epochs),
-            "max_overflow": max(int(e.get("overflow") or 0) for e in epochs),
             "max_heap": max(int(e.get("heap") or 0) for e in epochs),
-            "pool_hits": last.get("pool_hits"),
-            "pool_misses": last.get("pool_misses"),
+            "max_stream": max(int(e.get("stream") or 0) for e in epochs),
         }
 
     spans: Dict[str, Dict[str, Any]] = {}
@@ -221,9 +218,8 @@ def format_trace_summary(summary: Dict[str, Any], max_rows: int = 12) -> str:
             f"({engine['batch_breaks']} batch breaks)"
         )
         lines.append(
-            f"  lane peaks: wheel={engine['max_wheel']} "
-            f"overflow={engine['max_overflow']} heap={engine['max_heap']}; "
-            f"pool hits/misses: {engine['pool_hits']}/{engine['pool_misses']}"
+            f"  lane peaks: heap={engine['max_heap']} "
+            f"stream={engine['max_stream']}"
         )
 
     spans = summary.get("spans") or {}

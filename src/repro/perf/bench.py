@@ -1,6 +1,6 @@
 """Benchmark harness: events/sec, figure wall-clock, speedup, cache.
 
-Four layers, each answering one question:
+Each benchmark answers one question:
 
 * :func:`bench_engine_events` — how fast is the bare event loop?
   (schedule/fire churn with trivial callbacks; pure engine overhead)
@@ -12,10 +12,6 @@ Four layers, each answering one question:
   on a grid workload?  Runs the same cells with ``link_batching`` off
   and on, reports logical events/sec both ways plus the speedup, and
   asserts bit-exact digest parity between the two modes.
-* :func:`bench_scheduler` — what does the timer-wheel event core buy
-  over the reference binary heap?  A 4-cell timer-population ×
-  delay-spread grid, events/sec per backend plus dispatch-order and
-  experiment digest parity (``matches_heap``).
 * :func:`bench_shared_cache` — does the cross-process single-flight
   cache collapse N workers' repeated-figure requests to one simulation
   per unique cell (``single_flight_ok``)?
@@ -57,7 +53,6 @@ __all__ = [
     "bench_cancel_churn",
     "bench_experiment",
     "bench_link_batching",
-    "bench_scheduler",
     "bench_shared_cache",
     "bench_grid",
     "bench_figure_resume",
@@ -251,141 +246,6 @@ def bench_link_batching(
             "events_batched": absorbed[True],
             "batch_breaks": breaks,
             "matches_unbatched": matches,
-        },
-    )
-
-
-#: The scheduler A/B grid: timer populations × delay spreads.  The
-#: populations bracket light and heavy concurrent-timer loads; the
-#: spreads are the engine's *residual* event delays in real experiments
-#: — AQM sample ticks (~16 ms) and paper-scale ACK-clock RTTs (up to
-#: 100 ms).  Sub-millisecond serialization events are absent on purpose:
-#: those ride the link/pipe stream lanes (PR 3's batching), never the
-#: scheduler.
-SCHEDULER_GRID = ((1024, 0.016), (4096, 0.016), (1024, 0.1), (4096, 0.1))
-
-
-def _scheduler_workload(scheduler, population, spread, target, trace=None):
-    """Run ``target`` self-rescheduling timers; returns (events, cpu_s).
-
-    The delay pattern is a deterministic Weyl-style spread over
-    ``[0.1 ms, spread]`` so both backends see the identical schedule.
-    With ``trace`` given, every dispatch appends ``(now, timer_id)`` —
-    the material for the pop-order digest — at the cost of the append,
-    so parity passes and timing passes are kept separate.
-    """
-    sim = Simulator(scheduler=scheduler)
-    count = [0]
-
-    if trace is None:
-        def tick(i, d):
-            count[0] += 1
-            sim.call_later(d, tick, i, d)
-    else:
-        def tick(i, d):
-            count[0] += 1
-            trace.append((sim.now, i))
-            sim.call_later(d, tick, i, d)
-
-    for i in range(population):
-        d = 0.0001 + ((i * 2654435761) % 1200) / 1200.0 * spread
-        sim.call_later(d, tick, i, d)
-    sim.run(until=sim.now + 0.05)  # warm the wheel/heap before timing
-    count[0] = 0
-    # repro: allow[DET] wall/CPU measurement only; never feeds simulation state
-    start = time.process_time()
-    until = sim.now
-    while count[0] < target:
-        until += 1.0
-        sim.run(until)
-    # repro: allow[DET] wall/CPU measurement only; never feeds simulation state
-    return count[0], time.process_time() - start
-
-
-def bench_scheduler(
-    events_per_cell: int = 80_000,
-    repeats: int = 3,
-    seed: int = 1,
-) -> BenchRecord:
-    """A/B the timer-wheel scheduler against the reference heap.
-
-    Two layers of comparison over the 4-cell :data:`SCHEDULER_GRID`:
-
-    * **Parity** — an untimed traced pass per cell hashes the full
-      ``(time, timer)`` dispatch stream of each backend; plus one real
-      experiment (the quick grid's smallest cell) run under both
-      backends and compared by result digest.  Any divergence makes
-      ``matches_heap`` False, which fails ``repro bench`` and the perf
-      smoke test.
-    * **Throughput** — per cell, ``repeats`` interleaved timed passes
-      per backend on CPU time (best-of, so scheduler preemption noise
-      cancels); the headline ``speedup_vs_heap`` is the grid-aggregate
-      events/sec ratio (total events over summed best times).
-    """
-    import hashlib as _hashlib
-
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import coexistence_pair
-
-    matches = True
-    for population, spread in SCHEDULER_GRID:
-        digests = {}
-        for scheduler in ("heap", "wheel"):
-            trace: List[tuple] = []
-            _scheduler_workload(
-                scheduler, population, spread, events_per_cell // 4, trace
-            )
-            digests[scheduler] = _hashlib.sha256(
-                repr(trace).encode()
-            ).hexdigest()
-        matches = matches and digests["heap"] == digests["wheel"]
-
-    # Experiment-level parity: same cell, both backends, equal digests.
-    base = coexistence_pair(
-        pi2_factory(),
-        capacity_bps=4 * 1_000_000,
-        rtt=10 / 1_000.0,
-        duration=5.0,
-        warmup=2.0,
-        seed=seed,
-    )
-    exp_digests = {
-        scheduler: run_experiment(replace(base, scheduler=scheduler)).digest()
-        for scheduler in ("heap", "wheel")
-    }
-    matches = matches and exp_digests["heap"] == exp_digests["wheel"]
-
-    totals = {"heap": 0.0, "wheel": 0.0}
-    events = {"heap": 0, "wheel": 0}
-    for population, spread in SCHEDULER_GRID:
-        best = {"heap": float("inf"), "wheel": float("inf")}
-        cell_events = {"heap": 0, "wheel": 0}
-        for _ in range(repeats):
-            for scheduler in ("heap", "wheel"):
-                n, cpu = _scheduler_workload(
-                    scheduler, population, spread, events_per_cell
-                )
-                if cpu < best[scheduler]:
-                    best[scheduler] = cpu
-                    cell_events[scheduler] = n
-        for scheduler in ("heap", "wheel"):
-            totals[scheduler] += best[scheduler]
-            events[scheduler] += cell_events[scheduler]
-
-    eps_heap = events["heap"] / totals["heap"] if totals["heap"] > 0 else 0.0
-    eps_wheel = events["wheel"] / totals["wheel"] if totals["wheel"] > 0 else 0.0
-    return BenchRecord(
-        "scheduler",
-        totals["wheel"],
-        events=events["wheel"],
-        extra={
-            "cells": len(SCHEDULER_GRID),
-            "cpu_seconds_heap": totals["heap"],
-            "events_per_sec_heap": eps_heap,
-            "speedup_vs_heap": eps_wheel / eps_heap if eps_heap > 0 else 0.0,
-            "matches_heap": matches,
         },
     )
 
@@ -792,9 +652,6 @@ def run_benchmarks(
             ),
             seed=seed,
         ),
-        bench_scheduler(
-            events_per_cell=80_000 * (1 if quick else 2), seed=seed
-        ),
         bench_shared_cache(jobs=jobs, seed=seed),
     ]
     records.extend(
@@ -870,12 +727,11 @@ def format_bench_table(payload: Dict[str, object]) -> str:
     rows = []
     for bench in payload["benchmarks"]:
         note_parts = []
-        for key in ("speedup_vs_serial", "speedup_vs_cold", "speedup_vs_unbatched",
-                    "speedup_vs_heap"):
+        for key in ("speedup_vs_serial", "speedup_vs_cold", "speedup_vs_unbatched"):
             if key in bench:
                 note_parts.append(f"{key.split('_vs_')[-1]}×{bench[key]:.2f}")
         for key in ("matches_serial", "matches_cold", "matches_unbatched",
-                    "matches_resume", "matches_heap", "matches_untraced"):
+                    "matches_resume", "matches_untraced"):
             if key in bench and not bench[key]:
                 note_parts.append("MISMATCH!")
         if "single_flight_ok" in bench:

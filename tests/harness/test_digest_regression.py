@@ -78,27 +78,3 @@ def test_fallback_stream_matches_historical_seed():
         historical.random() for _ in range(100)
     ]
 
-
-def test_scheduler_backends_share_the_golden_digest():
-    """The timer-wheel core must hash onto the heap's golden values.
-
-    Both golden constants above were minted under the reference heap;
-    running the same experiments under scheduler="wheel" (and "heap"
-    explicitly, guarding the default) must reproduce them bit-for-bit —
-    the strongest end-to-end statement of the wheel's (time, seq)
-    pop-order parity.
-    """
-    for scheduler in ("heap", "wheel"):
-        exp = replace(_adaptive_experiment(), scheduler=scheduler)
-        assert _digest_hash(run_experiment(exp)) == GOLDEN_ADAPTIVE
-
-
-def test_scheduler_backends_agree_under_faults():
-    heap = run_experiment(
-        replace(_adaptive_experiment(faults=True), scheduler="heap")
-    )
-    wheel = run_experiment(
-        replace(_adaptive_experiment(faults=True), scheduler="wheel")
-    )
-    assert _digest_hash(heap) == GOLDEN_ADAPTIVE_FAULTS
-    assert heap.digest() == wheel.digest()

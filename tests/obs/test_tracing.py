@@ -3,7 +3,7 @@
 Four claims are pinned here:
 
 * **Determinism** — a traced run produces the identical result digest as
-  an untraced one, on both scheduler backends, through the parallel
+  an untraced one, directly, through the parallel
   executor and the supervised backend, and against the repository's
   golden seeded digests.
 * **Schema lock** — the JSONL trace format (header, reserved keys,
@@ -18,7 +18,6 @@ Four claims are pinned here:
 import io
 import json
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -61,9 +60,8 @@ def traced_jsonl(tmp_path_factory):
 # Determinism: tracing observes, never perturbs
 # ----------------------------------------------------------------------
 class TestDigestParity:
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_traced_matches_untraced(self, scheduler):
-        exp = replace(_experiment(), scheduler=scheduler)
+    def test_traced_matches_untraced(self):
+        exp = _experiment()
         untraced = run_experiment(exp)
         traced = run_experiment(exp, tracer=RecordingTracer())
         assert traced.digest() == untraced.digest()
@@ -151,11 +149,11 @@ class TestTraceSchema:
         )
         assert {"aqm", "verdict", "p", "ecn", "flow"} <= set(decisions[0])
         assert decisions[0]["verdict"] in ("pass", "mark", "drop")
-        assert {
-            "epoch", "scheduler", "wheel", "overflow", "stream", "heap",
+        assert set(epochs[0]) - {"cat", "event", "t"} == {
+            "epoch", "heap", "stream",
             "events_processed", "events_batched", "batch_breaks",
-            "pool_hits", "pool_misses",
-        } <= set(epochs[0])
+            "cancelled_pending", "compactions",
+        }
 
     def test_coupled_updates_carry_ps_and_pc(self, tmp_path):
         tracer = RecordingTracer(categories=["aqm"])
@@ -200,11 +198,11 @@ class TestTraceSchema:
 class TestMetricsRegistry:
     def test_set_increment_snapshot(self):
         registry = MetricsRegistry()
-        registry.set("scheduler", "wheel")
+        registry.set("aqm", "Pi2Aqm")
         registry.increment("runs")
         registry.increment("runs", 2)
         snapshot = registry.snapshot()
-        assert snapshot["scheduler"] == "wheel"
+        assert snapshot["aqm"] == "Pi2Aqm"
         assert snapshot["runs"] == 3
         assert list(snapshot) == sorted(snapshot)
 
@@ -225,7 +223,8 @@ class TestMetricsRegistry:
         result = run_experiment(_experiment(duration=3.0))
         telemetry = result.telemetry
         assert telemetry is not None
-        assert telemetry["scheduler"] == "wheel"
+        assert telemetry["seed"] == 3
+        assert not any("scheduler" in key or "pool" in key for key in telemetry)
         for prefix in ("engine.", "aqm.", "link."):
             assert any(key.startswith(prefix) for key in telemetry), prefix
         assert telemetry["aqm.decisions"] > 0
@@ -258,6 +257,26 @@ class TestSummarizeTrace:
         total_decisions = sum(aqm["decisions"].values())
         assert total_decisions == result.telemetry["aqm.decisions"]
 
+    def test_engine_lane_peaks_read_old_and_new_epochs(self, tmp_path):
+        # Epochs from older traces carry lane fields the summarizer no
+        # longer reads (overflow, pool counters) and may lack heap or
+        # stream counts; both shapes must summarize.
+        header = {"schema": 1, "kind": "repro-trace",
+                  "categories": ["aqm", "engine", "harness"]}
+        old = {"cat": "engine", "event": "engine_epoch", "t": 0.25,
+               "epoch": 1, "overflow": 3, "pool_hits": 0, "pool_misses": 0,
+               "events_processed": 10, "events_batched": 0,
+               "batch_breaks": 0}
+        new = {"cat": "engine", "event": "engine_epoch", "t": 0.5,
+               "epoch": 2, "heap": 7, "stream": 2, "events_processed": 20,
+               "events_batched": 5, "batch_breaks": 1,
+               "cancelled_pending": 0, "compactions": 0}
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (header, old, new)))
+        engine = summarize_trace(path)["engine"]
+        assert (engine["max_heap"], engine["max_stream"]) == (7, 2)
+        assert engine["events_processed"] == 20
+
     def test_cli_trace_summarize(self, traced_jsonl):
         from repro.cli import main
 
@@ -266,6 +285,7 @@ class TestSummarizeTrace:
         assert main(["trace", "summarize", str(path)], out=out) == 0
         text = out.getvalue()
         assert "aqm" in text and "engine" in text
+        assert "lane peaks: heap=" in text and "stream=" in text
         out = io.StringIO()
         assert main(["trace", "summarize", str(path), "--json"], out=out) == 0
         payload = json.loads(out.getvalue())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.trace import RecordingTracer
 from repro.sim.engine import Simulator
 
 
@@ -38,6 +39,22 @@ class TestScheduling:
             sim.schedule(1.0, lambda i=i: seen.append(i))
         sim.run(2.0)
         assert seen == list(range(10))
+
+    def test_same_time_burst_keeps_schedule_order(self, sim):
+        # Many events inside one sub-millisecond window: FIFO by seq.
+        seen = []
+        for i in range(50):
+            sim.schedule(0.0001, lambda i=i: seen.append(i))
+        sim.run(1.0)
+        assert seen == list(range(50))
+
+    def test_far_future_events_fire_in_order(self, sim):
+        seen = []
+        sim.schedule(5.0, lambda: seen.append(5.0))
+        sim.schedule(0.1, lambda: seen.append(0.1))
+        sim.run(10.0)
+        assert seen == [0.1, 5.0]
+        assert sim.pending_events == 0
 
     def test_args_are_passed(self, sim):
         seen = []
@@ -251,90 +268,31 @@ class TestStreamLane:
         assert sim.horizon is None
 
 
-class TestSchedulerBackends:
-    """The timer-wheel backend vs the reference heap."""
+def _drive(mode, ops):
+    """Apply one randomized workload script; return its dispatch trace.
 
-    def test_invalid_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="fifo")
-
-    def test_heap_backend_still_selectable(self):
-        sim = Simulator(scheduler="heap")
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(sim.now))
-        sim.run(2.0)
-        assert seen == [1.0]
-
-    def test_far_future_events_ride_overflow_and_fire(self, sim):
-        # Anything past the wheel's one-rotation safety window lands in
-        # the overflow heap; it must still fire in exact time order.
-        seen = []
-        sim.schedule(5.0, lambda: seen.append(5.0))   # overflow lane
-        sim.schedule(0.1, lambda: seen.append(0.1))   # wheel lane
-        sim.run(10.0)
-        assert seen == [0.1, 5.0]
-        assert sim.pending_events == 0
-
-    def test_wheel_spans_many_rotations(self, sim):
-        # 256 slots x ~1 ms: t=10 s is ~40 rotations out.  Rearming
-        # timers walk the epoch forward through all of them.
-        seen = []
-
-        def tick():
-            seen.append(sim.now)
-            if sim.now < 10.0:
-                sim.schedule(0.5, tick)
-
-        sim.schedule(0.5, tick)
-        sim.run(11.0)
-        assert seen == [0.5 * (i + 1) for i in range(20)]
-
-    def test_sub_slot_bursts_keep_schedule_order(self, sim):
-        # Many same-slot (even same-time) events: FIFO by seq.
-        seen = []
-        for i in range(50):
-            sim.schedule(0.0001, lambda i=i: seen.append(i))
-        sim.run(1.0)
-        assert seen == list(range(50))
-
-    def test_call_later_events_are_recycled(self, sim):
-        sim.call_later(0.01, lambda: None)
-        sim.run(1.0)
-        assert len(sim._pool) == 1  # dispatched event went to the freelist
-        sim.call_later(0.01, lambda: None)
-        assert len(sim._pool) == 0  # reused, not allocated
-        sim.run(2.0)
-        assert len(sim._pool) == 1
-
-    def test_handled_events_are_never_pooled(self, sim):
-        # schedule() hands out a cancellable handle; recycling it would
-        # alias a stale cancel() onto an unrelated future event.
-        ev = sim.schedule(0.01, lambda: None)
-        sim.run(1.0)
-        assert len(sim._pool) == 0
-        ev.cancel()  # harmless after firing, and cannot hit a reused slot
-        sim.call_later(0.01, lambda: None)
-        sim.run(2.0)
-        assert sim.events_processed == 2
-
-
-def _drive(scheduler, ops):
-    """Apply one randomized workload script to a backend; return its
-    dispatch trace.  Callback behaviour is keyed by op kind so both
-    backends execute byte-for-byte the same program:
+    ``mode`` picks how the script is driven: ``"run"`` advances through
+    :meth:`Simulator.run` horizons, ``"step"`` through a :meth:`step`
+    loop, and ``"traced"`` through ``run()`` with a recording engine
+    tracer installed (the chunked, epoch-snapshotting run loop).  All
+    three must dispatch the identical ``(time, id)`` stream.  Callback
+    behaviour is keyed by op kind so every mode executes byte-for-byte
+    the same program:
 
     * ``later``  — relative schedule; ``rearm`` callbacks reschedule a
       child, ``flap`` callbacks cancel the oldest pending sibling
-      *mid-drain* (the fault-injection pattern: timers torn down while
-      the wheel is dispatching their bucket).
+      *mid-dispatch* (the fault-injection pattern).
     * ``cancel`` — cancel a pending event from outside the run loop.
     * ``stream`` — a batcher continuation through the stream lane.
-    * ``pooled`` — a fire-and-forget ``call_later`` (freelisted event).
     * ``drain``  — advance the horizon a bit (events straddle run()s).
     """
     import itertools as _it
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
+    tracer = None
+    if mode == "traced":
+        tracer = RecordingTracer(["engine"])
+        sim.set_tracer(tracer)
     trace = []
     live = []
     ids = _it.count()
@@ -346,6 +304,18 @@ def _drive(scheduler, ops):
         elif kind == "flap" and live:
             live.pop(0).cancel()
 
+    def advance(until):
+        if mode != "step":
+            sim.run(until)
+            return
+        while True:
+            head = sim.peek_time()
+            if head is None or head > until:
+                break
+            sim.step()
+        # run() leaves the clock at its horizon; so does this loop.
+        sim.advance_to(until)
+
     for op in ops:
         if op[0] == "later":
             _, delay, kind = op
@@ -356,12 +326,12 @@ def _drive(scheduler, ops):
         elif op[0] == "stream":
             seq = sim.reserve_seq()
             sim.stream_schedule(sim.now + op[1], seq, fire, next(ids), "plain", 0.0)
-        elif op[0] == "pooled":
-            sim.call_later(op[1], fire, next(ids), "plain", 0.0)
         else:  # drain
-            sim.run(sim.now + op[1])
-    sim.run(sim.now + 5.0)
+            advance(sim.now + op[1])
+    advance(sim.now + 5.0)
     assert sim.pending_events == 0
+    if tracer is not None:
+        assert tracer.by_event("engine_epoch")
     return trace
 
 
@@ -369,8 +339,8 @@ try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    # Delays straddle all three placements: sub-slot dense, in-window,
-    # and past the one-rotation safety margin (overflow lane).
+    # Delays straddle sub-millisecond bursts, paper-scale RTTs and
+    # far-future timers past the traced loop's 0.25 s epoch span.
     _DELAY = st.one_of(
         st.floats(min_value=0.0, max_value=0.001),
         st.floats(min_value=0.0, max_value=0.2),
@@ -381,23 +351,27 @@ try:
                   st.sampled_from(["plain", "rearm", "flap"])),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
         st.tuples(st.just("stream"), st.floats(min_value=0.0, max_value=0.05)),
-        st.tuples(st.just("pooled"), _DELAY),
         st.tuples(st.just("drain"), st.floats(min_value=0.0, max_value=0.5)),
     )
 
     class TestPopOrderParity:
-        """Property: wheel and heap produce the identical dispatch
-        stream — same (time, id) sequence — for arbitrary interleavings
-        of scheduling, cancellation (incl. mid-drain fault flaps),
-        stream-lane traffic, and staged horizons."""
+        """Property: run(), step() and the traced run loop produce the
+        identical dispatch stream — same (time, id) sequence — for
+        arbitrary interleavings of scheduling, cancellation (incl.
+        mid-dispatch fault flaps), stream-lane traffic, and staged
+        horizons."""
 
         @settings(max_examples=50, deadline=None)
         @given(ops=st.lists(_OP, max_size=60))
-        def test_wheel_trace_equals_heap_trace(self, ops):
-            assert _drive("wheel", ops) == _drive("heap", ops)
+        def test_run_step_and_traced_traces_agree(self, ops):
+            reference = _drive("run", ops)
+            assert _drive("step", ops) == reference
+            assert _drive("traced", ops) == reference
 
 except ImportError:  # pragma: no cover - hypothesis is in the dev env
-    def test_wheel_trace_equals_heap_trace_fallback():
+    def test_run_step_and_traced_traces_agree_fallback():
         ops = [("later", 0.1 * i % 0.7, ("plain", "rearm", "flap")[i % 3])
                for i in range(40)] + [("drain", 0.2), ("cancel", 3)]
-        assert _drive("wheel", ops) == _drive("heap", ops)
+        reference = _drive("run", ops)
+        assert _drive("step", ops) == reference
+        assert _drive("traced", ops) == reference
