@@ -18,6 +18,7 @@ import tempfile
 
 from repro.harness.cache import ResultCache
 from repro.harness.factories import coupled_factory
+from repro.harness.supervisor import SupervisorConfig
 from repro.harness.sweep import run_coexistence_grid
 
 #: Small enough for CI, big enough to cross warmup and exercise the AQM.
@@ -88,7 +89,8 @@ def test_supervised_matches_serial_bit_exact():
     """The watchdogged backend must be invisible in the results."""
     serial = run_coexistence_grid(coupled_factory(), seed=7, **TINY_GRID)
     supervised = run_coexistence_grid(
-        coupled_factory(), seed=7, jobs=2, supervised=True, **TINY_GRID
+        coupled_factory(), seed=7, jobs=2, supervisor=SupervisorConfig(),
+        **TINY_GRID
     )
     assert _digests(serial) == _digests(supervised)
     assert supervised.recovery is not None
@@ -103,10 +105,12 @@ def test_journal_resume_matches_uninterrupted_bit_exact():
     with tempfile.TemporaryDirectory() as tmp:
         journal = os.path.join(tmp, "grid.journal")
         first = run_coexistence_grid(
-            coupled_factory(), seed=7, journal=journal, **TINY_GRID
+            coupled_factory(), seed=7, journal=journal,
+            supervisor=SupervisorConfig(), **TINY_GRID
         )
         resumed = run_coexistence_grid(
-            coupled_factory(), seed=7, journal=journal, resume=True, **TINY_GRID
+            coupled_factory(), seed=7, journal=journal, resume=True,
+            supervisor=SupervisorConfig(), **TINY_GRID
         )
         assert _digests(first) == _digests(resumed)
         assert resumed.recovery.replayed == len(first)

@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(per-task timeouts, heartbeats, crash retry)")
     grid.add_argument("--journal", metavar="PATH",
                       help="append each completed cell to a crash-safe "
-                           "journal (implies --supervised)")
+                           "journal")
     grid.add_argument("--resume", action="store_true",
                       help="replay cells already in --journal instead of "
                            "re-simulating them (bit-exact)")
@@ -532,16 +532,12 @@ def _cmd_grid(args, out) -> int:
 
     links = [float(v) for v in args.links.split(",") if v.strip()]
     rtts = [float(v) for v in args.rtts.split(",") if v.strip()]
-    supervised = (
-        args.supervised or args.journal is not None or args.resume
-        or args.task_timeout is not None or args.heartbeat_timeout is not None
-    )
     supervisor = None
-    if supervised:
+    if (args.supervised or args.task_timeout is not None
+            or args.heartbeat_timeout is not None):
         supervisor = SupervisorConfig(
             task_timeout=args.task_timeout,
             heartbeat_timeout=args.heartbeat_timeout,
-            max_retries=args.max_retries,
         )
     _check_compact_every(args)
     journal = args.journal
@@ -570,7 +566,6 @@ def _cmd_grid(args, out) -> int:
             max_retries=args.max_retries,
             jobs=args.jobs,
             cache=cache,
-            supervised=supervised,
             supervisor=supervisor,
             journal=journal,
             resume=args.resume,
@@ -600,15 +595,10 @@ def _cmd_grid(args, out) -> int:
         ),
         file=out,
     )
-    if outcome.recovery is not None:
+    if supervisor is not None or args.journal is not None:
         report = outcome.recovery
-        print(
-            f"supervised: executed={report.executed} "
-            f"replayed={report.replayed} cache_hits={report.cache_hits} "
-            f"journal_appends={report.journal_appends}"
-            f"{' DEGRADED-TO-SERIAL' if report.degraded else ''}",
-            file=out,
-        )
+        label = "supervised" if supervisor is not None else "journal"
+        print(f"{label}: {report.summary()}", file=out)
         if report.actions:
             print(report.format_actions(), file=out)
     if cache is not None and (cache.stats.hits or cache.stats.stores):

@@ -44,7 +44,6 @@ __all__ = [
     "ControllerDivergence",
     "ParallelExecutionError",
     "FigureGenerationError",
-    "SupervisorError",
     "JournalError",
 ]
 
@@ -179,9 +178,10 @@ class ParallelExecutionError(ReproError):
 class FigureGenerationError(ReproError):
     """A simulation-backed figure cell failed to produce a result.
 
-    Figure cells run through the sweep machinery, which reports worker
-    failures as structured :class:`~repro.harness.parallel.RunFailure`
-    records rather than exceptions.  The figure pipeline converts such a
+    Figure cells run through the cell pipeline, which reports failures
+    as structured :class:`~repro.harness.resilience.RunFailure` records
+    rather than exceptions, whatever backend ran the cell.
+    :func:`~repro.harness.figures.generate_figure` converts such a
     record into this error so a broken cell fails *at the cell*, with the
     figure name, the cell's label, the worker-side exception type and the
     virtual time of death — instead of handing ``None`` to plotting code
@@ -204,16 +204,6 @@ class FigureGenerationError(ReproError):
         self.error_type = error_type
         self.sim_time = sim_time
         self.component = component
-
-
-class SupervisorError(ReproError):
-    """The supervised execution backend itself failed (not a single task).
-
-    Raised for infrastructure-level problems — e.g. worker processes that
-    cannot be spawned even after degrading to serial execution — as
-    opposed to :class:`ParallelExecutionError`, which reports one task's
-    terminal failure.
-    """
 
 
 class JournalError(ReproError):

@@ -21,7 +21,7 @@ from repro.harness.factories import (
 )
 from repro.harness.frozen import FrozenResult, freeze_result
 from repro.harness.journal import JournalRecord, JournalReplay, ResultJournal
-from repro.harness.parallel import SweepTask, execute_tasks, resolve_jobs
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks, resolve_jobs
 from repro.harness.repeat import (
     MetricEstimate,
     RepeatOutcome,
@@ -36,12 +36,7 @@ from repro.harness.resilience import (
     format_recovery_report,
     run_with_retries,
 )
-from repro.harness.supervisor import (
-    SupervisorConfig,
-    SupervisorReport,
-    execute_supervised,
-    run_supervised_tasks,
-)
+from repro.harness.supervisor import SupervisorConfig
 from repro.harness.scenarios import (
     MBPS,
     PAPER_EXPECTATIONS,
@@ -110,6 +105,7 @@ __all__ = [
     "ResultCache",
     "experiment_cache_key",
     "SweepTask",
+    "RunReport",
     "execute_tasks",
     "resolve_jobs",
     "Attempt",
@@ -119,7 +115,4 @@ __all__ = [
     "JournalReplay",
     "ResultJournal",
     "SupervisorConfig",
-    "SupervisorReport",
-    "execute_supervised",
-    "run_supervised_tasks",
 ]

@@ -470,13 +470,15 @@ class SharedResultCache(ResultCache):
         result = self.get(key)
         if result is not None:
             return result
+        return self._single_flight(key, compute)
+
+    def _single_flight(
+        self, key: str, compute: Callable[[], Optional[FrozenResult]]
+    ) -> Optional[FrozenResult]:
+        """:meth:`fetch_or_compute` past its fast path, for callers (the
+        cell pipeline) that already probed this key with a counted get."""
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            self.stats.computes += 1
-            self._log_event("compute", key)
-            result = compute()
-            if result is not None:
-                self.put(key, result)
-            return result
+            return self._compute(key, compute)
         lock_path = self._lock_path(key)
         lock_path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
@@ -490,14 +492,20 @@ class SharedResultCache(ResultCache):
             result = self._load(key)
             if result is not None:
                 return result
-            self.stats.computes += 1
-            self._log_event("compute", key)
-            result = compute()
-            if result is not None:
-                self.put(key, result)
-            return result
+            return self._compute(key, compute)
         finally:
             os.close(fd)  # also releases the flock if we hold it
+
+    def _compute(
+        self, key: str, compute: Callable[[], Optional[FrozenResult]]
+    ) -> Optional[FrozenResult]:
+        """Run ``compute`` as this key's winner; publish a success."""
+        self.stats.computes += 1
+        self._log_event("compute", key)
+        result = compute()
+        if result is not None:
+            self.put(key, result)
+        return result
 
     def _wait_for(
         self, key: str, fd: int, compute: Callable[[], Optional[FrozenResult]]
@@ -539,20 +547,10 @@ class SharedResultCache(ResultCache):
                     "ok": False,
                     "seconds": time.monotonic() - started,
                 })
-            self.stats.computes += 1
-            self._log_event("compute", key)
-            result = compute()
-            if result is not None:
-                self.put(key, result)
-            return result
+            return self._compute(key, compute)
         _log.warning(
             "shared-cache lock for %s held past %.0fs; computing anyway",
             key,
             self.LOCK_TIMEOUT,
         )
-        self.stats.computes += 1
-        self._log_event("compute", key)
-        result = compute()
-        if result is not None:
-            self.put(key, result)
-        return result
+        return self._compute(key, compute)

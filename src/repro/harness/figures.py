@@ -1,41 +1,39 @@
 """Programmatic figure-data generators.
 
-Each function regenerates the *data* behind one of the paper's figures
-and returns a :class:`FigureData` (headers + rows + a note about the
-paper's expected shape), for the CLI's ``figure`` subcommand and for
-notebook/scripting use.  The pytest benchmarks in ``benchmarks/`` are the
+:func:`generate_figure` regenerates the *data* behind one of the
+paper's figures and returns a :class:`FigureData` (headers + rows + a
+note about the paper's expected shape), for the CLI's ``figure``
+subcommand and for notebook/scripting use.  The pytest benchmarks in ``benchmarks/`` are the
 *assertion* layer for the same experiments; these generators favour
 moderate default durations so a figure is obtainable in seconds-to-a-
 minute from the command line, with a ``scale`` knob to trade time for
 smoothness.
 
-Crash safety
-------------
-Simulation-backed figures run their cells through a
-:class:`FigureRunner`, which gives the figure pipeline the same
-robustness stack as grid sweeps: a crash-safe
-:class:`~repro.harness.journal.ResultJournal` (``journal=`` — every
-completed cell is fsync'd as it finishes), bit-exact resume
-(``resume=True`` replays journaled cells instead of re-simulating),
-optional supervised execution (``supervisor=`` — per-cell watchdogged
-worker processes), and shared-cache-aware scheduling (cells another
-process is already computing are deferred, so a fleet regenerating the
-same figure computes each cell once).  A failing cell raises
-:class:`~repro.errors.FigureGenerationError` naming the figure, the
-cell and the virtual time of death.
+Cells and crash safety
+----------------------
+A simulation-backed figure declares its cells (one
+:class:`~repro.harness.parallel.SweepTask` each) and a reducer from
+their results to rows.  :func:`generate_figure` runs every cell of a
+figure in one :func:`~repro.harness.parallel.execute_tasks` call, so a
+figure gets the whole cell pipeline: ``jobs`` fans its cells out, the
+result cache serves repeats, a crash-safe
+:class:`~repro.harness.journal.ResultJournal` (``journal=``) fsyncs
+each completed cell, ``resume=True`` replays journaled cells bit-exactly,
+and ``supervisor=`` runs each cell in a watchdogged worker process.  A
+failing cell raises :class:`~repro.errors.FigureGenerationError` naming
+the figure, the cell and the virtual time of death.
 
 Example
 -------
->>> from repro.harness.figures import FIGURES
->>> data = FIGURES["fig05"]()
+>>> from repro.harness.figures import generate_figure
+>>> data = generate_figure("fig05")
 >>> data.headers
 ['p', 'tune(p)', 'sqrt(2p)']
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,8 +42,9 @@ from repro.analysis.bode import margins_reno_pi, margins_reno_pi2, margins_reno_
 from repro.analysis.fluid import PAPER_PI2_GAINS, PAPER_PIE_GAINS, PAPER_SCAL_GAINS
 from repro.aqm.tune_table import tune_table_rows
 from repro.errors import ConfigError, FigureGenerationError
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import coupled_factory, pi2_factory, pi_factory, pie_factory
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
 from repro.harness.scenarios import (
     MBPS,
     heavy_tcp,
@@ -54,12 +53,10 @@ from repro.harness.scenarios import (
     varying_capacity,
     varying_intensity,
 )
-from repro.harness.sweep import format_table, run_mix_sweep
+from repro.harness.sweep import _grid_tasks, _mix_tasks, format_table
 
 __all__ = [
     "FigureData",
-    "FigureRunReport",
-    "FigureRunner",
     "FIGURES",
     "MIN_STAGE_SECONDS",
     "generate_figure",
@@ -72,44 +69,6 @@ MIN_STAGE_SECONDS = 0.5
 
 
 @dataclass
-class FigureRunReport:
-    """How one figure's simulation cells were produced.
-
-    ``executed`` cells were simulated, ``replayed`` came from the
-    journal (resume), ``cache_hits`` from the result cache,
-    ``journal_appends``/``compactions`` describe journal activity, and
-    ``deferred`` counts scheduling decisions that postponed a cell
-    another process held in flight in the shared cache.  ``torn_journal``
-    is True when resume found (and tolerated) a crash-torn final record.
-    """
-
-    figure: str = ""
-    executed: int = 0
-    replayed: int = 0
-    cache_hits: int = 0
-    journal_appends: int = 0
-    compactions: int = 0
-    deferred: int = 0
-    torn_journal: bool = False
-
-    def summary(self) -> str:
-        """One-line counter summary for CLI output."""
-        parts = [
-            f"executed={self.executed}",
-            f"replayed={self.replayed}",
-            f"cache_hits={self.cache_hits}",
-            f"journal_appends={self.journal_appends}",
-        ]
-        if self.compactions:
-            parts.append(f"compactions={self.compactions}")
-        if self.deferred:
-            parts.append(f"deferred={self.deferred}")
-        if self.torn_journal:
-            parts.append("torn_journal=yes")
-        return " ".join(parts)
-
-
-@dataclass
 class FigureData:
     """Rows regenerating one figure, plus the paper's expected shape."""
 
@@ -117,7 +76,7 @@ class FigureData:
     headers: List[str]
     rows: List[Tuple]
     note: str = ""
-    report: Optional[FigureRunReport] = None
+    report: Optional[RunReport] = None
 
     def table(self) -> str:
         """Render headers + rows as an aligned text table."""
@@ -139,209 +98,12 @@ def _gm(m):
     return float("nan") if m.gain_margin_db is None else m.gain_margin_db
 
 
-class FigureRunner:
-    """Execution context shared by every simulation cell of one figure.
-
-    Bundles the knobs that used to be threaded positionally through each
-    generator (``jobs``/``cache``/``tracer``) with the crash-safety
-    stack: ``journal`` (a :class:`~repro.harness.journal.ResultJournal`)
-    records each completed cell durably; ``resume=True`` replays
-    journaled cells bit-exactly; ``supervisor`` (a
-    :class:`~repro.harness.supervisor.SupervisorConfig`) runs each cell
-    in a watchdogged worker process.  The runner tallies what happened
-    in :attr:`report`.
-
-    With none of those set, :meth:`run_cell` is the plain in-process
-    path — the tracer sees AQM/engine events and results are
-    bit-identical to what the generators always produced.
-    """
-
-    def __init__(self, figure: str, jobs=None, cache=None, tracer=None,
-                 journal=None, resume: bool = False, supervisor=None):
-        if resume and journal is None:
-            raise ConfigError("resume=True requires a journal")
-        self.figure = figure
-        self.jobs = jobs
-        self.cache = cache
-        self.tracer = tracer
-        self.journal = journal
-        self.resume = resume
-        self.supervisor = supervisor
-        self.report = FigureRunReport(figure=figure)
-        self._emit = tracer.emit if tracer is not None else None
-        self._replay: Dict[str, object] = {}
-        if resume and journal is not None:
-            replay = journal.read()
-            self._replay = replay.replay_map()
-            self.report.torn_journal = replay.torn
-
-    # -- single cells ----------------------------------------------------
-    def run_cell(self, label: str, experiment):
-        """Produce one cell: journal replay → cache → execute (+ append).
-
-        Raises :class:`~repro.errors.FigureGenerationError` when the
-        cell fails, carrying the figure name, the cell label and the
-        worker-side error type / sim-time — a broken cell fails *here*,
-        not later in plotting code handed a ``None``.
-        """
-        if (self.cache is None and self.journal is None
-                and self.supervisor is None):
-            # Plain path: in-process run; the tracer sees AQM/engine
-            # events and simulation errors propagate with their own
-            # sim-time context.
-            self.report.executed += 1
-            return run_experiment(experiment, tracer=self.tracer)
-
-        from repro.harness.cache import experiment_cache_key
-
-        key = experiment_cache_key(experiment)
-        if key is not None and key in self._replay:
-            self.report.replayed += 1
-            self._emit_cell(label, "hit")
-            return self._replay[key]
-        if (self.cache is not None and key is not None
-                and self.supervisor is None):
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.report.cache_hits += 1
-                if self._emit is not None:
-                    self._emit("harness", "cache_hit", 0.0, {"label": label})
-                self._journal_append(key, label, hit)
-                self._emit_cell(label, self._journal_state(key))
-                return hit
-        result = self._execute(label, experiment)
-        self._journal_append(key, label, result)
-        self._emit_cell(label, self._journal_state(key))
-        return result
-
-    def _execute(self, label: str, experiment):
-        """Run one cell through the sweep machinery; raise on failure."""
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        task = SweepTask(label, experiment)
-        if self.supervisor is not None:
-            from repro.harness.supervisor import run_supervised_tasks
-
-            pairs, sub = run_supervised_tasks(
-                [task], jobs=1, on_error="capture", cache=self.cache,
-                supervisor=self.supervisor, tracer=self.tracer,
-            )
-            self.report.executed += sub.executed
-            self.report.cache_hits += sub.cache_hits
-            self.report.deferred += sub.deferred
-            result, failure = pairs[0]
-        else:
-            # max_retries=0: a figure presents specific seeds, so a
-            # failing cell must fail loudly rather than be silently
-            # retried on a bumped seed (sweeps may choose otherwise).
-            (result, failure), = execute_tasks(
-                [task], jobs=1, on_error="capture", max_retries=0,
-                cache=self.cache, tracer=self.tracer,
-            )
-            if result is not None:
-                self.report.executed += 1
-        if result is None:
-            raise self._cell_error(label, failure)
-        return result
-
-    def _cell_error(self, label: str, failure) -> FigureGenerationError:
-        if failure is None:
-            return FigureGenerationError(
-                f"figure {self.figure} cell {label!r} produced no result "
-                f"and no failure report",
-                figure=self.figure, label=label,
-            )
-        where = []
-        if failure.sim_time is not None:
-            where.append(f"t={failure.sim_time:.6f}s")
-        if failure.component:
-            where.append(f"component={failure.component}")
-        suffix = f" [{' '.join(where)}]" if where else ""
-        return FigureGenerationError(
-            f"figure {self.figure} cell {label!r} failed: "
-            f"{failure.error_type}: {failure.error}{suffix}",
-            figure=self.figure,
-            label=label,
-            error_type=failure.error_type,
-            sim_time=failure.sim_time,
-            component=failure.component,
-        )
-
-    # -- journal ---------------------------------------------------------
-    def _journal_append(self, key: Optional[str], label: str, result) -> None:
-        if self.journal is None or key is None:
-            return
-        started = time.monotonic()
-        self.journal.append(key, label, result)
-        self.report.journal_appends += 1
-        if self._emit is not None:
-            self._emit("harness", "journal_append", 0.0, {
-                "label": label,
-                "seconds": time.monotonic() - started,
-            })
-
-    def _journal_state(self, key: Optional[str]) -> str:
-        return "append" if (self.journal is not None and key is not None) \
-            else "miss"
-
-    def _emit_cell(self, label: str, journal_state: str) -> None:
-        """One ``figure_cell`` span per cell, carrying journal hit/miss."""
-        if self._emit is not None:
-            self._emit("harness", "figure_cell", 0.0, {
-                "figure": self.figure,
-                "label": label,
-                "journal": journal_state,
-            })
-
-    # -- sweep-backed figures (fig15/fig19) ------------------------------
-    def sweep_kwargs(self) -> dict:
-        """Forward this runner's execution context to the sweep APIs."""
-        kwargs: dict = dict(jobs=self.jobs, cache=self.cache,
-                            tracer=self.tracer)
-        if self.journal is not None:
-            kwargs["journal"] = self.journal
-            kwargs["resume"] = self.resume
-        if self.supervisor is not None:
-            kwargs["supervisor"] = self.supervisor
-        return kwargs
-
-    def absorb(self, outcome) -> None:
-        """Fold a sweep's ``recovery`` report into this figure's report."""
-        recovery = getattr(outcome, "recovery", None)
-        if recovery is None:
-            return
-        self.report.executed += recovery.executed
-        self.report.replayed += recovery.replayed
-        self.report.cache_hits += recovery.cache_hits
-        self.report.journal_appends += recovery.journal_appends
-        self.report.deferred += recovery.deferred
-        self.report.torn_journal = (
-            self.report.torn_journal or recovery.torn_journal
-        )
-
-    def finish(self) -> None:
-        """Final accounting: journal compactions + one ``figure_done`` span."""
-        if self.journal is not None:
-            self.report.compactions = self.journal.compactions
-        if self._emit is not None:
-            self._emit("harness", "figure_done", 0.0, {
-                "figure": self.figure,
-                "executed": self.report.executed,
-                "replayed": self.report.replayed,
-                "journal_appends": self.report.journal_appends,
-            })
+#: What a figure generator returns: its cells, and a reducer from their
+#: results (in cell order) to the figure's rows.
+Figure = Tuple[List[SweepTask], Callable[[list], FigureData]]
 
 
-def _ensure_runner(figure: str, runner, jobs, cache, tracer) -> FigureRunner:
-    """Figure functions accept a full runner (from :func:`generate_figure`)
-    or the legacy ``jobs``/``cache``/``tracer`` trio (direct calls)."""
-    if runner is not None:
-        return runner
-    return FigureRunner(figure, jobs=jobs, cache=cache, tracer=tracer)
-
-
-def fig04(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig04(scale: float = 1.0) -> Figure:
     """Bode gain margins for PI on Reno: auto vs fixed tunes."""
     rows = []
     for p in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0):
@@ -353,24 +115,22 @@ def fig04(scale: float = 1.0, jobs=None, cache=None, tracer=None,
                 _gm(margins_reno_pi(p, 0.1, PAPER_PIE_GAINS, tune_factor=1 / 8)),
             )
         )
-    return FigureData(
+    return [], lambda _results: FigureData(
         "Figure 4", ["p", "GM auto [dB]", "GM tune=1 [dB]", "GM tune=1/8 [dB]"],
         rows, "paper shape: fixed-gain diagonal goes negative at low p",
     )
 
 
-def fig05(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig05(scale: float = 1.0) -> Figure:
     """PIE's stepped tune factor vs the analytic √(2p)."""
     rows = [(p, t, s) for p, t, s in tune_table_rows(points_per_decade=2)]
-    return FigureData(
+    return [], lambda _results: FigureData(
         "Figure 5", ["p", "tune(p)", "sqrt(2p)"], rows,
         "paper shape: the steps straddle sqrt(2p) over six decades",
     )
 
 
-def fig07(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig07(scale: float = 1.0) -> Figure:
     """Bode margins for reno-PIE / reno-PI2 / scal-PI."""
     rows = []
     for pp in (0.001, 0.01, 0.1, 0.3, 0.6, 1.0):
@@ -382,7 +142,7 @@ def fig07(scale: float = 1.0, jobs=None, cache=None, tracer=None,
                 _gm(margins_scal_pi(pp, 0.1, PAPER_SCAL_GAINS)),
             )
         )
-    return FigureData(
+    return [], lambda _results: FigureData(
         "Figure 7", ["p or p'", "GM pie [dB]", "GM pi2 [dB]", "GM scal [dB]"],
         rows, "paper shape: pi2/scal flat and positive; >10 dB only at p'>0.6",
     )
@@ -410,155 +170,162 @@ def _require_min_stage(figure: str, stage: float, scale: float) -> None:
         )
 
 
-def _stage_rows(results, stage, flows):
-    warmup = _stage_warmup(stage)
-    rows = []
-    for name, r in results.items():
-        for s in range(5):
-            t0, t1 = s * stage + warmup, (s + 1) * stage
-            qd = r.queue_delay.window(t0, t1)
-            rows.append(
-                (name, f"{s + 1} ({flows[s]} flows)",
-                 float(np.mean(qd)) * 1e3, float(np.max(qd)) * 1e3)
-            )
-    return rows
-
-
-def fig06(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
-    """Un-tuned PI vs PI2 under varying intensity at 100 Mb/s, 10 ms."""
-    runner = _ensure_runner("fig06", runner, jobs, cache, tracer)
-    stage = 8.0 * scale
-    _require_min_stage("fig06", stage, scale)
-    results = {}
-    for name, factory in (("pi", pi_factory()), ("pi2", pi2_factory())):
-        exp = varying_intensity(factory, capacity_bps=100 * MBPS, rtt=0.010,
+def _staged_intensity(figure: str, title: str, note: str, scale: float,
+                      base_stage: float, capacity_bps: float, rtt: float,
+                      aqms) -> Figure:
+    """Figures 6 and 13: one varying-intensity cell per AQM, reduced to
+    per-stage mean/peak queue delay (10, 30, 50, 30, 10 flows)."""
+    stage = base_stage * scale
+    _require_min_stage(figure, stage, scale)
+    tasks = []
+    for name, factory in aqms:
+        exp = varying_intensity(factory, capacity_bps=capacity_bps, rtt=rtt,
                                 stage=stage)
         exp.sample_period = 0.1
-        results[name] = runner.run_cell(name, exp)
-    return FigureData(
-        "Figure 6", ["aqm", "stage", "q mean [ms]", "q peak [ms]"],
-        _stage_rows(results, stage, [10, 30, 50, 30, 10]),
+        tasks.append(SweepTask(name, exp))
+
+    def reduce(results) -> FigureData:
+        warmup = _stage_warmup(stage)
+        rows = []
+        for task, r in zip(tasks, results):
+            for s, flows in enumerate((10, 30, 50, 30, 10)):
+                qd = r.queue_delay.window(s * stage + warmup, (s + 1) * stage)
+                rows.append(
+                    (task.label, f"{s + 1} ({flows} flows)",
+                     float(np.mean(qd)) * 1e3, float(np.max(qd)) * 1e3)
+                )
+        return FigureData(
+            title, ["aqm", "stage", "q mean [ms]", "q peak [ms]"], rows, note
+        )
+
+    return tasks, reduce
+
+
+def fig06(scale: float = 1.0) -> Figure:
+    """Un-tuned PI vs PI2 under varying intensity at 100 Mb/s, 10 ms."""
+    return _staged_intensity(
+        "fig06", "Figure 6",
         "paper shape: un-tuned PI oscillates at low load; PI2 holds 20 ms",
+        scale, 8.0, 100 * MBPS, 0.010,
+        (("pi", pi_factory()), ("pi2", pi2_factory())),
     )
 
 
-def fig11(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig11(scale: float = 1.0) -> Figure:
     """Queue delay and throughput under three traffic loads."""
-    runner = _ensure_runner("fig11", runner, jobs, cache, tracer)
     duration = 30.0 * scale
-    rows = []
     scenarios = {
         "5 TCP": light_tcp, "50 TCP": heavy_tcp, "5 TCP + 2 UDP": tcp_plus_udp,
     }
-    for label, scenario in scenarios.items():
-        for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
-            r = runner.run_cell(
-                f"{label}/{name}", scenario(factory, duration=duration)
-            )
+    cells = [
+        (label, name, scenario(factory, duration=duration))
+        for label, scenario in scenarios.items()
+        for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory()))
+    ]
+
+    def reduce(results) -> FigureData:
+        rows = []
+        for (label, name, _exp), r in zip(cells, results):
             soj = r.sojourn_samples()
             rows.append(
                 (label, name, float(np.mean(soj)) * 1e3,
                  float(np.percentile(soj, 99)) * 1e3,
                  r.mean_utilization() * 100)
             )
-    return FigureData(
-        "Figure 11", ["scenario", "aqm", "q mean [ms]", "q p99 [ms]", "util [%]"],
-        rows, "paper shape: both hold ~20 ms at full utilization",
-    )
+        return FigureData(
+            "Figure 11",
+            ["scenario", "aqm", "q mean [ms]", "q p99 [ms]", "util [%]"],
+            rows, "paper shape: both hold ~20 ms at full utilization",
+        )
+
+    return [SweepTask(f"{label}/{name}", exp) for label, name, exp in cells], reduce
 
 
-def fig12(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig12(scale: float = 1.0) -> Figure:
     """Queue delay through capacity steps 100:20:100 Mb/s."""
-    runner = _ensure_runner("fig12", runner, jobs, cache, tracer)
     stage = 15.0 * scale
     # The transient windows around each capacity step settle for 5 s at
     # paper scale (stage = 15 s); shrink them with the stage so short
     # runs keep non-empty windows (stage/3 == 5 s exactly at scale 1).
     settle = min(5.0, stage / 3.0)
-    rows = []
+    tasks = []
     for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
         exp = varying_capacity(factory, stage=stage)
         exp.sample_period = 0.1
-        r = runner.run_cell(name, exp)
-        rows.append(
-            (name,
+        tasks.append(SweepTask(name, exp))
+
+    def reduce(results) -> FigureData:
+        rows = [
+            (task.label,
              r.queue_delay.max(stage, stage + settle) * 1e3,
              r.queue_delay.mean(stage + settle, 2 * stage) * 1e3,
              r.queue_delay.max(2 * stage, 2 * stage + settle) * 1e3)
+            for task, r in zip(tasks, results)
+        ]
+        return FigureData(
+            "Figure 12",
+            ["aqm", "peak@drop [ms]", "mean@20M [ms]", "peak@rise [ms]"],
+            rows, "paper: 510 ms (PIE) vs 250 ms (PI2) at the drop",
         )
-    return FigureData(
-        "Figure 12", ["aqm", "peak@drop [ms]", "mean@20M [ms]", "peak@rise [ms]"],
-        rows, "paper: 510 ms (PIE) vs 250 ms (PI2) at the drop",
-    )
+
+    return tasks, reduce
 
 
-def fig13(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig13(scale: float = 1.0) -> Figure:
     """Varying intensity at 10 Mb/s, 100 ms RTT: PIE vs PI2."""
-    runner = _ensure_runner("fig13", runner, jobs, cache, tracer)
-    stage = 12.0 * scale
-    _require_min_stage("fig13", stage, scale)
-    results = {}
-    for name, factory in (("pie", pie_factory()), ("pi2", pi2_factory())):
-        exp = varying_intensity(factory, capacity_bps=10 * MBPS, rtt=0.100,
-                                stage=stage)
-        exp.sample_period = 0.1
-        results[name] = runner.run_cell(name, exp)
-    return FigureData(
-        "Figure 13", ["aqm", "stage", "q mean [ms]", "q peak [ms]"],
-        _stage_rows(results, stage, [10, 30, 50, 30, 10]),
+    return _staged_intensity(
+        "fig13", "Figure 13",
         "paper shape: PI2 reduces overshoot at load changes",
+        scale, 12.0, 10 * MBPS, 0.100,
+        (("pie", pie_factory()), ("pi2", pi2_factory())),
     )
 
 
-def fig19(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig19(scale: float = 1.0) -> Figure:
     """Rate balance across flow-count mixes at 40 Mb/s, 10 ms."""
-    runner = _ensure_runner("fig19", runner, jobs, cache, tracer)
     duration = 25.0 * scale
     mixes = ((1, 1), (1, 9), (5, 5), (9, 1))
-    rows = []
-    for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory())):
-        sweeps = run_mix_sweep(factory, mixes=mixes, duration=duration,
-                               warmup=min(10.0, duration / 2),
-                               **runner.sweep_kwargs())
-        runner.absorb(sweeps)
-        for (n_a, n_b), result in sweeps.items():
-            rows.append(
-                (name, f"A{n_a}-B{n_b}", result.balance("dctcp", "cubic"))
-            )
-    return FigureData(
-        "Figure 19", ["aqm", "mix (A=dctcp B=cubic)", "DCTCP/Cubic ratio"],
-        rows, "paper shape: PIE ~10 for every mix, PI2 ≈ 1",
-    )
+    cells = [
+        (name, n_a, n_b, task)
+        for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory()))
+        for n_a, n_b, task in _mix_tasks(
+            factory, "dctcp", "cubic", mixes, 40.0, 10.0,
+            duration, min(10.0, duration / 2), 1,
+        )
+    ]
+
+    def reduce(results) -> FigureData:
+        rows = [
+            (name, f"A{n_a}-B{n_b}", r.balance("dctcp", "cubic"))
+            for (name, n_a, n_b, _task), r in zip(cells, results)
+        ]
+        return FigureData(
+            "Figure 19", ["aqm", "mix (A=dctcp B=cubic)", "DCTCP/Cubic ratio"],
+            rows, "paper shape: PIE ~10 for every mix, PI2 ≈ 1",
+        )
+
+    return [replace(task, label=f"{name} {task.label}")
+            for name, _a, _b, task in cells], reduce
 
 
-def fig14(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
+def fig14(scale: float = 1.0) -> Figure:
     """Queue-delay distribution summary at 5 ms and 20 ms targets."""
-    from repro.harness.experiment import Experiment, FlowGroup
-
-    runner = _ensure_runner("fig14", runner, jobs, cache, tracer)
     duration = 25.0 * scale
-    rows = []
-    for target in (0.005, 0.020):
-        for name, make in (
-            ("pie", lambda t: pie_factory(target_delay=t)),
-            ("pi2", lambda t: pi2_factory(target_delay=t)),
-        ):
-            r = runner.run_cell(
-                f"{name}@{target * 1e3:.0f}ms",
-                Experiment(
-                    capacity_bps=10 * MBPS,
-                    duration=duration,
-                    warmup=min(10.0, duration / 3),
-                    aqm_factory=make(target),
-                    flows=[FlowGroup(cc="reno", count=20, rtt=0.100)],
-                ),
-            )
+    cells = [
+        (target, name, Experiment(
+            capacity_bps=10 * MBPS,
+            duration=duration,
+            warmup=min(10.0, duration / 3),
+            aqm_factory=make(target_delay=target),
+            flows=[FlowGroup(cc="reno", count=20, rtt=0.100)],
+        ))
+        for target in (0.005, 0.020)
+        for name, make in (("pie", pie_factory), ("pi2", pi2_factory))
+    ]
+
+    def reduce(results) -> FigureData:
+        rows = []
+        for (target, name, _exp), r in zip(cells, results):
             soj = r.sojourn_samples()
             rows.append(
                 (f"{target * 1e3:.0f} ms", name,
@@ -566,45 +333,49 @@ def fig14(scale: float = 1.0, jobs=None, cache=None, tracer=None,
                  float(np.percentile(soj, 90)) * 1e3,
                  float(np.percentile(soj, 99)) * 1e3)
             )
-    return FigureData(
-        "Figure 14", ["target", "aqm", "p50 [ms]", "p90 [ms]", "p99 [ms]"],
-        rows, "paper shape: PI2's CDF ≈ PIE's at both targets (20-TCP panel)",
-    )
+        return FigureData(
+            "Figure 14", ["target", "aqm", "p50 [ms]", "p90 [ms]", "p99 [ms]"],
+            rows,
+            "paper shape: PI2's CDF ≈ PIE's at both targets (20-TCP panel)",
+        )
+
+    return [SweepTask(f"{name}@{target * 1e3:.0f}ms", exp)
+            for target, name, exp in cells], reduce
 
 
-def fig15(scale: float = 1.0, jobs=None, cache=None, tracer=None,
-          runner=None) -> FigureData:
-    """Rate balance on a reduced 3×3 coexistence grid.
+def fig15(scale: float = 1.0) -> Figure:
+    """Rate balance on a reduced 2×2 coexistence grid.
 
     The full 5×5 grid with per-cell convergence budgeting lives in the
     benchmark suite; this CLI-friendly version covers the corner points.
     """
-    from repro.harness.sweep import run_coexistence_grid
-
-    runner = _ensure_runner("fig15", runner, jobs, cache, tracer)
     duration = 20.0 * scale
-    rows = []
-    for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory())):
-        cells = run_coexistence_grid(
-            factory, links_mbps=(4, 40), rtts_ms=(10, 50),
-            duration=duration, warmup=min(8.0, duration / 2),
-            **runner.sweep_kwargs(),
+    cells = [
+        (name, link, rtt, task)
+        for name, factory in (("pie", pie_factory()), ("pi2", coupled_factory()))
+        for link, rtt, task in _grid_tasks(
+            factory, "dctcp", "cubic", (4, 40), (10, 50),
+            duration, min(8.0, duration / 2), 1,
         )
-        runner.absorb(cells)
-        for cell in cells:
-            rows.append(
-                (name, cell.link_mbps, cell.rtt_ms,
-                 cell.balance("cubic", "dctcp"))
-            )
-    return FigureData(
-        "Figure 15 (reduced grid)",
-        ["aqm", "link [Mb/s]", "RTT [ms]", "Cubic/DCTCP ratio"],
-        rows, "paper shape: ≈0.1 under PIE (starvation), ≈1 under PI2",
-    )
+    ]
+
+    def reduce(results) -> FigureData:
+        rows = [
+            (name, link, rtt, r.balance("cubic", "dctcp"))
+            for (name, link, rtt, _task), r in zip(cells, results)
+        ]
+        return FigureData(
+            "Figure 15 (reduced grid)",
+            ["aqm", "link [Mb/s]", "RTT [ms]", "Cubic/DCTCP ratio"],
+            rows, "paper shape: ≈0.1 under PIE (starvation), ≈1 under PI2",
+        )
+
+    return [replace(task, label=f"{name} {task.label}")
+            for name, _link, _rtt, task in cells], reduce
 
 
 #: Registry of the CLI-accessible generators.
-FIGURES: Dict[str, Callable[..., FigureData]] = {
+FIGURES: Dict[str, Callable[[float], Figure]] = {
     "fig04": fig04,
     "fig05": fig05,
     "fig06": fig06,
@@ -643,6 +414,25 @@ def _resolve_journal(journal, name: str, compact_every: Optional[int]):
     )
 
 
+def _cell_error(figure: str, label: str, failure) -> FigureGenerationError:
+    """The one error type for a figure cell that produced no result."""
+    where = []
+    if failure.sim_time is not None:
+        where.append(f"t={failure.sim_time:.6f}s")
+    if failure.component:
+        where.append(f"component={failure.component}")
+    suffix = f" [{' '.join(where)}]" if where else ""
+    return FigureGenerationError(
+        f"figure {figure} cell {label!r} failed: "
+        f"{failure.error_type}: {failure.error}{suffix}",
+        figure=figure,
+        label=label,
+        error_type=failure.error_type,
+        sim_time=failure.sim_time,
+        component=failure.component,
+    )
+
+
 def generate_figure(
     name: str, scale: float = 1.0, jobs=None, cache=None, tracer=None,
     journal=None, resume: bool = False, supervisor=None,
@@ -650,42 +440,54 @@ def generate_figure(
 ) -> FigureData:
     """Generate one figure's data by registry name.
 
-    ``jobs`` parallelises grid/mix-based figures over a process pool;
+    The figure's cells run in one
+    :func:`~repro.harness.parallel.execute_tasks` call: ``jobs`` fans
+    them out over a process pool (None serial, 0 one worker per CPU);
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) reuses
-    already-simulated runs across invocations.  ``tracer`` (a
-    :class:`~repro.obs.trace.Tracer`) observes the simulation-backed
-    figures — control-law events, engine epochs, harness spans including
-    per-cell ``figure_cell`` events carrying journal hit/miss — and is
-    guaranteed not to change any number in the returned rows.
-
-    ``journal`` (a directory path or a
+    already-simulated cells across invocations; ``supervisor`` (a
+    :class:`~repro.harness.supervisor.SupervisorConfig`) runs each cell
+    in a watchdogged worker process.  ``journal`` (a directory path or a
     :class:`~repro.harness.journal.ResultJournal`) makes every completed
-    simulation cell durable as it finishes (one journal per figure name
-    under a directory); ``resume=True`` replays journaled cells instead
-    of re-simulating, so a figure run killed mid-sweep and resumed
-    returns rows bit-identical to an uninterrupted run.
-    ``supervisor`` (a :class:`~repro.harness.supervisor.SupervisorConfig`)
-    runs each cell in a watchdogged worker process with per-task
-    timeouts and heartbeat monitoring.  ``compact_every=N`` rewrites the
-    journal (latest record per key) after every N appends.  The returned
-    data carries a :class:`FigureRunReport` as ``report``.
+    cell durable as it finishes (one journal per figure name under a
+    directory; ``compact_every=N`` rewrites it, latest record per key,
+    after every N appends) and ``resume=True`` replays journaled cells,
+    so a figure run killed mid-sweep and resumed returns rows
+    bit-identical to an uninterrupted run.  ``tracer`` (a
+    :class:`~repro.obs.trace.Tracer`) observes the cells and a final
+    ``figure_done`` span; it never changes a number in the rows.
 
-    Figures that are pure analysis (fig04/05/07) ignore all of these.
+    Cells are never retried on a bumped seed — a figure presents
+    specific seeds — so a failing cell raises
+    :class:`~repro.errors.FigureGenerationError` with its label, error
+    type and virtual time of death.  The returned data carries the run's
+    :class:`~repro.harness.parallel.RunReport` as ``report``.
     """
     if name not in FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     if scale <= 0:
         raise ValueError(f"scale must be positive (got {scale})")
+    tasks, reduce = FIGURES[name](scale)
     journal_obj, owned = _resolve_journal(journal, name, compact_every)
-    runner = FigureRunner(
-        name, jobs=jobs, cache=cache, tracer=tracer,
-        journal=journal_obj, resume=resume, supervisor=supervisor,
-    )
+    report = RunReport()
     try:
-        data = FIGURES[name](scale=scale, runner=runner)
-        runner.finish()
+        pairs = execute_tasks(
+            tasks, jobs=jobs, on_error="capture", max_retries=0, cache=cache,
+            tracer=tracer, journal=journal_obj, resume=resume,
+            supervisor=supervisor, report=report,
+        )
     finally:
-        if owned and journal_obj is not None:
+        if owned:
             journal_obj.close()
-    data.report = runner.report
+    for task, (result, failure) in zip(tasks, pairs):
+        if result is None:
+            raise _cell_error(name, task.label, failure)
+    if tracer is not None:
+        tracer.emit("harness", "figure_done", 0.0, {
+            "figure": name,
+            "executed": report.executed,
+            "replayed": report.replayed,
+            "journal_appends": report.journal_appends,
+        })
+    data = reduce([result for result, _failure in pairs])
+    data.report = report
     return data

@@ -225,12 +225,12 @@ class ResultJournal:
     def _writer(self) -> io.BufferedWriter:
         """Open (once) for appending, truncating any torn tail first."""
         if self._handle is None:
-            if self.path.exists():
-                replay = self.read()
+            valid = self.read().valid_bytes
+            if valid:
                 self._handle = self.path.open("r+b")
-                self._handle.seek(replay.valid_bytes)
-                self._handle.truncate(replay.valid_bytes)
-            else:
+                self._handle.seek(valid)
+                self._handle.truncate(valid)
+            else:  # no file, or one torn before its magic was complete
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("wb")
                 self._handle.write(JOURNAL_MAGIC)
@@ -259,14 +259,22 @@ class ResultJournal:
         """Scan the journal, returning every intact record.
 
         A missing file reads as an empty journal (a first run with
-        ``resume=True`` is a plain run).  A file that is not a journal at
-        all raises :class:`~repro.errors.JournalError`; a torn tail does
-        not — the intact prefix comes back with ``torn=True``.
+        ``resume=True`` is a plain run), and so does one torn while it
+        was being created (empty, or a partial magic).  A file that is
+        not a journal at all raises :class:`~repro.errors.JournalError`;
+        a torn tail does not — the intact prefix comes back with
+        ``torn=True``.
         """
         replay = JournalReplay()
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
+            return replay
+        if JOURNAL_MAGIC.startswith(data):
+            # Empty or a partial magic: the file was being created when
+            # the writer crashed (or this read raced its creation).
+            replay.torn = bool(data)
+            replay.discarded_bytes = len(data)
             return replay
         if not data.startswith(JOURNAL_MAGIC):
             raise JournalError(

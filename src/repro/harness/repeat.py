@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
-from repro.harness.experiment import Experiment, ExperimentResult, run_experiment
-from repro.harness.resilience import RunFailure, run_with_retries
+from repro.harness.experiment import Experiment, ExperimentResult
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
+from repro.harness.resilience import RunFailure
 
 __all__ = ["MetricEstimate", "RepeatOutcome", "repeat_experiment", "compare_metric"]
 
@@ -82,13 +83,14 @@ class RepeatOutcome(Dict[str, MetricEstimate]):
     A plain ``{metric: estimate}`` dict (existing callers keep working)
     with :attr:`failures` listing one
     :class:`~repro.harness.resilience.RunFailure` per seed that failed
-    every retry; those seeds contribute no samples.
+    every retry (those seeds contribute no samples) and :attr:`recovery`
+    holding the cell pipeline's :class:`~repro.harness.parallel.RunReport`.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.failures: List[RunFailure] = []
-        self.recovery = None
+        self.recovery = RunReport()
 
     @property
     def complete(self) -> bool:
@@ -104,7 +106,6 @@ def repeat_experiment(
     max_retries: int = 1,
     jobs=None,
     cache=None,
-    supervised: bool = False,
     supervisor=None,
     journal=None,
     resume: bool = False,
@@ -120,72 +121,34 @@ def repeat_experiment(
     repetition; estimates are then built from the surviving seeds (the
     outcome may be empty if every seed failed).
 
-    ``jobs`` runs the seeds concurrently in a process pool and ``cache``
-    reuses already-simulated seeds from disk (see
-    :func:`~repro.harness.sweep.run_coexistence_grid` for the shared
-    semantics).  Metric extractors always run in the parent process, over
-    the frozen results the workers return — so they may be arbitrary
-    (unpicklable) callables, and per-seed numbers are identical to the
-    serial path's.
-
-    ``supervised``/``supervisor``/``journal``/``resume`` route the seeds
-    through the watchdogged, journal-backed backend (see
-    :func:`~repro.harness.sweep.run_coexistence_grid`); the outcome's
-    ``recovery`` attribute then carries the
-    :class:`~repro.harness.supervisor.SupervisorReport`.
+    The seeds run through :func:`~repro.harness.parallel.execute_tasks`;
+    ``jobs``/``cache``/``supervisor``/``journal``/``resume`` behave as in
+    :func:`~repro.harness.sweep.run_coexistence_grid`.  Metric extractors
+    always run in the calling process, over the returned results — so
+    they may be arbitrary (unpicklable) callables, and per-seed numbers
+    are identical on every backend.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
     if not metrics:
         raise ValueError("at least one metric is required")
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
     collected: Dict[str, List[float]] = {name: [] for name in metrics}
     outcome = RepeatOutcome()
-
-    use_supervised = supervised or supervisor is not None \
-        or journal is not None or resume
-    if use_supervised or cache is not None or (jobs is not None and jobs != 1):
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        tasks = [
-            SweepTask(f"seed {seed}", replace(experiment, seed=seed))
-            for seed in seeds
-        ]
-        if use_supervised:
-            from repro.harness.supervisor import run_supervised_tasks
-
-            pairs, outcome.recovery = run_supervised_tasks(
-                tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
-                cache=cache, supervisor=supervisor, journal=journal,
-                resume=resume,
-            )
-        else:
-            pairs = execute_tasks(
-                tasks, jobs=jobs, on_error=on_error,
-                max_retries=max_retries, cache=cache,
-            )
-        for (result, failure) in pairs:
-            if result is None:
-                outcome.failures.append(failure)
-                continue
-            for name, extract in metrics.items():
-                collected[name].append(float(extract(result)))
-    else:
-        for seed in seeds:
-            if on_error == "raise":
-                result = run_experiment(replace(experiment, seed=seed))
-            else:
-                result, failure = run_with_retries(
-                    replace(experiment, seed=seed),
-                    label=f"seed {seed}",
-                    max_retries=max_retries,
-                )
-                if result is None:
-                    outcome.failures.append(failure)
-                    continue
-            for name, extract in metrics.items():
-                collected[name].append(float(extract(result)))
+    tasks = [
+        SweepTask(f"seed {seed}", replace(experiment, seed=seed))
+        for seed in seeds
+    ]
+    pairs = execute_tasks(
+        tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
+        cache=cache, supervisor=supervisor, journal=journal, resume=resume,
+        report=outcome.recovery,
+    )
+    for result, failure in pairs:
+        if result is None:
+            outcome.failures.append(failure)
+            continue
+        for name, extract in metrics.items():
+            collected[name].append(float(extract(result)))
     outcome.update(
         {
             name: _estimate(samples)

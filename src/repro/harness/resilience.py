@@ -2,8 +2,10 @@
 
 A 5×5 grid sweep that dies on cell 23 of 25 throws away twenty-two
 finished simulations and tells you nothing about where it died.  This
-module gives the sweep and repetition runners a different failure mode:
-each run is executed through :func:`run_with_retries`, which
+module gives the cell pipeline (:func:`~repro.harness.parallel.execute_tasks`,
+behind every sweep and repetition) a different failure mode: with
+``on_error="capture"`` each cell runs through :func:`run_with_retries`,
+which
 
 * catches the failure,
 * retries with a deterministically bumped seed (transient stochastic

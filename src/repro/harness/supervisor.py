@@ -1,11 +1,12 @@
-"""Supervised sweep execution: watchdogged workers that survive failure.
+"""Supervised backend: watchdogged workers that survive process failure.
 
-:func:`~repro.harness.parallel.execute_tasks` fans sweep cells out over a
-``multiprocessing`` pool, but the pool itself is brittle: a worker that
-hangs stalls the whole map, and a worker the kernel SIGKILLs (OOM) loses
-its task forever.  This module is the execution layer that survives
-process-level failure — the prerequisite for the distributed backend the
-roadmap plugs in at this same seam:
+:func:`~repro.harness.parallel.execute_tasks` runs every cell through
+one pipeline — journal replay, cache probe, backend, cache store,
+journal append.  A ``multiprocessing`` pool is a brittle backend: a
+worker that hangs stalls the whole map, and a worker the kernel
+SIGKILLs (OOM) loses its task forever.  Passing
+``supervisor=SupervisorConfig(...)`` to ``execute_tasks`` (or to any
+sweep, repetition or figure) selects this backend instead:
 
 * **process-per-task isolation** — each attempt runs in its own forked
   worker, so a crash is observable (pipe EOF + exit code) instead of
@@ -13,66 +14,47 @@ roadmap plugs in at this same seam:
 * **per-task wall-clock timeouts** and **worker heartbeats** — a hung or
   frozen worker is killed and the task retried, rather than stalling the
   sweep;
-* **bounded retry with exponential backoff**, centralizing the retry
-  policy: simulation exceptions retry on deterministically bumped seeds
-  (the exact :data:`~repro.harness.resilience.RETRY_SEED_STRIDE`
-  sequence the serial runner uses, so supervised and serial sweeps make
-  the same recovery decisions), while process-level failures — timeout,
-  SIGKILL, stalled heartbeats — retry the *same* seed, because the cause
-  was external and determinism demands the rerun be identical;
-* **graceful degradation to serial execution** after repeated pool
+* **bounded retry with exponential backoff**: simulation exceptions
+  retry on deterministically bumped seeds (the exact
+  :data:`~repro.harness.resilience.RETRY_SEED_STRIDE` sequence of the
+  inline backend, bounded by the same ``max_retries``), while
+  process-level failures — timeout, SIGKILL, stalled heartbeats — retry
+  the *same* seed, because the cause was external and determinism
+  demands the rerun be identical;
+* **graceful degradation to serial execution** after repeated spawn
   failures — if workers cannot even be spawned, the sweep finishes
   in-process rather than dying;
-* every recovery action is recorded (:class:`SupervisorReport`) through
-  the same report machinery as :mod:`repro.harness.resilience`, and
-  terminal failures carry the full :class:`~repro.harness.resilience.Attempt`
-  history and worker identity.
+* every recovery action is recorded on the run's
+  :class:`~repro.harness.parallel.RunReport`, and terminal failures
+  carry the full :class:`~repro.harness.resilience.Attempt` history and
+  worker identity.
 
-Combined with the write-ahead journal (:mod:`repro.harness.journal`),
-this makes sweeps resumable: completed cells are fsync'd as they finish,
-and ``resume=True`` replays them instead of re-simulating.  The ordering
-and seeding contract of :func:`execute_tasks` is preserved exactly, so a
-fixed seed gives bit-identical outcomes serial, pooled, supervised,
+Caching, journaling and resume belong to the pipeline, so they behave
+the same here as on the inline and pool backends, and a fixed seed
+gives bit-identical outcomes serial, pooled, supervised,
 interrupted-and-resumed, or degraded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
-from repro.errors import ConfigError, ParallelExecutionError, SupervisorError
-from repro.harness.cache import (
-    ResultCache,
-    SharedResultCache,
-    experiment_cache_key,
-)
+from repro.errors import ConfigError
 from repro.harness.frozen import freeze_result
-from repro.harness.journal import ResultJournal
-from repro.harness.parallel import (
-    SweepTask,
-    TaskResult,
-    _check_picklable,
-    _start_method,
-    resolve_jobs,
-)
+from repro.harness.parallel import SweepTask, _start_method
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
     Attempt,
     RecoveryAction,
     RunFailure,
+    current_worker,
 )
 
-__all__ = [
-    "SupervisorConfig",
-    "SupervisorReport",
-    "execute_supervised",
-    "run_supervised_tasks",
-]
+__all__ = ["SupervisorConfig"]
 
 #: Scheduler poll period: how often timeouts/heartbeats are re-checked.
 _TICK_SECONDS = 0.05
@@ -88,8 +70,8 @@ class SupervisorConfig:
     ``heartbeat_timeout`` is set (a process can be alive but frozen —
     e.g. SIGSTOP — which a timeout alone would catch much later).
 
-    ``max_retries`` bounds seed-bump retries after simulation exceptions
-    (the policy previously inlined in the grid/mix/repeat sweeps);
+    Seed-bump retries after simulation exceptions are bounded by the
+    pipeline's ``max_retries`` (one knob for every backend);
     ``max_task_failures`` bounds same-seed retries after process-level
     failures, with exponential backoff ``backoff_base *
     backoff_factor**n`` capped at ``backoff_max``.  After
@@ -100,7 +82,6 @@ class SupervisorConfig:
     task_timeout: Optional[float] = None
     heartbeat_interval: float = 0.5
     heartbeat_timeout: Optional[float] = None
-    max_retries: int = 1
     max_task_failures: int = 2
     backoff_base: float = 0.25
     backoff_factor: float = 2.0
@@ -121,8 +102,6 @@ class SupervisorConfig:
                 f"heartbeat_timeout must be positive or None "
                 f"(got {self.heartbeat_timeout})"
             )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries cannot be negative (got {self.max_retries})")
         if self.max_task_failures < 0:
             raise ConfigError(
                 f"max_task_failures cannot be negative (got {self.max_task_failures})"
@@ -135,64 +114,6 @@ class SupervisorConfig:
             raise ConfigError(
                 f"max_pool_failures must be at least 1 (got {self.max_pool_failures})"
             )
-
-
-@dataclass
-class SupervisorReport:
-    """What one supervised run did beyond simply executing its tasks.
-
-    ``actions`` is the recovery log (kills, retries, seed bumps,
-    degradation), ``replayed`` counts cells filled from the journal,
-    ``cache_hits`` cells filled from the result cache, ``executed``
-    cells actually simulated, and ``journal_appends`` records durably
-    written.  ``heartbeats`` counts heartbeat messages observed — proof
-    the liveness channel was active during the run.  ``deferred`` counts
-    spawn decisions that skipped past a cell another process held in
-    flight in the shared cache (shared-cache-aware scheduling).
-    """
-
-    actions: List[RecoveryAction] = field(default_factory=list)
-    degraded: bool = False
-    torn_journal: bool = False
-    replayed: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    journal_appends: int = 0
-    heartbeats: int = 0
-    deferred: int = 0
-
-    def record(self, action: RecoveryAction) -> None:
-        """Append one recovery action to the log."""
-        self.actions.append(action)
-
-    def register_metrics(self, registry) -> None:
-        """Register the run's counters under the ``supervisor.`` prefix.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`;
-        the provider is read at snapshot time, so register after (or
-        during) the run and snapshot once it finishes.
-        """
-        registry.register_provider("supervisor", self._metrics_snapshot)
-
-    def _metrics_snapshot(self) -> dict:
-        """Flat metric values mirroring the report's counters."""
-        return {
-            "actions": len(self.actions),
-            "degraded": int(self.degraded),
-            "torn_journal": int(self.torn_journal),
-            "replayed": self.replayed,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "journal_appends": self.journal_appends,
-            "heartbeats": self.heartbeats,
-            "deferred": self.deferred,
-        }
-
-    def format_actions(self) -> str:
-        """Human-readable recovery log (see ``format_recovery_report``)."""
-        from repro.harness.resilience import format_recovery_report
-
-        return format_recovery_report(self.actions)
 
 
 def _supervised_worker(conn, experiment, heartbeat_interval: float) -> None:
@@ -325,76 +246,31 @@ class _Worker:
 
 
 class _Supervisor:
-    """The scheduler: slots, deadlines, retries, journal, degradation."""
+    """The backend: slots, deadlines, retries, degradation.
 
-    def __init__(self, tasks, jobs, on_error, config, cache, journal, report,
-                 tracer=None):
-        self.tasks = list(tasks)
-        self.n_jobs = resolve_jobs(jobs)
-        self.on_error = on_error
+    Runs ``tasks[i]`` for every ``i`` in ``pending`` and hands each
+    finished cell to ``done(index, result, failure)`` — the pipeline's
+    store-and-journal step — the moment it completes.  ``retries`` is
+    the pipeline's seed-bump budget (0 unless ``on_error="capture"``).
+    """
+
+    def __init__(self, tasks, pending, n_jobs, retries, config, report,
+                 emit, done):
+        self.n_jobs = n_jobs
+        self.retries = retries
         self.config = config
-        self.cache = cache
-        self.journal = journal
         self.report = report
         #: Fire-and-forget span sink (None = tracing off).  The
         #: supervisor only ever *emits* into it; no tracer output feeds
         #: scheduling decisions (the OBS static-analysis contract).
-        self.emit = tracer.emit if tracer is not None else None
-        self.out: List[Optional[TaskResult]] = [None] * len(self.tasks)
-        self.keys: List[Optional[str]] = [None] * len(self.tasks)
-        self.queue: List[_TaskState] = []
+        self.emit = emit
+        self.done = done
+        self.queue: List[_TaskState] = [_TaskState(i, tasks[i]) for i in pending]
         self.running: Dict[object, _Worker] = {}
         self.pool_failures = 0
-        self.replayed_indices: set = set()
-
-    # -- set-up ----------------------------------------------------------
-    def prefill(self, resume: bool) -> None:
-        """Fill slots from the journal (resume) and the result cache."""
-        need_keys = self.cache is not None or self.journal is not None
-        if need_keys:
-            for index, task in enumerate(self.tasks):
-                self.keys[index] = experiment_cache_key(task.experiment)
-        replay = {}
-        if resume and self.journal is not None:
-            journal_replay = self.journal.read()
-            replay = journal_replay.replay_map()
-            self.report.torn_journal = journal_replay.torn
-        for index, task in enumerate(self.tasks):
-            key = self.keys[index]
-            if key is not None and key in replay:
-                self.out[index] = (replay[key], None)
-                self.replayed_indices.add(index)
-                self.report.replayed += 1
-                continue
-            if self.cache is not None and key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    self.out[index] = (hit, None)
-                    self.report.cache_hits += 1
-                    if self.emit is not None:
-                        self.emit("harness", "cache_hit", 0.0,
-                                  {"label": task.label})
-                    self._journal_append(index, hit)
-                    continue
-            self.queue.append(_TaskState(index, task))
 
     # -- completion paths ------------------------------------------------
-    def _journal_append(self, index: int, result) -> None:
-        key = self.keys[index]
-        if self.journal is None or key is None:
-            return
-        started = time.monotonic()
-        self.journal.append(key, self.tasks[index].label, result)
-        self.report.journal_appends += 1
-        if self.emit is not None:
-            self.emit("harness", "journal_append", 0.0, {
-                "label": self.tasks[index].label,
-                "seconds": time.monotonic() - started,
-            })
-
     def _finish_success(self, state: _TaskState, result) -> None:
-        self.out[state.index] = (result, None)
-        self.report.executed += 1
         if self.emit is not None:
             self.emit("harness", "task_done", 0.0, {
                 "label": state.task.label,
@@ -411,10 +287,7 @@ class _Supervisor:
                            f"(seed {state.seed})",
                 )
             )
-        key = self.keys[state.index]
-        if self.cache is not None and key is not None:
-            self.cache.put(key, result)
-        self._journal_append(state.index, result)
+        self.done(state.index, result, None)
 
     def _finish_failure(self, state: _TaskState, error_type: str, error: str,
                         sim_time=None, component=None, worker=None) -> None:
@@ -425,7 +298,8 @@ class _Supervisor:
                 "error_type": error_type,
                 "sim_time": sim_time,
             })
-        self.out[state.index] = (
+        self.done(
+            state.index,
             None,
             RunFailure(
                 label=state.task.label,
@@ -446,7 +320,7 @@ class _Supervisor:
         """Record one failed attempt and either requeue or finalise."""
         now = time.monotonic()
         if kind == "exception":
-            retry = self.on_error == "capture" and state.bumps < self.config.max_retries
+            retry = state.bumps < self.retries
             backoff = 0.0
         else:
             retry = state.proc_failures < self.config.max_task_failures
@@ -477,7 +351,7 @@ class _Supervisor:
                 state.task.experiment.seed + state.bumps * RETRY_SEED_STRIDE
             )
             detail = (
-                f"seed-bump retry {state.bumps}/{self.config.max_retries} "
+                f"seed-bump retry {state.bumps}/{self.retries} "
                 f"(seed {state.seed}) after {error_type}"
             )
         else:
@@ -508,18 +382,6 @@ class _Supervisor:
     # -- worker lifecycle ------------------------------------------------
     def _spawn(self, ctx, state: _TaskState) -> bool:
         """Start one attempt; returns False on a spawn (pool) failure."""
-        if isinstance(self.cache, SharedResultCache):
-            # A concurrent sweep over the same shared cache may have
-            # published this cell since prefill; re-check before paying
-            # for a worker process.
-            key = self.keys[state.index]
-            if key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    self.out[state.index] = (hit, None)
-                    self.report.cache_hits += 1
-                    self._journal_append(state.index, hit)
-                    return True
         try:
             worker = _start_worker(ctx, state, self.config)
         except (OSError, RuntimeError) as exc:
@@ -634,15 +496,12 @@ class _Supervisor:
     def _run_degraded(self, state: _TaskState) -> None:
         """In-process execution with the same centralized retry policy."""
         from repro.harness.experiment import run_experiment
-        from repro.harness.resilience import current_worker
 
         while True:
             try:
                 result = freeze_result(
                     run_experiment(replace(state.task.experiment, seed=state.seed))
                 )
-            except (KeyboardInterrupt, SystemExit):
-                raise
             except Exception as exc:
                 before = len(self.queue)
                 self._attempt_failed(
@@ -659,37 +518,15 @@ class _Supervisor:
             return
 
     def _next_spawn_index(self, now: float) -> Optional[int]:
-        """Pick the next queue position to spawn; None when all back off.
-
-        Eligibility is the retry backoff (``not_before``).  When the
-        result cache is a :class:`SharedResultCache`, eligible cells
-        whose key another process currently holds in flight
-        (:meth:`SharedResultCache.in_flight`) are passed over in favour
-        of unclaimed cells: the remote winner will publish the deferred
-        cell, and the pre-spawn recheck in :meth:`_spawn` then turns it
-        into a cache hit instead of a duplicate simulation.  When every
-        eligible cell is in flight, falls back to the earliest one —
-        deferral reorders work, it never starves it.
-        """
-        probe = isinstance(self.cache, SharedResultCache)
-        fallback: Optional[int] = None
+        """First queue position whose retry backoff has expired, if any."""
         for position, state in enumerate(self.queue):
-            if state.not_before > now:
-                continue
-            if fallback is None:
-                fallback = position
-            if not probe:
+            if state.not_before <= now:
                 return position
-            key = self.keys[state.index]
-            if key is None or not self.cache.in_flight(key):
-                if position != fallback:
-                    self.report.deferred += 1
-                return position
-        return fallback
+        return None
 
     # -- main loop -------------------------------------------------------
-    def run(self) -> List[TaskResult]:
-        """Execute every pending task; fill and return the result slots."""
+    def run(self) -> None:
+        """Execute every pending task, reporting each through ``done``."""
         ctx = multiprocessing.get_context(_start_method())
         try:
             while self.queue or self.running:
@@ -721,9 +558,6 @@ class _Supervisor:
             for worker in list(self.running.values()):
                 worker.kill()
             self.running.clear()
-        if any(slot is None for slot in self.out):  # pragma: no cover
-            raise SupervisorError("supervisor finished with unfilled task slots")
-        return self.out  # type: ignore[return-value]
 
 
 #: RunFailure.error_type used for each process-level failure kind.
@@ -732,114 +566,3 @@ _PROCESS_ERROR_TYPES = {
     "timeout": "TaskTimeout",
     "stalled": "WorkerStalled",
 }
-
-
-def execute_supervised(
-    tasks: Sequence[SweepTask],
-    *,
-    jobs: Optional[int] = None,
-    on_error: str = "raise",
-    config: Optional[SupervisorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    journal: Optional[Union[ResultJournal, str, os.PathLike]] = None,
-    resume: bool = False,
-    report: Optional[SupervisorReport] = None,
-    tracer: Optional[object] = None,
-) -> List[TaskResult]:
-    """Run every task under supervision; same contract as ``execute_tasks``.
-
-    Returns one ``(frozen_result, failure)`` pair per task in task order.
-    ``journal`` (a :class:`~repro.harness.journal.ResultJournal` or a
-    path) makes every completed cell durable as it finishes; with
-    ``resume=True`` cells already journaled under the same config + code
-    fingerprint are replayed instead of re-executed.  ``report`` (when
-    provided) is filled with the run's recovery log and counters.
-
-    With ``on_error="raise"`` the sweep still runs to completion — so the
-    journal captures every cell that *can* finish — and then the first
-    failure in task order raises
-    :class:`~repro.errors.ParallelExecutionError`, exactly like the pool
-    executor; ``"capture"`` returns failures in their slots.
-
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) receives the
-    supervision lifecycle as ``harness`` spans — ``task_start`` per
-    spawned attempt (seed + worker identity), ``task_retry`` per
-    recovery decision (failure kind, sim-time when known, backoff
-    seconds), ``cache_hit``, ``journal_append`` (wall seconds), and
-    ``task_done``.  Purely observational: recovery decisions, ordering
-    and results are identical with tracing on or off.
-    """
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
-    if resume and journal is None:
-        raise ConfigError("resume=True requires a journal")
-    config = config or SupervisorConfig()
-    report = report if report is not None else SupervisorReport()
-
-    own_journal = journal is not None and not isinstance(journal, ResultJournal)
-    journal_obj = ResultJournal(journal) if own_journal else journal
-
-    supervisor = _Supervisor(
-        tasks, jobs, on_error, config, cache, journal_obj, report,
-        tracer=tracer,
-    )
-    try:
-        supervisor.prefill(resume)
-        if supervisor.queue:
-            _check_picklable([state.task for state in supervisor.queue])
-        out = supervisor.run()
-    finally:
-        if own_journal and journal_obj is not None:
-            journal_obj.close()
-
-    if on_error == "raise":
-        for task_result in out:
-            failure = task_result[1]
-            if failure is not None:
-                raise ParallelExecutionError(
-                    f"sweep cell failed: {failure}",
-                    label=failure.label,
-                    error_type=failure.error_type,
-                    sim_time=failure.sim_time,
-                    component=failure.component,
-                )
-    return out
-
-
-def run_supervised_tasks(
-    tasks: Sequence[SweepTask],
-    *,
-    jobs: Optional[int] = None,
-    on_error: str = "raise",
-    max_retries: int = 1,
-    cache: Optional[ResultCache] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    journal: Optional[Union[ResultJournal, str, os.PathLike]] = None,
-    resume: bool = False,
-    tracer: Optional[object] = None,
-):
-    """Sweep-runner entry point: execute supervised, return (pairs, report).
-
-    ``supervisor`` (a :class:`SupervisorConfig`) wins over ``max_retries``
-    when both are given; otherwise a default config is built carrying the
-    sweep's ``max_retries`` so supervised and serial sweeps make the same
-    number of seed-bump attempts.
-    """
-    config = (
-        supervisor
-        if supervisor is not None
-        else SupervisorConfig(max_retries=max_retries)
-    )
-    report = SupervisorReport()
-    pairs = execute_supervised(
-        tasks,
-        jobs=jobs,
-        on_error=on_error,
-        config=config,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        report=report,
-        tracer=tracer,
-    )
-    return pairs, report

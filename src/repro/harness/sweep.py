@@ -14,11 +14,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import AqmFactory, ExperimentResult
-from repro.harness.resilience import (
-    RunFailure,
-    format_failure_report,
-    run_with_retries,
-)
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
+from repro.harness.resilience import RunFailure, format_failure_report
 from repro.harness.scenarios import MBPS, coexistence_mix, coexistence_pair
 
 __all__ = [
@@ -75,15 +72,15 @@ class GridOutcome(List[GridCell]):
     keeps working), with :attr:`failures` carrying one
     :class:`~repro.harness.resilience.RunFailure` per cell that failed
     every retry.  Failed cells are simply absent from the list.
-    :attr:`recovery` holds the supervised backend's
-    :class:`~repro.harness.supervisor.SupervisorReport` when the sweep
-    ran supervised (None otherwise).
+    :attr:`recovery` holds the cell pipeline's
+    :class:`~repro.harness.parallel.RunReport` (executed, replayed and
+    cached cells, journal appends, the supervisor's recovery log).
     """
 
     def __init__(self, cells=(), failures=()):
         super().__init__(cells)
         self.failures: List[RunFailure] = list(failures)
-        self.recovery = None
+        self.recovery = RunReport()
 
     @property
     def complete(self) -> bool:
@@ -95,11 +92,55 @@ class GridOutcome(List[GridCell]):
         return format_failure_report(self.failures)
 
 
-def _execute_supervised_tasks(tasks, **kwargs):
-    """Route a task list through the supervised backend (lazy import)."""
-    from repro.harness.supervisor import run_supervised_tasks
+def _grid_tasks(
+    aqm_factory: AqmFactory, cc_a: str, cc_b: str,
+    links_mbps: Sequence[float], rtts_ms: Sequence[float],
+    duration: float, warmup: float, seed: int,
+    duration_for: Optional[Callable[[float, float], float]] = None,
+) -> List[Tuple[float, float, SweepTask]]:
+    """The Figure 15–18 cells in grid order: ``(link, rtt, task)``."""
+    cells = []
+    for link in links_mbps:
+        for rtt in rtts_ms:
+            d = duration if duration_for is None else duration_for(link, rtt)
+            exp = coexistence_pair(
+                aqm_factory,
+                cc_a=cc_a,
+                cc_b=cc_b,
+                capacity_bps=link * MBPS,
+                rtt=rtt / 1000.0,
+                duration=d,
+                warmup=min(warmup, d / 2),
+                seed=seed,
+            )
+            cells.append(
+                (link, rtt, SweepTask(f"cell link={link}Mb/s rtt={rtt}ms", exp))
+            )
+    return cells
 
-    return run_supervised_tasks(tasks, **kwargs)
+
+def _mix_tasks(
+    aqm_factory: AqmFactory, cc_a: str, cc_b: str,
+    mixes: Sequence[Tuple[int, int]], capacity_mbps: float, rtt_ms: float,
+    duration: float, warmup: float, seed: int,
+) -> List[Tuple[int, int, SweepTask]]:
+    """The Figure 19–20 cells in mix order: ``(n_a, n_b, task)``."""
+    cells = []
+    for n_a, n_b in mixes:
+        exp = coexistence_mix(
+            aqm_factory,
+            n_a,
+            n_b,
+            cc_a=cc_a,
+            cc_b=cc_b,
+            capacity_bps=capacity_mbps * MBPS,
+            rtt=rtt_ms / 1000.0,
+            duration=duration,
+            warmup=warmup,
+            seed=seed,
+        )
+        cells.append((n_a, n_b, SweepTask(f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}", exp)))
+    return cells
 
 
 def run_coexistence_grid(
@@ -116,7 +157,6 @@ def run_coexistence_grid(
     max_retries: int = 1,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    supervised: bool = False,
     supervisor=None,
     journal=None,
     resume: bool = False,
@@ -128,94 +168,45 @@ def run_coexistence_grid(
     cell — benchmarks use it to keep high-rate cells affordable.
 
     ``on_error`` selects the failure policy: ``"raise"`` (default)
-    propagates the first cell failure as before; ``"capture"`` retries the
-    cell with seed-bumped reruns (``max_retries`` attempts beyond the
-    first) and, if it still fails, records a structured
+    propagates the first cell failure; ``"capture"`` retries the cell
+    with seed-bumped reruns (``max_retries`` attempts beyond the first)
+    and, if it still fails, records a structured
     :class:`~repro.harness.resilience.RunFailure` on the returned
     outcome's ``failures`` and moves on to the next cell, so a 25-cell
     sweep never dies on cell 23.
 
-    ``jobs`` fans the cells out over a process pool (``0``/``None``-vs-int
-    semantics per :func:`~repro.harness.parallel.resolve_jobs`; ``None``
-    keeps the serial path) and ``cache`` consults/fills an on-disk result
-    cache.  Either option makes the cells' results come back as
-    :class:`~repro.harness.frozen.FrozenResult` snapshots — same metric
-    API, same numbers, but detached from the live testbed.  Cell seeds and
-    ordering are identical to the serial path, so a fixed seed gives
-    bit-identical outcomes at any ``jobs``.
-
-    ``supervised=True`` (implied by ``supervisor``, ``journal`` or
-    ``resume``) routes execution through the watchdogged backend in
-    :mod:`repro.harness.supervisor`: per-task timeouts, heartbeat
-    monitoring, centralized retry with backoff, and — when ``journal`` (a
-    :class:`~repro.harness.journal.ResultJournal` or path) is given — a
-    crash-safe record of every completed cell.  ``resume=True`` replays
-    journaled cells instead of re-simulating them; an
-    interrupted-then-resumed sweep returns bit-identical results to an
-    uninterrupted one.  The outcome's ``recovery`` attribute carries the
-    backend's :class:`~repro.harness.supervisor.SupervisorReport`.
+    The cells run through
+    :func:`~repro.harness.parallel.execute_tasks`, which owns the rest:
+    ``jobs`` (None serial, 0 one worker per CPU, N workers), ``cache``
+    (an on-disk result cache), ``supervisor`` (a
+    :class:`~repro.harness.supervisor.SupervisorConfig`: watchdogged
+    worker per cell), ``journal`` (a
+    :class:`~repro.harness.journal.ResultJournal` or path, fsync'd per
+    completed cell) and ``resume`` (replay journaled cells instead of
+    re-simulating).  Cell seeds and ordering never depend on these, so
+    a fixed seed gives bit-identical outcomes serial, parallel, cached,
+    supervised or interrupted-and-resumed.  Results are frozen
+    (:class:`~repro.harness.frozen.FrozenResult`: same metric API, same
+    numbers, detached from the testbed) whenever they were stored or
+    crossed a process; a serial run without cache or journal returns
+    live results.  The outcome's ``recovery`` attribute carries the
+    run's :class:`~repro.harness.parallel.RunReport`.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) observes the sweep:
-    harness lifecycle spans from whichever backend runs the cells, plus
-    per-cell AQM/engine events on in-process execution paths.  Tracing
-    never changes results — digests are bit-exact with it on or off.
+    harness lifecycle spans, plus per-cell AQM/engine events on the
+    in-process route.  Tracing never changes results — digests are
+    bit-exact with it on or off.
     """
-    from repro.harness.experiment import run_experiment
-
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
-    cells = []
-    for link in links_mbps:
-        for rtt in rtts_ms:
-            d = duration if duration_for is None else duration_for(link, rtt)
-            exp = coexistence_pair(
-                aqm_factory,
-                cc_a=cc_a,
-                cc_b=cc_b,
-                capacity_bps=link * MBPS,
-                rtt=rtt / 1000.0,
-                duration=d,
-                warmup=min(warmup, d / 2),
-                seed=seed,
-            )
-            cells.append((link, rtt, exp))
-
+    cells = _grid_tasks(aqm_factory, cc_a, cc_b, links_mbps, rtts_ms,
+                        duration, warmup, seed, duration_for)
     outcome = GridOutcome()
-    use_supervised = supervised or supervisor is not None \
-        or journal is not None or resume
-    if use_supervised or cache is not None or (jobs is not None and jobs != 1):
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        tasks = [
-            SweepTask(f"cell link={link}Mb/s rtt={rtt}ms", exp)
-            for link, rtt, exp in cells
-        ]
-        if use_supervised:
-            pairs, outcome.recovery = _execute_supervised_tasks(
-                tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
-                cache=cache, supervisor=supervisor, journal=journal,
-                resume=resume, tracer=tracer,
-            )
-        else:
-            pairs = execute_tasks(
-                tasks, jobs=jobs, on_error=on_error,
-                max_retries=max_retries, cache=cache, tracer=tracer,
-            )
-        for (link, rtt, _exp), (result, failure) in zip(cells, pairs):
-            if result is not None:
-                outcome.append(GridCell(link, rtt, result))
-            else:
-                outcome.failures.append(failure)
-        return outcome
-
-    for link, rtt, exp in cells:
-        if on_error == "raise":
-            outcome.append(GridCell(link, rtt, run_experiment(exp, tracer=tracer)))
-            continue
-        result, failure = run_with_retries(
-            exp, label=f"cell link={link}Mb/s rtt={rtt}ms",
-            max_retries=max_retries,
-        )
+    pairs = execute_tasks(
+        [task for _link, _rtt, task in cells], jobs=jobs, on_error=on_error,
+        max_retries=max_retries, cache=cache, tracer=tracer,
+        journal=journal, resume=resume, supervisor=supervisor,
+        report=outcome.recovery,
+    )
+    for (link, rtt, _task), (result, failure) in zip(cells, pairs):
         if result is not None:
             outcome.append(GridCell(link, rtt, result))
         else:
@@ -237,7 +228,6 @@ def run_mix_sweep(
     max_retries: int = 1,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    supervised: bool = False,
     supervisor=None,
     journal=None,
     resume: bool = False,
@@ -248,72 +238,21 @@ def run_mix_sweep(
     With ``on_error="capture"``, failing mixes are retried on bumped
     seeds and then skipped; the returned dict gains a ``failures``
     attribute (a :class:`~repro.harness.resilience.RunFailure` list).
-
-    ``jobs``/``cache`` behave as in :func:`run_coexistence_grid`:
-    process-pool fan-out and/or on-disk result caching, with frozen
-    results and unchanged per-mix seeds and ordering.
-    ``supervised``/``supervisor``/``journal``/``resume`` select the
-    watchdogged, journal-backed backend exactly as in
-    :func:`run_coexistence_grid`; the returned dict then carries the
-    :class:`~repro.harness.supervisor.SupervisorReport` as ``recovery``.
-    ``tracer`` observes the sweep exactly as in
-    :func:`run_coexistence_grid`, without changing any result.
+    ``jobs``/``cache``/``supervisor``/``journal``/``resume``/``tracer``
+    behave exactly as in :func:`run_coexistence_grid`, and the returned
+    dict carries the :class:`~repro.harness.parallel.RunReport` as
+    ``recovery``.
     """
-    from repro.harness.experiment import run_experiment
-
-    if on_error not in ("raise", "capture"):
-        raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
-    entries = []
-    for n_a, n_b in mixes:
-        exp = coexistence_mix(
-            aqm_factory,
-            n_a,
-            n_b,
-            cc_a=cc_a,
-            cc_b=cc_b,
-            capacity_bps=capacity_mbps * MBPS,
-            rtt=rtt_ms / 1000.0,
-            duration=duration,
-            warmup=warmup,
-            seed=seed,
-        )
-        entries.append((n_a, n_b, exp))
-
+    cells = _mix_tasks(aqm_factory, cc_a, cc_b, mixes, capacity_mbps,
+                       rtt_ms, duration, warmup, seed)
     results = _MixResults()
-    use_supervised = supervised or supervisor is not None \
-        or journal is not None or resume
-    if use_supervised or cache is not None or (jobs is not None and jobs != 1):
-        from repro.harness.parallel import SweepTask, execute_tasks
-
-        tasks = [
-            SweepTask(f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}", exp)
-            for n_a, n_b, exp in entries
-        ]
-        if use_supervised:
-            pairs, results.recovery = _execute_supervised_tasks(
-                tasks, jobs=jobs, on_error=on_error, max_retries=max_retries,
-                cache=cache, supervisor=supervisor, journal=journal,
-                resume=resume, tracer=tracer,
-            )
-        else:
-            pairs = execute_tasks(
-                tasks, jobs=jobs, on_error=on_error,
-                max_retries=max_retries, cache=cache, tracer=tracer,
-            )
-        for (n_a, n_b, _exp), (result, failure) in zip(entries, pairs):
-            if result is not None:
-                results[(n_a, n_b)] = result
-            else:
-                results.failures.append(failure)
-        return results
-
-    for n_a, n_b, exp in entries:
-        if on_error == "raise":
-            results[(n_a, n_b)] = run_experiment(exp, tracer=tracer)
-            continue
-        result, failure = run_with_retries(
-            exp, label=f"mix {cc_a}x{n_a} vs {cc_b}x{n_b}", max_retries=max_retries
-        )
+    pairs = execute_tasks(
+        [task for _a, _b, task in cells], jobs=jobs, on_error=on_error,
+        max_retries=max_retries, cache=cache, tracer=tracer,
+        journal=journal, resume=resume, supervisor=supervisor,
+        report=results.recovery,
+    )
+    for (n_a, n_b, _task), (result, failure) in zip(cells, pairs):
         if result is not None:
             results[(n_a, n_b)] = result
         else:
@@ -322,12 +261,12 @@ def run_mix_sweep(
 
 
 class _MixResults(Dict[Tuple[int, int], ExperimentResult]):
-    """Mix-sweep result dict with an attached failure list."""
+    """Mix-sweep result dict with an attached failure list and report."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.failures: List[RunFailure] = []
-        self.recovery = None
+        self.recovery = RunReport()
 
 
 def format_table(

@@ -275,7 +275,7 @@ def bench_shared_cache(
 ) -> BenchRecord:
     """Single-flight dedup under a parallel repeated-figure workload.
 
-    ``jobs`` workers (capped at 4) each request the *same* set of unique
+    ``jobs`` workers (None/0 = one per CPU, capped at 4) each request the *same* set of unique
     cells through one :class:`~repro.harness.cache.SharedResultCache` —
     the repeated-figure shape, N processes asking for one grid.  The
     per-key file locks must collapse the ``workers x cells`` requests to
@@ -290,7 +290,7 @@ def bench_shared_cache(
     from repro.harness.parallel import resolve_jobs
     from repro.harness.scenarios import coexistence_pair
 
-    workers = min(resolve_jobs(jobs), 4)
+    workers = min(resolve_jobs(jobs or 0), 4)
     cells = []
     for rtt_ms in (5, 10):
         experiment = coexistence_pair(
@@ -435,9 +435,13 @@ def bench_supervised(
       against the serial reference.  Either being False fails
       ``repro bench`` exactly like the other determinism gates.
     """
-    from repro.harness.supervisor import SupervisorReport
+    from repro.harness.supervisor import SupervisorConfig
 
     params = dict(grid or QUICK_GRID)
+    # Every run but the reference is supervised, with one worker per CPU
+    # unless ``jobs`` says otherwise, so the journal gate compares
+    # supervised runs with and without the journal.
+    supervised = dict(jobs=jobs or 0, supervisor=SupervisorConfig(), **params)
 
     start = time.perf_counter()
     serial = run_coexistence_grid(coupled_factory(), seed=seed, **params)
@@ -445,37 +449,30 @@ def bench_supervised(
     reference = [cell.result.digest() for cell in serial]
 
     start = time.perf_counter()
-    bare = run_coexistence_grid(
-        coupled_factory(), seed=seed, jobs=jobs, supervised=True, **params
-    )
+    bare = run_coexistence_grid(coupled_factory(), seed=seed, **supervised)
     bare_wall = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-journal-") as tmp:
         journal_path = os.path.join(tmp, "grid.journal")
         start = time.perf_counter()
         journaled = run_coexistence_grid(
-            coupled_factory(), seed=seed, jobs=jobs,
-            journal=journal_path, **params
+            coupled_factory(), seed=seed, journal=journal_path, **supervised
         )
         journal_wall = time.perf_counter() - start
         journal_bytes = os.path.getsize(journal_path)
 
         start = time.perf_counter()
         resumed = run_coexistence_grid(
-            coupled_factory(), seed=seed, jobs=jobs,
-            journal=journal_path, resume=True, **params
+            coupled_factory(), seed=seed, journal=journal_path, resume=True,
+            **supervised
         )
         resume_wall = time.perf_counter() - start
-        resume_report: SupervisorReport = resumed.recovery
 
     matches_serial = [c.result.digest() for c in journaled] == reference
     matches_resume = [c.result.digest() for c in resumed] == reference
     overhead = journal_wall - bare_wall
     overhead_pct = (overhead / bare_wall * 100.0) if bare_wall > 0 else 0.0
     overhead_ok = overhead_pct <= 5.0 or overhead <= 0.5
-    heartbeat_count = (
-        bare.recovery.heartbeats if bare.recovery is not None else 0
-    )
     return BenchRecord(
         "grid_supervised",
         journal_wall,
@@ -487,8 +484,8 @@ def bench_supervised(
             "journal_overhead_pct": overhead_pct,
             "journal_overhead_ok": overhead_ok,
             "journal_bytes": journal_bytes,
-            "replayed": resume_report.replayed if resume_report else 0,
-            "heartbeats": heartbeat_count,
+            "replayed": resumed.recovery.replayed,
+            "heartbeats": bare.recovery.heartbeats,
             "matches_serial": matches_serial,
             "matches_resume": matches_resume,
         },

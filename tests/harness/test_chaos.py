@@ -23,12 +23,8 @@ import pytest
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.journal import ResultJournal
-from repro.harness.parallel import SweepTask, execute_tasks
-from repro.harness.supervisor import (
-    SupervisorConfig,
-    SupervisorReport,
-    execute_supervised,
-)
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
+from repro.harness.supervisor import SupervisorConfig
 
 
 class ChaosPi2Factory:
@@ -119,10 +115,10 @@ def _reference_digests(n=3, **overrides):
 class TestSigkillRecovery:
     def test_killed_worker_is_retried_in_place_bit_exact(self, tmp_path):
         tasks = _cells(KillOnceFactory(tmp_path / "kill.flag"))
-        report = SupervisorReport()
-        out = execute_supervised(
+        report = RunReport()
+        out = execute_tasks(
             tasks, jobs=2,
-            config=SupervisorConfig(backoff_base=0.05),
+            supervisor=SupervisorConfig(backoff_base=0.05),
             report=report,
         )
         assert [r.digest() for r, _ in out] == _reference_digests()
@@ -134,9 +130,9 @@ class TestSigkillRecovery:
 
     def test_kill_every_attempt_is_a_terminal_failure(self, tmp_path):
         tasks = _cells(KillAlwaysFactory(tmp_path / "k.flag"), n=1)
-        out = execute_supervised(
+        out = execute_tasks(
             tasks, on_error="capture",
-            config=SupervisorConfig(max_task_failures=1, backoff_base=0.05),
+            supervisor=SupervisorConfig(max_task_failures=1, backoff_base=0.05),
         )
         (result, failure) = out[0]
         assert result is None
@@ -157,19 +153,19 @@ class TestSigkillMidGridWithResume:
         factory = KillOnceFactory(tmp_path / "kill.flag")
         tasks = _cells(factory, n=4)
 
-        report = SupervisorReport()
-        first = execute_supervised(
+        report = RunReport()
+        first = execute_tasks(
             tasks[:2], jobs=2, journal=journal,
-            config=SupervisorConfig(backoff_base=0.05),
+            supervisor=SupervisorConfig(backoff_base=0.05),
             report=report,
         )
         assert any(a.action == "retry after killed" for a in report.actions)
         assert report.journal_appends == 2
 
-        resumed_report = SupervisorReport()
-        resumed = execute_supervised(
+        resumed_report = RunReport()
+        resumed = execute_tasks(
             tasks, jobs=2, journal=journal, resume=True,
-            config=SupervisorConfig(backoff_base=0.05),
+            supervisor=SupervisorConfig(backoff_base=0.05),
             report=resumed_report,
         )
         assert resumed_report.replayed == 2   # journal did its job
@@ -186,10 +182,10 @@ class TestSigkillMidGridWithResume:
 class TestTimeoutExpiry:
     def test_hung_worker_is_killed_and_retried_bit_exact(self, tmp_path):
         tasks = _cells(HangOnceFactory(tmp_path / "hang.flag"), n=2)
-        report = SupervisorReport()
-        out = execute_supervised(
+        report = RunReport()
+        out = execute_tasks(
             tasks, jobs=2,
-            config=SupervisorConfig(task_timeout=5.0, backoff_base=0.05),
+            supervisor=SupervisorConfig(task_timeout=5.0, backoff_base=0.05),
             report=report,
         )
         assert [r.digest() for r, _ in out] == _reference_digests(n=2)
@@ -198,9 +194,9 @@ class TestTimeoutExpiry:
 
     def test_timeout_every_attempt_is_terminal_with_history(self, tmp_path):
         tasks = _cells(HangAlwaysFactory(tmp_path / "h.flag"), n=1)
-        out = execute_supervised(
+        out = execute_tasks(
             tasks, on_error="capture",
-            config=SupervisorConfig(
+            supervisor=SupervisorConfig(
                 task_timeout=1.0, max_task_failures=1, backoff_base=0.05
             ),
         )
@@ -214,10 +210,10 @@ class TestTimeoutExpiry:
 class TestHeartbeatStall:
     def test_stopped_worker_detected_by_heartbeat_and_retried(self, tmp_path):
         tasks = _cells(StallOnceFactory(tmp_path / "stall.flag"), n=2)
-        report = SupervisorReport()
-        out = execute_supervised(
+        report = RunReport()
+        out = execute_tasks(
             tasks, jobs=2,
-            config=SupervisorConfig(
+            supervisor=SupervisorConfig(
                 heartbeat_interval=0.1,
                 heartbeat_timeout=1.0,
                 backoff_base=0.05,
@@ -243,9 +239,9 @@ class TestPoisonTask:
             flows=[FlowGroup(cc="reno", count=2, rtt=0.02)],
         ))
         tasks = [good[0], poison, good[1]]
-        out = execute_supervised(
-            tasks, jobs=2, on_error="capture",
-            config=SupervisorConfig(max_retries=1),
+        out = execute_tasks(
+            tasks, jobs=2, on_error="capture", max_retries=1,
+            supervisor=SupervisorConfig(),
         )
         reference = _reference_digests(n=2)
         assert out[0][0].digest() == reference[0]
@@ -262,12 +258,13 @@ class TestTornJournalRecovery:
         the intact prefix, re-run the rest, and heal the journal file."""
         journal = tmp_path / "grid.journal"
         tasks = _cells(pi2_factory(), n=3)
-        execute_supervised(tasks[:2], journal=journal)
+        execute_tasks(tasks[:2], journal=journal, supervisor=SupervisorConfig())
         with open(journal, "ab") as handle:
             handle.write(b"\x99" * 17)  # torn half-record from a "crash"
-        report = SupervisorReport()
-        resumed = execute_supervised(
-            tasks, journal=journal, resume=True, report=report
+        report = RunReport()
+        resumed = execute_tasks(
+            tasks, journal=journal, resume=True, report=report,
+            supervisor=SupervisorConfig(),
         )
         assert report.torn_journal
         assert report.replayed == 2
@@ -278,16 +275,16 @@ class TestTornJournalRecovery:
         assert len(healed.records) == 3
 
 
-def _figure_worker(journal_dir: str) -> None:
+def _figure_worker(journal_dir: str, jobs) -> None:
     """Child body for the mid-figure SIGKILL test (module-level so it
     pickles by reference under the fork start method)."""
     from repro.harness.figures import generate_figure
 
-    generate_figure("fig12", scale=0.12, journal=journal_dir)
+    generate_figure("fig12", scale=0.12, journal=journal_dir, jobs=jobs)
 
 
 class TestSigkillMidFigureWithResume:
-    def test_killed_figure_run_resumes_bit_exact(self, tmp_path):
+    def _kill_and_resume(self, tmp_path, jobs):
         """The figure-pipeline tentpole end-to-end: a `repro figure` run
         is SIGKILLed after its first cell lands in the journal; the
         resumed run replays that cell and re-executes only the rest —
@@ -299,7 +296,8 @@ class TestSigkillMidFigureWithResume:
         journal_dir = tmp_path / "journals"
         journal_path = journal_dir / "fig12.journal"
         ctx = multiprocessing.get_context("fork")
-        child = ctx.Process(target=_figure_worker, args=(str(journal_dir),))
+        child = ctx.Process(target=_figure_worker,
+                            args=(str(journal_dir), jobs))
         child.start()
         deadline = time.monotonic() + 60.0
         try:
@@ -323,7 +321,7 @@ class TestSigkillMidFigureWithResume:
 
         clean = generate_figure("fig12", scale=0.12)
         resumed = generate_figure(
-            "fig12", scale=0.12, journal=journal_dir, resume=True
+            "fig12", scale=0.12, journal=journal_dir, resume=True, jobs=jobs
         )
         assert resumed.rows == clean.rows
         assert resumed.report.replayed == survived
@@ -333,6 +331,14 @@ class TestSigkillMidFigureWithResume:
         healed = ResultJournal(journal_path).read()
         assert len(healed.records) == 2
         assert not healed.torn
+
+    def test_killed_figure_run_resumes_bit_exact(self, tmp_path):
+        self._kill_and_resume(tmp_path, jobs=None)
+
+    def test_killed_pooled_figure_run_resumes_bit_exact(self, tmp_path):
+        """Same with the cells on a 2-worker pool: each cell is journaled
+        the moment it lands, so the kill loses only unfinished cells."""
+        self._kill_and_resume(tmp_path, jobs=2)
 
 
 class TestCliFigureChaosFree:

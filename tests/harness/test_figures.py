@@ -7,12 +7,8 @@ import pytest
 from repro.errors import ConfigError, FigureGenerationError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
-from repro.harness.figures import (
-    FIGURES,
-    FigureData,
-    FigureRunner,
-    generate_figure,
-)
+from repro.harness.figures import FIGURES, FigureData, generate_figure
+from repro.harness.parallel import SweepTask
 
 
 class TestRegistry:
@@ -91,38 +87,60 @@ def _doomed_experiment():
     )
 
 
+@pytest.fixture
+def doomed_figure(monkeypatch):
+    """Register a one-cell figure whose only cell fails (name: ``doomed``)."""
+    monkeypatch.setitem(
+        FIGURES, "doomed",
+        lambda scale: ([SweepTask("pie", _doomed_experiment())], None),
+    )
+    return "doomed"
+
+
 class TestFailurePropagation:
     """A broken cell must raise with figure/cell/sim-time context — the
-    old ``_run_one`` dropped the failure and returned ``None``."""
+    old ``_run_one`` dropped the failure and returned ``None`` — and the
+    error type must not depend on how the cell ran."""
 
-    def test_failing_cell_raises_contextual_error(self, tmp_path):
-        from repro.harness.journal import ResultJournal
-
-        journal = ResultJournal(tmp_path / "fig.journal")
-        runner = FigureRunner("fig12", journal=journal)
-        with pytest.raises(FigureGenerationError) as excinfo:
-            runner.run_cell("pie", _doomed_experiment())
-        err = excinfo.value
-        assert err.figure == "fig12"
+    def _check_error(self, err, figure):
+        assert isinstance(err, FigureGenerationError)
+        assert err.figure == figure
         assert err.label == "pie"
         assert err.error_type == "WatchdogExceeded"
         assert err.sim_time is not None and err.sim_time > 0
         message = str(err)
-        assert "fig12" in message and "'pie'" in message
+        assert f"{figure}" in message and "'pie'" in message
         assert "t=" in message  # virtual time of death
-        # The failure was not journaled: a resume re-runs the cell.
-        assert runner.report.journal_appends == 0
 
-    def test_failure_is_not_silently_seed_bumped(self, tmp_path):
-        """Figures present specific seeds; the runner must not retry a
-        failing cell on a bumped seed the way sweeps may."""
+    def test_failing_cell_raises_contextual_error(self, tmp_path, doomed_figure):
+        from repro.harness.journal import ResultJournal
+
+        with pytest.raises(FigureGenerationError) as excinfo:
+            generate_figure(doomed_figure, journal=tmp_path)
+        self._check_error(excinfo.value, doomed_figure)
+        # The failure was not journaled: a resume re-runs the cell.
+        journal = ResultJournal(tmp_path / f"{doomed_figure}.journal")
+        assert journal.read().records == []
+
+    def test_failure_is_not_silently_seed_bumped(self, tmp_path, doomed_figure):
+        """Figures present specific seeds; a failing cell must not be
+        retried on a bumped seed the way sweeps may."""
         from repro.harness.cache import ResultCache
 
-        runner = FigureRunner("fig12", cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
         with pytest.raises(FigureGenerationError) as excinfo:
-            runner.run_cell("pie", _doomed_experiment())
+            generate_figure(doomed_figure, cache=cache)
         assert "seed" not in str(excinfo.value).lower()
-        assert runner.report.executed == 0
+        assert cache.stats.stores == 0 and len(cache) == 0
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "pool"])
+    def test_every_route_raises_the_same_error(self, doomed_figure, jobs):
+        """With no cache or journal the in-process route used to let the
+        raw WatchdogExceeded escape, and pooled fig15/fig19 cells raised
+        the sweep's ParallelExecutionError."""
+        with pytest.raises(FigureGenerationError) as excinfo:
+            generate_figure(doomed_figure, jobs=jobs)
+        self._check_error(excinfo.value, doomed_figure)
 
 
 class TestStageWindows:
@@ -202,3 +220,47 @@ class TestFigureJournalResume:
         assert data.report is not None
         assert data.report.executed == 0
         assert "executed=0" in data.report.summary()
+
+
+class TestInProcessCacheCounters:
+    def test_inline_cells_count_on_the_callers_cache(self, tmp_path):
+        """Inline cells run through the caller's cache instance, probing
+        once per cell — so its counters (and a `repro figure` cache line)
+        see the work."""
+        from repro.harness.cache import SharedResultCache
+
+        cold = SharedResultCache(tmp_path)
+        generate_figure("fig12", scale=0.1, cache=cold)
+        assert cold.stats.misses == cold.stats.stores == 2
+        assert cold.stats.computes == 2
+        assert cold.event_counts()["compute"] == 2
+        warm = SharedResultCache(tmp_path)
+        data = generate_figure("fig12", scale=0.1, cache=warm)
+        assert warm.stats.hits == 2
+        assert warm.stats.misses == warm.stats.computes == 0
+        assert data.report.cache_hits == 2
+
+
+class TestCellPipelineParity:
+    """One pipeline, many routes: serial, pooled and journaled-then-resumed
+    runs of the same figure give byte-identical rows."""
+
+    @pytest.mark.parametrize("name, scale", [("fig11", 0.1), ("fig15", 0.1)])
+    def test_rows_identical_serial_pooled_and_resumed(self, tmp_path, name,
+                                                      scale):
+        from repro.obs import RecordingTracer
+
+        serial = generate_figure(name, scale=scale, jobs=1)
+        tracer = RecordingTracer()
+        pooled = generate_figure(name, scale=scale, jobs=2, tracer=tracer)
+        backends = {event[3]["backend"] for event in tracer.by_event("task_start")}
+        assert backends == {"pool"}
+        journaled = generate_figure(name, scale=scale, jobs=2, journal=tmp_path)
+        resumed = generate_figure(name, scale=scale, journal=tmp_path,
+                                  resume=True)
+        cells = serial.report.executed
+        assert resumed.report.replayed == cells and resumed.report.executed == 0
+        assert journaled.report.journal_appends == cells
+        assert repr(pooled.rows) == repr(serial.rows)
+        assert repr(journaled.rows) == repr(serial.rows)
+        assert repr(resumed.rows) == repr(serial.rows)

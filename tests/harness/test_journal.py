@@ -146,6 +146,21 @@ class TestBadFiles:
         with pytest.raises(JournalError):
             ResultJournal(path).read()
 
+    @pytest.mark.parametrize("head", [b"", JOURNAL_MAGIC[:5]])
+    def test_file_torn_at_creation_reads_empty_then_appends(
+        self, tmp_path, frozen_result, head
+    ):
+        """A crash between creating the file and completing its magic
+        (or a reader racing that moment) must not look like a foreign
+        file: it reads as empty, and the next append rewrites it."""
+        path = tmp_path / "new.journal"
+        path.write_bytes(head)
+        replay = ResultJournal(path).read()
+        assert replay.records == [] and replay.torn == bool(head)
+        with ResultJournal(path) as journal:
+            journal.append("key", "label", frozen_result)
+        assert [r.key for r in ResultJournal(path).read().records] == ["key"]
+
     def test_parent_directories_created(self, tmp_path, frozen_result):
         path = tmp_path / "deep" / "nested" / "j.journal"
         with ResultJournal(path) as journal:

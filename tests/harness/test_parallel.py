@@ -53,8 +53,24 @@ def _quick_experiment(**overrides):
 
 class TestResolveJobs:
     def test_auto_is_cpu_count(self):
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) == resolve_jobs(None)
+        import os
+
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        assert resolve_jobs(None) == 1  # None means serial
+
+    def test_none_is_serial_even_with_a_cache(self, tmp_path):
+        """A cache used to route a jobs=None sweep into a process pool."""
+        from repro.harness.cache import ResultCache
+        from repro.obs import RecordingTracer
+
+        tracer = RecordingTracer()
+        run_coexistence_grid(
+            coupled_factory(), links_mbps=[10], rtts_ms=[10, 20],
+            duration=2.0, warmup=0.5, cache=ResultCache(tmp_path),
+            tracer=tracer,
+        )
+        starts = tracer.by_event("task_start")
+        assert [event[3]["backend"] for event in starts] == ["serial", "serial"]
 
     def test_explicit_passthrough(self):
         assert resolve_jobs(3) == 3
@@ -221,31 +237,33 @@ class TestSharedCacheDeferral:
         import os
 
         from repro.harness.cache import SharedResultCache
-        from repro.harness.parallel import _defer_in_flight
+        from repro.harness.parallel import RunReport, _defer_in_flight
 
         cache = SharedResultCache(tmp_path)
         keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
         fd = self._held(cache, keys[0])
         events = []
+        report = RunReport()
         try:
             order = _defer_in_flight(
-                [0, 1, 2], keys, cache,
+                [0, 1, 2], keys, cache, report,
                 lambda cat, name, t, data: events.append((name, data)),
             )
         finally:
             os.close(fd)
         assert order == [1, 2, 0]
         assert events == [("cache_deferred", {"tasks": 1})]
+        assert report.deferred == 1
 
     def test_nothing_in_flight_keeps_order_and_emits_nothing(self, tmp_path):
         from repro.harness.cache import SharedResultCache
-        from repro.harness.parallel import _defer_in_flight
+        from repro.harness.parallel import RunReport, _defer_in_flight
 
         cache = SharedResultCache(tmp_path)
         keys = ["dd" + "0" * 62, None]
         events = []
         order = _defer_in_flight(
-            [0, 1], keys, cache,
+            [0, 1], keys, cache, RunReport(),
             lambda cat, name, t, data: events.append(name),
         )
         assert order == [0, 1]

@@ -1,26 +1,25 @@
 """Supervised execution backend: parity, retry policy, degradation.
 
 The supervisor must be *invisible* in the results — bit-exact digest
-parity with the plain executor in every mode — while being very visible
-in its reporting: every retry, kill and degradation lands in the
-recovery log, and terminal failures carry the full attempt history.
+parity with the inline and pool backends in every mode — while being
+very visible in its reporting: every retry, kill and degradation lands
+in the recovery log, and terminal failures carry the full attempt
+history.  It is selected with ``execute_tasks(..., supervisor=...)``.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
-from repro.harness.parallel import SweepTask, execute_tasks
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
 from repro.harness.resilience import RETRY_SEED_STRIDE
-from repro.harness.supervisor import (
-    SupervisorConfig,
-    SupervisorReport,
-    execute_supervised,
-    run_supervised_tasks,
-)
+from repro.harness.supervisor import SupervisorConfig
+
+
+def _supervised(tasks, config=None, **kwargs):
+    """``execute_tasks`` on the supervised backend (default config)."""
+    return execute_tasks(tasks, supervisor=config or SupervisorConfig(), **kwargs)
 
 
 def _quick_experiment(**overrides):
@@ -47,7 +46,7 @@ class TestConfigValidation:
             {"task_timeout": -1.0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_timeout": -2.0},
-            {"max_retries": -1},
+            {"backoff_max": -1.0},
             {"max_task_failures": -1},
             {"backoff_factor": 0.5},
             {"backoff_base": -1.0},
@@ -63,19 +62,19 @@ class TestConfigValidation:
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError):
-            execute_supervised(_tasks(1), resume=True)
+            _supervised(_tasks(1), resume=True)
 
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ValueError):
-            execute_supervised(_tasks(1), on_error="ignore")
+            _supervised(_tasks(1), on_error="ignore")
 
 
 class TestParity:
     def test_supervised_matches_plain_executor_bit_exact(self):
         tasks = _tasks(3)
         plain = execute_tasks(tasks, jobs=1)
-        report = SupervisorReport()
-        supervised = execute_supervised(tasks, jobs=2, report=report)
+        report = RunReport()
+        supervised = _supervised(tasks, jobs=2, report=report)
         assert [r.digest() for r, _ in supervised] == [
             r.digest() for r, _ in plain
         ]
@@ -92,9 +91,8 @@ class TestParity:
             SweepTask("doomed", _quick_experiment(max_events=500, seed=9)),
         ]
         plain = execute_tasks(tasks, jobs=1, on_error="capture", max_retries=1)
-        supervised = execute_supervised(
-            tasks, jobs=2, on_error="capture",
-            config=SupervisorConfig(max_retries=1),
+        supervised = _supervised(
+            tasks, jobs=2, on_error="capture", max_retries=1,
         )
         (_, plain_fail) = plain[1]
         (none_result, sup_fail) = supervised[1]
@@ -116,7 +114,7 @@ class TestParity:
             SweepTask("second-bad", _quick_experiment(max_events=400, seed=3)),
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_supervised(tasks, jobs=2, on_error="raise")
+            _supervised(tasks, jobs=2, on_error="raise")
         assert excinfo.value.label == "first-bad"
         assert excinfo.value.error_type == "WatchdogExceeded"
 
@@ -124,9 +122,7 @@ class TestParity:
         """Serial raise-mode never retries; supervised must match."""
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=5))]
         with pytest.raises(ParallelExecutionError):
-            execute_supervised(
-                tasks, on_error="raise", config=SupervisorConfig(max_retries=3)
-            )
+            _supervised(tasks, on_error="raise", max_retries=3)
 
 
 class TestJournalIntegration:
@@ -135,17 +131,17 @@ class TestJournalIntegration:
 
         journal = tmp_path / "run.journal"
         tasks = _tasks(2)
-        report = SupervisorReport()
-        execute_supervised(tasks, journal=journal, report=report)
+        report = RunReport()
+        _supervised(tasks, journal=journal, report=report)
         assert report.journal_appends == 2
         assert len(ResultJournal(journal).read().records) == 2
 
     def test_resume_replays_instead_of_executing(self, tmp_path):
         journal = tmp_path / "run.journal"
         tasks = _tasks(3)
-        first = execute_supervised(tasks, journal=journal)
-        report = SupervisorReport()
-        resumed = execute_supervised(
+        first = _supervised(tasks, journal=journal)
+        report = RunReport()
+        resumed = _supervised(
             tasks, journal=journal, resume=True, report=report
         )
         assert report.replayed == 3
@@ -157,9 +153,9 @@ class TestJournalIntegration:
     def test_resume_executes_only_the_remainder(self, tmp_path):
         journal = tmp_path / "run.journal"
         tasks = _tasks(4)
-        execute_supervised(tasks[:2], journal=journal)
-        report = SupervisorReport()
-        full = execute_supervised(
+        _supervised(tasks[:2], journal=journal)
+        report = RunReport()
+        full = _supervised(
             tasks, journal=journal, resume=True, report=report
         )
         assert report.replayed == 2
@@ -176,13 +172,13 @@ class TestJournalIntegration:
         tasks = _tasks(2)
         execute_tasks(tasks, jobs=1, cache=cache)  # warm the cache
         journal = tmp_path / "run.journal"
-        report = SupervisorReport()
-        execute_supervised(tasks, cache=cache, journal=journal, report=report)
+        report = RunReport()
+        _supervised(tasks, cache=cache, journal=journal, report=report)
         assert report.cache_hits == 2
         assert report.executed == 0
         assert report.journal_appends == 2
-        resumed_report = SupervisorReport()
-        execute_supervised(
+        resumed_report = RunReport()
+        _supervised(
             tasks, journal=journal, resume=True, report=resumed_report
         )
         assert resumed_report.replayed == 2
@@ -197,9 +193,9 @@ class TestDegradation:
 
         monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
         tasks = _tasks(2)
-        report = SupervisorReport()
+        report = RunReport()
         config = SupervisorConfig(max_pool_failures=2, backoff_base=0.01)
-        out = execute_supervised(tasks, jobs=2, config=config, report=report)
+        out = _supervised(tasks, jobs=2, config=config, report=report)
         assert report.degraded
         assert any(a.action == "degrade to serial" for a in report.actions)
         reference = execute_tasks(tasks, jobs=1)
@@ -215,31 +211,22 @@ class TestDegradation:
 
         monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=4))]
-        config = SupervisorConfig(
-            max_pool_failures=1, max_retries=1, backoff_base=0.01
-        )
-        out = execute_supervised(
-            tasks, jobs=2, on_error="capture", config=config
+        config = SupervisorConfig(max_pool_failures=1, backoff_base=0.01)
+        out = _supervised(
+            tasks, jobs=2, on_error="capture", max_retries=1, config=config
         )
         (result, failure) = out[0]
         assert result is None
         assert failure.seeds_tried == (4, 4 + RETRY_SEED_STRIDE)
 
 
-class TestRunSupervisedTasks:
-    def test_returns_pairs_and_report(self):
-        pairs, report = run_supervised_tasks(_tasks(2), jobs=2)
-        assert len(pairs) == 2
-        assert report.executed == 2
-
-    def test_explicit_config_wins_over_max_retries(self):
-        config = SupervisorConfig(max_retries=0)
+class TestOneRetryKnob:
+    def test_max_retries_bounds_supervised_seed_bumps(self):
+        """``max_retries`` is the one seed-bump knob on every backend."""
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=6))]
-        pairs, _report = run_supervised_tasks(
-            tasks, on_error="capture", max_retries=5, supervisor=config
-        )
+        pairs = _supervised(tasks, on_error="capture", max_retries=0)
         (_, failure) = pairs[0]
-        assert failure.seeds_tried == (6,)  # config's 0 retries, not 5
+        assert failure.seeds_tried == (6,)
 
 
 class TestSweepPlumbing:
@@ -252,14 +239,15 @@ class TestSweepPlumbing:
         )
         serial = run_coexistence_grid(coupled_factory(), **kwargs)
         supervised = run_coexistence_grid(
-            coupled_factory(), jobs=2, supervised=True, **kwargs
+            coupled_factory(), jobs=2, supervisor=SupervisorConfig(), **kwargs
         )
         assert [c.result.digest() for c in serial] == [
             c.result.digest() for c in supervised
         ]
         assert supervised.recovery is not None
         assert supervised.recovery.executed == len(serial)
-        assert serial.recovery is None
+        assert supervised.recovery.heartbeats > 0
+        assert serial.recovery.heartbeats == 0
 
     def test_mix_sweep_supervised_matches_serial(self):
         from repro.harness.factories import coupled_factory
@@ -270,7 +258,9 @@ class TestSweepPlumbing:
             duration=2.0, warmup=0.5, seed=3,
         )
         serial = run_mix_sweep(coupled_factory(), **kwargs)
-        supervised = run_mix_sweep(coupled_factory(), supervised=True, **kwargs)
+        supervised = run_mix_sweep(
+            coupled_factory(), supervisor=SupervisorConfig(), **kwargs
+        )
         assert set(serial) == set(supervised)
         for mix in serial:
             assert serial[mix].digest() == supervised[mix].digest()
@@ -283,7 +273,7 @@ class TestSweepPlumbing:
         metrics = {"delay": lambda r: r.sojourn_summary()["mean"]}
         serial = repeat_experiment(exp, metrics, seeds=(1, 2))
         supervised = repeat_experiment(
-            exp, metrics, seeds=(1, 2), supervised=True
+            exp, metrics, seeds=(1, 2), supervisor=SupervisorConfig()
         )
         assert serial["delay"].samples == supervised["delay"].samples
         assert supervised.recovery.executed == 2
@@ -311,27 +301,14 @@ class TestSweepPlumbing:
 
         exp = _quick_experiment(aqm_factory=lambda rng: PiAqm(rng=rng))
         with pytest.raises(ConfigError) as excinfo:
-            execute_supervised([SweepTask("lambda-cell", exp)])
+            _supervised([SweepTask("lambda-cell", exp)])
         assert "pickled" in str(excinfo.value)
 
 
 class TestSharedCacheScheduling:
-    """``_next_spawn_index`` must pass over cells another process holds
-    in flight in the shared cache — and never starve them."""
-
-    def _supervisor(self, tmp_path, n=2):
-        from repro.harness.cache import SharedResultCache
-        from repro.harness.supervisor import _Supervisor
-
-        cache = SharedResultCache(tmp_path)
-        sup = _Supervisor(
-            _tasks(n), jobs=1, on_error="capture",
-            config=SupervisorConfig(), cache=cache, journal=None,
-            report=SupervisorReport(),
-        )
-        sup.prefill(resume=False)
-        assert len(sup.queue) == n
-        return sup, cache
+    """The supervised backend runs cells another process holds in flight
+    in the shared cache last — the pipeline's one deferral policy — and
+    never starves them; retry backoff still gates each spawn."""
 
     def _hold(self, cache, key):
         import fcntl
@@ -343,35 +320,46 @@ class TestSharedCacheScheduling:
         fcntl.flock(fd, fcntl.LOCK_EX)
         return fd
 
-    def test_in_flight_cell_is_passed_over(self, tmp_path):
+    def _start_order(self, tmp_path, held):
+        """Labels in spawn order with the cells at ``held`` in flight."""
         import os
-        import time
 
-        sup, cache = self._supervisor(tmp_path)
-        fd = self._hold(cache, sup.keys[0])
+        from repro.harness.cache import SharedResultCache
+        from repro.obs import RecordingTracer
+
+        cache = SharedResultCache(tmp_path)
+        tasks = _tasks(2)
+        fds = [self._hold(cache, cache.key_for(tasks[i].experiment))
+               for i in held]
+        tracer, report = RecordingTracer(), RunReport()
         try:
-            assert sup._next_spawn_index(time.monotonic()) == 1
-            assert sup.report.deferred == 1
-        finally:
-            os.close(fd)
-        assert sup._next_spawn_index(time.monotonic()) == 0
-
-    def test_all_in_flight_falls_back_to_earliest(self, tmp_path):
-        import os
-        import time
-
-        sup, cache = self._supervisor(tmp_path)
-        fds = [self._hold(cache, key) for key in sup.keys]
-        try:
-            assert sup._next_spawn_index(time.monotonic()) == 0
+            _supervised(tasks, jobs=1, cache=cache, tracer=tracer,
+                        report=report)
         finally:
             for fd in fds:
                 os.close(fd)
+        starts = [event[3]["label"] for event in tracer.by_event("task_start")]
+        return starts, report
 
-    def test_backoff_still_gates_eligibility(self, tmp_path):
+    def test_in_flight_cell_is_passed_over(self, tmp_path):
+        starts, report = self._start_order(tmp_path, held=[0])
+        assert starts == ["t2", "t1"]
+        assert report.deferred == 1
+
+    def test_all_in_flight_falls_back_to_earliest(self, tmp_path):
+        starts, report = self._start_order(tmp_path, held=[0, 1])
+        assert starts == ["t1", "t2"]
+        assert report.deferred == 2
+
+    def test_backoff_still_gates_eligibility(self):
         import time
 
-        sup, _cache = self._supervisor(tmp_path)
+        from repro.harness.supervisor import _Supervisor
+
+        sup = _Supervisor(
+            _tasks(2), [0, 1], n_jobs=1, retries=1, config=SupervisorConfig(),
+            report=RunReport(), emit=None, done=lambda *args: None,
+        )
         now = time.monotonic()
         sup.queue[0].not_before = now + 60.0
         assert sup._next_spawn_index(now) == 1
@@ -380,14 +368,14 @@ class TestSharedCacheScheduling:
 
     def test_supervised_deferral_stays_bit_exact(self, tmp_path):
         """End-to-end: a cell 'in flight' elsewhere is deferred; once
-        the remote winner publishes, the deferred cell resolves (via
-        the pre-spawn recheck or the worker-side single-flight wait)
+        the remote winner publishes, the deferred cell still resolves
         with digests identical to a plain run."""
         import os
         import threading
         import time as _time
 
         from repro.harness.cache import SharedResultCache
+        from repro.harness.frozen import freeze_result
 
         tasks = _tasks(2)
         plain = execute_tasks(tasks, jobs=1)
@@ -402,14 +390,15 @@ class TestSharedCacheScheduling:
 
         def publish_and_release():
             _time.sleep(0.3)
-            cache.put(key0, plain[0][0])  # the remote winner publishes
+            # The remote winner publishes (a plain run's result is live).
+            cache.put(key0, freeze_result(plain[0][0]))
             os.close(fd)
 
         winner = threading.Thread(target=publish_and_release)
         winner.start()
-        report = SupervisorReport()
+        report = RunReport()
         try:
-            supervised = execute_supervised(
+            supervised = _supervised(
                 tasks, jobs=1, cache=cache, report=report,
             )
         finally:

@@ -25,7 +25,7 @@ from repro.harness import light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
 from repro.harness.parallel import SweepTask, execute_tasks
-from repro.harness.supervisor import run_supervised_tasks
+from repro.harness.supervisor import SupervisorConfig
 from repro.obs import (
     CATEGORIES,
     TRACE_SCHEMA_VERSION,
@@ -87,8 +87,9 @@ class TestDigestParity:
         exp = _experiment(duration=3.0)
         reference = run_experiment(exp).digest()
         tracer = RecordingTracer()
-        pairs, report = run_supervised_tasks(
-            [SweepTask("cell", exp)], jobs=1, tracer=tracer
+        pairs = execute_tasks(
+            [SweepTask("cell", exp)], jobs=1, tracer=tracer,
+            supervisor=SupervisorConfig(),
         )
         assert pairs[0][0].digest() == reference
         starts = tracer.by_event("task_start")
