@@ -55,36 +55,6 @@ def test_cached_rerun_matches_and_hits():
         assert _digests(cold) == _digests(warm)
 
 
-def test_batched_links_match_unbatched_bit_exact():
-    """Link-layer event batching must not change results, only speed.
-
-    The batcher's seq-reservation contract promises the batched run fires
-    the same callbacks at the same (time, seq) points as the unbatched
-    one, so digests must agree bit-for-bit — and the logical event count
-    (processed + absorbed) must be *exactly* the unbatched event count.
-    """
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.factories import pi2_factory
-    from repro.harness.scenarios import coexistence_pair
-
-    base = coexistence_pair(
-        pi2_factory(),
-        capacity_bps=40_000_000,
-        rtt=0.020,
-        duration=5.0,
-        warmup=2.0,
-        seed=7,
-    )
-    off = run_experiment(replace(base, link_batching=False))
-    on = run_experiment(replace(base, link_batching=True))
-    assert on.digest() == off.digest()
-    assert on.bed.sim.events_batched > 0  # the batcher actually engaged
-    logical_on = on.bed.sim.events_processed + on.bed.sim.events_batched
-    assert logical_on == off.bed.sim.events_processed
-
-
 def test_supervised_matches_serial_bit_exact():
     """The watchdogged backend must be invisible in the results."""
     serial = run_coexistence_grid(coupled_factory(), seed=7, **TINY_GRID)
@@ -164,7 +134,6 @@ def test_bench_payload_shape(tmp_path=None):
         "engine_events",
         "cancel_churn",
         "experiment_light_tcp",
-        "link_batching",
         "grid_serial",
         "grid_parallel",
         "grid_cache_cold",
@@ -176,8 +145,6 @@ def test_bench_payload_shape(tmp_path=None):
     by_name = {bench["name"]: bench for bench in payload["benchmarks"]}
     assert by_name["grid_parallel"]["matches_serial"] is True
     assert by_name["grid_cache_warm"]["matches_cold"] is True
-    assert by_name["link_batching"]["matches_unbatched"] is True
-    assert by_name["link_batching"]["events_batched"] > 0
     assert by_name["engine_events"]["events_per_sec"] > 0
     assert by_name["grid_supervised"]["matches_serial"] is True
     assert by_name["grid_supervised"]["matches_resume"] is True
@@ -198,7 +165,6 @@ def main() -> int:
     test_serial_rerun_is_bit_identical()
     test_parallel_matches_serial_bit_exact()
     test_cached_rerun_matches_and_hits()
-    test_batched_links_match_unbatched_bit_exact()
     test_shared_cache_single_flight()
     test_supervised_matches_serial_bit_exact()
     test_journal_resume_matches_uninterrupted_bit_exact()

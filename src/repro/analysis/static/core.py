@@ -1,7 +1,7 @@
 """Core of the domain static-analysis framework (``repro check``).
 
 The repository's headline guarantee — bit-exact parity between serial,
-parallel, cached and batched/unbatched runs — rests on a handful of
+parallel, cached and traced runs — rests on a handful of
 coding disciplines: all randomness flows through seeded
 :mod:`repro.sim.random` streams, no wall-clock reads feed simulation
 state, probabilities stay in [0, 1] at every write, scheduling uses

@@ -17,9 +17,8 @@ the simulation packages:
   ``install_aqm_tracer``, which this rule does not scan.)
 * a **tracer expression inside a scheduling call** — a tracer (or any
   attribute of one) appearing among the arguments of ``schedule`` /
-  ``at`` / ``at_reserved`` / ``stream_schedule`` / ``every`` /
-  ``advance_to`` would let the observer inject events or timing into
-  the engine.
+  ``at`` / ``post`` / ``every`` would let the observer inject events or
+  timing into the engine.
 
 The rule keys on name *segments*: any pure attribute chain containing a
 ``tracer`` or ``_tracer`` component is treated as a tracer reference,

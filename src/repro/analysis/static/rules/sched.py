@@ -1,7 +1,7 @@
 """SCHED — scheduling expressions must be virtual-time derived.
 
 Every event the engine dispatches comes from a ``schedule``/``at``/
-``at_reserved``/``stream_schedule``/``every`` call; the time argument is
+``post``/``every`` call; the time argument is
 where wall-clock contamination or past-time bugs enter.  The engine
 raises at runtime for past times, but only on the seed/path that happens
 to reach the call — this rule rejects the two statically decidable bug
@@ -31,9 +31,7 @@ from repro.analysis.static.rules.det import _is_wall_clock
 __all__ = ["SchedulingRule"]
 
 #: Engine scheduling entry points (see repro.sim.engine.Simulator).
-_SCHEDULING_METHODS = frozenset(
-    {"schedule", "at", "at_reserved", "stream_schedule", "every", "advance_to"}
-)
+_SCHEDULING_METHODS = frozenset({"schedule", "at", "post", "every"})
 
 
 def _negative_literal(node: ast.AST) -> bool:
@@ -66,9 +64,8 @@ class SchedulingRule(Rule):
     name = "SCHED"
     severity = Severity.ERROR
     description = (
-        "schedule/at/at_reserved/stream_schedule/every time arguments "
-        "must derive from virtual time — no negative literals, no "
-        "wall-clock reads"
+        "schedule/at/post/every time arguments must derive from virtual "
+        "time — no negative literals, no wall-clock reads"
     )
     packages = ("sim", "net", "aqm", "tcp", "core", "harness", "traffic")
 

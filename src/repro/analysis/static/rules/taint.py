@@ -44,8 +44,7 @@ or ``sorted`` (order re-established) stops being tainted.
 **Sinks** (where tainted values are reported):
 
 * the time/delay argument of every engine scheduling entry point
-  (``schedule``, ``at``, ``at_reserved``, ``stream_schedule``,
-  ``every``, ``advance_to``);
+  (``schedule``, ``at``, ``post``, ``every``);
 * assignments to probability-named targets (the PROB vocabulary) — the
   coupling law ``pc = (p')²`` is only meaningful for a reproducible p';
 * digest inputs — arguments to ``hashlib`` constructors and to
@@ -83,16 +82,7 @@ __all__ = ["TaintRule", "MAX_DEPTH"]
 MAX_DEPTH = 12
 
 #: Scheduling entry points whose first argument is a time/delay.
-_SCHED_SINKS = frozenset(
-    {
-        "schedule",
-        "at",
-        "at_reserved",
-        "stream_schedule",
-        "every",
-        "advance_to",
-    }
-)
+_SCHED_SINKS = frozenset({"schedule", "at", "post", "every"})
 
 #: Calls that re-establish a deterministic domain/order: taint stops.
 _SANITIZERS = frozenset({"default_stream", "sorted"})

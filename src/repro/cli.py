@@ -105,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(packet conservation, p in [0,1], clock)")
     run.add_argument("--fault", metavar="SPEC", action="append", default=[],
                      help="inject a fault; repeatable. " + FAULT_SPEC_HELP)
-    run.add_argument("--no-link-batching", action="store_true",
-                     help="dispatch one event per packet instead of batched "
-                          "drains (results are bit-exact either way; use for "
-                          "A/B timing or debugging)")
     _add_trace_options(run)
 
     co = sub.add_parser("coexist", help="DCTCP vs Cubic at one grid point")
@@ -423,7 +419,6 @@ def _cmd_bench(args, out) -> int:
         b["name"] for b in payload["benchmarks"]
         if b.get("matches_serial") is False
         or b.get("matches_cold") is False
-        or b.get("matches_unbatched") is False
         or b.get("matches_resume") is False
         or b.get("matches_untraced") is False
     ]
@@ -625,8 +620,6 @@ def _cmd_run(args, out) -> int:
     if args.validate or args.fault:
         faults = tuple(parse_fault_spec(spec) for spec in args.fault)
         exp = replace(exp, validate=args.validate, faults=faults)
-    if args.no_link_batching:
-        exp = replace(exp, link_batching=False)
     tracer = _make_tracer(args)
     result = run_experiment(exp, tracer=tracer)
     _close_tracer(tracer, out)

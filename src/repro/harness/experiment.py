@@ -99,10 +99,6 @@ class Experiment:
     faults: Sequence[Fault] = field(default_factory=tuple)
     #: Run the periodic invariant checker alongside the simulation.
     validate: bool = False
-    #: Drain back-to-back bottleneck transmissions in single event
-    #: dispatches (bit-exact vs. the event-per-packet schedule; see
-    #: :mod:`repro.net.link`).  Off is only useful for A/B measurement.
-    link_batching: bool = True
     #: Watchdog budgets for the run (None = unlimited).
     max_events: Optional[int] = None
     max_wall_seconds: Optional[float] = None
@@ -386,7 +382,6 @@ def run_experiment(
         buffer_packets=experiment.buffer_packets,
         sample_period=experiment.sample_period,
         record_sojourns=experiment.record_sojourns,
-        link_batching=experiment.link_batching,
     )
     for group in experiment.flows:
         for _ in range(group.count):

@@ -68,12 +68,6 @@ class Dumbbell:
     record_sojourns:
         Keep every packet's bottleneck sojourn time (needed by the CDF
         and percentile figures; switch off for very long runs).
-    link_batching:
-        Enable event batching on the data path: the bottleneck link
-        drains back-to-back transmissions in single event dispatches
-        (:mod:`repro.net.link`) and every per-flow pipe keeps in-flight
-        packets on an arrival train instead of one heap event each
-        (:mod:`repro.net.pipe`).  Bit-exact either way.
     queue:
         Override the bottleneck queue with a custom link-drainable queue
         (e.g. :class:`repro.aqm.dualq.DualQueueCoupledAqm`).  When given,
@@ -90,7 +84,6 @@ class Dumbbell:
         buffer_packets: int = 40_000,
         sample_period: float = 1.0,
         record_sojourns: bool = True,
-        link_batching: bool = True,
         queue=None,
     ):
         self.sim = sim
@@ -127,8 +120,7 @@ class Dumbbell:
                 buffer_packets=buffer_packets,
                 on_sojourn=self._on_sojourn if record_sojourns else None,
             )
-        self.link_batching = link_batching
-        self.link = Link(sim, self.queue, capacity_bps, batching=link_batching)
+        self.link = Link(sim, self.queue, capacity_bps)
         self.link.set_router(self._route)
         #: Set by :meth:`install_faults` / :meth:`enable_validation`.
         self.fault_injector: Optional[FaultInjector] = None
@@ -239,7 +231,7 @@ class Dumbbell:
             flow_size=flow_size,
             sack=sack,
         )
-        rev_pipe = Pipe(self.sim, rtt / 2.0, sink=sender, batching=self.link_batching)
+        rev_pipe = Pipe(self.sim, rtt / 2.0, sink=sender)
         receiver = TcpReceiver(
             self.sim,
             flow_id,
@@ -248,7 +240,7 @@ class Dumbbell:
             on_data=lambda now, pkt, rec=record: rec.on_segment(now),
             sack=sack,
         )
-        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=receiver, batching=self.link_batching)
+        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=receiver)
 
         self._fwd_pipes[flow_id] = fwd_pipe
         self.senders[flow_id] = sender
@@ -286,7 +278,7 @@ class Dumbbell:
         self._next_flow_id += 1
         self.flows.add(flow_id, label, mss_bytes=payload_bytes)
         sink = RealtimeSink(self.sim, base_delay=rtt / 2.0)
-        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=sink, batching=self.link_batching)
+        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=sink)
         self._fwd_pipes[flow_id] = fwd_pipe
         source = RealtimeSource(
             self.sim,

@@ -7,7 +7,7 @@ returning a flat ``{name: value}`` mapping, evaluated lazily at
 end-of-run state without components pushing updates.
 
 The snapshot is a flat, sorted, JSON-able dict with dotted names
-(``engine.events_processed``, ``aqm.marked``, ``link.batches``, ...).
+(``engine.events_processed``, ``aqm.marked``, ``link.packets_sent``, ...).
 It is attached to results as the ``telemetry`` block
 (:class:`~repro.harness.frozen.FrozenResult`) and embedded in
 ``BENCH_<date>.json`` — and deliberately excluded from

@@ -121,11 +121,17 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
             "epochs": len(epochs),
             "last_t": float(last["t"]),
             "events_processed": last.get("events_processed"),
-            "events_batched": last.get("events_batched"),
-            "batch_breaks": last.get("batch_breaks"),
             "max_heap": max(int(e.get("heap") or 0) for e in epochs),
-            "max_stream": max(int(e.get("stream") or 0) for e in epochs),
         }
+        # Traces recorded before the engine became one heap also carry
+        # a stream lane and batching counters; keep reporting them.
+        if "events_batched" in last:
+            engine_summary["events_batched"] = last["events_batched"]
+            engine_summary["batch_breaks"] = last.get("batch_breaks")
+        if any("stream" in e for e in epochs):
+            engine_summary["max_stream"] = max(
+                int(e.get("stream") or 0) for e in epochs
+            )
 
     spans: Dict[str, Dict[str, Any]] = {}
     for event in events:
@@ -211,16 +217,20 @@ def format_trace_summary(summary: Dict[str, Any], max_rows: int = 12) -> str:
     engine = summary.get("engine")
     if engine is not None:
         lines.append("")
-        lines.append(
+        header = (
             f"engine: {engine['epochs']} epochs to t={engine['last_t']:.3f}s, "
-            f"{engine['events_processed']} events processed, "
-            f"{engine['events_batched']} batched "
-            f"({engine['batch_breaks']} batch breaks)"
+            f"{engine['events_processed']} events processed"
         )
-        lines.append(
-            f"  lane peaks: heap={engine['max_heap']} "
-            f"stream={engine['max_stream']}"
-        )
+        if "events_batched" in engine:
+            header += (
+                f", {engine['events_batched']} batched "
+                f"({engine['batch_breaks']} batch breaks)"
+            )
+        lines.append(header)
+        peaks = f"  lane peaks: heap={engine['max_heap']}"
+        if "max_stream" in engine:
+            peaks += f" stream={engine['max_stream']}"
+        lines.append(peaks)
 
     spans = summary.get("spans") or {}
     if spans:

@@ -21,7 +21,6 @@ from repro.perf.bench import (
     bench_engine_events,
     bench_experiment,
     bench_grid,
-    bench_link_batching,
     bench_shared_cache,
     bench_figure_resume,
     bench_supervised,
@@ -36,7 +35,6 @@ __all__ = [
     "bench_engine_events",
     "bench_cancel_churn",
     "bench_experiment",
-    "bench_link_batching",
     "bench_shared_cache",
     "bench_grid",
     "bench_figure_resume",

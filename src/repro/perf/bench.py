@@ -8,10 +8,6 @@ Each benchmark answers one question:
   timer re-arming, i.e. does heap compaction do its job?
 * :func:`bench_experiment` — how many *simulation* events per second
   does a realistic scenario sustain, TCP + AQM + recorders included?
-* :func:`bench_link_batching` — what does link-layer event batching buy
-  on a grid workload?  Runs the same cells with ``link_batching`` off
-  and on, reports logical events/sec both ways plus the speedup, and
-  asserts bit-exact digest parity between the two modes.
 * :func:`bench_shared_cache` — does the cross-process single-flight
   cache collapse N workers' repeated-figure requests to one simulation
   per unique cell (``single_flight_ok``)?
@@ -52,7 +48,6 @@ __all__ = [
     "bench_engine_events",
     "bench_cancel_churn",
     "bench_experiment",
-    "bench_link_batching",
     "bench_shared_cache",
     "bench_grid",
     "bench_figure_resume",
@@ -71,15 +66,6 @@ FULL_GRID = {
     "rtts_ms": (5, 10, 20),
     "duration": 15.0,
     "warmup": 6.0,
-}
-#: Grid cells for the batching A/B benchmark: paper cells with a
-#: meaningful bandwidth-delay product, where per-packet link and pipe
-#: events dominate the heap and batching has something to absorb.
-BATCHING_GRID = {
-    "links_mbps": (40, 120),
-    "rtts_ms": (20, 50),
-    "duration": 5.0,
-    "warmup": 2.0,
 }
 
 
@@ -173,80 +159,6 @@ def bench_experiment(duration: float = 10.0, seed: int = 1) -> BenchRecord:
         wall,
         events=result.bed.sim.events_processed,
         extra={"sim_seconds": duration, "sim_seconds_per_wall": duration / wall},
-    )
-
-
-def bench_link_batching(
-    grid: Optional[dict] = None,
-    seed: int = 1,
-) -> BenchRecord:
-    """A/B the link-layer event batcher on a high-BDP grid workload.
-
-    Runs each grid cell twice — ``link_batching=False`` then ``True`` —
-    and compares *logical* events/sec, where logical events are
-    ``events_processed + events_batched``: batching absorbs dispatches,
-    it does not remove work, so the logical count is identical in both
-    modes and the speedup is purely wall-clock.  Digest equality across
-    the two runs is checked per cell; any mismatch is flagged in
-    ``extra["matches_unbatched"]`` (and would fail the perf smoke test).
-    """
-    from dataclasses import replace
-
-    from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import coexistence_pair
-
-    params = dict(grid or BATCHING_GRID)
-    cells = [
-        (mbps, rtt_ms)
-        for mbps in params["links_mbps"]
-        for rtt_ms in params["rtts_ms"]
-    ]
-
-    walls = {False: 0.0, True: 0.0}
-    processed = {False: 0, True: 0}
-    absorbed = {False: 0, True: 0}
-    breaks = 0
-    matches = True
-    for mbps, rtt_ms in cells:
-        base = coexistence_pair(
-            pi2_factory(),
-            capacity_bps=mbps * 1_000_000,
-            rtt=rtt_ms / 1_000.0,
-            duration=params["duration"],
-            warmup=params["warmup"],
-            seed=seed,
-        )
-        digests = {}
-        for batching in (False, True):
-            exp = replace(base, link_batching=batching)
-            start = time.perf_counter()
-            result = run_experiment(exp)
-            walls[batching] += time.perf_counter() - start
-            sim = result.bed.sim
-            processed[batching] += sim.events_processed
-            absorbed[batching] += sim.events_batched
-            if batching:
-                breaks += sim.batch_breaks
-            digests[batching] = result.digest()
-        matches = matches and digests[False] == digests[True]
-
-    logical_off = processed[False] + absorbed[False]
-    logical_on = processed[True] + absorbed[True]
-    eps_off = logical_off / walls[False] if walls[False] > 0 else 0.0
-    eps_on = logical_on / walls[True] if walls[True] > 0 else 0.0
-    return BenchRecord(
-        "link_batching",
-        walls[True],
-        events=logical_on,
-        extra={
-            "cells": len(cells),
-            "wall_seconds_unbatched": walls[False],
-            "events_per_sec_unbatched": eps_off,
-            "speedup_vs_unbatched": eps_on / eps_off if eps_off > 0 else 0.0,
-            "events_batched": absorbed[True],
-            "batch_breaks": breaks,
-            "matches_unbatched": matches,
-        },
     )
 
 
@@ -642,13 +554,6 @@ def run_benchmarks(
         bench_engine_events(50_000 * scale),
         bench_cancel_churn(25_000 * scale),
         bench_experiment(duration=5.0 * scale, seed=seed),
-        bench_link_batching(
-            grid=dict(
-                BATCHING_GRID,
-                duration=BATCHING_GRID["duration"] * (1 if quick else 2),
-            ),
-            seed=seed,
-        ),
         bench_shared_cache(jobs=jobs, seed=seed),
     ]
     records.extend(
@@ -724,11 +629,11 @@ def format_bench_table(payload: Dict[str, object]) -> str:
     rows = []
     for bench in payload["benchmarks"]:
         note_parts = []
-        for key in ("speedup_vs_serial", "speedup_vs_cold", "speedup_vs_unbatched"):
+        for key in ("speedup_vs_serial", "speedup_vs_cold"):
             if key in bench:
                 note_parts.append(f"{key.split('_vs_')[-1]}×{bench[key]:.2f}")
-        for key in ("matches_serial", "matches_cold", "matches_unbatched",
-                    "matches_resume", "matches_untraced"):
+        for key in ("matches_serial", "matches_cold", "matches_resume",
+                    "matches_untraced"):
             if key in bench and not bench[key]:
                 note_parts.append("MISMATCH!")
         if "single_flight_ok" in bench:

@@ -1,8 +1,7 @@
 """Discrete-event simulation engine.
 
 This is the substrate that replaces the paper's physical Linux testbed
-(Figure 10).  It is a binary-heap event scheduler with a second, small
-*stream lane* for batcher continuations (see "Event batching" below),
+(Figure 10).  It is one binary heap of ``(time, seq, fn, args)`` tuples
 plus a virtual clock with helpers for one-shot and periodic callbacks.
 Everything else in the repository (links, queues, TCP senders, AQM
 update timers) is driven by this engine.
@@ -11,12 +10,25 @@ Determinism
 -----------
 Events scheduled for the same timestamp fire in scheduling order (a
 monotonic sequence number breaks ties), so a simulation with a fixed seed
-is exactly reproducible run-to-run and platform-to-platform.  The event
-heap and the stream lane are merged in the identical ``(time, seq)``
-total order by :meth:`Simulator.run`, :meth:`Simulator.step` and the
-traced run loop alike.  Compaction (below) only ever removes cancelled
-events and re-heapifies; the (time, seq) total order means the pop
+is exactly reproducible run-to-run and platform-to-platform.  The
+``(time, seq)`` head of every heap entry is unique, so each heap
+comparison is a C tuple comparison that never reaches the callback, and
+:meth:`Simulator.run`, :meth:`Simulator.step` and the traced run loop
+pop the identical total order.  Compaction (below) only ever removes
+cancelled events and re-heapifies; the total order means the pop
 sequence is unchanged, so compaction never perturbs results.
+
+Two entry points
+----------------
+:meth:`Simulator.schedule` and :meth:`Simulator.at` return a cancellable
+:class:`Event`; the heap entry is ``(time, seq, None, event)`` and the
+run loop skips it once cancelled.  :meth:`Simulator.post` returns
+nothing: its entry is ``(time, seq, fn, args)`` and allocates no handle.
+Per-packet work (link transmission completions and propagation-delay
+deliveries, pipe arrivals, constant-rate sources) is posted; timers that
+are re-armed or cancelled (TCP retransmission and delayed-ACK timers,
+AQM updates) are scheduled.  Both draw their seq from one counter, so
+same-time events fire in call order across the two.
 
 Cancelled events
 ----------------
@@ -27,33 +39,6 @@ numbers of dead entries, inflating every push/pop.  The simulator counts
 cancellations and compacts the heap in place once the dead fraction
 crosses a threshold, keeping scheduling operations proportional to
 *live* events.
-
-Event batching
---------------
-A component that knows its *own* next event time can avoid the scheduler
-entirely: inside a callback it may ask :meth:`Simulator.pending_before`
-whether any foreign event sorts before its continuation and, if not (and
-within the current :attr:`Simulator.horizon`), handle it inline via
-:meth:`Simulator.advance_to` instead of scheduling it.  The bottleneck
-:class:`~repro.net.link.Link` drains back-to-back packet transmissions
-this way, and :class:`~repro.net.pipe.Pipe` keeps its in-flight packets
-on an *arrival train* served by a single pending continuation instead of
-one event per packet — which also shrinks the pending-event population
-from thousands of entries (every in-flight packet) to a handful, making
-every remaining push/pop cheaper.
-
-Bit-exactness rests on two rules.  First, inline handling is only
-allowed when the continuation provably sorts before every pending
-event, so nothing that *would* have fired earlier is displaced.  Second,
-batchers draw their sequence numbers from the same counter at the same
-points as the unbatched code (:meth:`Simulator.reserve_seq` /
-:meth:`Simulator.at_reserved`), so the ``(time, seq)`` identity of every
-event — scheduled or absorbed — is identical in both modes and every
-same-timestamp tie breaks the same way.  A batched run therefore
-produces bit-exact results (equal ``digest()``\\ s) for a fixed seed.
-Absorbed events are counted in :attr:`Simulator.events_batched`; a batch
-forced to stop because a foreign event intervened is counted in
-:attr:`Simulator.batch_breaks`.
 
 Example
 -------
@@ -81,7 +66,7 @@ _heappush = heapq.heappush
 
 #: Virtual-time span of one dispatch epoch when an engine tracer is
 #: installed: the traced run loop executes in chunks of this many
-#: seconds and emits one ``engine_epoch`` lane-occupancy snapshot per
+#: seconds and emits one ``engine_epoch`` heap-occupancy snapshot per
 #: chunk.  Chunked ``run`` calls compose exactly (``run(10); run(20)``
 #: ≡ ``run(20)``), so chunking never changes results — only how often
 #: the loop surfaces for a snapshot.
@@ -89,12 +74,14 @@ _TRACE_EPOCH_SPAN = 0.25
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback.
 
     Holding a reference to the returned :class:`Event` allows cancellation
     (used e.g. by TCP retransmission timers that are re-armed on every ACK).
     Cancelled events stay in the heap but are skipped when popped; this is
-    the standard lazy-deletion scheme and keeps cancellation O(1).
+    the standard lazy-deletion scheme and keeps cancellation O(1).  The
+    heap orders the event by its entry's ``(time, seq)`` head, never by
+    the event object itself.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
@@ -121,11 +108,6 @@ class Event:
         self.cancelled = True
         if self.sim is not None:
             self.sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -188,18 +170,13 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now: float = start_time
-        #: Event lane: a binary heap of :class:`Event` objects.
-        self._heap: List[Event] = []
-        #: Stream lane: (time, seq, fn, args) tuples for batcher
-        #: continuations (see :meth:`stream_schedule`).
-        self._streams: List[Tuple[float, int, Callable[..., Any], tuple]] = []
+        #: Binary heap of ``(time, seq, fn, args)`` entries.  ``fn`` is
+        #: None for a cancellable :class:`Event`, which rides in ``args``.
+        self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
         self._compactions = 0
-        self._events_batched = 0
-        self._batch_breaks = 0
-        self._horizon: Optional[float] = None
         self._running = False
         self._watchdog: Optional[Watchdog] = None
         #: Optional telemetry sink (duck-typed; see repro.obs.trace).
@@ -213,14 +190,12 @@ class Simulator:
 
         With a tracer installed, :meth:`run` executes in virtual-time
         chunks of :data:`_TRACE_EPOCH_SPAN` seconds and emits one
-        ``engine_epoch`` snapshot (lane occupancy and batching counters)
-        per chunk.  Chunked runs compose exactly, so results are
-        bit-identical with tracing on or off; only the run loop's
-        granularity — and hence counters like ``batch_breaks``, which
-        count horizon-bounded batching — may differ.  Callers should
-        pass tracers through :func:`repro.obs.trace.engine_tracer` so
-        the category-subscription check stays in the observability
-        layer.
+        ``engine_epoch`` snapshot (heap occupancy and the engine's
+        counters) per chunk.  Chunked runs compose exactly, so results,
+        every counter and every watchdog trip are identical with tracing
+        on or off.  Callers should pass tracers through
+        :func:`repro.obs.trace.engine_tracer` so the
+        category-subscription check stays in the observability layer.
         """
         self._tracer = tracer
 
@@ -259,191 +234,23 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time {self.now}"
             )
-        ev = Event(time, next(self._seq), fn, args, sim=self)
-        _heappush(self._heap, ev)
-        return ev
-
-    # ------------------------------------------------------------------
-    # Cancelled-event accounting
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; triggers compaction past the
-        threshold once dead entries outnumber live ones."""
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= self.COMPACT_THRESHOLD
-            and self._cancelled_pending * 2 >= len(self._heap)
-        ):
-            self.compact()
-
-    def compact(self) -> int:
-        """Drop cancelled events from the heap; returns how many were removed.
-
-        The heap list is mutated in place (``run`` holds a local
-        reference to it), and re-heapified.  Safe to call at any time,
-        including from inside an event callback; pop order is unaffected
-        because events are totally ordered by (time, seq).
-        """
-        heap = self._heap
-        before = len(heap)
-        heap[:] = [ev for ev in heap if not ev.cancelled]
-        removed = before - len(heap)
-        if removed:
-            heapq.heapify(heap)
-            self._compactions += 1
-        self._cancelled_pending = 0
-        return removed
-
-    def _clean_heap(self) -> None:
-        """Pop lazily-cancelled events off the heap's head."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-
-    # ------------------------------------------------------------------
-    # Inline event batching (see module docstring, "Event batching")
-    # ------------------------------------------------------------------
-    def peek(self) -> Optional[Tuple[float, int]]:
-        """``(time, seq)`` of the next pending event, or None if idle.
-
-        Considers both lanes (the event heap and the stream lane).
-        Lazily-cancelled events at the heap head are discarded on the
-        way, exactly as the run loop would skip them, so peeking never
-        changes which callbacks fire or when.  The ``seq`` lets a
-        batcher compare its own *reserved* event identity
-        lexicographically — the exact tie-break the dispatch loop applies
-        at equal timestamps.
-        """
-        self._clean_heap()
-        heap = self._heap
-        best: Optional[Tuple[float, int]] = (heap[0].time, heap[0].seq) if heap else None
-        streams = self._streams
-        if streams:
-            cand = (streams[0][0], streams[0][1])
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending (non-cancelled) event, or None."""
-        head = self.peek()
-        return None if head is None else head[0]
-
-    def pending_before(self, time: float, seq: int) -> bool:
-        """True iff a pending event sorts strictly before ``(time, seq)``.
-
-        The batchers' foreign-event test: a continuation with identity
-        ``(time, seq)`` may be handled inline only when nothing else can
-        fire first.  Spans both lanes and discards lazily-cancelled heap
-        heads on the way, exactly as :meth:`peek` does.  (The head clean
-        is inlined: batchers call this once per absorbed packet.)
-        """
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-        if heap:
-            ev = heap[0]
-            if ev.time < time or (ev.time == time and ev.seq < seq):
-                return True
-        streams = self._streams
-        if streams:
-            s = streams[0]
-            if s[0] < time or (s[0] == time and s[1] < seq):
-                return True
-        return False
-
-    def reserve_seq(self) -> int:
-        """Claim the sequence number the next scheduled event would get.
-
-        The batching contract: a batcher reserves a seq at *exactly* the
-        point the unbatched code would have called :meth:`schedule`, so
-        the sequence-number stream — and therefore every same-timestamp
-        tie-break — is identical whether events are heaped, streamed or
-        absorbed.  A reserved seq is either spent via
-        :meth:`stream_schedule` (the batch broke; the continuation waits
-        its turn in the stream lane) or dropped (the continuation was
-        handled inline via :meth:`advance_to`).
-        """
-        return next(self._seq)
-
-    def at_reserved(
-        self, time: Seconds, seq: int, fn: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Schedule an event carrying a seq from :meth:`reserve_seq`.
-
-        The unbatched twin of :meth:`stream_schedule`: components that
-        reserve their continuation seq up front use this when batching is
-        off, so the event lands in exactly the (time, seq) slot the
-        batched run would have given it.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time {self.now}"
-            )
+        seq = next(self._seq)
         ev = Event(time, seq, fn, args, sim=self)
-        _heappush(self._heap, ev)
+        _heappush(self._heap, (time, seq, None, ev))
         return ev
 
-    def stream_schedule(
-        self, time: Seconds, seq: int, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        """Schedule a batcher continuation in the stream lane.
+    def post(self, delay: Seconds, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now; no handle.
 
-        The stream lane is a second, small heap of plain ``(time, seq,
-        fn, args)`` tuples that the dispatch loop merges with the event
-        heap in exact ``(time, seq)`` order.  Batchers (the link's
-        transmission drain, pipe arrival trains) route their per-packet
-        continuations here: tuples compare in C (no :meth:`Event.__lt__`
-        round-trips), nothing is allocated per event, and the lane stays
-        a few entries deep — one pending continuation per batcher —
-        regardless of how many packets are in flight.  Entries cannot be
-        cancelled; ``seq`` must come from :meth:`reserve_seq` so the
-        merged order is identical to the unbatched schedule.
+        The per-packet entry point: the heap entry is the plain
+        ``(time, seq, fn, args)`` tuple, with no :class:`Event` to
+        allocate, so a posted callback cannot be cancelled.  It draws its
+        seq from the counter :meth:`schedule` uses, so same-time events
+        fire in call order across both entry points.
         """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at t={time} before current time {self.now}"
-            )
-        heapq.heappush(self._streams, (time, seq, fn, args))
-
-    def advance_to(self, time: Seconds) -> None:
-        """Move the clock forward inside a callback, absorbing one event.
-
-        This is the event-batching primitive: a component that has proven
-        (via :meth:`pending_before` and :attr:`horizon`) that nothing
-        else can fire before ``time`` may advance the clock itself and
-        handle its continuation inline instead of scheduling it.  Each
-        call counts one absorbed event in :attr:`events_batched`.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot advance backwards to t={time} from t={self.now}"
-            )
-        self.now = time
-        self._events_batched += 1
-
-    def note_batch_break(self) -> None:
-        """Record that a batch had to stop because an event intervened.
-
-        Called by batching components (the link) when they fall back to
-        scheduling a real event mid-drain; exposed as
-        :attr:`batch_breaks` so batching efficiency is observable.
-        """
-        self._batch_breaks += 1
-
-    @property
-    def horizon(self) -> Optional[float]:
-        """The ``until`` bound of the :meth:`run` call currently executing.
-
-        ``None`` outside :meth:`run` (including :meth:`step`), which
-        disables inline batching — a batcher may never advance the clock
-        past the point the run loop has been asked to stop at.
-        """
-        return self._horizon
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        _heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def every(
         self,
@@ -464,6 +271,55 @@ class Simulator:
         return timer
 
     # ------------------------------------------------------------------
+    # Cancelled-event accounting
+    # ------------------------------------------------------------------
+    def _note_cancelled(self) -> None:
+        """Called by :meth:`Event.cancel`; triggers compaction past the
+        threshold once dead entries outnumber live ones."""
+        self._cancelled_pending += 1
+        if (
+            self._cancelled_pending >= self.COMPACT_THRESHOLD
+            and self._cancelled_pending * 2 >= len(self._heap)
+        ):
+            self.compact()
+
+    def compact(self) -> int:
+        """Drop cancelled events from the heap; returns how many were removed.
+
+        The heap list is mutated in place (``run`` holds a local
+        reference to it), and re-heapified.  Safe to call at any time,
+        including from inside an event callback; pop order is unaffected
+        because entries are totally ordered by (time, seq).
+        """
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [e for e in heap if e[2] is not None or not e[3].cancelled]
+        removed = before - len(heap)
+        if removed:
+            heapq.heapify(heap)
+            self._compactions += 1
+        self._cancelled_pending = 0
+        return removed
+
+    def _clean_heap(self) -> None:
+        """Pop lazily-cancelled events off the heap's head."""
+        heap = self._heap
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heapq.heappop(heap)
+            if self._cancelled_pending > 0:
+                self._cancelled_pending -= 1
+
+    def peek_time(self) -> Optional[float]:
+        """Timestamp of the next pending (non-cancelled) event, or None.
+
+        Lazily-cancelled events at the head are discarded on the way,
+        exactly as the run loop would skip them, so peeking never
+        changes which callbacks fire or when.
+        """
+        self._clean_heap()
+        return self._heap[0][0] if self._heap else None
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Seconds) -> None:
@@ -481,24 +337,35 @@ class Simulator:
         """
         if until < self.now:
             raise ValueError(f"cannot run backwards to t={until} from t={self.now}")
+        # The watchdog budgets are fixed once per call, so a traced run
+        # (one _run_heap call per epoch) trips at the very event an
+        # untraced run does.
+        watchdog = self._watchdog
+        event_budget: Optional[int] = None
+        wall_start = 0.0
+        if watchdog is not None:
+            if watchdog.max_events is not None:
+                event_budget = self._events_processed + watchdog.max_events
+            if watchdog.max_wall_seconds is not None:
+                # repro: allow[DET] watchdog wall-time budget; never feeds simulation state
+                wall_start = time.monotonic()
         if self._tracer is not None:
-            self._traced_run(until)
-            return
-        self._run_heap(until)
+            self._traced_run(until, event_budget, wall_start)
+        else:
+            self._run_heap(until, until, event_budget, wall_start)
 
-    def _traced_run(self, until: float) -> None:
-        """Run to ``until`` in epoch chunks, snapshotting lane stats.
+    def _traced_run(
+        self, until: float, event_budget: Optional[int], wall_start: float
+    ) -> None:
+        """Run to ``until`` in epoch chunks, snapshotting the heap.
 
         The actual dispatching is delegated to the untraced run loop
         (:meth:`_run_heap`) one :data:`_TRACE_EPOCH_SPAN`-sized chunk at
         a time; between chunks — never between two events — an
-        ``engine_epoch`` event records heap/stream occupancy and the
-        batching and compaction counters.  Because back-to-back ``run``
-        calls compose exactly and batching is digest-invariant (batch
-        boundaries at chunk horizons only perturb the batching
-        *counters*, which are not part of any digest), the dispatch
-        order — and therefore every result bit — is identical to an
-        untraced run.
+        ``engine_epoch`` event records heap occupancy and the engine's
+        counters.  Because back-to-back ``run`` calls compose exactly,
+        the dispatch order — and therefore every result bit and every
+        counter — is identical to an untraced run.
         """
         tracer = self._tracer
         while True:
@@ -510,50 +377,47 @@ class Simulator:
                 stop = start + _TRACE_EPOCH_SPAN
                 if stop > until:
                     stop = until
-            self._run_heap(stop)
+            self._run_heap(stop, until, event_budget, wall_start)
             self._trace_epochs += 1
-            if tracer is not None:
-                tracer.emit(
-                    "engine",
-                    "engine_epoch",
-                    self.now,
-                    {
-                        "epoch": self._trace_epochs,
-                        "heap": len(self._heap),
-                        "stream": len(self._streams),
-                        "events_processed": self._events_processed,
-                        "events_batched": self._events_batched,
-                        "batch_breaks": self._batch_breaks,
-                        "cancelled_pending": self._cancelled_pending,
-                        "compactions": self._compactions,
-                    },
-                )
+            tracer.emit(
+                "engine",
+                "engine_epoch",
+                self.now,
+                {
+                    "epoch": self._trace_epochs,
+                    "heap": len(self._heap),
+                    "events_processed": self._events_processed,
+                    "cancelled_pending": self._cancelled_pending,
+                    "compactions": self._compactions,
+                },
+            )
             if self.now >= until:
                 return
 
-    def _run_heap(self, until: float) -> None:
-        """The untraced run loop; same contract as :meth:`run`."""
+    def _run_heap(
+        self,
+        stop: float,
+        until: float,
+        event_budget: Optional[int],
+        wall_start: float,
+    ) -> None:
+        """The untraced run loop: dispatch every event due by ``stop``.
+
+        ``until`` is the target of the enclosing :meth:`run` call (a
+        traced run stops at each epoch boundary on the way), and
+        ``event_budget``/``wall_start`` are that call's watchdog budgets.
+        """
         watchdog = self._watchdog
-        event_budget = (
-            self._events_processed + watchdog.max_events
-            if watchdog is not None and watchdog.max_events is not None
-            else None
-        )
         wall_limit = watchdog.max_wall_seconds if watchdog is not None else None
-        # repro: allow[DET] watchdog wall-time budget; never feeds simulation state
-        wall_start = time.monotonic() if wall_limit is not None else 0.0
         self._running = True
-        self._horizon = until
         # Hot loop: the engine spends essentially all of a simulation here,
-        # so the per-event work is kept to heap ops + the callback itself.
-        # Heap, pop and clock access are bound to locals, the dispatch
-        # wrapper is inlined (one fewer Python frame per event), and the
-        # budget checks are single comparisons that short-circuit when no
-        # watchdog is installed.  The general event heap and the stream
-        # lane (batcher continuations, see stream_schedule) are merged in
-        # exact (time, seq) order.
+        # so the per-event work is kept to one pop + the callback itself.
+        # Heap and pop are bound to locals, the dispatch wrapper is
+        # inlined (one fewer Python frame per event), and the budget
+        # checks are single comparisons that short-circuit when no
+        # watchdog is installed.  The first event past ``stop`` is pushed
+        # back, once per call.
         heap = self._heap
-        streams = self._streams
         heappop = heapq.heappop
         # repro: allow[DET] hot-loop local for the watchdog's wall-time check only
         monotonic = time.monotonic
@@ -561,38 +425,21 @@ class Simulator:
         processed = self._events_processed
         fn: Optional[Callable[..., Any]] = None
         try:
-            while True:
-                while heap and heap[0].cancelled:
-                    heappop(heap)
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                if streams and (
-                    not heap
-                    or streams[0][0] < heap[0].time
-                    or (
-                        streams[0][0] == heap[0].time
-                        and streams[0][1] < heap[0].seq
-                    )
-                ):
-                    entry = streams[0]
-                    t = entry[0]
-                    if t > until:
-                        break
-                    heappop(streams)
-                    fn = entry[2]
-                    self.now = t
-                    fn(*entry[3])
-                elif heap:
-                    ev = heap[0]
-                    t = ev.time
-                    if t > until:
-                        break
-                    heappop(heap)
-                    fn = ev.fn
-                    self.now = t
-                    fn(*ev.args)
-                else:
+            while heap:
+                entry = heappop(heap)
+                t, _, fn, args = entry
+                if fn is None:
+                    # A cancellable Event rides in the args slot.
+                    if args.cancelled:
+                        if self._cancelled_pending > 0:
+                            self._cancelled_pending -= 1
+                        continue
+                    fn, args = args.fn, args.args
+                if t > stop:
+                    _heappush(heap, entry)
                     break
+                self.now = t
+                fn(*args)
                 processed += 1
                 if event_budget is not None and processed >= event_budget:
                     raise WatchdogExceeded(
@@ -614,12 +461,11 @@ class Simulator:
                         component="Simulator",
                         context={"wall_seconds": monotonic() - wall_start},
                     )
-            self.now = until
+            self.now = stop
         except SimulationError as exc:
             # Already structured (watchdog, invariant checker, nested
             # engine, ...); just fill in the virtual time if the raiser
-            # could not.  self.now is preferred over the event's own time:
-            # a batching callback may have advanced the clock past it.
+            # could not.
             if exc.sim_time is None and fn is not None:
                 exc.sim_time = self.now
             raise
@@ -638,30 +484,19 @@ class Simulator:
         finally:
             self._events_processed = processed
             self._running = False
-            self._horizon = None
 
     def step(self) -> bool:
         """Process a single event.  Returns False when nothing is pending.
 
-        Merges the lanes exactly as :meth:`run` does.  No run horizon is
-        in effect, so batchers cannot absorb events inline — each
-        continuation is dispatched one per call.  Callback failures
+        Pops exactly what :meth:`run` would pop next.  Callback failures
         receive the same structured wrapping as in :meth:`run`.
         """
         self._clean_heap()
-        heap = self._heap
-        streams = self._streams
-        if streams and (
-            not heap
-            or streams[0][0] < heap[0].time
-            or (streams[0][0] == heap[0].time and streams[0][1] < heap[0].seq)
-        ):
-            when, _seq, fn, args = heapq.heappop(streams)
-        elif heap:
-            ev = heapq.heappop(heap)
-            when, fn, args = ev.time, ev.fn, ev.args
-        else:
+        if not self._heap:
             return False
+        when, _, fn, args = heapq.heappop(self._heap)
+        if fn is None:
+            fn, args = args.fn, args.args
         self.now = when
         self._dispatch(fn, args, when)
         self._events_processed += 1
@@ -690,9 +525,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued — heap entries (including
-        lazily-cancelled ones) plus pending stream-lane continuations."""
-        return len(self._heap) + len(self._streams)
+        """Number of events still queued, including lazily-cancelled ones."""
+        return len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -714,20 +548,6 @@ class Simulator:
         """Total number of callbacks executed so far."""
         return self._events_processed
 
-    @property
-    def events_batched(self) -> int:
-        """Events absorbed inline by batching (:meth:`advance_to`).
-
-        ``events_processed + events_batched`` is the workload's *logical*
-        event count — what an unbatched run would have dispatched.
-        """
-        return self._events_batched
-
-    @property
-    def batch_breaks(self) -> int:
-        """Times a batch stopped early because a foreign event intervened."""
-        return self._batch_breaks
-
     def register_metrics(self, registry: Any) -> None:
         """Register the engine's counters under the ``engine.`` prefix.
 
@@ -741,8 +561,6 @@ class Simulator:
         """Flat end-of-run metric values for :meth:`register_metrics`."""
         return {
             "events_processed": self._events_processed,
-            "events_batched": self._events_batched,
-            "batch_breaks": self._batch_breaks,
             "cancelled_pending": self._cancelled_pending,
             "compactions": self._compactions,
             "pending_events": self.pending_events,

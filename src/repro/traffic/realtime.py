@@ -77,7 +77,7 @@ class RealtimeSource:
         self._seq += 1
         self.sent += 1
         self.transmit(pkt)
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.post(self.interval, self._tick)
 
 
 class RealtimeSink:

@@ -65,7 +65,7 @@ class UdpSource:
         )
         self.packets_sent += 1
         self.transmit(pkt)
-        self.sim.schedule(self._interval, self._send_next)
+        self.sim.post(self._interval, self._send_next)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<UdpSource flow={self.flow_id} {self.rate_bps / 1e6:.1f}Mbps>"

@@ -260,9 +260,9 @@ class TestSchedRule:
         "snippet",
         [
             "def f(sim, cb):\n    sim.schedule(-1.0, cb)\n",
-            "def f(sim, cb):\n    sim.at_reserved(-0.5, 1, cb)\n",
+            "def f(sim, cb):\n    sim.post(-0.5, cb)\n",
             "import time\n\ndef f(sim, cb):\n    sim.schedule(time.time(), cb)\n",
-            "import time\n\ndef f(sim, cb):\n    sim.stream_schedule(sim.now + time.monotonic(), cb)\n",
+            "import time\n\ndef f(sim, cb):\n    sim.post(sim.now + time.monotonic(), cb)\n",
         ],
     )
     def test_fires(self, snippet):
@@ -361,7 +361,7 @@ class TestObsRule:
             "    sim.schedule(self._tracer.last_t + 0.1, cb)\n",
             # ... including via keyword arguments.
             "def f(sim, tracer, cb):\n"
-            "    sim.stream_schedule(1.0, cb, key=tracer)\n",
+            "    sim.post(1.0, cb, key=tracer)\n",
         ],
     )
     def test_fires(self, snippet):

@@ -286,3 +286,18 @@ class TestExperimentWatchdog:
         result, failure = run_with_retries(exp, label="tiny budget", max_retries=0)
         assert result is None
         assert failure.error_type == "WatchdogExceeded"
+
+    def test_traced_run_trips_where_untraced_does(self):
+        """The event budget spans every epoch of a traced run: the same
+        budgeted experiment raises at the same sim time either way."""
+        from repro.errors import WatchdogExceeded
+        from repro.obs.trace import RecordingTracer
+
+        exp = _quick_experiment(max_events=3000)  # trips well past 0.25 s
+        trips = []
+        for tracer in (None, RecordingTracer(["engine"])):
+            with pytest.raises(WatchdogExceeded) as info:
+                run_experiment(exp, tracer=tracer)
+            trips.append(info.value.sim_time)
+        assert trips[0] == trips[1]
+        assert trips[0] > 0.5

@@ -32,6 +32,7 @@ from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
     RecordingTracer,
+    format_trace_summary,
     install_aqm_tracer,
     read_trace,
     summarize_trace,
@@ -151,8 +152,7 @@ class TestTraceSchema:
         assert {"aqm", "verdict", "p", "ecn", "flow"} <= set(decisions[0])
         assert decisions[0]["verdict"] in ("pass", "mark", "drop")
         assert set(epochs[0]) - {"cat", "event", "t"} == {
-            "epoch", "heap", "stream",
-            "events_processed", "events_batched", "batch_breaks",
+            "epoch", "heap", "events_processed",
             "cancelled_pending", "compactions",
         }
 
@@ -260,23 +260,45 @@ class TestSummarizeTrace:
 
     def test_engine_lane_peaks_read_old_and_new_epochs(self, tmp_path):
         # Epochs from older traces carry lane fields the summarizer no
-        # longer reads (overflow, pool counters) and may lack heap or
-        # stream counts; both shapes must summarize.
+        # longer reads (overflow, pool counters), may lack heap or stream
+        # counts, and carry batching counters; the one-heap shape has
+        # none of those.  Every shape must summarize, and the text shows
+        # the stream lane and batching only for traces that have them.
         header = {"schema": 1, "kind": "repro-trace",
                   "categories": ["aqm", "engine", "harness"]}
-        old = {"cat": "engine", "event": "engine_epoch", "t": 0.25,
-               "epoch": 1, "overflow": 3, "pool_hits": 0, "pool_misses": 0,
-               "events_processed": 10, "events_batched": 0,
-               "batch_breaks": 0}
-        new = {"cat": "engine", "event": "engine_epoch", "t": 0.5,
-               "epoch": 2, "heap": 7, "stream": 2, "events_processed": 20,
-               "events_batched": 5, "batch_breaks": 1,
-               "cancelled_pending": 0, "compactions": 0}
-        path = tmp_path / "mixed.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in (header, old, new)))
-        engine = summarize_trace(path)["engine"]
+        wheel = {"cat": "engine", "event": "engine_epoch", "t": 0.25,
+                 "epoch": 1, "overflow": 3, "pool_hits": 0, "pool_misses": 0,
+                 "events_processed": 10, "events_batched": 0,
+                 "batch_breaks": 0}
+        lanes = {"cat": "engine", "event": "engine_epoch", "t": 0.5,
+                 "epoch": 2, "heap": 7, "stream": 2, "events_processed": 20,
+                 "events_batched": 5, "batch_breaks": 1,
+                 "cancelled_pending": 0, "compactions": 0}
+        one_heap = {"cat": "engine", "event": "engine_epoch", "t": 0.25,
+                    "epoch": 1, "heap": 9, "events_processed": 30,
+                    "cancelled_pending": 0, "compactions": 0}
+
+        def summarize(name, *epochs):
+            path = tmp_path / name
+            path.write_text(
+                "".join(json.dumps(r) + "\n" for r in (header, *epochs)))
+            summary = summarize_trace(path)
+            return summary["engine"], format_trace_summary(summary)
+
+        engine, text = summarize("mixed.jsonl", wheel, lanes)
         assert (engine["max_heap"], engine["max_stream"]) == (7, 2)
         assert engine["events_processed"] == 20
+        assert "5 batched (1 batch breaks)" in text
+        assert "lane peaks: heap=7 stream=2" in text
+
+        engine, text = summarize("one-heap.jsonl", one_heap)
+        assert engine["max_heap"] == 9
+        assert engine["events_processed"] == 30
+        assert "max_stream" not in engine and "events_batched" not in engine
+        lines = text.splitlines()
+        assert lines[-2].endswith("t=0.250s, 30 events processed")
+        assert lines[-1] == "  lane peaks: heap=9"
+        assert "None" not in text and "stream=" not in text
 
     def test_cli_trace_summarize(self, traced_jsonl):
         from repro.cli import main
@@ -286,7 +308,7 @@ class TestSummarizeTrace:
         assert main(["trace", "summarize", str(path)], out=out) == 0
         text = out.getvalue()
         assert "aqm" in text and "engine" in text
-        assert "lane peaks: heap=" in text and "stream=" in text
+        assert "lane peaks: heap=" in text
         out = io.StringIO()
         assert main(["trace", "summarize", str(path), "--json"], out=out) == 0
         payload = json.loads(out.getvalue())

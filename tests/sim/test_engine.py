@@ -184,88 +184,40 @@ class TestPeriodicTimer:
             sim.every(0.0, lambda: None)
 
 
-class TestStreamLane:
-    """The batcher-facing API: reserved seqs, the stream lane, horizon."""
+class TestPost:
+    """The handle-less entry point the per-packet paths use."""
 
-    def test_reserve_seq_shares_the_schedule_counter(self, sim):
+    def test_post_shares_the_schedule_counter(self, sim):
         a = sim.schedule(1.0, lambda: None)
-        reserved = sim.reserve_seq()
+        assert sim.post(1.0, lambda: None) is None
         b = sim.schedule(1.0, lambda: None)
-        assert a.seq < reserved < b.seq
+        assert b.seq == a.seq + 2
 
-    def test_stream_events_merge_with_heap_in_time_order(self, sim):
+    def test_same_time_fifo_across_both_entry_points(self, sim):
         seen = []
-        sim.schedule(2.0, lambda: seen.append("heap"))
-        sim.stream_schedule(1.0, sim.reserve_seq(), lambda: seen.append("stream"))
-        sim.schedule(3.0, lambda: seen.append("late"))
-        sim.run(5.0)
-        assert seen == ["stream", "heap", "late"]
-
-    def test_same_time_ties_break_on_seq(self, sim):
-        seen = []
-        first = sim.reserve_seq()
-        sim.schedule(1.0, lambda: seen.append("heap"))  # later seq than first
-        sim.stream_schedule(1.0, first, lambda: seen.append("stream"))
-        second = sim.reserve_seq()  # later seq than the heap event
-        sim.stream_schedule(1.0, second, lambda: seen.append("stream2"))
+        sim.post(1.0, seen.append, "post-1")
+        sim.schedule(1.0, seen.append, "schedule-1")
+        sim.post(1.0, seen.append, "post-2")
+        sim.at(1.0, seen.append, "at-1")
+        sim.post(0.5, seen.append, "early")
         sim.run(2.0)
-        assert seen == ["stream", "heap", "stream2"]
+        assert seen == ["early", "post-1", "schedule-1", "post-2", "at-1"]
 
-    def test_at_reserved_is_the_unbatched_twin(self, sim):
-        seen = []
-        seq = sim.reserve_seq()
-        sim.at_reserved(1.0, seq, seen.append, "x")
-        sim.run(2.0)
-        assert seen == ["x"]
-
-    def test_scheduling_into_past_rejected(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run(1.0)
+    def test_past_time_rejected(self, sim):
         with pytest.raises(ValueError):
-            sim.stream_schedule(0.5, sim.reserve_seq(), lambda: None)
-        with pytest.raises(ValueError):
-            sim.at_reserved(0.5, sim.reserve_seq(), lambda: None)
+            sim.post(-0.1, lambda: None)
 
-    def test_pending_events_counts_both_lanes(self, sim):
+    def test_pending_events_counts_posts(self, sim):
         sim.schedule(1.0, lambda: None)
-        sim.stream_schedule(2.0, sim.reserve_seq(), lambda: None)
+        sim.post(2.0, lambda: None)
         assert sim.pending_events == 2
 
-    def test_peek_spans_both_lanes(self, sim):
-        assert sim.peek() is None
-        ev = sim.schedule(2.0, lambda: None)
-        assert sim.peek() == (2.0, ev.seq)
-        seq = sim.reserve_seq()
-        sim.stream_schedule(1.0, seq, lambda: None)
-        assert sim.peek() == (1.0, seq)
-        assert sim.peek_time() == 1.0
-
-    def test_step_dispatches_stream_events(self, sim):
+    def test_step_dispatches_posts(self, sim):
         seen = []
-        sim.stream_schedule(1.0, sim.reserve_seq(), lambda: seen.append(sim.now))
+        sim.post(1.0, lambda: seen.append(sim.now))
         assert sim.step()
         assert seen == [1.0]
         assert not sim.step()
-
-    def test_advance_to_moves_clock_and_counts(self, sim):
-        sim.advance_to(1.5)
-        assert sim.now == 1.5
-        assert sim.events_batched == 1
-        with pytest.raises(ValueError):
-            sim.advance_to(1.0)
-
-    def test_note_batch_break_counter(self, sim):
-        assert sim.batch_breaks == 0
-        sim.note_batch_break()
-        assert sim.batch_breaks == 1
-
-    def test_horizon_set_only_inside_run(self, sim):
-        assert sim.horizon is None
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(sim.horizon))
-        sim.run(4.0)
-        assert seen == [4.0]
-        assert sim.horizon is None
 
 
 def _drive(mode, ops):
@@ -283,7 +235,7 @@ def _drive(mode, ops):
       child, ``flap`` callbacks cancel the oldest pending sibling
       *mid-dispatch* (the fault-injection pattern).
     * ``cancel`` — cancel a pending event from outside the run loop.
-    * ``stream`` — a batcher continuation through the stream lane.
+    * ``post``   — a handle-less per-packet event (:meth:`Simulator.post`).
     * ``drain``  — advance the horizon a bit (events straddle run()s).
     """
     import itertools as _it
@@ -313,8 +265,8 @@ def _drive(mode, ops):
             if head is None or head > until:
                 break
             sim.step()
-        # run() leaves the clock at its horizon; so does this loop.
-        sim.advance_to(until)
+        # Nothing is due by ``until`` now: run() only moves the clock.
+        sim.run(until)
 
     for op in ops:
         if op[0] == "later":
@@ -323,9 +275,8 @@ def _drive(mode, ops):
         elif op[0] == "cancel":
             if live:
                 live.pop(op[1] % len(live)).cancel()
-        elif op[0] == "stream":
-            seq = sim.reserve_seq()
-            sim.stream_schedule(sim.now + op[1], seq, fire, next(ids), "plain", 0.0)
+        elif op[0] == "post":
+            sim.post(op[1], fire, next(ids), "plain", 0.0)
         else:  # drain
             advance(sim.now + op[1])
     advance(sim.now + 5.0)
@@ -350,7 +301,7 @@ try:
         st.tuples(st.just("later"), _DELAY,
                   st.sampled_from(["plain", "rearm", "flap"])),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
-        st.tuples(st.just("stream"), st.floats(min_value=0.0, max_value=0.05)),
+        st.tuples(st.just("post"), st.floats(min_value=0.0, max_value=0.05)),
         st.tuples(st.just("drain"), st.floats(min_value=0.0, max_value=0.5)),
     )
 
@@ -358,7 +309,7 @@ try:
         """Property: run(), step() and the traced run loop produce the
         identical dispatch stream — same (time, id) sequence — for
         arbitrary interleavings of scheduling, cancellation (incl.
-        mid-dispatch fault flaps), stream-lane traffic, and staged
+        mid-dispatch fault flaps), posted per-packet events, and staged
         horizons."""
 
         @settings(max_examples=50, deadline=None)

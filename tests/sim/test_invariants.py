@@ -13,7 +13,8 @@ from repro.errors import (
     WatchdogExceeded,
 )
 from repro.net.queue import AQMQueue
-from repro.sim.engine import Watchdog
+from repro.obs.trace import RecordingTracer
+from repro.sim.engine import Simulator, Watchdog
 from repro.sim.invariants import InvariantChecker
 from tests.conftest import make_packet
 
@@ -259,6 +260,41 @@ class TestWatchdog:
         sim.set_watchdog(max_wall_seconds=0.05)
         with pytest.raises(WatchdogExceeded):
             sim.run(1e9)
+
+    def test_event_budget_holds_under_tracing(self):
+        """A traced run dispatches in 0.25 s epochs; the budget spans
+        them all and trips at the event an untraced run trips at."""
+
+        def tripped(traced):
+            sim = Simulator()
+            if traced:
+                sim.set_tracer(RecordingTracer(["engine"]))
+
+            def loop():
+                sim.schedule(0.001, loop)
+
+            sim.schedule(0.0, loop)
+            sim.set_watchdog(max_events=2500)  # ~10 epochs of 250 events
+            with pytest.raises(WatchdogExceeded) as info:
+                sim.run(20.0)  # 20 000 events: the budget must trip first
+            return sim.events_processed, info.value.sim_time
+
+        assert tripped(traced=True) == tripped(traced=False)
+        assert tripped(traced=True)[0] == 2500
+
+    def test_wall_clock_budget_holds_under_tracing(self):
+        """Each epoch takes far less than the budget; only a budget
+        shared across epochs trips before the run completes."""
+        sim = Simulator()
+        sim.set_tracer(RecordingTracer(["engine"]))
+
+        def loop():
+            sim.schedule(0.001, loop)
+
+        sim.schedule(0.0, loop)
+        sim.set_watchdog(max_wall_seconds=0.05)
+        with pytest.raises(WatchdogExceeded):
+            sim.run(2_000.0)  # 2 million events: seconds of host time
 
     def test_no_watchdog_runs_to_completion(self, sim):
         fired = []
