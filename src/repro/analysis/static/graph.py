@@ -31,8 +31,8 @@ broken input) terminate: every recursive walk carries a visited set.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.static.core import SourceFile
 from repro.analysis.static.rules.common import attr_chain

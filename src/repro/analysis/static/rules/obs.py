@@ -1,8 +1,8 @@
 """OBS — tracers observe the simulation; they never steer it.
 
 The observability layer's core guarantee is that a run with a tracer
-attached is bit-identical to a run without one (``repro bench`` gates
-this dynamically via ``matches_untraced``).  That only holds if
+attached is bit-identical to a run without one (``tests/obs`` and the
+traced golden digests gate this dynamically).  That only holds if
 instrumented code treats the tracer as a write-only sink: events flow
 *into* it, nothing flows back out into simulation state.  This rule
 rejects the two statically decidable ways the arrow can reverse inside

@@ -68,7 +68,6 @@ from repro.analysis.static.core import (
     Finding,
     ProjectRule,
     Severity,
-    SourceFile,
     register,
 )
 from repro.analysis.static.rules.common import attr_chain

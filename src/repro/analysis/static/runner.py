@@ -2,8 +2,8 @@
 
 Entry points:
 
-* :func:`analyze_paths` — the programmatic API (also used by the perf
-  harness to record rule/finding counts in ``BENCH_<date>.json``);
+* :func:`analyze_paths` — the programmatic API (the tier-1 tree test
+  also times it against the analyzer's 10 s budget);
 * :func:`run_check` — the CLI body behind ``repro check`` and
   ``tools/run_static_analysis.py``; returns a process exit code
   (0 = clean, 1 = findings/baseline violation, 2 = usage error).

@@ -206,21 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="time-series rows in the human report "
                             "(default: 12)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance benchmark harness, emit BENCH_<date>.json",
-    )
-    bench.add_argument("--full", action="store_true",
-                       help="larger grids / longer runs (default: quick)")
-    bench.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="worker processes for the parallel benchmarks "
-                            "(0 = one per CPU)")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--output", metavar="PATH",
-                       help="JSON path (default: ./BENCH_<date>.json)")
-    bench.add_argument("--profile", action="store_true",
-                       help="also print a cProfile report of one experiment run")
-
     check = sub.add_parser(
         "check",
         help="run the domain static-analysis rules "
@@ -392,72 +377,6 @@ def _cmd_figure(args, out) -> int:
     if args.csv:
         data.to_csv(args.csv)
         print(f"wrote {args.csv}", file=out)
-    return 0
-
-
-def _cmd_bench(args, out) -> int:
-    from repro.perf import (
-        format_bench_table,
-        profile_experiment,
-        run_benchmarks,
-        write_bench_json,
-    )
-
-    payload = run_benchmarks(quick=not args.full, jobs=args.jobs, seed=args.seed)
-    print(format_bench_table(payload), file=out)
-    path = write_bench_json(payload, args.output)
-    print(f"wrote {path}", file=out)
-    if args.profile:
-        from repro.harness import light_tcp
-        from repro.harness.factories import pi2_factory
-
-        report = profile_experiment(
-            light_tcp(pi2_factory(), duration=5.0, seed=args.seed)
-        )
-        print(report, file=out)
-    mismatches = [
-        b["name"] for b in payload["benchmarks"]
-        if b.get("matches_serial") is False
-        or b.get("matches_cold") is False
-        or b.get("matches_resume") is False
-        or b.get("matches_untraced") is False
-    ]
-    if mismatches:
-        print(f"DETERMINISM REGRESSION in: {', '.join(mismatches)}", file=out)
-        return 1
-    broken_flight = [
-        b["name"] for b in payload["benchmarks"]
-        if b.get("single_flight_ok") is False
-    ]
-    if broken_flight:
-        print(f"SINGLE-FLIGHT REGRESSION in: {', '.join(broken_flight)}",
-              file=out)
-        return 1
-    slow_journal = [
-        b["name"] for b in payload["benchmarks"]
-        if b.get("journal_overhead_ok") is False
-    ]
-    if slow_journal:
-        print(f"JOURNAL OVERHEAD REGRESSION in: {', '.join(slow_journal)}",
-              file=out)
-        return 1
-    slow_tracing = [
-        b["name"] for b in payload["benchmarks"]
-        if b.get("tracing_overhead_ok") is False
-    ]
-    if slow_tracing:
-        print(f"TRACING OVERHEAD REGRESSION in: {', '.join(slow_tracing)}",
-              file=out)
-        return 1
-    static = payload.get("static_analysis", {})
-    if static.get("within_budget") is False:
-        print(
-            f"STATIC ANALYSIS BUDGET REGRESSION: full-tree repro check "
-            f"took {static.get('seconds', 0.0):.2f}s "
-            f"(budget {static.get('budget_seconds')}s)",
-            file=out,
-        )
-        return 1
     return 0
 
 
@@ -752,8 +671,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _cmd_coexist(args, out)
     if args.command == "figure":
         return _cmd_figure(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     if args.command == "check":
         return _cmd_check(args, out)
     if args.command == "cache":

@@ -67,8 +67,7 @@ class FrozenResult(ResultMetrics):
         #: The experiment that produced this result, when it was picklable
         #: (named factories); None otherwise.
         self.experiment = experiment
-        #: Engine events the run processed — the perf harness's events/sec
-        #: numerator.
+        #: Engine events the run processed.
         self.events_processed = events_processed
         #: Flat end-of-run metric snapshot from the run's
         #: :class:`~repro.obs.metrics.MetricsRegistry` (None for results

@@ -113,15 +113,13 @@ class ResultJournal:
 
     The parent sweep process is the only writer; workers return frozen
     results over the pool/pipe seam and the parent appends them here as
-    they arrive.  ``sync=False`` skips the per-record fsync (used by the
-    benchmark harness to separate serialization cost from durability
-    cost); correctness of *reads* never depends on it.
+    they arrive.  Every write is fsync'd: the magic, each record, close,
+    and a compaction's temp file and directory entry.
     """
 
     def __init__(
         self,
         path: os.PathLike | str,
-        sync: bool = True,
         compact_every: Optional[int] = None,
     ):
         if compact_every is not None and compact_every < 1:
@@ -130,7 +128,6 @@ class ResultJournal:
                 f"got {compact_every!r}"
             )
         self.path = Path(path)
-        self.sync = sync
         self.appended = 0
         self.compactions = 0
         self.compact_every = compact_every
@@ -147,8 +144,7 @@ class ResultJournal:
         handle.write(hashlib.sha256(payload).digest())
         handle.write(payload)
         handle.flush()
-        if self.sync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
         self.appended += 1
         if self.compact_every is not None:
             if self.appended % self.compact_every == 0:
@@ -203,11 +199,9 @@ class ResultJournal:
                 handle.write(hashlib.sha256(payload).digest())
                 handle.write(payload)
             handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
-        if self.sync:
-            self._fsync_dir()
+        self._fsync_dir()
         self.compactions += 1
         return dropped
 
@@ -235,16 +229,14 @@ class ResultJournal:
                 self._handle = self.path.open("wb")
                 self._handle.write(JOURNAL_MAGIC)
                 self._handle.flush()
-                if self.sync:
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
         return self._handle
 
     def close(self) -> None:
         """Flush and close the write handle (reads reopen independently)."""
         if self._handle is not None:
             self._handle.flush()
-            if self.sync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
 

@@ -12,8 +12,7 @@ recipes):
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the named
   counter/gauge registry that `Simulator`, AQMs, `Link`, the shared
   result cache and the supervisor report into; its snapshot becomes the
-  ``telemetry`` block on :class:`~repro.harness.frozen.FrozenResult`
-  and in ``BENCH_<date>.json``.
+  ``telemetry`` block on :class:`~repro.harness.frozen.FrozenResult`.
 * :mod:`repro.obs.summary` — offline analysis of a JSONL trace:
   per-category event counts, control-loop convergence time, harness
   span durations and the ``p'``/queue-delay time-series behind the

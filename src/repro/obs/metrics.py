@@ -9,10 +9,9 @@ end-of-run state without components pushing updates.
 The snapshot is a flat, sorted, JSON-able dict with dotted names
 (``engine.events_processed``, ``aqm.marked``, ``link.packets_sent``, ...).
 It is attached to results as the ``telemetry`` block
-(:class:`~repro.harness.frozen.FrozenResult`) and embedded in
-``BENCH_<date>.json`` — and deliberately excluded from
-``ResultMetrics.digest()``, so telemetry can grow without perturbing
-the bit-exactness gates.
+(:class:`~repro.harness.frozen.FrozenResult`) — and deliberately
+excluded from ``ResultMetrics.digest()``, so telemetry can grow without
+perturbing the bit-exactness gates.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ import json
 from io import StringIO
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.static import (
     RULES,
     Report,

@@ -4,9 +4,11 @@ The journal's contract is narrow but hard: every record that ``append``
 returned from is durable and readable; a crash mid-append costs at most
 the record being written (the intact prefix always survives); and a
 journal written by different code or schema replays nothing rather than
-something wrong.
+something wrong.  Its cost is pinned by counting: a run of N cells makes
+N appends, N + 2 fsyncs and one read, on every backend.
 """
 
+import os
 import pickle
 
 import pytest
@@ -14,12 +16,16 @@ import pytest
 from repro.errors import JournalError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
+from repro.harness.figures import generate_figure
 from repro.harness.frozen import freeze_result
 from repro.harness.journal import (
     JOURNAL_MAGIC,
     JournalReplay,
     ResultJournal,
 )
+from repro.harness.parallel import SweepTask, execute_tasks
+from repro.harness.scenarios import light_tcp
+from repro.harness.supervisor import SupervisorConfig
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +75,6 @@ class TestRoundTrip:
         with ResultJournal(tmp_path / "j.journal") as journal:
             with pytest.raises(JournalError):
                 journal.append("", "label", frozen_result)
-
-    def test_sync_false_still_readable(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path, sync=False) as journal:
-            journal.append("key", "label", frozen_result)
-        assert len(ResultJournal(path).read().records) == 1
 
 
 class TestTornRecords:
@@ -234,3 +234,60 @@ class TestCompaction:
     def test_bad_compact_every_rejected(self, tmp_path):
         with pytest.raises(JournalError):
             ResultJournal(tmp_path / "j.journal", compact_every=0)
+
+
+class TestJournalCost:
+    """What journaling a run of N cells costs, counted rather than timed:
+    N appends, N + 2 fsyncs (the magic, one per record, close), one read
+    (on open), and a file of exactly the magic plus N framed records.
+    A cell that re-scans, rewrites or double-fsyncs the journal fails
+    here on every backend, however fast the disk."""
+
+    @pytest.fixture
+    def journal_io(self, monkeypatch):
+        """Count journal appends (with their arguments), reads and fsyncs."""
+        counts = {"appends": [], "reads": 0, "fsyncs": 0}
+        append, read, fsync = ResultJournal.append, ResultJournal.read, os.fsync
+
+        def counting_append(journal, key, label, result):
+            counts["appends"].append((key, label, result))
+            return append(journal, key, label, result)
+
+        def counting_read(journal):
+            counts["reads"] += 1
+            return read(journal)
+
+        def counting_fsync(fd):
+            counts["fsyncs"] += 1
+            return fsync(fd)
+
+        monkeypatch.setattr(ResultJournal, "append", counting_append)
+        monkeypatch.setattr(ResultJournal, "read", counting_read)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return counts
+
+    @staticmethod
+    def _assert_cost(counts, path, cells):
+        assert len(counts["appends"]) == cells
+        assert counts["fsyncs"] == cells + 2
+        assert counts["reads"] == 1
+        # Each record: 8-byte length + 32-byte SHA-256 + payload.
+        records = sum(40 + len(ResultJournal._encode(*args))
+                      for args in counts["appends"])
+        assert path.stat().st_size == len(JOURNAL_MAGIC) + records
+
+    @pytest.mark.parametrize("backend", ["inline", "supervised"])
+    def test_cells_through_execute_tasks(self, tmp_path, journal_io, backend):
+        tasks = [SweepTask(f"light-{seed}",
+                           light_tcp(pi2_factory(), duration=2.0, seed=seed))
+                 for seed in (1, 2, 3)]
+        supervisor = SupervisorConfig() if backend == "supervised" else None
+        path = tmp_path / "cells.journal"
+        pairs = execute_tasks(tasks, journal=path, supervisor=supervisor)
+        assert all(failure is None for _result, failure in pairs)
+        self._assert_cost(journal_io, path, cells=3)
+
+    def test_figure_run(self, tmp_path, journal_io):
+        data = generate_figure("fig12", scale=0.1, journal=tmp_path)
+        assert data.report.journal_appends == 2
+        self._assert_cost(journal_io, tmp_path / "fig12.journal", cells=2)

@@ -5,7 +5,8 @@ Four claims are pinned here:
 * **Determinism** — a traced run produces the identical result digest as
   an untraced one, directly, through the parallel
   executor and the supervised backend, and against the repository's
-  golden seeded digests.
+  golden seeded digests; an untraced run makes no per-event call into
+  ``repro.obs``.
 * **Schema lock** — the JSONL trace format (header, reserved keys,
   per-event fields) is v1 and changes only with a deliberate bump,
   mirroring the static-analysis JSON schema lock.
@@ -18,6 +19,7 @@ Four claims are pinned here:
 import io
 import json
 import pickle
+import sys
 
 import pytest
 
@@ -46,6 +48,26 @@ from tests.harness.test_digest_regression import (
 
 def _experiment(seed=3, duration=4.0, factory=None):
     return light_tcp(factory or pi2_factory(), duration=duration, seed=seed)
+
+
+def _untraced_obs_calls(experiment):
+    """Run ``experiment`` untraced; (Python calls into repro.obs, events)."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module == "repro.obs" or module.startswith("repro.obs."):
+                calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run_experiment(experiment)
+    finally:
+        sys.setprofile(previous)
+    return calls, result.bed.sim.events_processed
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +127,15 @@ class TestDigestParity:
         aqm = Pi2Aqm()
         assert install_aqm_tracer(aqm, None) is aqm
         assert "update" not in vars(aqm) and "decide" not in vars(aqm)
+
+    def test_tracing_off_costs_no_obs_call_per_event(self):
+        # Tracing off is free: an untraced run enters repro.obs a fixed
+        # number of times (set-up, teardown telemetry), so doubling the
+        # simulated time must not add a single call.
+        short_calls, short_events = _untraced_obs_calls(_experiment(duration=2.0))
+        long_calls, long_events = _untraced_obs_calls(_experiment(duration=4.0))
+        assert long_events > short_events
+        assert long_calls == short_calls
 
 
 # ----------------------------------------------------------------------
