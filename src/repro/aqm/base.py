@@ -7,8 +7,10 @@ RED, CoDel, Curvy RED) — implements the small :class:`AQM` interface:
 * :meth:`AQM.on_enqueue` is consulted for every arriving packet and returns
   a :class:`Decision` (pass / CE-mark / drop).  This mirrors the enqueue-
   side drop decision of the Linux ``sch_pie``/``sch_pi2`` qdiscs.
-* :meth:`AQM.on_dequeue` observes departures, which PIE's departure-rate
-  estimator and CoDel's sojourn logic need.
+* :attr:`AQM.on_dequeue` is ``None`` unless the algorithm observes
+  departures; CoDel's sojourn logic defines it as a method.  The queue
+  binds it once, at construction, and calls nothing per packet when it
+  is ``None``.
 * :meth:`AQM.attach` wires the AQM to a simulator (for its periodic update
   timer — the PI family recomputes probability every ``T`` seconds) and to
   the :class:`QueueView` it controls.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.errors import ControllerDivergence
 from repro.units import Bytes, Packets, Probability, Seconds
@@ -116,16 +118,6 @@ class AQMStats:
         self.dropped = 0
         self.decisions = 0
 
-    def record(self, decision: Decision) -> None:
-        """Tally one enqueue-time decision."""
-        self.decisions += 1
-        if decision is Decision.PASS:
-            self.passed += 1
-        elif decision is Decision.MARK:
-            self.marked += 1
-        else:
-            self.dropped += 1
-
     @property
     def signal_fraction(self) -> float:
         """Fraction of packets that received a congestion signal."""
@@ -155,6 +147,11 @@ class AQM:
 
     #: Period of the PI update timer in seconds; None = no timer (e.g. RED).
     update_interval: Optional[Seconds] = None
+
+    #: Departure observation ``(packet, now) -> None``; None = the
+    #: algorithm does not observe departures.  Subclasses that need one
+    #: (CoDel) define it as a method.
+    on_dequeue: Optional[Callable[["Packet", Seconds], None]] = None
 
     def __init__(self) -> None:
         self.stats = AQMStats()
@@ -201,17 +198,21 @@ class AQM:
 
     # -- datapath hooks ---------------------------------------------------
     def decide(self, packet: "Packet") -> Decision:
-        """Run :meth:`on_enqueue` and record the outcome in :attr:`stats`."""
+        """Run :meth:`on_enqueue` and tally the outcome in :attr:`stats`."""
         decision = self.on_enqueue(packet)
-        self.stats.record(decision)
+        stats = self.stats
+        stats.decisions += 1
+        if decision is Decision.PASS:
+            stats.passed += 1
+        elif decision is Decision.MARK:
+            stats.marked += 1
+        else:
+            stats.dropped += 1
         return decision
 
     def on_enqueue(self, packet: "Packet") -> Decision:
         """Per-packet decision; override in subclasses."""
         return Decision.PASS
-
-    def on_dequeue(self, packet: "Packet", now: Seconds) -> None:
-        """Departure observation; override if the algorithm needs it."""
 
     def update(self) -> None:
         """Periodic probability recomputation; override in PI-family AQMs."""

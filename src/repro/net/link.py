@@ -135,16 +135,6 @@ class Link:
             elapsed = self.sim.now
         return self.busy_time / elapsed if elapsed > 0 else 0.0
 
-    def _mark_busy(self) -> None:
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-            self.idle_time += self.sim.now - self._idle_since
-
-    def _mark_idle(self) -> None:
-        if self._busy_since is not None:
-            self._busy_since = None
-            self._idle_since = self.sim.now
-
     # ------------------------------------------------------------------
     # Transmission loop
     # ------------------------------------------------------------------
@@ -158,37 +148,34 @@ class Link:
         Runs on a queue wake-up, on link restoration and after every
         transmission completes; the completion is one posted event.
         """
-        if self.down:
-            self.busy = False
-            self._mark_idle()
-            return
-        packet = self.queue.dequeue()
+        packet = None if self.down else self.queue.dequeue()
         if packet is None:
             self.busy = False
-            self._mark_idle()
+            if self._busy_since is not None:
+                self._busy_since = None
+                self._idle_since = self.sim.now
             return
         self.busy = True
-        self._mark_busy()
-        tx_time = packet.size * 8.0 / self.capacity_bps
+        if self._busy_since is None:
+            now = self.sim.now
+            self._busy_since = now
+            self.idle_time += now - self._idle_since
+        size = packet.size
+        tx_time = size * 8.0 / self.capacity_bps
         self.busy_time += tx_time
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         self.packets_sent += 1
         self.sim.post(tx_time, self._on_tx_complete, packet)
 
     def _on_tx_complete(self, packet: Packet) -> None:
-        """Deliver ``packet``, then start the next transmission."""
-        self._deliver(packet)
-        self._transmit_next()
-
-    def _deliver(self, packet: Packet) -> None:
-        """Hand one serialized packet downstream at the current sim time."""
+        """Hand ``packet`` downstream, then start the next transmission."""
         sink = self._route(packet) if self._route is not None else self.sink
-        if sink is None:
-            return
-        if self.prop_delay > 0:
-            self.sim.post(self.prop_delay, sink.deliver, packet)
-        else:
-            sink.deliver(packet)
+        if sink is not None:
+            if self.prop_delay > 0:
+                self.sim.post(self.prop_delay, sink.deliver, packet)
+            else:
+                sink.deliver(packet)
+        self._transmit_next()
 
     # ------------------------------------------------------------------
     # Telemetry

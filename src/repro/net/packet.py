@@ -19,8 +19,6 @@ ECN codepoint.  Following the paper (and the later RFC 9331 L4S identifier):
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
 
 __all__ = ["ECN", "Packet", "DEFAULT_MSS", "ACK_SIZE", "HEADER_BYTES"]
 
@@ -32,8 +30,6 @@ HEADER_BYTES = 52
 
 #: Size of a pure ACK on the wire.
 ACK_SIZE = HEADER_BYTES
-
-_packet_uid = itertools.count()
 
 
 class ECN(enum.IntEnum):
@@ -50,16 +46,19 @@ class ECN(enum.IntEnum):
         return self is not ECN.NOT_ECT
 
 
-@dataclass(slots=True)
 class Packet:
     """A simulated IP packet carrying a TCP segment, an ACK, or UDP payload.
 
     Sequence numbers are in **segments**, not bytes: the paper's window
     equations (Appendix A) are all expressed in segments per RTT, and
     segment granularity is what the Linux stack effectively operates at for
-    long flows.  ``seq`` is the index of the first segment carried and
-    ``seg_count`` how many it covers (always 1 for the senders in this
-    repository, kept general for GSO-style extensions).
+    long flows.  ``seq`` is the index of the one segment a data packet
+    carries.
+
+    Every bottleneck packet constructs two of these (the segment and its
+    ACK), so the class is hand-written with ``__slots__``: the constructor
+    is one call that keeps both checks, the positive size and the ECT
+    rule.  Packets compare and hash by identity.
 
     Attributes
     ----------
@@ -76,43 +75,63 @@ class Packet:
     ect:
         The original ECT codepoint, preserved across CE marking so the
         classifier can treat ``ECT(1) or CE`` as Scalable (Figure 9).
+        Defaults to ``ecn`` when the caller sets only that.
     ece:
         ECN-Echo flag on ACKs (classic feedback, RFC 3168) — also used by
         the DCTCP receiver's accurate per-packet echo.
     cwr:
         Congestion-Window-Reduced flag on data packets; stops the classic
         receiver's persistent ECE echo.
+    sack:
+        Selective-acknowledgement information on ACKs: the receiver's
+        out-of-order segment numbers above ``ack`` (a bounded snapshot of
+        the SACK scoreboard; empty when SACK is off).
     enqueue_time / send_time:
         Timestamps stamped by the queue and the sender; the difference
         between dequeue and ``enqueue_time`` is the per-packet queue delay
         that Figures 14 and 16 report distributions of.
+    is_retransmit:
+        True on a segment the sender is sending again.
     """
 
-    flow_id: int
-    size: int = DEFAULT_MSS + HEADER_BYTES
-    seq: int = -1
-    ack: int = -1
-    is_ack: bool = False
-    ecn: ECN = ECN.NOT_ECT
-    ect: ECN = ECN.NOT_ECT
-    ece: bool = False
-    cwr: bool = False
-    seg_count: int = 1
-    #: Selective-acknowledgement information on ACKs: the receiver's
-    #: out-of-order segment numbers above ``ack`` (a bounded snapshot of
-    #: the SACK scoreboard; empty when SACK is off).
-    sack: tuple = ()
-    send_time: float = 0.0
-    enqueue_time: float = 0.0
-    is_retransmit: bool = False
-    uid: int = field(default_factory=lambda: next(_packet_uid))
+    __slots__ = (
+        "flow_id", "size", "seq", "ack", "is_ack", "ecn", "ect", "ece", "cwr",
+        "sack", "send_time", "enqueue_time", "is_retransmit",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive (got {self.size})")
-        # Preserve the original ECT codepoint if the caller set only `ecn`.
-        if self.ect is ECN.NOT_ECT and self.ecn is not ECN.NOT_ECT:
-            self.ect = self.ecn
+    def __init__(
+        self,
+        flow_id: int,
+        size: int = DEFAULT_MSS + HEADER_BYTES,
+        seq: int = -1,
+        ack: int = -1,
+        is_ack: bool = False,
+        ecn: ECN = ECN.NOT_ECT,
+        ect: ECN = ECN.NOT_ECT,
+        ece: bool = False,
+        cwr: bool = False,
+        sack: tuple = (),
+        send_time: float = 0.0,
+        enqueue_time: float = 0.0,
+        is_retransmit: bool = False,
+    ) -> None:
+        if size <= 0:
+            raise ValueError(f"packet size must be positive (got {size})")
+        self.flow_id = flow_id
+        self.size = size
+        self.seq = seq
+        self.ack = ack
+        self.is_ack = is_ack
+        self.ecn = ecn
+        # Preserve the original ECT codepoint if the caller set only
+        # `ecn`: NOT_ECT is 0, so `or` falls through to `ecn`.
+        self.ect = ect or ecn
+        self.ece = ece
+        self.cwr = cwr
+        self.sack = sack
+        self.send_time = send_time
+        self.enqueue_time = enqueue_time
+        self.is_retransmit = is_retransmit
 
     # ------------------------------------------------------------------
     # ECN operations
@@ -133,7 +152,7 @@ class Packet:
 
     def mark_ce(self) -> None:
         """Apply a CE congestion mark.  Only valid on ECN-capable packets."""
-        if not self.ecn.ecn_capable:
+        if self.ecn is ECN.NOT_ECT:
             raise ValueError("cannot CE-mark a Not-ECT packet; it must be dropped")
         self.ecn = ECN.CE
 

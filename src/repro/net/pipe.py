@@ -56,9 +56,14 @@ class Pipe:
     def deliver(self, packet: Packet) -> None:
         if self.sink is None:
             raise RuntimeError("pipe has no sink connected")
-        self._schedule_arrival(packet)
+        if self.delay <= 0:
+            self._arrive(packet)
+        else:
+            self.sim.post(self.delay, self._arrive, packet)
 
     def _schedule_arrival(self, packet: Packet, extra_delay: float = 0.0) -> None:
+        """Deliver after the base delay plus ``extra_delay`` (the adverse
+        pipes' reordering and duplication gaps)."""
         delay = self.delay + extra_delay
         if delay <= 0:
             self._arrive(packet)

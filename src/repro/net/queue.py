@@ -19,6 +19,12 @@ PIE was designed for hardware and estimates queuing delay as
 * :class:`DepartureRateEstimator` — PIE's measurement loop: time how long
   it takes to drain ``dq_threshold`` bytes, average the rate, divide.
 
+An estimator that measures departures defines ``observe_backlog(bytes)``
+and ``on_dequeue(bytes_sent, now)``; an AQM that does defines
+``on_dequeue(packet, now)`` (only CoDel does).  :class:`AQMQueue` looks
+these hooks up once, at construction, so a queue whose estimator and AQM
+need no departure observation makes no call for them per packet.
+
 The per-packet *actual* sojourn time is additionally recorded at dequeue
 time (difference of timestamps); that is the quantity whose distribution
 Figures 14 and 16 report.
@@ -84,6 +90,7 @@ class CapacityDelayEstimator:
 
     ``delay = backlog_bytes * 8 / capacity_bps``.  Tracks capacity changes
     (Figure 12's varying-link-capacity experiment) via :meth:`set_capacity`.
+    The drain rate is known, so it has no departure hooks.
     """
 
     def __init__(self, capacity_bps: float):
@@ -95,9 +102,6 @@ class CapacityDelayEstimator:
         if capacity_bps <= 0:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
         self.capacity_bps = capacity_bps
-
-    def on_dequeue(self, bytes_sent: int, now: float) -> None:
-        """No measurement needed; drain rate is known."""
 
     def delay(self, backlog_bytes: int) -> float:
         return backlog_bytes * 8.0 / self.capacity_bps
@@ -203,6 +207,12 @@ class AQMQueue:
         #: True return drops the arriving packet (counted separately from
         #: AQM/tail drops so loss attribution in reports stays honest).
         self._ingress_fault: Optional[Callable[[Packet], bool]] = None
+        # The AQM verdict and the departure hooks, bound once (see the
+        # module docstring); None where there is nothing to call.
+        self._decide = aqm.decide if aqm is not None else None
+        self._aqm_on_dequeue = aqm.on_dequeue if aqm is not None else None
+        self._observe_backlog = getattr(self.estimator, "observe_backlog", None)
+        self._estimator_on_dequeue = getattr(self.estimator, "on_dequeue", None)
         if aqm is not None:
             aqm.attach(sim, self)
 
@@ -223,33 +233,36 @@ class AQMQueue:
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Run the AQM decision and enqueue.  Returns False if dropped."""
-        self.stats.arrived += 1
-        self.stats.bytes_arrived += packet.size
+        stats = self.stats
+        stats.arrived += 1
+        stats.bytes_arrived += packet.size
 
         if self._ingress_fault is not None and self._ingress_fault(packet):
-            self.stats.fault_dropped += 1
+            stats.fault_dropped += 1
             return False
 
-        if len(self._fifo) >= self.buffer_packets:
-            self.stats.tail_dropped += 1
+        fifo = self._fifo
+        if len(fifo) >= self.buffer_packets:
+            stats.tail_dropped += 1
             return False
 
-        if self.aqm is not None:
-            decision = self.aqm.decide(packet)
+        if self._decide is not None:
+            decision = self._decide(packet)
             if decision is Decision.DROP:
-                self.stats.aqm_dropped += 1
+                stats.aqm_dropped += 1
                 return False
             if decision is Decision.MARK:
                 packet.mark_ce()
-                self.stats.ce_marked += 1
+                stats.ce_marked += 1
 
         packet.enqueue_time = self.sim.now
-        self._fifo.append(packet)
+        fifo.append(packet)
         self._bytes += packet.size
-        self.stats.enqueued += 1
-        if isinstance(self.estimator, DepartureRateEstimator):
-            self.estimator.observe_backlog(self._bytes)
-        if self._wakeup is not None:
+        stats.enqueued += 1
+        if self._observe_backlog is not None:
+            self._observe_backlog(self._bytes)
+        # Only an empty queue can have an idle link waiting on it.
+        if len(fifo) == 1 and self._wakeup is not None:
             self._wakeup()
         return True
 
@@ -258,19 +271,27 @@ class AQMQueue:
         if not self._fifo:
             return None
         packet = self._fifo.popleft()
-        self._bytes -= packet.size
+        size = packet.size
+        self._bytes -= size
         now = self.sim.now
-        self.stats.dequeued += 1
-        self.stats.bytes_dequeued += packet.size
-        self.estimator.on_dequeue(packet.size, now)
-        if self.aqm is not None:
-            self.aqm.on_dequeue(packet, now)
+        stats = self.stats
+        stats.dequeued += 1
+        stats.bytes_dequeued += size
+        if self._estimator_on_dequeue is not None:
+            self._estimator_on_dequeue(size, now)
+        if self._aqm_on_dequeue is not None:
+            self._aqm_on_dequeue(packet, now)
         if self.on_sojourn is not None:
             self.on_sojourn(now, now - packet.enqueue_time, packet)
         return packet
 
     def set_wakeup(self, fn: Callable[[], None]) -> None:
-        """Register the link's 'queue became non-empty' notification."""
+        """Register the link's 'queue became non-empty' notification.
+
+        It fires on an enqueue into an empty queue only: a link drains a
+        non-empty queue without being told, and a downed link restarts on
+        its own when it comes back up.
+        """
         self._wakeup = fn
 
     def set_ingress_fault(self, fn: Optional[Callable[[Packet], bool]]) -> None:

@@ -198,8 +198,8 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     Installs ``update``/``decide`` wrappers as *instance attributes*, so
     it must run **before** the AQM is attached to a simulator/queue
     (attachment binds ``aqm.update`` into the periodic update timer and
-    the queue looks up ``aqm.decide`` per packet — both find the
-    wrapper only if it is already installed).  An un-traced AQM carries
+    the queue binds ``aqm.decide`` when it is constructed — both find
+    the wrapper only if it is already installed).  An un-traced AQM carries
     no wrapper and pays zero overhead.
 
     The wrappers are read-only observers: the update wrapper reads the

@@ -40,7 +40,10 @@ INITIAL_RTO = 1.0
 
 #: How a sender negotiates and reacts to ECN.
 ECNMode = str  # one of "off", "classic", "scalable"
-_ECN_MODES = ("off", "classic", "scalable")
+
+#: The ECN codepoint each mode puts on its data segments.
+_DATA_CODEPOINT = {"off": ECN.NOT_ECT, "classic": ECN.ECT0, "scalable": ECN.ECT1}
+_ECN_MODES = tuple(_DATA_CODEPOINT)
 
 
 class TcpSender:
@@ -97,6 +100,8 @@ class TcpSender:
     ):
         if ecn_mode not in _ECN_MODES:
             raise ValueError(f"ecn_mode must be one of {_ECN_MODES} (got {ecn_mode!r})")
+        if mss <= 0:
+            raise ValueError(f"mss must be positive (got {mss})")
         if flow_size is not None and flow_size <= 0:
             raise ValueError(f"flow_size must be positive (got {flow_size})")
         self.sim = sim
@@ -104,6 +109,7 @@ class TcpSender:
         self.transmit = transmit
         self.mss = mss
         self.ecn_mode = ecn_mode
+        self._data_codepoint = _DATA_CODEPOINT[ecn_mode]
         self.flow_size = flow_size
         self.on_complete = on_complete
 
@@ -206,13 +212,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _data_ecn(self) -> ECN:
-        if self.ecn_mode == "classic":
-            return ECN.ECT0
-        if self.ecn_mode == "scalable":
-            return ECN.ECT1
-        return ECN.NOT_ECT
-
     def _maybe_send(self) -> None:
         if self.sack:
             # SACKed segments have left the network; the scoreboard gives
@@ -235,7 +234,7 @@ class TcpSender:
             flow_id=self.flow_id,
             size=self.mss + HEADER_BYTES,
             seq=seq,
-            ecn=self._data_ecn(),
+            ecn=self._data_codepoint,
             cwr=self._cwr_pending,
             send_time=self.sim.now,
             is_retransmit=retransmit,
@@ -254,13 +253,12 @@ class TcpSender:
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet) -> None:
-        """Sink interface: the reverse path delivers ACKs here."""
-        if packet.is_ack:
-            self._on_ack(packet)
+    def deliver(self, ack: Packet) -> None:
+        """Sink interface: the reverse path delivers ACKs here.
 
-    def _on_ack(self, ack: Packet) -> None:
-        if self.completed:
+        Anything but an ACK, and any ACK after completion, is ignored.
+        """
+        if not ack.is_ack or self.completion_time is not None:
             return
         self._rtt_sample(self.sim.now - ack.send_time)
         if self.sack:
@@ -312,7 +310,7 @@ class TcpSender:
             if self.flow_size is not None and self.una >= self.flow_size:
                 self._complete()
                 return
-            self._arm_rto() if self.flight_size > 0 else self._cancel_rto()
+            self._arm_rto() if self.next_seq > self.una else self._cancel_rto()
         else:
             self.dupacks += 1
             if self.in_recovery:

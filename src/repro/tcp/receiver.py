@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.packet import ACK_SIZE, Packet
+from repro.net.packet import ACK_SIZE, ECN, Packet
 from repro.sim.engine import Event, Simulator
+from repro.tcp.base import _ECN_MODES
 
 __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
 
@@ -72,6 +73,8 @@ class TcpReceiver:
         on_data: Optional[Callable[[float, Packet], None]] = None,
         sack: bool = False,
     ):
+        if ecn_mode not in _ECN_MODES:
+            raise ValueError(f"ecn_mode must be one of {_ECN_MODES} (got {ecn_mode!r})")
         self.sack = sack
         self.sim = sim
         self.flow_id = flow_id
@@ -101,14 +104,11 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet) -> None:
-        """Sink interface for the forward path."""
-        if packet.is_ack:
+    def deliver(self, pkt: Packet) -> None:
+        """Sink interface for the forward path; ACKs are ignored."""
+        if pkt.is_ack:
             return
-        self._on_data(packet)
-
-    def _on_data(self, pkt: Packet) -> None:
-        ce = pkt.ce_marked
+        ce = pkt.ecn is ECN.CE
         if ce:
             self.ce_received += 1
         if self.ecn_mode == "classic":
@@ -157,13 +157,6 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     # ACK generation
     # ------------------------------------------------------------------
-    def _ece_flag(self) -> bool:
-        if self.ecn_mode == "classic":
-            return self._ece_latched
-        if self.ecn_mode == "scalable":
-            return self._ce_state
-        return False
-
     def _sack_blocks(self) -> tuple:
         """Contiguous runs of the out-of-order set as (start, end) blocks."""
         seqs = sorted(self._ooo)
@@ -181,7 +174,9 @@ class TcpReceiver:
         return tuple(blocks[: self.SACK_LIMIT])
 
     def _send_ack(self) -> None:
-        self._cancel_delack()
+        # Lazy delayed-ACK disarm: a pending timer event sees the cleared
+        # deadline and drops itself (or re-sleeps if re-armed later).
+        self._delack_deadline = None
         sack_info: tuple = ()
         if self.sack and self._ooo:
             sack_info = self._sack_blocks()
@@ -190,7 +185,9 @@ class TcpReceiver:
             size=ACK_SIZE,
             ack=self.rcv_next,
             is_ack=True,
-            ece=self._ece_flag(),
+            # Only the classic mode latches and only the scalable mode
+            # tracks CE state, so at most one of the two is ever set.
+            ece=self._ece_latched or self._ce_state,
             sack=sack_info,
             send_time=self._pending_ts,
         )
@@ -211,11 +208,6 @@ class TcpReceiver:
             self._delack_deadline = deadline
             if self._delack_event is None:
                 self._delack_event = self.sim.at(deadline, self._on_delack)
-
-    def _cancel_delack(self) -> None:
-        # Lazy disarm: a pending event sees the cleared deadline and
-        # drops itself (or re-sleeps if the timer was re-armed later).
-        self._delack_deadline = None
 
     def _on_delack(self) -> None:
         self._delack_event = None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.aqm.base import AQMStats, Decision
+from repro.aqm.base import AQM, AQMStats, Decision
 from repro.aqm.curvy_red import CurvyRedAqm
 from repro.aqm.fixed import DeterministicMarker, FixedProbabilityAqm
 from repro.aqm.taildrop import TailDropAqm
@@ -126,13 +126,25 @@ class TestDeterministicMarker:
             DeterministicMarker(0.0)
 
 
+class Scripted(AQM):
+    """Returns a fixed sequence of verdicts, one per arrival."""
+
+    def __init__(self, decisions):
+        super().__init__()
+        self._decisions = iter(decisions)
+
+    def on_enqueue(self, packet):
+        return next(self._decisions)
+
+
 class TestAqmStats:
     def test_counters(self):
-        stats = AQMStats()
-        stats.record(Decision.PASS)
-        stats.record(Decision.MARK)
-        stats.record(Decision.DROP)
+        aqm = Scripted([Decision.PASS, Decision.MARK, Decision.DROP])
+        verdicts = [aqm.decide(make_packet(ecn=ECN.ECT0)) for _ in range(3)]
+        assert verdicts == [Decision.PASS, Decision.MARK, Decision.DROP]
+        stats = aqm.stats
         assert (stats.passed, stats.marked, stats.dropped) == (1, 1, 1)
+        assert stats.decisions == 3
         assert stats.signal_fraction == pytest.approx(2 / 3)
 
     def test_empty_signal_fraction(self):

@@ -32,9 +32,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(flow_id=0, size=0)
 
-    def test_uids_are_unique(self):
-        assert make_packet().uid != make_packet().uid
-
     def test_ect_preserved_from_ecn(self):
         pkt = make_packet(ecn=ECN.ECT1)
         assert pkt.ect is ECN.ECT1

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.aqm.base import AQM, Decision
+from repro.aqm.codel import CodelAqm
+from repro.net.link import Link
 from repro.net.packet import ECN
 from repro.net.queue import (
     AQMQueue,
@@ -115,6 +117,17 @@ class TestAqmIntegration:
         q.enqueue(make_packet())
         assert calls == [True]
 
+    def test_wakeup_fires_only_when_queue_becomes_non_empty(self, sim):
+        q = AQMQueue(sim, None, 10e6)
+        calls = []
+        q.set_wakeup(lambda: calls.append(len(q)))
+        q.enqueue(make_packet())
+        q.enqueue(make_packet())
+        q.dequeue()
+        q.dequeue()
+        q.enqueue(make_packet())
+        assert calls == [1, 1]
+
     def test_sojourn_callback(self, sim):
         seen = []
         q = AQMQueue(
@@ -124,6 +137,48 @@ class TestAqmIntegration:
         sim.schedule(0.5, q.dequeue)
         sim.run(1.0)
         assert seen == [(0.5, 0.5)]
+
+
+class TestDepartureHooks:
+    """The queue binds its estimator's and AQM's departure hooks once, at
+    construction; these drive them only through enqueue and dequeue."""
+
+    def test_codel_behind_queue_engages_under_standing_sojourn(self, sim):
+        aqm = CodelAqm(target=0.005, interval=0.050)
+        q = AQMQueue(sim, aqm, 10e6)
+        for _ in range(5):
+            q.enqueue(make_packet(ecn=ECN.ECT0))
+
+        def tick():
+            # One in, one out every 5 ms: each packet waits 25 ms.  ECT
+            # packets are marked, not dropped, so the backlog stands.
+            q.enqueue(make_packet(ecn=ECN.ECT0))
+            q.dequeue()
+
+        sim.every(0.005, tick)
+        sim.run(0.040)
+        assert not aqm.dropping  # over target, but for less than interval
+        sim.run(0.500)
+        assert aqm.dropping
+        assert q.stats.ce_marked > 0
+        assert len(q) == 5
+
+    def test_departure_rate_estimator_behind_queue_measures_the_link(self, sim):
+        est = DepartureRateEstimator(initial_rate_bps=1e6, dq_threshold=10_000)
+        q = AQMQueue(sim, None, 10e6, estimator=est)
+        Link(sim, q, 10e6)
+        for _ in range(40):
+            q.enqueue(make_packet(size=1500))
+        # 1500 B take 1.2 ms at 10 Mb/s.  Measurement starts at the
+        # second departure (1.2 ms) and its first sample needs 7 more
+        # packets (10.5 kB), so it completes at 9.6 ms.
+        sim.run(0.009)
+        assert est.rate_bps == 1e6
+        sim.run(0.010)
+        assert est.rate_bps == pytest.approx(5.5e6)  # EWMA of 1 and 10 Mb/s
+        sim.run(0.100)
+        assert q.stats.dequeued == 40
+        assert est.rate_bps == pytest.approx(10e6, rel=0.1)
 
 
 class TestCapacityDelayEstimator:

@@ -70,6 +70,31 @@ class TestTracing:
         q.enqueue(make_packet(flow_id=2))
         assert len(trace.flow(1)) == 1
 
+    def test_ordinals_number_arrivals_and_follow_the_packet(self, sim):
+        q = AQMQueue(sim, DropEverySecond(), 10e6)
+        trace = PacketTrace(q)
+        for i in range(4):
+            q.enqueue(make_packet(seq=i))
+        q.dequeue()
+        q.dequeue()
+        assert [(r.event, r.seq, r.ordinal) for r in trace.records] == [
+            (TraceEvent.ENQUEUE, 0, 0),
+            (TraceEvent.AQM_DROP, 1, 1),
+            (TraceEvent.ENQUEUE, 2, 2),
+            (TraceEvent.AQM_DROP, 3, 3),
+            (TraceEvent.DEQUEUE, 0, 0),
+            (TraceEvent.DEQUEUE, 2, 2),
+        ]
+
+    def test_packet_queued_before_attach_dequeues_with_no_ordinal(self, sim):
+        q = AQMQueue(sim, None, 10e6)
+        q.enqueue(make_packet(seq=7))
+        trace = PacketTrace(q)
+        q.dequeue()
+        assert [(r.event, r.ordinal) for r in trace.records] == [
+            (TraceEvent.DEQUEUE, -1)
+        ]
+
     def test_limit_bounds_memory(self, sim):
         q = AQMQueue(sim, None, 10e6)
         trace = PacketTrace(q, limit=3)
@@ -98,6 +123,6 @@ class TestTracing:
         trace = PacketTrace(bed.queue)
         bed.add_tcp_flow("reno", rtt=0.05, flow_size=50)
         sim.run(10.0)
-        enq = [r.uid for r in trace.events(TraceEvent.ENQUEUE)]
-        deq = [r.uid for r in trace.events(TraceEvent.DEQUEUE)]
+        enq = [r.ordinal for r in trace.events(TraceEvent.ENQUEUE)]
+        deq = [r.ordinal for r in trace.events(TraceEvent.DEQUEUE)]
         assert deq == enq[: len(deq)]

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.net.packet import ECN
 from repro.tcp.base import MIN_RTO, TcpSender
 from tests.tcp.helpers import DROP, FORWARD, Loopback, drop_seqs, mark_seqs
 
@@ -15,6 +16,25 @@ class TestValidation:
     def test_bad_flow_size_rejected(self, sim):
         with pytest.raises(ValueError):
             TcpSender(sim, 0, transmit=lambda p: None, flow_size=0)
+
+    @pytest.mark.parametrize("mss", [0, -10, -52])
+    def test_non_positive_mss_rejected(self, sim, mss):
+        # Caught at construction, not as a 52- or 42-byte "data" segment
+        # or a packet-size error mid-run.
+        with pytest.raises(ValueError, match="mss must be positive"):
+            TcpSender(sim, 0, transmit=lambda p: None, mss=mss)
+
+    @pytest.mark.parametrize(
+        "mode, codepoint",
+        [("off", ECN.NOT_ECT), ("classic", ECN.ECT0), ("scalable", ECN.ECT1)],
+    )
+    def test_data_segments_carry_the_mode_codepoint(self, sim, mode, codepoint):
+        sent = []
+        sender = TcpSender(sim, 0, transmit=sent.append, ecn_mode=mode, mss=100)
+        sender.start(0.0)
+        sim.run(0.001)
+        assert len(sent) == 10
+        assert {(p.ecn, p.ect, p.size) for p in sent} == {(codepoint, codepoint, 152)}
 
 
 class TestStartup:

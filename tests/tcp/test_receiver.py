@@ -25,6 +25,14 @@ def make_receiver(sim, acks, ecn_mode="off", delayed_acks=False):
     )
 
 
+class TestValidation:
+    @pytest.mark.parametrize("mode", ["scalabel", "bogus", ""])
+    def test_unknown_ecn_mode_rejected(self, sim, acks, mode):
+        # A misspelt mode would otherwise behave as "off" and never echo.
+        with pytest.raises(ValueError, match="ecn_mode must be one of"):
+            make_receiver(sim, acks, ecn_mode=mode)
+
+
 class TestCumulativeAcks:
     def test_in_order_advances(self, sim, acks):
         rcv = make_receiver(sim, acks)
@@ -129,7 +137,10 @@ class TestDctcpEcho:
     def test_off_mode_never_sets_ece(self, sim, acks):
         rcv = make_receiver(sim, acks, ecn_mode="off")
         rcv.deliver(data(0))
-        assert acks[0].ece is False
+        rcv.deliver(data(1, ecn=ECN.ECT0, ce=True))
+        rcv.deliver(data(2, ecn=ECN.ECT1, ce=True))
+        assert [a.ece for a in acks] == [False, False, False]
+        assert rcv.ce_received == 2
 
     def test_ce_counter(self, sim, acks):
         rcv = make_receiver(sim, acks, ecn_mode="scalable")
