@@ -296,6 +296,21 @@ def _make_tracer(args):
         raise ConfigError(str(exc)) from exc
 
 
+def _note_untraced_workers(tracer, jobs, supervisor) -> None:
+    """Say on stderr when ``--trace`` cannot see the cells' simulations.
+
+    Cells run in pool or supervised worker processes are untraced (a
+    JSONL sink cannot cross the process boundary); only the parent's
+    harness spans reach the file.
+    """
+    from repro.harness.parallel import resolve_jobs
+
+    if tracer is not None and (supervisor is not None or resolve_jobs(jobs) > 1):
+        print("note: --trace: cells run in worker processes are untraced "
+              "(harness spans only); use --jobs 1 without supervision to "
+              "record their aqm/engine events", file=sys.stderr)
+
+
 def _close_tracer(tracer, out) -> None:
     """Flush the tracer and print a one-line recording summary."""
     if tracer is None:
@@ -363,6 +378,7 @@ def _cmd_figure(args, out) -> int:
     tracer = _make_tracer(args)
     if cache is not None and tracer is not None:
         cache.set_tracer(tracer)
+    _note_untraced_workers(tracer, args.jobs, supervisor)
     data = generate_figure(args.name, scale=args.scale, jobs=args.jobs,
                            cache=cache, tracer=tracer,
                            journal=args.journal, resume=args.resume,
@@ -466,6 +482,7 @@ def _cmd_grid(args, out) -> int:
     tracer = _make_tracer(args)
     if cache is not None and tracer is not None:
         cache.set_tracer(tracer)
+    _note_untraced_workers(tracer, args.jobs, supervisor)
     try:
         outcome = run_coexistence_grid(
             FACTORIES[args.aqm](),

@@ -200,13 +200,14 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
               capture: bool, freeze: bool, cache=None, tracer=None):
     """Simulate one cell in this process (inline backend and pool workers).
 
-    ``retries > 0`` runs :func:`run_with_retries` (seed bumps; retried
-    runs are diagnostics, not trace subjects).  Otherwise the run is
-    traced, and its exception either becomes a
-    :class:`~repro.harness.resilience.RunFailure` (``capture``) or
-    propagates.  A :class:`SharedResultCache` routes the simulation
-    through its per-key single-flight lock, which also stores the result,
-    so identical cells in concurrent processes are computed once.
+    ``retries > 0`` runs :func:`run_with_retries`, which traces the
+    first attempt only (retries on bumped seeds are diagnostics, not
+    trace subjects).  Otherwise the run is traced, and its exception
+    either becomes a :class:`~repro.harness.resilience.RunFailure`
+    (``capture``) or propagates.  A :class:`SharedResultCache` routes
+    the simulation through its per-key single-flight lock, which also
+    stores the result, so identical cells in concurrent processes are
+    computed once.
     """
     failure = None
 
@@ -214,7 +215,8 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
         nonlocal failure
         if retries:
             result, failure = run_with_retries(
-                task.experiment, label=task.label, max_retries=retries
+                task.experiment, label=task.label, max_retries=retries,
+                tracer=tracer,
             )
         else:
             try:
@@ -333,7 +335,8 @@ def execute_tasks(
     served cell, ``task_start``/``task_done`` per executed cell,
     ``journal_append``, ``cache_deferred``, ``pool_map``, and the
     supervisor's ``task_retry`` — and, on the inline route, the
-    simulation's AQM/engine events.  Worker processes run untraced (a
+    simulation's AQM/engine events (with ``on_error="capture"``, of each
+    cell's first attempt).  Worker processes run untraced (a
     JSONL sink cannot cross the process boundary).  Results are
     bit-exact with tracing on or off.
     """

@@ -73,11 +73,12 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
     """Aggregate one trace file into a JSON-able summary dict.
 
     Keys: ``schema``, ``events`` (total), ``categories`` (per-category
-    counts), ``event_types`` (per-type counts), ``aqm`` (update count,
-    ``p'``/delay series and convergence diagnostics; None when no AQM
-    events were recorded), ``engine`` (epoch count and final lane
-    stats; None likewise), and ``spans`` (per harness span type: count
-    and wall-clock duration stats where emitted).
+    counts), ``event_types`` (per-type counts), ``aqm`` (update and
+    verdict counts, ``p'``/delay series and convergence diagnostics;
+    None when no AQM events were recorded, and the update-derived
+    values None when only decisions were), ``engine`` (epoch count and
+    final lane stats; None likewise), and ``spans`` (per harness span
+    type: count and wall-clock duration stats where emitted).
     """
     header, events = read_trace(path)
     categories = {c: 0 for c in CATEGORIES}
@@ -89,27 +90,29 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
         event_types[name] = event_types.get(name, 0) + 1
 
     updates = [e for e in events if e.get("event") == "aqm_update"]
+    decisions = [e for e in events if e.get("event") == "aqm_decision"]
     aqm_summary: Optional[Dict[str, Any]] = None
-    if updates:
+    if updates or decisions:
+        # AQMs without an update timer (CoDel) emit decisions only: their
+        # series is empty and every update-derived value is None.
         times = [float(e["t"]) for e in updates]
         p_prime = [float(e.get("p_prime") or 0.0) for e in updates]
         delays = [float(e.get("delay") or 0.0) for e in updates]
         converged_at, final_p = _convergence_time(times, p_prime)
-        decisions = [e for e in events if e.get("event") == "aqm_decision"]
         verdicts: Dict[str, int] = {}
         for decision in decisions:
             verdict = str(decision.get("verdict", "?"))
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
         aqm_summary = {
-            "aqm": updates[0].get("aqm"),
+            "aqm": (updates or decisions)[0].get("aqm"),
             "updates": len(updates),
             "decisions": dict(sorted(verdicts.items())),
-            "first_t": times[0],
-            "last_t": times[-1],
+            "first_t": times[0] if times else None,
+            "last_t": times[-1] if times else None,
             "final_p_prime": final_p,
             "convergence_time": converged_at,
-            "mean_delay": sum(delays) / len(delays),
-            "max_delay": max(delays),
+            "mean_delay": sum(delays) / len(delays) if delays else None,
+            "max_delay": max(delays) if delays else None,
             "series": {"t": times, "p_prime": p_prime, "delay": delays},
         }
 
@@ -188,15 +191,20 @@ def format_trace_summary(summary: Dict[str, Any], max_rows: int = 12) -> str:
     aqm = summary.get("aqm")
     if aqm is not None:
         lines.append("")
+        span = (
+            f" over t=[{aqm['first_t']:.3f}, {aqm['last_t']:.3f}]s"
+            if aqm["updates"]
+            else ""
+        )
         lines.append(
-            f"control loop ({aqm['aqm']}): {aqm['updates']} updates over "
-            f"t=[{aqm['first_t']:.3f}, {aqm['last_t']:.3f}]s"
+            f"control loop ({aqm['aqm']}): {aqm['updates']} updates{span}"
         )
         if aqm["decisions"]:
             verdicts = ", ".join(
                 f"{name}={count}" for name, count in aqm["decisions"].items()
             )
             lines.append(f"  decisions: {verdicts}")
+    if aqm is not None and aqm["updates"]:
         lines.append(
             f"  mean queue delay {aqm['mean_delay'] * 1e3:.2f} ms, "
             f"max {aqm['max_delay'] * 1e3:.2f} ms"

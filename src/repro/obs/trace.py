@@ -25,6 +25,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from repro.aqm.base import Decision
+from repro.net.packet import ECN
+
 try:  # pragma: no cover - Protocol is 3.8+; the repo floor is 3.10
     from typing import Protocol
 except ImportError:  # pragma: no cover
@@ -47,6 +50,12 @@ TRACE_SCHEMA_VERSION = 1
 #: Event categories, in documentation order: AQM control-law events,
 #: engine dispatch-epoch snapshots, harness lifecycle spans.
 CATEGORIES = ("aqm", "engine", "harness")
+
+#: The ``verdict`` and ``ecn`` names ``aqm_decision`` records: the hook
+#: reads them here, one dict lookup per packet, not through an enum
+#: ``.name`` descriptor call.
+_VERDICT_NAMES = {decision: decision.name.lower() for decision in Decision}
+_ECN_NAMES = {ecn: ecn.name for ecn in ECN}
 
 
 class Tracer(Protocol):
@@ -92,6 +101,11 @@ def _parse_categories(categories: Optional[Iterable[str]]) -> frozenset:
 class JsonlTracer:
     """Append-only JSONL sink: one header line, then one object per event.
 
+    Each line is ``json.dumps(record, sort_keys=True, default=str)`` of
+    the header or of ``{"cat": category, "event": event, "t": t,
+    **fields}``, produced by one encoder built at construction (``dumps``
+    with non-default options would build a fresh encoder per record).
+
     Parameters
     ----------
     path:
@@ -111,13 +125,15 @@ class JsonlTracer:
         self.categories = _parse_categories(categories)
         #: Events written, per category (header line not counted).
         self.counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
+        self._encode = json.JSONEncoder(sort_keys=True, default=str).encode
         self._fh = open(self.path, "w", encoding="utf-8")
+        self._write = self._fh.write
         header = {
             "schema": TRACE_SCHEMA_VERSION,
             "kind": "repro-trace",
             "categories": sorted(self.categories),
         }
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
+        self._write(self._encode(header) + "\n")
 
     def wants(self, category: str) -> bool:
         """Whether ``category`` is in this sink's selection."""
@@ -129,9 +145,10 @@ class JsonlTracer:
         """Serialize one event; unselected categories are dropped."""
         if category not in self.categories:
             return
-        record = {"cat": category, "event": event, "t": t}
-        record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        self._write(
+            self._encode({"cat": category, "event": event, "t": t, **fields})
+            + "\n"
+        )
         self.counts[category] += 1
 
     @property
@@ -256,17 +273,16 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
         decision = original_decide(packet)
         sim = aqm.sim
         now = sim.now if sim is not None else 0.0
-        ecn = getattr(packet, "ecn", None)
         emit(
             "aqm",
             "aqm_decision",
             now,
             {
                 "aqm": kind,
-                "verdict": decision.name.lower(),
+                "verdict": _VERDICT_NAMES[decision],
                 "p": aqm.probability,
-                "ecn": ecn.name if ecn is not None else None,
-                "flow": getattr(packet, "flow_id", None),
+                "ecn": _ECN_NAMES[packet.ecn],
+                "flow": packet.flow_id,
             },
         )
         return decision

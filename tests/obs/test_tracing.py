@@ -12,8 +12,13 @@ Four claims are pinned here:
   mirroring the static-analysis JSON schema lock.
 * **Metrics** — the registry flattens provider snapshots correctly and
   the ``telemetry`` block survives freezing and pickling.
-* **CLI** — ``repro run --trace`` writes a readable trace and
-  ``repro trace summarize`` reconstructs the control-law time series.
+* **Sink contract** — every line ``JsonlTracer`` writes is
+  ``json.dumps(record, sort_keys=True, default=str)`` of the event, and
+  the decision hook's verdict and ECN names are documented values.
+* **CLI** — ``repro run --trace`` writes a readable trace,
+  ``repro grid --trace`` traces its inline cells and says on stderr when
+  worker cells are untraced, and ``repro trace summarize`` reconstructs
+  the control-law time series.
 """
 
 import io
@@ -23,11 +28,13 @@ import sys
 
 import pytest
 
-from repro.harness import light_tcp, run_experiment
+from repro.aqm.codel import CodelAqm
+from repro.harness import coexistence_pair, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
 from repro.harness.parallel import SweepTask, execute_tasks
 from repro.harness.supervisor import SupervisorConfig
+from repro.net.packet import ECN
 from repro.obs import (
     CATEGORIES,
     TRACE_SCHEMA_VERSION,
@@ -44,10 +51,29 @@ from tests.harness.test_digest_regression import (
     _adaptive_experiment,
     _digest_hash,
 )
+from tests.harness.test_resilience import _divergent_factory, _quick_experiment
+
+#: The ``aqm_decision`` values docs/OBSERVABILITY.md documents.
+DOCUMENTED_VERDICTS = {"pass", "mark", "drop"}
+DOCUMENTED_ECN = {"NOT_ECT", "ECT1", "ECT0", "CE"}
 
 
 def _experiment(seed=3, duration=4.0, factory=None):
     return light_tcp(factory or pi2_factory(), duration=duration, seed=seed)
+
+
+def _codel_factory(rng):
+    """CoDel has no update timer: its trace holds decisions only."""
+    return CodelAqm()
+
+
+def _line(category, event, t, fields):
+    """The JSONL line schema 1 specifies for one event."""
+    return json.dumps(
+        {"cat": category, "event": event, "t": t, **fields},
+        sort_keys=True,
+        default=str,
+    )
 
 
 def _untraced_obs_calls(experiment):
@@ -105,6 +131,35 @@ class TestDigestParity:
         assert pairs[0][1] is None
         assert pairs[0][0].digest() == reference
         assert tracer.by_event("task_start") and tracer.by_event("task_done")
+
+    def test_capture_mode_inline_cell_is_traced(self):
+        # Capture mode runs cells through run_with_retries; its first
+        # attempt is traced like a raise-mode cell, and bit-exact.
+        exp = _experiment(duration=2.0)
+        reference = run_experiment(exp).digest()
+        tracer = RecordingTracer()
+        pairs = execute_tasks(
+            [SweepTask("cell", exp)], jobs=1, tracer=tracer,
+            on_error="capture", max_retries=1,
+        )
+        assert pairs[0][1] is None
+        assert pairs[0][0].digest() == reference
+        assert tracer.by_event("aqm_decision") and tracer.by_event("aqm_update")
+        assert tracer.by_event("engine_epoch")
+
+    def test_capture_mode_retry_is_untraced(self):
+        # The first attempt diverges at the AQM's first update, before
+        # the first engine epoch; the retry on a bumped seed succeeds and
+        # would add an epoch every 0.25 s if it were traced.
+        exp = _quick_experiment(aqm_factory=_divergent_factory(1), seed=1)
+        tracer = RecordingTracer()
+        pairs = execute_tasks(
+            [SweepTask("flaky", exp)], jobs=1, tracer=tracer,
+            on_error="capture", max_retries=1,
+        )
+        assert pairs[0][1] is None and pairs[0][0] is not None
+        assert not tracer.by_event("engine_epoch")
+        assert tracer.by_event("task_done")
 
     def test_supervised_backend_traced_parity(self):
         exp = _experiment(duration=3.0)
@@ -181,7 +236,7 @@ class TestTraceSchema:
             updates[0]
         )
         assert {"aqm", "verdict", "p", "ecn", "flow"} <= set(decisions[0])
-        assert decisions[0]["verdict"] in ("pass", "mark", "drop")
+        assert decisions[0]["verdict"] in DOCUMENTED_VERDICTS
         assert set(epochs[0]) - {"cat", "event", "t"} == {
             "epoch", "heap", "events_processed",
             "cancelled_pending", "compactions",
@@ -222,6 +277,75 @@ class TestTraceSchema:
         empty.write_text("")
         with pytest.raises(ValueError):
             read_trace(empty)
+
+
+# ----------------------------------------------------------------------
+# Sink contract: one encoding per line, documented names
+# ----------------------------------------------------------------------
+class TestSinkEncoding:
+    def test_every_line_is_the_dumps_encoding(self, tmp_path):
+        class Opaque:
+            def __str__(self):
+                return "opaque<7>"
+
+        events = [
+            ("aqm", "crafted", 0.125, {
+                "nan": float("nan"),
+                "inf": float("inf"),
+                "neg_inf": float("-inf"),
+                "neg_zero": -0.0,
+                "big": 1e16,
+                "flag": True,
+                "none": None,
+                "ecn": ECN.CE,
+                "opaque": Opaque(),
+                "text": "délai ≤ 5 µs",
+            }),
+            ("engine", "crafted", 1e-9, {}),
+            ("harness", "crafted", 0.0, {"nested": {"b": [1, 2.5], "a": "x"}}),
+        ]
+        path = tmp_path / "crafted.jsonl"
+        with JsonlTracer(path) as tracer:
+            for event in events:
+                tracer.emit(*event)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert header == json.dumps(
+            {"schema": 1, "kind": "repro-trace", "categories": list(CATEGORIES)},
+            sort_keys=True,
+        )
+        assert lines == [_line(*event) for event in events]
+        assert "NaN" in lines[0] and "-Infinity" in lines[0]
+        assert '"opaque": "opaque<7>"' in lines[0]
+        assert '"ecn": 3' in lines[0]
+
+    def test_jsonl_lines_encode_the_recorded_events(self, tmp_path):
+        exp = _experiment(duration=2.0)
+        recorder = RecordingTracer()
+        run_experiment(exp, tracer=recorder)
+        path = tmp_path / "cell.jsonl"
+        with JsonlTracer(path) as tracer:
+            run_experiment(exp, tracer=tracer)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert recorder.by_event("aqm_decision") and recorder.by_event("engine_epoch")
+        assert lines == [_line(*event) for event in recorder.events]
+
+    def test_coupled_pair_marks_both_ect_codepoints(self):
+        # DCTCP sends ECT(1) and ECN-Cubic ECT(0); the coupled AQM marks
+        # both, so the hook's name lookup sees every codepoint it maps.
+        tracer = RecordingTracer(categories=["aqm"])
+        run_experiment(
+            coexistence_pair(
+                coupled_factory(), cc_b="ecn-cubic", duration=3.0,
+                warmup=1.5, seed=1,
+            ),
+            tracer=tracer,
+        )
+        decisions = [fields for *_, fields in tracer.by_event("aqm_decision")]
+        assert {d["verdict"] for d in decisions} <= DOCUMENTED_VERDICTS
+        assert {d["ecn"] for d in decisions} <= DOCUMENTED_ECN
+        marked = {d["ecn"] for d in decisions if d["verdict"] == "mark"}
+        assert {"ECT0", "ECT1"} <= marked
+        assert {d["flow"] for d in decisions} == {0, 1}
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +412,28 @@ class TestSummarizeTrace:
         assert summary["engine"]["epochs"] > 0
         total_decisions = sum(aqm["decisions"].values())
         assert total_decisions == result.telemetry["aqm.decisions"]
+
+    def test_decisions_without_updates_summarize(self, tmp_path):
+        # CoDel has no update timer, so its trace holds aqm_decision
+        # lines only; the verdict counts must still be reported.
+        path = tmp_path / "codel.jsonl"
+        with JsonlTracer(path, categories=["aqm"]) as tracer:
+            result = run_experiment(
+                _experiment(duration=3.0, factory=_codel_factory),
+                tracer=tracer,
+            )
+        summary = summarize_trace(path)
+        aqm = summary["aqm"]
+        assert aqm is not None
+        assert aqm["aqm"] == "CodelAqm" and aqm["updates"] == 0
+        assert sum(aqm["decisions"].values()) == result.telemetry["aqm.decisions"] > 0
+        assert aqm["series"] == {"t": [], "p_prime": [], "delay": []}
+        for key in ("first_t", "last_t", "final_p_prime", "convergence_time",
+                    "mean_delay", "max_delay"):
+            assert aqm[key] is None, key
+        text = format_trace_summary(summary)
+        assert "control loop (CodelAqm): 0 updates\n  decisions: " in text
+        assert "mean queue delay" not in text and "None" not in text
 
     def test_engine_lane_peaks_read_old_and_new_epochs(self, tmp_path):
         # Epochs from older traces carry lane fields the summarizer no
@@ -368,3 +514,36 @@ class TestSummarizeTrace:
         assert f"-> {path}" in out.getvalue()
         header = json.loads(path.read_text().splitlines()[0])
         assert header["categories"] == ["aqm", "engine"]
+
+    def test_cli_grid_traces_inline_capture_cells(self, tmp_path, capsys):
+        # repro grid defaults to --on-error capture; its inline cells
+        # must still record simulation events, with no stderr note.
+        from repro.cli import main
+
+        path = tmp_path / "grid.jsonl"
+        out = io.StringIO()
+        code = main(
+            ["grid", "--links", "4", "--rtts", "5", "--duration", "2",
+             "--no-cache", "--jobs", "1", "--trace", str(path),
+             "--trace-filter", "aqm,engine"],
+            out=out,
+        )
+        assert code == 0
+        categories = summarize_trace(path)["categories"]
+        assert categories["aqm"] > 0 and categories["engine"] > 0
+        assert "--jobs 1" not in capsys.readouterr().err
+
+    def test_cli_notes_untraced_worker_cells(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "grid.jsonl"
+        code = main(
+            ["grid", "--links", "4", "--rtts", "5", "--duration", "2",
+             "--no-cache", "--jobs", "2", "--trace", str(path)],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        notes = [line for line in err if "--jobs 1" in line]
+        assert len(notes) == 1 and "untraced" in notes[0]
+        assert summarize_trace(path)["categories"]["aqm"] == 0
