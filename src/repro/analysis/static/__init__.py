@@ -1,14 +1,12 @@
 """Domain-aware static analysis (``repro check``).
 
-AST-level lints for the invariants the reproduction's bit-exact
-determinism rests on — seeded randomness (DET), deterministic iteration
-(ORD), probability domain safety (PROB), virtual-time scheduling
-(SCHED), process-pool picklability (PICKLE), order-stable float sums
-(FLOAT) and write-only tracers (OBS) — plus two *project-wide* pass-2
-rules over the symbol table/call graph in
-:mod:`repro.analysis.static.graph`: interprocedural nondeterminism
-taint (TAINT) and annotation-driven dimensional analysis (UNIT).  See
-docs/STATIC_ANALYSIS.md for the rule catalogue, suppression syntax
+An AST-level lint for the one determinism invariant the runtime digest
+gates can miss: iteration order (ORD).  Iterating a set of strings
+visits them in ``PYTHONHASHSEED`` order, so a result can depend on the
+process's hash seed while every in-process parity gate (and the
+``perf/e2e`` golden runs, which pin the hash seed) stays green.  See
+docs/STATIC_ANALYSIS.md for the audit that kept this rule and deleted
+eight others, the suppression syntax
 (``# repro: allow[RULE] justification``), the findings-baseline ratchet
 and the guide to adding a rule.
 """
@@ -16,14 +14,12 @@ and the guide to adding a rule.
 from repro.analysis.static.core import (
     RULES,
     Finding,
-    ProjectRule,
     Rule,
     Severity,
     SourceFile,
     check_source,
     register,
 )
-from repro.analysis.static.graph import ProjectIndex
 from repro.analysis.static.runner import (
     JSON_SCHEMA_VERSION,
     Report,
@@ -32,19 +28,16 @@ from repro.analysis.static.runner import (
     default_target,
     load_baseline,
     run_check,
-    to_sarif,
 )
 
 __all__ = [
     "RULES",
     "Finding",
-    "ProjectRule",
     "Rule",
     "Severity",
     "SourceFile",
     "check_source",
     "register",
-    "ProjectIndex",
     "JSON_SCHEMA_VERSION",
     "Report",
     "analyze_paths",
@@ -52,5 +45,4 @@ __all__ = [
     "default_target",
     "load_baseline",
     "run_check",
-    "to_sarif",
 ]

@@ -1,14 +1,11 @@
 """Core of the domain static-analysis framework (``repro check``).
 
 The repository's headline guarantee — bit-exact parity between serial,
-parallel, cached and traced runs — rests on a handful of
-coding disciplines: all randomness flows through seeded
-:mod:`repro.sim.random` streams, no wall-clock reads feed simulation
-state, probabilities stay in [0, 1] at every write, scheduling uses
-virtual time, and everything crossing the process-pool seam pickles.
-Runtime digest gates catch violations *after* a simulation has run; the
-rules in :mod:`repro.analysis.static.rules` catch them at the AST level
-before any simulation runs.
+parallel, cached and traced runs — is gated at runtime by digest
+checks.  Those gates compare runs inside one process or under one
+pinned ``PYTHONHASHSEED``, so a result that depends on the hash seed
+can pass them; the rules in :mod:`repro.analysis.static.rules` catch
+that class of defect at the AST level before any simulation runs.
 
 This module provides the framework those rules plug into:
 
@@ -41,7 +38,6 @@ __all__ = [
     "Finding",
     "SourceFile",
     "Rule",
-    "ProjectRule",
     "RULES",
     "register",
     "check_source",
@@ -86,7 +82,7 @@ class Finding:
         )
 
 
-#: ``# repro: allow[DET]`` / ``# repro: allow[DET, PROB] because ...``
+#: ``# repro: allow[ORD]`` / ``# repro: allow[ORD, OTHER] because ...``
 _ALLOW_RE = re.compile(
     r"#\s*repro:\s*allow\[\s*([A-Za-z0-9_\s,]+?)\s*\]\s*(?P<why>.*)$"
 )
@@ -239,41 +235,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """A rule that needs the *whole project* — pass 2 of the analyzer.
-
-    Per-file rules see one AST at a time; a :class:`ProjectRule` is handed
-    a :class:`~repro.analysis.static.graph.ProjectIndex` (symbol table +
-    call graph over every file, built once per run) and can follow values
-    across function and module boundaries.  Subclasses implement
-    :meth:`check_project`; ``files`` restricts which files findings may
-    be *emitted* for (the incremental runner passes the dirty set —
-    summaries/annotations from clean files are still consulted).
-
-    :meth:`check` keeps the per-file contract working — a project rule
-    run over a single :class:`SourceFile` (fixture tests,
-    :func:`check_source`) builds a one-file index on the fly — so
-    fixture-based testing needs no special casing.
-    """
-
-    def check_project(
-        self,
-        index: "object",
-        files: Optional[frozenset] = None,
-    ) -> Iterator[Finding]:
-        """Yield findings over the whole indexed project.  Override."""
-        raise NotImplementedError
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        """Single-file fallback: index just this file and delegate."""
-        from repro.analysis.static.graph import ProjectIndex
-
-        index = ProjectIndex.build([source])
-        yield from self.check_project(
-            index, files=frozenset({source.display_path})
         )
 
 

@@ -1,49 +1,13 @@
 """Rule catalogue: importing this package registers every built-in rule.
 
-The nine domain rules guard the properties the repository's
-reproducibility story depends on — see docs/STATIC_ANALYSIS.md for the
-full catalogue and docs on adding a rule:
+See docs/STATIC_ANALYSIS.md for the catalogue, the audit behind it and
+how to add a rule:
 
 ========  ==============================================================
-DET       randomness only via seeded repro.sim.random streams; no wall
-          clock in sim/net/aqm/tcp/core
 ORD       no iteration over sets or unsorted filesystem listings
-FLOAT     no running float additions over unordered iterables in
-          sim/aqm/metrics (IEEE-754 addition is order-dependent);
-          no sum()/math.fsum() directly on sets, dict views or
-          unsorted listings
-PROB      probability writes/returns in aqm/core clamp-dominated
-SCHED     scheduling time arguments derived from virtual time
-PICKLE    process-pool task-spec seam stays picklable
-OBS       tracers are write-only observers: no consumed tracer call
-          results, no tracer expressions in scheduling arguments
-TAINT     interprocedural: no wall-clock/environment/unseeded-RNG/
-          hash-order value flows into scheduling delays, probability
-          writes or digest inputs (pass 2, project-wide)
-UNIT      interprocedural: unit-annotated quantities (Seconds, PerSecond,
-          Packets, Bits, BitsPerSecond, Probability) must not mix
-          dimensions, and literals into unit parameters must be wrapped
 ========  ==============================================================
 """
 
-from repro.analysis.static.rules.det import DeterminismRule
-from repro.analysis.static.rules.floats import FloatAccumulationRule
-from repro.analysis.static.rules.obs import ObservabilityRule
 from repro.analysis.static.rules.ordering import OrderingRule
-from repro.analysis.static.rules.pickling import PicklabilityRule
-from repro.analysis.static.rules.prob import ProbabilityDomainRule
-from repro.analysis.static.rules.sched import SchedulingRule
-from repro.analysis.static.rules.taint import TaintRule
-from repro.analysis.static.rules.unit import UnitRule
 
-__all__ = [
-    "DeterminismRule",
-    "FloatAccumulationRule",
-    "ObservabilityRule",
-    "OrderingRule",
-    "PicklabilityRule",
-    "ProbabilityDomainRule",
-    "SchedulingRule",
-    "TaintRule",
-    "UnitRule",
-]
+__all__ = ["OrderingRule"]

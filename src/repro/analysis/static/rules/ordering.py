@@ -28,12 +28,38 @@ attributes annotated or assigned as sets anywhere in the module.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis.static.core import Finding, Rule, Severity, SourceFile, register
-from repro.analysis.static.rules.common import attr_chain, is_name_call
 
 __all__ = ["OrderingRule"]
+
+
+def _attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``a.b.c`` -> ("a", "b", "c"); None when the chain has non-names.
+
+    Only resolves pure Name/Attribute chains — ``obj().x`` or
+    ``d["k"].x`` return None, which every caller treats as "unknown,
+    don't flag" (the rule prefers false negatives over noise).
+    """
+    parts: list = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return tuple(reversed(parts))
+    return None
+
+
+def _is_name_call(node: ast.AST, name: str) -> bool:
+    """True when ``node`` is a call to the bare name ``name``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    )
+
 
 _LISTING_BARE = frozenset(
     {("os", "listdir"), ("os", "scandir"), ("glob", "glob"), ("glob", "iglob")}
@@ -51,7 +77,7 @@ def _is_set_expr(node: ast.AST, set_names: Set[str]) -> bool:
     if isinstance(node, ast.Name):
         return node.id in set_names
     if isinstance(node, ast.Attribute):
-        chain = attr_chain(node)
+        chain = _attr_chain(node)
         if chain is not None and len(chain) == 2 and chain[0] == "self":
             return f"self.{chain[1]}" in set_names
     return False
@@ -84,7 +110,7 @@ def _collect_set_names(tree: ast.Module) -> Set[str]:
         if isinstance(target, ast.Name):
             names.add(target.id)
         elif isinstance(target, ast.Attribute):
-            chain = attr_chain(target)
+            chain = _attr_chain(target)
             if chain is not None and len(chain) == 2 and chain[0] == "self":
                 names.add(f"self.{chain[1]}")
     return names
@@ -93,7 +119,7 @@ def _collect_set_names(tree: ast.Module) -> Set[str]:
 def _is_listing_call(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
-    chain = attr_chain(node.func)
+    chain = _attr_chain(node.func)
     if chain is None:
         # e.g. Path('.').iterdir() — the receiver is itself a call, so no
         # pure name chain exists; the method name alone is distinctive.
@@ -132,7 +158,7 @@ class OrderingRule(Rule):
     def _check_iter(
         self, source: SourceFile, iter_node: ast.AST, set_names: Set[str]
     ) -> Iterator[Finding]:
-        if is_name_call(iter_node, "sorted"):
+        if _is_name_call(iter_node, "sorted"):
             return
         if _is_set_expr(iter_node, set_names):
             yield self.finding(
@@ -143,7 +169,7 @@ class OrderingRule(Rule):
                 "max/membership are fine without iteration)",
             )
         elif _is_listing_call(iter_node):
-            chain = attr_chain(iter_node.func)
+            chain = _attr_chain(iter_node.func)
             name = ".".join(chain) if chain else "listing"
             yield self.finding(
                 source,

@@ -69,7 +69,6 @@ def tune_table_rows(points_per_decade: int = 4) -> List[Tuple[float, float, floa
     decades = range(-7, 0)
     for decade in decades:
         for i in range(points_per_decade):
-            # repro: allow[PROB] sweep sample point, bounded by the p > 1.0 break below
             p = 10.0 ** (decade + i / points_per_decade)
             if p > 1.0:
                 break

@@ -44,6 +44,7 @@ from repro.analysis.bode import (
 )
 from repro.analysis.fluid import PiGains
 from repro.analysis.timedomain import FluidScenario, simulate_fluid
+from repro.errors import ConfigError
 from repro.harness import (
     FACTORIES,
     MBPS,
@@ -208,27 +209,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the domain static-analysis rules "
-             "(DET/ORD/PROB/SCHED/PICKLE/FLOAT/OBS/TAINT/UNIT)",
+        help="run the domain static-analysis rules (ORD)",
     )
     check.add_argument("paths", nargs="*", metavar="PATH",
                        help="files or directories to check "
                             "(default: the installed repro package)")
     check.add_argument("--rules", metavar="NAMES",
-                       help="comma-separated rule subset (e.g. DET,PROB)")
-    check.add_argument("--format", choices=["human", "json", "sarif"],
+                       help="comma-separated rule subset (e.g. ORD)")
+    check.add_argument("--format", choices=["human", "json"],
                        default="human", dest="output_format",
-                       help="report format (json is versioned, sarif is "
-                            "2.1.0; see docs/STATIC_ANALYSIS.md)")
+                       help="report format (json is versioned; see "
+                            "docs/STATIC_ANALYSIS.md)")
     check.add_argument("--list-rules", action="store_true",
                        help="print the rule catalogue and exit")
-    check.add_argument("--incremental", action="store_true",
-                       help="re-analyze only files whose content hash "
-                            "changed, plus their call-graph dependents "
-                            "(state in --state)")
-    check.add_argument("--state", metavar="PATH", default=None,
-                       help="incremental-state file "
-                            "(default: .repro-check-state.json)")
     check.add_argument("--baseline", metavar="PATH", default=None,
                        help="findings-baseline ratchet file "
                             "(default: tools/findings_baseline.json when "
@@ -284,7 +277,6 @@ def _add_trace_options(parser) -> None:
 
 def _make_tracer(args):
     """Build the JSONL tracer an argparse namespace asks for (or None)."""
-    from repro.errors import ConfigError
     from repro.obs import JsonlTracer
 
     if getattr(args, "trace", None) is None:
@@ -354,11 +346,27 @@ def _check_compact_every(args) -> None:
     a :class:`~repro.errors.JournalError` traceback from the journal."""
     value = getattr(args, "compact_every", None)
     if value is not None and value < 1:
-        from repro.errors import ConfigError
-
         raise ConfigError(
             f"--compact-every must be a positive append count (got {value})"
         )
+
+
+def _positive_floats(option: str, text: str) -> List[float]:
+    """Parse a comma-separated list of positive numbers for ``option``.
+
+    An empty list, a non-number or a value that is not positive is a
+    :class:`~repro.errors.ConfigError`, raised before any cell runs.
+    """
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{option} needs at least one value (got {text!r})")
+    for value in values:
+        if not value > 0:
+            raise ConfigError(f"{option} values must be positive (got {value:g})")
+    return values
 
 
 def _cmd_figure(args, out) -> int:
@@ -418,14 +426,12 @@ def _cmd_trace(args, out) -> int:
 def _cmd_check(args, out) -> int:
     from repro.analysis.static import run_check
 
-    rule_names = args.rules.split(",") if args.rules else None
+    rule_names = args.rules.split(",") if args.rules is not None else None
     return run_check(
         paths=args.paths or None,
         rule_names=rule_names,
         output_format=args.output_format,
         list_rules=args.list_rules,
-        incremental=args.incremental,
-        state_path=args.state,
         baseline=args.baseline,
         update_baseline=args.update_baseline,
         require_baseline=args.require_baseline,
@@ -460,8 +466,8 @@ def _cmd_grid(args, out) -> int:
     from repro.harness.supervisor import SupervisorConfig
     from repro.harness.sweep import run_coexistence_grid
 
-    links = [float(v) for v in args.links.split(",") if v.strip()]
-    rtts = [float(v) for v in args.rtts.split(",") if v.strip()]
+    links = _positive_floats("--links", args.links)
+    rtts = _positive_floats("--rtts", args.rtts)
     supervisor = None
     if (args.supervised or args.task_timeout is not None
             or args.heartbeat_timeout is not None):
@@ -626,7 +632,10 @@ def _cmd_bode(args, out) -> int:
         alpha if args.alpha is None else args.alpha,
         beta if args.beta is None else args.beta,
     )
-    margins = BODE_KINDS[args.kind](args.p, args.rtt / 1e3, gains)
+    try:
+        margins = BODE_KINDS[args.kind](args.p, args.rtt / 1e3, gains)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     gm = margins.gain_margin_db
     pm = margins.phase_margin_deg
     rows = [
@@ -648,15 +657,18 @@ def _cmd_bode(args, out) -> int:
 def _cmd_fluid(args, out) -> int:
     cap_pps = args.link * MBPS / (1448 * 8)
     alpha, beta = DEFAULT_GAINS[args.kind if args.kind != "reno_pi" else "reno_pi"]
-    scenario = FluidScenario(
-        capacity_pps=cap_pps,
-        n_flows=args.flows,
-        base_rtt=args.rtt / 1e3,
-        alpha=alpha,
-        beta=beta,
-        kind=args.kind,
-        duration=args.duration,
-    )
+    try:
+        scenario = FluidScenario(
+            capacity_pps=cap_pps,
+            n_flows=args.flows,
+            base_rtt=args.rtt / 1e3,
+            alpha=alpha,
+            beta=beta,
+            kind=args.kind,
+            duration=args.duration,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = simulate_fluid(scenario)
     rows = [
         ("steady queue delay [ms]", result.tail_mean("queue_delay") * 1e3),

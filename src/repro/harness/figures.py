@@ -463,9 +463,9 @@ def generate_figure(
     :class:`~repro.harness.parallel.RunReport` as ``report``.
     """
     if name not in FIGURES:
-        raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive (got {scale})")
+        raise ConfigError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
+    if not scale > 0:
+        raise ConfigError(f"scale must be positive (got {scale})")
     tasks, reduce = FIGURES[name](scale)
     journal_obj, owned = _resolve_journal(journal, name, compact_every)
     report = RunReport()

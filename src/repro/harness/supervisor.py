@@ -262,7 +262,7 @@ class _Supervisor:
         self.report = report
         #: Fire-and-forget span sink (None = tracing off).  The
         #: supervisor only ever *emits* into it; no tracer output feeds
-        #: scheduling decisions (the OBS static-analysis contract).
+        #: scheduling decisions.
         self.emit = emit
         self.done = done
         self.queue: List[_TaskState] = [_TaskState(i, tasks[i]) for i in pending]

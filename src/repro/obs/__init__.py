@@ -6,9 +6,8 @@ recipes):
 * :mod:`repro.obs.trace` — the :class:`Tracer` protocol, the
   :class:`JsonlTracer` sink, and the AQM instrumentation hook
   (:func:`install_aqm_tracer`).  Tracers *observe* the simulation; they
-  never schedule events or feed values back into simulation state (the
-  ``OBS`` static-analysis rule enforces this), so digests are bit-exact
-  with tracing on or off.
+  never schedule events or feed values back into simulation state, so
+  digests are bit-exact with tracing on or off.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the named
   counter/gauge registry that `Simulator`, AQMs, `Link`, the shared
   result cache and the supervisor report into; its snapshot becomes the

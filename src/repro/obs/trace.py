@@ -1,9 +1,7 @@
 """The Tracer protocol, the JSONL sink, and the AQM instrumentation hook.
 
 A tracer is a passive observer: components *emit* typed events into it
-and never read anything back (the ``OBS`` static-analysis rule bans
-tracer calls whose result feeds simulation state, and tracers passed
-into scheduling calls).  Because instrumentation is installed by
+and never read anything back.  Because instrumentation is installed by
 swapping bound methods / setting an optional engine field — never by
 adding ``if tracing`` branches to per-packet hot paths — a run without
 a tracer executes exactly the code it executed before this module
@@ -202,7 +200,7 @@ def engine_tracer(tracer: Optional[Any]) -> Optional[Any]:
     The engine only switches to its chunked, epoch-snapshotting run
     loop when it holds a tracer, so the subscription check must happen
     *here* (in the observability layer) rather than inside the engine —
-    simulation packages never read tracer results (the OBS rule).
+    simulation packages never read tracer results.
     """
     if tracer is not None and tracer.wants("engine"):
         return tracer

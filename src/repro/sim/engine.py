@@ -181,7 +181,7 @@ class Simulator:
         self._watchdog: Optional[Watchdog] = None
         #: Optional telemetry sink (duck-typed; see repro.obs.trace).
         #: The engine only ever *emits* into it — tracers observe, they
-        #: never schedule (the OBS static-analysis rule).
+        #: never schedule.
         self._tracer: Optional[Any] = None
         self._trace_epochs = 0
 
@@ -347,7 +347,7 @@ class Simulator:
             if watchdog.max_events is not None:
                 event_budget = self._events_processed + watchdog.max_events
             if watchdog.max_wall_seconds is not None:
-                # repro: allow[DET] watchdog wall-time budget; never feeds simulation state
+                # Watchdog wall-time budget only; never feeds simulation state.
                 wall_start = time.monotonic()
         if self._tracer is not None:
             self._traced_run(until, event_budget, wall_start)
@@ -419,7 +419,7 @@ class Simulator:
         # back, once per call.
         heap = self._heap
         heappop = heapq.heappop
-        # repro: allow[DET] hot-loop local for the watchdog's wall-time check only
+        # Hot-loop local for the watchdog's wall-time check only.
         monotonic = time.monotonic
         stride = Watchdog.WALL_CHECK_STRIDE
         processed = self._events_processed

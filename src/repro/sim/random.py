@@ -73,5 +73,4 @@ def default_stream(seed: int = 0) -> random.Random:
     pure function of ``seed`` rather than of process entropy.  Bit-identical
     to the historical ``random.Random(0)`` fallback.
     """
-    # repro: allow[DET] this is the sanctioned seeded-fallback constructor
     return random.Random(seed)

@@ -11,24 +11,15 @@ produces a run that *completes* — it is just quietly wrong by orders of
 magnitude.
 
 The aliases below are **transparent type aliases** (each one *is*
-``float`` at runtime and for mypy): annotating a signature with them
-costs nothing and changes nothing — ``Seconds(0.02)`` is ``float(0.02)``,
-bit-identical to the bare literal, so adopting the annotations is
-digest-preserving by construction.  Dimensional correctness is enforced
-syntactically by the ``UNIT`` static-analysis rule
-(:mod:`repro.analysis.static.rules.unit`, ``repro check``), which reads
-these names out of annotations and flags
-
-* arithmetic mixing two different dimensions (``Seconds + Packets``), and
-* bare numeric literals flowing into unit-annotated parameters (pass
-  ``Seconds(0.02)``/``PerSecond(0.3125)`` so the unit is visible at the
-  call site).
-
-Why aliases and not ``typing.NewType``: a ``NewType`` would force a cast
-at every arithmetic use under strict mypy without adding any checking
-the UNIT rule does not already perform, and the simulation hot path must
-stay plain-``float``.  The alias spelling keeps mypy neutral while giving
-the AST-level dimensional analysis an unambiguous vocabulary.
+``float`` at runtime): annotating a signature with them costs nothing
+and changes nothing — ``Seconds(0.02)`` is ``float(0.02)``, bit-identical
+to the bare literal, so the annotations are digest-preserving by
+construction.  They stay as documentation of each quantity's unit at
+the signatures that carry them; no static rule checks them.  Unit slips
+are caught at runtime instead: a seconds-plus-packets term in an AQM's
+control law moves that AQM's seeded digest, which the locks in
+``tests/harness/test_digest_regression.py`` and the ``perf/e2e`` golden
+digests pin.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -134,9 +141,7 @@ class TestFigure:
         assert header.startswith("p,")
 
     def test_unknown_figure_errors(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_cli("figure", "fig99")
 
     def test_listed_in_list(self):
@@ -154,3 +159,41 @@ class TestFluid:
         code, text = run_cli("fluid", "--kind", "scal_pi", "--duration", "30")
         assert code == 0
         assert "kind=scal_pi" in text
+
+
+def run_module(*argv):
+    """``python -m repro ARGV`` in a child: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+#: (argv, text the error line must contain) for each bad-input shape.
+BAD_INPUT = [
+    (("figure", "fig99"), "unknown figure 'fig99'"),
+    (("figure", "fig11", "--scale", "0"), "scale must be positive"),
+    (("bode", "--p", "2"), "must be in (0,1]"),
+    (("fluid", "--flows", "0"), "flows and base RTT must be positive"),
+    (("grid", "--links", ""), "--links needs at least one value"),
+    (("grid", "--rtts", "0"), "--rtts values must be positive"),
+    (("grid", "--links", "4,x"), "--links: could not convert"),
+]
+
+
+class TestBadInputIsAUsageError:
+    """Bad input ends in one ``error:`` line and exit 2 — no traceback,
+    no silent success, and no cell runs first."""
+
+    @pytest.mark.parametrize(
+        "argv, needle", BAD_INPUT,
+        ids=[" ".join(arg or "''" for arg in argv) for argv, _ in BAD_INPUT],
+    )
+    def test_one_error_line_and_exit_2(self, argv, needle):
+        code, out, err = run_module(*argv)
+        assert code == 2, (out, err)
+        assert err.splitlines() == [err.strip()], err
+        assert err.startswith("error: ") and needle in err, err
+        assert "grid digest" not in out
