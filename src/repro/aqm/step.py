@@ -17,6 +17,7 @@ the default, consistent with the rest of the repository.
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 from repro.aqm.base import AQM, Decision, clamp_unit
@@ -39,6 +40,10 @@ class StepThresholdAqm(AQM):
         Whether Not-ECT packets are dropped above the threshold (off by
         default: the classic deployment assumes an all-ECN data centre,
         so Not-ECT traffic just passes to the tail-drop backstop).
+    rng:
+        Accepted so :class:`~repro.harness.factories.NamedAqmFactory`
+        can build it like every other AQM; the marker draws no random
+        numbers.
     """
 
     def __init__(
@@ -46,6 +51,7 @@ class StepThresholdAqm(AQM):
         threshold_delay: float = 0.001,
         threshold_bytes: Optional[int] = None,
         drop_not_ect: bool = False,
+        rng: Optional[random.Random] = None,
     ):
         super().__init__()
         if threshold_delay <= 0:

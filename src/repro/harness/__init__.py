@@ -39,7 +39,6 @@ from repro.harness.resilience import (
 from repro.harness.supervisor import SupervisorConfig
 from repro.harness.scenarios import (
     MBPS,
-    PAPER_EXPECTATIONS,
     coexistence_mix,
     coexistence_pair,
     heavy_tcp,
@@ -75,7 +74,6 @@ __all__ = [
     "format_failure_report",
     "Dumbbell",
     "MBPS",
-    "PAPER_EXPECTATIONS",
     "light_tcp",
     "heavy_tcp",
     "tcp_plus_udp",

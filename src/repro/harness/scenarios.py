@@ -6,9 +6,6 @@ reproducing one of Section 6's setups, parameterized by the AQM factory
 a ``time_scale`` that shrinks the paper's 50 s stages for test/benchmark
 budgets without changing the dynamics being exercised (stages remain many
 multiples of both the RTT and the AQM update interval).
-
-Paper reference points are collected in :data:`PAPER_EXPECTATIONS` so
-benchmarks can print expected-vs-measured side by side.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ __all__ = [
     "coexistence_pair",
     "coexistence_mix",
     "MBPS",
-    "PAPER_EXPECTATIONS",
 ]
 
 #: Convenience unit.
@@ -201,14 +197,3 @@ def coexistence_mix(
         seed=seed,
     )
 
-
-#: Shape-level expectations from the paper, printed by the benchmarks.
-PAPER_EXPECTATIONS = {
-    "fig11_target_delay": 0.020,
-    "fig15_pie_cubic_dctcp_ratio": 0.1,   # DCTCP starves Cubic ~10x under PIE
-    "fig15_pi2_cubic_dctcp_ratio": 1.0,   # coupled PI2 balances to ~1
-    "fig16_target_delay": 0.020,
-    "fig18_min_utilization": 0.90,         # high utilization across the grid
-    "fig12_pie_peak_delay": 0.510,         # 100 ms-sampled peak at t=50 s
-    "fig12_pi2_peak_delay": 0.250,
-}

@@ -98,7 +98,11 @@ def _grid_tasks(
     duration: float, warmup: float, seed: int,
     duration_for: Optional[Callable[[float, float], float]] = None,
 ) -> List[Tuple[float, float, SweepTask]]:
-    """The Figure 15–18 cells in grid order: ``(link, rtt, task)``."""
+    """The Figure 15–18 cells in grid order: ``(link, rtt, task)``.
+
+    ``duration_for(link_mbps, rtt_ms)``, when given, sets each cell's run
+    length in place of ``duration`` (the ``fig15_18`` convergence budget).
+    """
     cells = []
     for link in links_mbps:
         for rtt in rtts_ms:
@@ -152,7 +156,6 @@ def run_coexistence_grid(
     duration: float = 30.0,
     warmup: float = 10.0,
     seed: int = 1,
-    duration_for: Optional[Callable[[float, float], float]] = None,
     on_error: str = "raise",
     max_retries: int = 1,
     jobs: Optional[int] = None,
@@ -163,9 +166,6 @@ def run_coexistence_grid(
     tracer=None,
 ) -> GridOutcome:
     """Run the Figure 15–18 grid; one long-running flow per class per cell.
-
-    ``duration_for(link_mbps, rtt_ms)`` may override the run length per
-    cell — benchmarks use it to keep high-rate cells affordable.
 
     ``on_error`` selects the failure policy: ``"raise"`` (default)
     propagates the first cell failure; ``"capture"`` retries the cell
@@ -198,7 +198,7 @@ def run_coexistence_grid(
     bit-exact with it on or off.
     """
     cells = _grid_tasks(aqm_factory, cc_a, cc_b, links_mbps, rtts_ms,
-                        duration, warmup, seed, duration_for)
+                        duration, warmup, seed)
     outcome = GridOutcome()
     pairs = execute_tasks(
         [task for _link, _rtt, task in cells], jobs=jobs, on_error=on_error,

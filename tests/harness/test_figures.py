@@ -14,7 +14,11 @@ from repro.harness.parallel import SweepTask
 class TestRegistry:
     def test_expected_figures_present(self):
         for name in ("fig04", "fig05", "fig06", "fig07", "fig11", "fig12",
-                     "fig13", "fig19"):
+                     "fig13", "fig14", "fig15", "fig15_18", "fig19", "fig19_20",
+                     "appA", "abl_bare_pie", "abl_dctcp_marking",
+                     "abl_decision_modes", "abl_k_factor", "abl_rtt_sensitivity",
+                     "abl_sack", "abl_square_vs_tune", "related_work", "dualq",
+                     "short_fct"):
             assert name in FIGURES
 
     def test_unknown_name_rejected(self):

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from repro.harness.claims import CLAIMS
 from repro.harness.experiment import Experiment, FlowGroup, UdpGroup, run_experiment
 from repro.harness.factories import pi2_factory
-from repro.harness.scenarios import MBPS, PAPER_EXPECTATIONS
+from repro.harness.scenarios import MBPS
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +69,21 @@ class TestReadOuts:
 
 
 class TestPaperExpectations:
+    """The paper's reference values live on the claims."""
+
     def test_keys_present(self):
+        paper = {claim.id: claim.paper_value for claim in CLAIMS}
         for key in (
-            "fig11_target_delay",
-            "fig15_pie_cubic_dctcp_ratio",
-            "fig15_pi2_cubic_dctcp_ratio",
-            "fig18_min_utilization",
+            "fig11c.pi2_overload_equilibrium",
+            "fig15.pie_starves_cubic",
+            "fig15.pi2_balance",
+            "fig18.pi2_utilization",
         ):
-            assert key in PAPER_EXPECTATIONS
+            assert paper[key] is not None
 
     def test_values_sane(self):
-        assert PAPER_EXPECTATIONS["fig11_target_delay"] == 0.020
-        assert PAPER_EXPECTATIONS["fig15_pie_cubic_dctcp_ratio"] < 1
-        assert PAPER_EXPECTATIONS["fig15_pi2_cubic_dctcp_ratio"] == 1.0
+        paper = {claim.id: claim.paper_value for claim in CLAIMS}
+        assert paper["fig11c.pi2_overload_equilibrium"] == 20.0  # target [ms]
+        assert paper["fig15.pie_starves_cubic"] < 1
+        assert paper["fig15.pi2_balance"] == 1.0
+        assert paper["fig18.pi2_utilization"] == 0.9

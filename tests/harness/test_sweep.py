@@ -2,6 +2,7 @@
 
 
 from repro.harness.factories import coupled_factory
+from repro.harness.figures import FIGURES
 from repro.harness.sweep import (
     PAPER_FLOW_MIXES,
     PAPER_LINK_MBPS,
@@ -37,17 +38,15 @@ class TestRunGrid:
             assert cell.result.total_goodput_bps() > 1e6
 
     def test_duration_override(self):
-        seen = []
-
-        def duration_for(link, rtt):
-            seen.append((link, rtt))
-            return 4.0
-
-        run_coexistence_grid(
-            coupled_factory(), links_mbps=[10], rtts_ms=[10],
-            duration_for=duration_for, warmup=2.0,
-        )
-        assert seen == [(10, 10)]
+        """fig15_18 budgets each cell's run length by link and RTT."""
+        tasks, _reduce = FIGURES["fig15_18"](1.0)
+        durations = {
+            (t.experiment.capacity_bps, t.experiment.flows[0].rtt): t.experiment.duration
+            for t in tasks
+        }
+        assert durations[(4e6, 0.1)] == 44.0
+        assert durations[(200e6, 0.1)] == 14.0
+        assert durations[(200e6, 0.005)] == 10.0
 
     def test_mix_sweep_runs(self):
         results = run_mix_sweep(

@@ -14,7 +14,8 @@ Usage::
     python tools/run_reproduction_commands.py [--list]
 
 Figure output goes to /dev/null — this checks the commands execute, not
-what they print (the benchmarks in ``benchmarks/`` assert the shapes).
+what they print (the claims in ``repro.harness.claims``, run by
+``python -m pytest benchmarks -q``, assert the shapes).
 A throwaway cache directory is used so CI runs never collide with a
 developer's cache.
 """
