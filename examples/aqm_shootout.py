@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""AQM shoot-out: tail-drop, RED, CoDel, PIE, bare-PIE, PI2 on one workload.
+"""AQM shoot-out: tail-drop, RED, PIE, bare-PIE, PI2 on one workload.
 
-The paper's Section 3 traces the lineage RED → PI → PIE → PI2 (with CoDel
-teaching the time-units lesson along the way).  This example runs the
-whole family on the same scenario — 10 Reno flows, 10 Mb/s, 100 ms RTT —
-and prints queue delay, utilization, and loss, showing each generation's
-trade-off:
+The paper's Section 3 traces the lineage RED → PI → PIE → PI2.  This
+example runs the whole family on the same scenario — 10 Reno flows,
+10 Mb/s, 100 ms RTT — and prints queue delay, utilization, and loss,
+showing each generation's trade-off:
 
 * tail-drop: full buffer, huge standing queue (bufferbloat);
 * RED: delay grows with load (pushes back with both delay and loss);
-* CoDel / PIE / PI2: delay pinned near their targets, PI2 with the
-  simplest algorithm of the three.
+* PIE / PI2: delay pinned near their target, PI2 with the simpler
+  algorithm.
+
+The ``lineage`` figure (``python -m repro figure lineage``) turns the RED
+and PI-family statements into claims.
 
 Run:  python examples/aqm_shootout.py
 """
 
-from repro.aqm.codel import CodelAqm
 from repro.aqm.red import RedAqm
 from repro.harness import (
     MBPS,
@@ -33,14 +34,9 @@ def red_factory():
     return lambda rng: RedAqm(rng=rng)
 
 
-def codel_factory():
-    return lambda rng: CodelAqm()
-
-
 CONTENDERS = [
     ("tail-drop", taildrop_factory()),
     ("RED", red_factory()),
-    ("CoDel", codel_factory()),
     ("PIE", pie_factory()),
     ("bare-PIE", bare_pie_factory()),
     ("PI2", pi2_factory()),

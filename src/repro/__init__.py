@@ -7,8 +7,8 @@ The package provides:
   a pseudo-probability, squared output for Classic TCP) and the coupled
   PI+PI2 single-queue AQM for Classic/Scalable coexistence.
 * :mod:`repro.aqm` — the baselines it is evaluated against (PIE with all
-  Linux heuristics, bare-PIE, basic PI, RED, Curvy RED, CoDel) plus the
-  DualQ Coupled extension.
+  Linux heuristics, bare-PIE, basic PI, RED) plus the DualQ Coupled
+  extension.
 * :mod:`repro.sim`, :mod:`repro.net`, :mod:`repro.tcp`,
   :mod:`repro.traffic` — the discrete-event simulator, bottleneck
   queue/link model, TCP congestion controls (Reno, Cubic/CReno, DCTCP,

@@ -2,7 +2,6 @@
 
 from repro.analysis.bode import (
     Margins,
-    margin_sweep,
     margins_from_loop,
     margins_reno_pi,
     margins_reno_pi2,
@@ -41,5 +40,4 @@ __all__ = [
     "margins_reno_pi",
     "margins_reno_pi2",
     "margins_scal_pi",
-    "margin_sweep",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "margins_reno_pi",
     "margins_reno_pi2",
     "margins_scal_pi",
-    "margin_sweep",
     "max_stable_gain",
 ]
 
@@ -182,28 +181,3 @@ def max_stable_gain(
         else:
             hi = mid
     return lo
-
-
-def margin_sweep(
-    kind: str,
-    probabilities: np.ndarray,
-    r0: float,
-    gains: PiGains,
-    tune_factor: float = 1.0,
-) -> list[Margins]:
-    """Sweep an operating-point range, returning one :class:`Margins` each.
-
-    ``kind`` selects the configuration: ``"reno_pie"``, ``"reno_pi"``,
-    ``"reno_pi2"`` or ``"scal_pi"``.  For the Reno-on-p kinds the
-    probabilities are classic ``p``; for the primed kinds they are ``p'``.
-    """
-    dispatch = {
-        "reno_pie": lambda p: margins_reno_pie(p, r0, gains),
-        "reno_pi": lambda p: margins_reno_pi(p, r0, gains, tune_factor),
-        "reno_pi2": lambda p: margins_reno_pi2(p, r0, gains),
-        "scal_pi": lambda p: margins_scal_pi(p, r0, gains),
-    }
-    if kind not in dispatch:
-        raise ValueError(f"unknown sweep kind {kind!r}; choose from {sorted(dispatch)}")
-    fn = dispatch[kind]
-    return [fn(float(p)) for p in probabilities]

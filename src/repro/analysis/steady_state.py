@@ -32,8 +32,6 @@ __all__ = [
     "cubic_operates_as_creno",
     "coupled_classic_probability",
     "k_analytic",
-    "throughput_bps",
-    "window_for_rate",
 ]
 
 # --------------------------------------------------------------------------
@@ -179,24 +177,3 @@ def coupled_classic_probability(p_dctcp: float, k: float | None = None) -> float
     if k <= 0:
         raise ValueError(f"k must be positive (got {k})")
     return (p_dctcp / k) ** 2
-
-
-# --------------------------------------------------------------------------
-# Rates
-# --------------------------------------------------------------------------
-
-def throughput_bps(window: float, rtt: float, mss_bytes: int = 1448) -> float:
-    """Flow throughput for a steady window: W·MSS·8/R bits per second."""
-    _check_w(window)
-    if rtt <= 0:
-        raise ValueError(f"RTT must be positive (got {rtt})")
-    return window * mss_bytes * 8.0 / rtt
-
-
-def window_for_rate(rate_bps: float, rtt: float, mss_bytes: int = 1448) -> float:
-    """Window needed to sustain ``rate_bps`` at RTT ``rtt``."""
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive (got {rate_bps})")
-    if rtt <= 0:
-        raise ValueError(f"RTT must be positive (got {rtt})")
-    return rate_bps * rtt / (mss_bytes * 8.0)

@@ -2,20 +2,21 @@
 
 The paper's own algorithms (PI2 and the coupled PI+PI2) live in
 :mod:`repro.core`; this package holds everything they are compared with or
-built from.
+built from: the PI controller, PIE (full and bare, with its optional
+measured departure-rate estimator), RED, the √(2p) self-tuned PI, the
+step-threshold marker, the fixed-probability oracles of Appendix A, and
+the DualQ Coupled AQM.  The Section 3 lineage statements about RED, PIE
+and PI2 are the ``lineage.*`` claims of :mod:`repro.harness.claims`.
 """
 
 from repro.aqm.adaptive import AdaptivePiAqm
 from repro.aqm.base import AQM, AQMStats, Decision, QueueView
-from repro.aqm.codel import CodelAqm
-from repro.aqm.curvy_red import CurvyRedAqm
 from repro.aqm.dualq import DualQueueCoupledAqm
 from repro.aqm.fixed import DeterministicMarker, FixedProbabilityAqm
 from repro.aqm.pi import PIController, PiAqm
 from repro.aqm.pie import BarePieAqm, PieAqm
 from repro.aqm.red import RedAqm
 from repro.aqm.step import StepThresholdAqm
-from repro.aqm.taildrop import TailDropAqm
 from repro.aqm.tune_table import K_PI2, K_PIE, TUNE_TABLE, sqrt2p, tune
 
 __all__ = [
@@ -29,9 +30,6 @@ __all__ = [
     "PieAqm",
     "BarePieAqm",
     "RedAqm",
-    "CurvyRedAqm",
-    "CodelAqm",
-    "TailDropAqm",
     "DualQueueCoupledAqm",
     "FixedProbabilityAqm",
     "DeterministicMarker",

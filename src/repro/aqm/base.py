@@ -2,23 +2,22 @@
 
 Every AQM in this repository — the paper's PI2 and coupled PI+PI2, the PIE
 baseline with all of its Linux heuristics, and the lineage algorithms (PI,
-RED, CoDel, Curvy RED) — implements the small :class:`AQM` interface:
+RED) — implements the small :class:`AQM` interface:
 
 * :meth:`AQM.on_enqueue` is consulted for every arriving packet and returns
   a :class:`Decision` (pass / CE-mark / drop).  This mirrors the enqueue-
   side drop decision of the Linux ``sch_pie``/``sch_pi2`` qdiscs.
 * :attr:`AQM.on_dequeue` is ``None`` unless the algorithm observes
-  departures; CoDel's sojourn logic defines it as a method.  The queue
-  binds it once, at construction, and calls nothing per packet when it
-  is ``None``.
+  departures; PIE with its measured departure-rate estimator sets it to a
+  bound method.  The queue binds it once, at construction, and calls
+  nothing per packet when it is ``None``.
 * :meth:`AQM.attach` wires the AQM to a simulator (for its periodic update
   timer — the PI family recomputes probability every ``T`` seconds) and to
   the :class:`QueueView` it controls.
 
 The queue exposes only what a real qdisc can observe: byte/packet backlog
-and a queue-delay estimate.  Two estimators are provided, selected by the
-queue (see :mod:`repro.net.queue`): the exact backlog/capacity conversion,
-and PIE's measured departure-rate estimator.
+and a queue-delay estimate (the exact backlog/capacity conversion; see
+:mod:`repro.net.queue`).
 """
 
 from __future__ import annotations
@@ -149,8 +148,8 @@ class AQM:
     update_interval: Optional[Seconds] = None
 
     #: Departure observation ``(packet, now) -> None``; None = the
-    #: algorithm does not observe departures.  Subclasses that need one
-    #: (CoDel) define it as a method.
+    #: algorithm does not observe departures.  An instance that needs one
+    #: (PIE's measured rate estimator) sets it in its constructor.
     on_dequeue: Optional[Callable[["Packet", Seconds], None]] = None
 
     def __init__(self) -> None:
@@ -166,12 +165,6 @@ class AQM:
         self.queue = queue
         if self.update_interval is not None:
             self._timer = sim.every(self.update_interval, self.update)
-
-    def detach(self) -> None:
-        """Stop the update timer (used when tearing down an experiment)."""
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
 
     def pause_updates(self) -> None:
         """Suspend the periodic update timer (fault injection: a stalled

@@ -36,7 +36,7 @@ from repro.aqm.base import clamp_unit
 from repro.aqm.pi import PIController
 from repro.core.coupling import K_DEPLOYED
 from repro.net.packet import Packet
-from repro.net.queue import CapacityDelayEstimator, QueueStats
+from repro.net.queue import QueueStats
 from repro.sim.engine import Simulator
 from repro.sim.random import default_stream
 
@@ -79,7 +79,7 @@ class DualQueueCoupledAqm:
     ):
         self.sim = sim
         self.buffer_packets = buffer_packets
-        self.estimator = CapacityDelayEstimator(capacity_bps)
+        self.set_capacity(capacity_bps)
         self.controller = PIController(alpha, beta, target_delay, p_max=1.0)
         self.k = k
         self.l_threshold = l_threshold
@@ -102,17 +102,12 @@ class DualQueueCoupledAqm:
     # ------------------------------------------------------------------
     def _update(self) -> None:
         # PI acts on the Classic queue's delay (RFC 9332 structure).
-        self.controller.update(self.estimator.delay(self._c_bytes))
+        self.controller.update(self._c_bytes * 8.0 / self.capacity_bps)
 
     @property
     def probability(self) -> float:
         """Coupled L marking probability ``k·p'`` (clamped)."""
         return clamp_unit(self.k * self.controller.p)
-
-    @property
-    def classic_probability(self) -> float:
-        """Classic drop/mark probability ``p'²``."""
-        return clamp_unit(self.controller.p ** 2)
 
     # ------------------------------------------------------------------
     # Queue-side interface consumed by Link
@@ -127,7 +122,14 @@ class DualQueueCoupledAqm:
 
     def queue_delay(self) -> float:
         """Estimated drain time of the combined backlog in seconds."""
-        return self.estimator.delay(self.byte_length())
+        return self.byte_length() * 8.0 / self.capacity_bps
+
+    def set_capacity(self, capacity_bps: float) -> None:
+        """Set the drain rate the delay estimates divide by (the link
+        calls this when its line rate changes)."""
+        if capacity_bps <= 0:
+            raise ValueError(f"capacity must be positive (got {capacity_bps})")
+        self.capacity_bps = capacity_bps
 
     def set_wakeup(self, fn: Callable[[], None]) -> None:
         """Register the link's wake-up callback (fires on enqueue)."""
@@ -151,7 +153,7 @@ class DualQueueCoupledAqm:
         if packet.is_scalable:
             self.l_stats.arrived += 1
             p_l = clamp_unit(self.k * p_prime)
-            native = self.estimator.delay(self._l_bytes) > self.l_threshold
+            native = self._l_bytes * 8.0 / self.capacity_bps > self.l_threshold
             if native or (p_l > 0.0 and self.rng.random() < p_l):
                 packet.mark_ce()
                 self.stats.ce_marked += 1

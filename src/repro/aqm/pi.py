@@ -106,11 +106,6 @@ class PIController:
         self.prev_delay = delay
         return self.p
 
-    def reset(self) -> None:
-        """Zero the integrator state (``p`` and the previous delay sample)."""
-        self.p = 0.0
-        self.prev_delay = 0.0
-
     def state(self) -> dict:
         """Read-only snapshot of the controller for telemetry export.
 

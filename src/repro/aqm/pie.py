@@ -4,9 +4,13 @@ The paper's primary comparison baseline.  PIE wraps the basic PI
 controller of :mod:`repro.aqm.pi` with the enhancements and heuristics the
 paper catalogues in Sections 3 and 5:
 
-1. **Time-units queue** — queuing delay, not bytes, is controlled
-   (provided by the queue's delay estimator; PIE's measured
-   departure-rate estimator is in :mod:`repro.net.queue`).
+1. **Time-units queue** — queuing delay, not bytes, is controlled.  By
+   default the delay is the queue's exact backlog/capacity conversion;
+   ``dq_rate_estimator=True`` switches to PIE's own measured
+   departure-rate estimator (RFC 8033 §5.1, Linux ``sch_pie``'s
+   ``dq_rate_estimator``), which times the drain of
+   :data:`DQ_THRESHOLD` bytes through the :attr:`AQM.on_dequeue` hook
+   and divides the backlog by the smoothed rate.
 2. **Auto-tuning** — α and β are scaled by the stepped lookup table of
    :mod:`repro.aqm.tune_table` depending on the magnitude of p.  This is
    the heuristic that PI2 replaces with output squaring.
@@ -37,9 +41,17 @@ from repro.aqm.pi import PIController
 from repro.aqm.tune_table import tune
 from repro.net.packet import Packet
 from repro.sim.random import default_stream
-from repro.units import PerSecond, Probability, Seconds
+from repro.units import BitsPerSecond, PerSecond, Probability, Seconds
 
-__all__ = ["PieAqm", "BarePieAqm"]
+__all__ = ["PieAqm", "BarePieAqm", "DQ_THRESHOLD", "DQ_SMOOTHING", "DQ_INITIAL_RATE"]
+
+#: Measured departure-rate estimator constants (RFC 8033 §5.1): a rate
+#: sample times the drain of this many bytes (Linux ``QUEUE_THRESHOLD``)...
+DQ_THRESHOLD = 16 * 1024
+#: ...samples are smoothed with this EWMA weight...
+DQ_SMOOTHING = 0.5
+#: ...and this rate stands in until the first sample completes.
+DQ_INITIAL_RATE: BitsPerSecond = 10e6
 
 
 class PieAqm(AQM):
@@ -66,6 +78,9 @@ class PieAqm(AQM):
         paper's "reworked" configuration used for its PIE results.
     dp_cap_enabled / delay_kick_enabled / drop_early_suppress / decay_enabled:
         The remaining Section 5 heuristics.
+    dq_rate_estimator:
+        Estimate queue delay as backlog over a measured departure rate
+        instead of the queue's exact backlog/capacity conversion.
     """
 
     def __init__(
@@ -83,6 +98,7 @@ class PieAqm(AQM):
         drop_early_suppress: bool = True,
         decay_enabled: bool = True,
         min_backlog_packets: int = 2,
+        dq_rate_estimator: bool = False,
         rng: Optional[random.Random] = None,
     ):
         super().__init__()
@@ -103,12 +119,23 @@ class PieAqm(AQM):
         self._qdelay: Seconds = 0.0
         self._qdelay_old: Seconds = 0.0
 
+        self.dq_rate_estimator = dq_rate_estimator
+        #: The smoothed measured departure rate (dq_rate_estimator only).
+        self.dq_rate: BitsPerSecond = DQ_INITIAL_RATE
+        self._dq_start: Optional[Seconds] = None
+        self._dq_bytes = 0
+        if dq_rate_estimator:
+            self.on_dequeue = self._measure_departure
+
     # ------------------------------------------------------------------
     # Periodic probability recomputation
     # ------------------------------------------------------------------
     def update(self) -> None:
         """RFC 8033 periodic step: PI delta, auto-tune, caps, burst state."""
-        self._qdelay = self.queue.queue_delay()
+        if self.dq_rate_estimator:
+            self._qdelay = self.queue.byte_length() * 8.0 / self.dq_rate
+        else:
+            self._qdelay = self.queue.queue_delay()
         ctl = self.controller
         p = ctl.p
 
@@ -144,6 +171,30 @@ class PieAqm(AQM):
 
         self._qdelay_old = self._qdelay
         ctl.prev_delay = self._qdelay
+
+    def _measure_departure(self, packet: Packet, now: Seconds) -> None:
+        """RFC 8033 §5.1: time how long :data:`DQ_THRESHOLD` bytes take
+        to drain, and smooth the resulting rate sample into
+        :attr:`dq_rate`.
+
+        A measurement starts only while the live backlog a departure
+        leaves behind holds at least the threshold, so every sample
+        times a busy drain and none spans an idle gap.
+        """
+        if self._dq_start is None:
+            if self.queue.byte_length() >= DQ_THRESHOLD:
+                # The packet triggering the start drains *at* the start
+                # instant; counting it would bias the rate high.
+                self._dq_start = now
+                self._dq_bytes = 0
+            return
+        self._dq_bytes += packet.size
+        if self._dq_bytes >= DQ_THRESHOLD:
+            elapsed = now - self._dq_start
+            if elapsed > 0:
+                sample = self._dq_bytes * 8.0 / elapsed
+                self.dq_rate = (1 - DQ_SMOOTHING) * self.dq_rate + DQ_SMOOTHING * sample
+            self._dq_start = None
 
     # ------------------------------------------------------------------
     # Enqueue-time decision

@@ -5,14 +5,7 @@ from repro.core.coupled import (
     DEFAULT_BETA_COUPLED,
     CoupledPi2Aqm,
 )
-from repro.core.coupling import (
-    K_ANALYTIC,
-    K_DEPLOYED,
-    classic_from_linear,
-    classic_from_scalable,
-    linear_from_classic,
-    scalable_from_classic,
-)
+from repro.core.coupling import K_DEPLOYED
 from repro.core.pi2 import DEFAULT_ALPHA_PI2, DEFAULT_BETA_PI2, Pi2Aqm
 
 __all__ = [
@@ -22,10 +15,5 @@ __all__ = [
     "DEFAULT_BETA_PI2",
     "DEFAULT_ALPHA_COUPLED",
     "DEFAULT_BETA_COUPLED",
-    "K_ANALYTIC",
     "K_DEPLOYED",
-    "classic_from_scalable",
-    "scalable_from_classic",
-    "classic_from_linear",
-    "linear_from_classic",
 ]

@@ -1,4 +1,4 @@
-"""Probability coupling between Scalable and Classic congestion controls.
+"""The coupling factor between Scalable and Classic congestion signals.
 
 Appendix A of the paper derives the drop/mark probability relation that
 equalizes the steady-state throughput of a DCTCP flow (equation (11),
@@ -6,67 +6,17 @@ equalizes the steady-state throughput of a DCTCP flow (equation (11),
 
     p_classic = (p_scalable / k)²            (equation 14)
 
-with the analytic coupling factor ``k = 2/1.68 ≈ 1.19`` (equation 13/14).
-The paper then *deploys* ``k = 2``, validated empirically, because k = 2
-is also the optimal ratio between the Scalable and Classic gain factors
-for stability, and because dividing by two is cheap in hardware.
-
-These conversions are the congestion-control-specific output stage of
-Figure 1: the PI controller operates on the linear pseudo-probability
-``p'`` and this module encodes it into the probability each traffic class
-must experience.
+with the analytic coupling factor ``k = 2/1.68 ≈ 1.19``
+(:func:`repro.analysis.steady_state.coupled_classic_probability` and
+:func:`~repro.analysis.steady_state.k_analytic`).  The paper then
+*deploys* ``k = 2``, validated empirically, because k = 2 is also the
+optimal ratio between the Scalable and Classic gain factors for
+stability, and because dividing by two is cheap in hardware.  The
+coupled AQMs (:mod:`repro.core.coupled`, :mod:`repro.aqm.dualq`) apply
+it in their output stages.
 """
 
-from __future__ import annotations
-
-import math
-
-__all__ = [
-    "K_ANALYTIC",
-    "K_DEPLOYED",
-    "classic_from_scalable",
-    "scalable_from_classic",
-    "classic_from_linear",
-    "linear_from_classic",
-]
-
-#: Equation (14)'s analytically derived coupling factor 2/1.68 ≈ 1.19.
-K_ANALYTIC = 2.0 / 1.68
+__all__ = ["K_DEPLOYED"]
 
 #: The value the paper actually deploys and validates empirically.
 K_DEPLOYED = 2.0
-
-
-def classic_from_scalable(p_scalable: float, k: float = K_DEPLOYED) -> float:
-    """Equation (14): classic drop/mark probability from the scalable one.
-
-    ``p_classic = (p_scalable / k)²``, clamped to [0, 1].
-    """
-    if not 0.0 <= p_scalable <= 1.0:
-        raise ValueError(f"probability must be in [0,1] (got {p_scalable})")
-    if k <= 0:
-        raise ValueError(f"coupling factor must be positive (got {k})")
-    return min((p_scalable / k) ** 2, 1.0)
-
-
-def scalable_from_classic(p_classic: float, k: float = K_DEPLOYED) -> float:
-    """Inverse of equation (14): ``p_scalable = k·√p_classic`` (clamped)."""
-    if not 0.0 <= p_classic <= 1.0:
-        raise ValueError(f"probability must be in [0,1] (got {p_classic})")
-    if k <= 0:
-        raise ValueError(f"coupling factor must be positive (got {k})")
-    return min(k * math.sqrt(p_classic), 1.0)
-
-
-def classic_from_linear(p_prime: float) -> float:
-    """PI2's output stage for Classic traffic: ``p = p'²`` (Section 4)."""
-    if not 0.0 <= p_prime <= 1.0:
-        raise ValueError(f"pseudo-probability must be in [0,1] (got {p_prime})")
-    return p_prime * p_prime
-
-
-def linear_from_classic(p: float) -> float:
-    """Inverse output stage: ``p' = √p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0,1] (got {p})")
-    return math.sqrt(p)

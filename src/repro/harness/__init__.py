@@ -22,12 +22,7 @@ from repro.harness.factories import (
 from repro.harness.frozen import FrozenResult, freeze_result
 from repro.harness.journal import JournalRecord, JournalReplay, ResultJournal
 from repro.harness.parallel import RunReport, SweepTask, execute_tasks, resolve_jobs
-from repro.harness.repeat import (
-    MetricEstimate,
-    RepeatOutcome,
-    compare_metric,
-    repeat_experiment,
-)
+from repro.harness.repeat import MetricEstimate
 from repro.harness.resilience import (
     Attempt,
     RecoveryAction,
@@ -48,14 +43,12 @@ from repro.harness.scenarios import (
     varying_intensity,
 )
 from repro.harness.sweep import (
-    PAPER_FLOW_MIXES,
     PAPER_LINK_MBPS,
     PAPER_RTTS_MS,
     GridCell,
     GridOutcome,
     format_table,
     run_coexistence_grid,
-    run_mix_sweep,
 )
 from repro.harness.topology import Dumbbell
 
@@ -65,10 +58,7 @@ __all__ = [
     "FlowGroup",
     "UdpGroup",
     "run_experiment",
-    "repeat_experiment",
-    "compare_metric",
     "MetricEstimate",
-    "RepeatOutcome",
     "RunFailure",
     "run_with_retries",
     "format_failure_report",
@@ -84,11 +74,9 @@ __all__ = [
     "GridCell",
     "GridOutcome",
     "run_coexistence_grid",
-    "run_mix_sweep",
     "format_table",
     "PAPER_LINK_MBPS",
     "PAPER_RTTS_MS",
-    "PAPER_FLOW_MIXES",
     "pie_factory",
     "bare_pie_factory",
     "pi_factory",

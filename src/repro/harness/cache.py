@@ -187,24 +187,6 @@ class ResultCache:
         """Attach a tracer for ``harness`` spans (None detaches)."""
         self._tracer = tracer
 
-    def register_metrics(self, registry: object) -> None:
-        """Register the cache's counters under the ``cache.`` prefix.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`;
-        the provider reports this instance's end-of-run stats (plus the
-        single-flight tallies for :class:`SharedResultCache`).
-        """
-        registry.register_provider("cache", self._metrics_snapshot)
-
-    def _metrics_snapshot(self) -> Dict[str, int]:
-        """Flat metric values straight off the stats dataclass."""
-        return {name: int(value) for name, value in vars(self.stats).items()}
-
-    # -- keying ----------------------------------------------------------
-    def key_for(self, experiment: Experiment) -> Optional[str]:
-        """Delegates to :func:`experiment_cache_key`."""
-        return experiment_cache_key(experiment)
-
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
@@ -414,13 +396,6 @@ class SharedResultCache(ResultCache):
             if kind in counts:
                 counts[kind] += 1
         return counts
-
-    def clear_events(self) -> None:
-        """Reset the event log (benchmarks measure one workload at a time)."""
-        try:
-            self._events_path().unlink()
-        except OSError:
-            pass
 
     def in_flight(self, key: str) -> bool:
         """True when another process currently holds ``key``'s compute lock.

@@ -339,6 +339,15 @@ def _ratio_of_extremes(values) -> float:
     return _max(values) / _min(values)
 
 
+def _lineage_mean(run: FigureRun, aqm: str, flows: int, estimate: str = "exact") -> float:
+    return run.value("q mean [ms]", aqm, flows, estimate)
+
+
+def _load_shift(aqm: str) -> Callable[[FigureRun], float]:
+    """|mean delay at 24 flows − at 4 flows| in ms."""
+    return lambda run: abs(_lineage_mean(run, aqm, 24) - _lineage_mean(run, aqm, 4))
+
+
 def _fct_parity(load: str) -> Callable[[FigureRun], float]:
     return lambda run: _ratio_of_extremes(run.column("mean FCT [s]", load))
 
@@ -597,6 +606,21 @@ CLAIMS: Tuple[Claim, ...] = (
           lambda run: (run.value("q mean [ms]", "pi2-square")
                        - run.value("q mean [ms]", "adaptive-sqrt")),
           hi=2.0),
+    # -- §3: the lineage RED -> PI -> PIE -> PI2 ------------------------------
+    Claim("lineage.red_delay_grows", "§3", "lineage",
+          lambda run: _lineage_mean(run, "red", 24) / _lineage_mean(run, "red", 4),
+          lo=1.3),
+    Claim("lineage.pie_holds_target", "§3", "lineage", _load_shift("pie"), hi=12.0,
+          paper_value=0.0),
+    Claim("lineage.pi2_holds_target", "§3", "lineage", _load_shift("pi2"), hi=10.0,
+          paper_value=0.0),
+    Claim("lineage.measured_like_exact", "§3", "lineage",
+          lambda run: abs(_lineage_mean(run, "pie", 8, "measured")
+                          - _lineage_mean(run, "pie", 8)),
+          hi=12.0, paper_value=0.0),
+    Claim("lineage.measured_near_target", "§3", "lineage",
+          lambda run: _lineage_mean(run, "pie", 8, "measured"),
+          lo=5.0, hi=35.0, paper_value=20.0),
     Claim("dualq.single_queue_shared_delay", "§7", "dualq",
           lambda run: abs(run.value("L (dctcp) delay [ms]", "single-queue")
                           - run.value("C (cubic) delay [ms]", "single-queue")),

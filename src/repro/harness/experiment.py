@@ -336,12 +336,6 @@ class ExperimentResult(ResultMetrics):
         checker = self.bed.invariant_checker
         return checker.checks_run if checker is not None else 0
 
-    def freeze(self) -> "FrozenResult":
-        """Detach a picklable snapshot (see :mod:`repro.harness.frozen`)."""
-        from repro.harness.frozen import freeze_result
-
-        return freeze_result(self)
-
 
 def run_experiment(
     experiment: Experiment, tracer: Optional[object] = None

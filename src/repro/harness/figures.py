@@ -50,6 +50,7 @@ from repro.analysis.fluid import PAPER_PI2_GAINS, PAPER_PIE_GAINS, PAPER_SCAL_GA
 from repro.aqm.adaptive import AdaptivePiAqm
 from repro.aqm.dualq import DualQueueCoupledAqm
 from repro.aqm.fixed import FixedProbabilityAqm
+from repro.aqm.red import RedAqm
 from repro.aqm.step import StepThresholdAqm
 from repro.aqm.tune_table import tune_table_rows
 from repro.errors import ConfigError, FigureGenerationError
@@ -827,6 +828,47 @@ def related_work(scale: float = 1.0) -> Figure:
     return tasks, reduce
 
 
+def lineage(scale: float = 1.0) -> Figure:
+    """§3's lineage at 10 Mb/s, 50 ms Reno: RED's standing queue grows
+    from 4 to 24 flows while PIE and PI2 hold their target, and PIE
+    controls alike whether it divides the backlog by the exact capacity
+    or by its measured departure rate (8 flows, seed 3)."""
+    duration, warmup = 30.0 * scale, 10.0 * scale
+
+    def cell(factory, flows: int, seed: int) -> Experiment:
+        return Experiment(
+            capacity_bps=10 * MBPS, duration=duration, warmup=warmup,
+            aqm_factory=factory, flows=[FlowGroup(cc="reno", count=flows, rtt=0.05)],
+            seed=seed,
+        )
+
+    cells = [
+        (name, flows, "exact", cell(factory, flows, 1))
+        for name, factory in (("red", NamedAqmFactory(RedAqm)), ("pie", pie_factory()),
+                              ("pi2", pi2_factory()))
+        for flows in (4, 24)
+    ] + [
+        ("pie", 8, estimate, cell(pie_factory(**kwargs), 8, 3))
+        for estimate, kwargs in (("exact", {}), ("measured", {"dq_rate_estimator": True}))
+    ]
+
+    def reduce(results) -> FigureData:
+        rows = []
+        for (name, flows, estimate, _exp), r in zip(cells, results):
+            soj = r.sojourn_samples()
+            rows.append((name, flows, estimate, float(np.mean(soj)) * 1e3,
+                         float(np.percentile(soj, 99)) * 1e3, r.mean_utilization() * 100))
+        return FigureData(
+            "Section 3 lineage",
+            ["aqm", "flows", "delay estimate", "q mean [ms]", "q p99 [ms]", "util [%]"],
+            rows, "paper (§3): RED pushes back with delay; the PI family holds "
+            "its target; PIE's measured rate controls like the exact one",
+        )
+
+    return [SweepTask(f"{name} {estimate} {flows} flows", exp)
+            for name, flows, estimate, exp in cells], reduce
+
+
 def _dualq_run(kind: str, capacity: float, rtt: float, duration: float,
                warmup: float, seed: int = 1) -> Tuple:
     """One DCTCP and one Cubic flow behind a single coupled queue or a
@@ -950,6 +992,7 @@ FIGURES: Dict[str, Callable[[float], Figure]] = {
     "abl_sack": abl_sack,
     "abl_square_vs_tune": abl_square_vs_tune,
     "related_work": related_work,
+    "lineage": lineage,
     "dualq": dualq,
     "short_fct": short_fct,
 }

@@ -113,22 +113,6 @@ class RunReport:
         """Append one recovery action to the log."""
         self.actions.append(action)
 
-    def register_metrics(self, registry) -> None:
-        """Register the counters under the ``cells.`` prefix.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`;
-        the provider is read at snapshot time, so register before (or
-        during) the run and snapshot once it finishes.
-        """
-        registry.register_provider("cells", self._metrics_snapshot)
-
-    def _metrics_snapshot(self) -> dict:
-        """Flat metric values mirroring the report's counters."""
-        values = {name: int(value) for name, value in vars(self).items()
-                  if name != "actions"}
-        values["actions"] = len(self.actions)
-        return values
-
     def summary(self) -> str:
         """One-line counter summary for CLI output."""
         parts = [

@@ -2,15 +2,17 @@
 
 Figures 15–18 evaluate every combination of link rate {4, 12, 40, 120,
 200} Mb/s and RTT {5, 10, 20, 50, 100} ms; Figures 19–20 sweep flow-count
-mixes at a fixed operating point.  This module runs those grids and
-renders aligned text tables (the repository's stand-in for the paper's
-bar-chart panels).
+mixes at a fixed operating point.  This module declares both sweeps'
+cells (:func:`_grid_tasks`, :func:`_mix_tasks`, which the figure
+registry runs), runs a grid on its own for the CLI's ``grid``
+command, and renders aligned text tables (the repository's
+stand-in for the paper's bar-chart panels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import AqmFactory, ExperimentResult
@@ -23,33 +25,13 @@ __all__ = [
     "GridOutcome",
     "PAPER_LINK_MBPS",
     "PAPER_RTTS_MS",
-    "PAPER_FLOW_MIXES",
     "run_coexistence_grid",
-    "run_mix_sweep",
     "format_table",
 ]
 
 #: The paper's evaluation grid (Figures 15–18).
 PAPER_LINK_MBPS = (4, 12, 40, 120, 200)
 PAPER_RTTS_MS = (5, 10, 20, 50, 100)
-
-#: Figures 19–20's flow-count combinations (A = first class, B = second).
-PAPER_FLOW_MIXES = (
-    (0, 10),
-    (1, 9),
-    (2, 8),
-    (3, 7),
-    (4, 6),
-    (5, 5),
-    (6, 4),
-    (7, 3),
-    (8, 2),
-    (9, 1),
-    (10, 0),
-    (1, 1),
-    (1, 10),
-    (10, 1),
-)
 
 
 @dataclass
@@ -212,61 +194,6 @@ def run_coexistence_grid(
         else:
             outcome.failures.append(failure)
     return outcome
-
-
-def run_mix_sweep(
-    aqm_factory: AqmFactory,
-    cc_a: str = "dctcp",
-    cc_b: str = "cubic",
-    mixes: Sequence[Tuple[int, int]] = PAPER_FLOW_MIXES,
-    capacity_mbps: float = 40.0,
-    rtt_ms: float = 10.0,
-    duration: float = 30.0,
-    warmup: float = 10.0,
-    seed: int = 1,
-    on_error: str = "raise",
-    max_retries: int = 1,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    supervisor=None,
-    journal=None,
-    resume: bool = False,
-    tracer=None,
-) -> Dict[Tuple[int, int], ExperimentResult]:
-    """Run the Figure 19–20 flow-mix sweep at one operating point.
-
-    With ``on_error="capture"``, failing mixes are retried on bumped
-    seeds and then skipped; the returned dict gains a ``failures``
-    attribute (a :class:`~repro.harness.resilience.RunFailure` list).
-    ``jobs``/``cache``/``supervisor``/``journal``/``resume``/``tracer``
-    behave exactly as in :func:`run_coexistence_grid`, and the returned
-    dict carries the :class:`~repro.harness.parallel.RunReport` as
-    ``recovery``.
-    """
-    cells = _mix_tasks(aqm_factory, cc_a, cc_b, mixes, capacity_mbps,
-                       rtt_ms, duration, warmup, seed)
-    results = _MixResults()
-    pairs = execute_tasks(
-        [task for _a, _b, task in cells], jobs=jobs, on_error=on_error,
-        max_retries=max_retries, cache=cache, tracer=tracer,
-        journal=journal, resume=resume, supervisor=supervisor,
-        report=results.recovery,
-    )
-    for (n_a, n_b, _task), (result, failure) in zip(cells, pairs):
-        if result is not None:
-            results[(n_a, n_b)] = result
-        else:
-            results.failures.append(failure)
-    return results
-
-
-class _MixResults(Dict[Tuple[int, int], ExperimentResult]):
-    """Mix-sweep result dict with an attached failure list and report."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.failures: List[RunFailure] = []
-        self.recovery = RunReport()
 
 
 def format_table(

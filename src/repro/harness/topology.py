@@ -42,8 +42,6 @@ _ECN_MODE = {
     "cubic": "off",
     "ecn-cubic": "classic",
     "dctcp": "scalable",
-    "relentless": "scalable",
-    "scalable-tcp": "scalable",
 }
 
 
@@ -254,43 +252,6 @@ class Dumbbell:
             self.sim.at(stop, sender.stop)
         return sender
 
-    def add_realtime_flow(
-        self,
-        rtt: float,
-        interval: float = 0.020,
-        payload_bytes: int = 200,
-        start: float = 0.0,
-        stop: Optional[float] = None,
-        ecn: ECN = ECN.NOT_ECT,
-        label: str = "realtime",
-    ):
-        """Create a latency-sensitive isochronous flow with QoE metering.
-
-        Returns ``(source, sink)``; the sink's delay statistics isolate
-        the bottleneck queuing component (the forward propagation delay
-        is subtracted).
-        """
-        from repro.traffic.realtime import RealtimeSink, RealtimeSource
-
-        if rtt <= 0:
-            raise ValueError(f"RTT must be positive (got {rtt})")
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        self.flows.add(flow_id, label, mss_bytes=payload_bytes)
-        sink = RealtimeSink(self.sim, base_delay=rtt / 2.0)
-        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=sink)
-        self._fwd_pipes[flow_id] = fwd_pipe
-        source = RealtimeSource(
-            self.sim,
-            flow_id,
-            transmit=self.queue.enqueue,
-            interval=interval,
-            payload_bytes=payload_bytes,
-            ecn=ecn,
-        )
-        source.start(at=start, until=stop)
-        return source, sink
-
     def add_udp_flow(
         self,
         rate_bps: float,
@@ -316,9 +277,3 @@ class Dumbbell:
     def goodput_bps(self, label: str, now: Optional[float] = None) -> List[float]:
         """Per-flow goodput for one class over the open window."""
         return self.flows.goodputs(label, now if now is not None else self.sim.now)
-
-    def udp_delivered_bps(self, duration: float) -> float:
-        """Aggregate UDP delivery rate over ``duration`` seconds."""
-        if duration <= 0:
-            raise ValueError(f"duration must be positive (got {duration})")
-        return self._udp_sink.bytes * 8.0 / duration

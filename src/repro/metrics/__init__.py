@@ -1,12 +1,10 @@
 """Measurement substrate: time series, statistics, per-flow accounting."""
 
-from repro.metrics.export import result_summary, write_result_json, write_series_csv
+from repro.metrics.export import result_summary, write_result_json
 from repro.metrics.flowstats import FlowRecord, FlowTable
-from repro.metrics.series import Sampler, TimeSeries
+from repro.metrics.series import TimeSeries
 from repro.metrics.stats import (
-    ecdf,
     geometric_mean,
-    jain_fairness,
     normalized_rates,
     percentile_summary,
     rate_balance_ratio,
@@ -14,16 +12,12 @@ from repro.metrics.stats import (
 
 __all__ = [
     "TimeSeries",
-    "Sampler",
     "FlowRecord",
     "FlowTable",
-    "ecdf",
     "percentile_summary",
-    "jain_fairness",
     "rate_balance_ratio",
     "normalized_rates",
     "geometric_mean",
     "result_summary",
     "write_result_json",
-    "write_series_csv",
 ]

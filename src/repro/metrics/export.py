@@ -2,14 +2,13 @@
 
 Reproduction runs are only useful if their outputs can leave the process:
 this module serializes an :class:`~repro.harness.experiment.ExperimentResult`
-(summary + sampled series) to JSON, and any recorded time series to CSV,
-so results can be archived, diffed across code versions, or plotted with
-external tooling.
+(summary + sampled series) to JSON (``repro run --json PATH``), so results
+can be archived, diffed across code versions, or plotted with external
+tooling.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -17,9 +16,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import ExperimentResult
-    from repro.metrics.series import TimeSeries
 
-__all__ = ["result_summary", "write_result_json", "write_series_csv"]
+__all__ = ["result_summary", "write_result_json"]
 
 
 def _clean(value: float) -> Optional[float]:
@@ -84,15 +82,4 @@ def write_result_json(result: "ExperimentResult", path: Union[str, Path]) -> Pat
     """Serialize the result summary to ``path``; returns the path."""
     path = Path(path)
     path.write_text(json.dumps(result_summary(result), indent=2) + "\n")
-    return path
-
-
-def write_series_csv(series: "TimeSeries", path: Union[str, Path]) -> Path:
-    """Write a time series as two-column CSV (time, value)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", series.name or "value"])
-        for t, v in zip(series.times, series.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
     return path

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.metrics.stats import rate_balance_ratio
 
 __all__ = ["FlowRecord", "FlowTable"]
 
@@ -76,9 +75,3 @@ class FlowTable:
 
     def goodputs(self, label: str, now: float) -> List[float]:
         return [r.goodput_bps(now) for r in self.by_label(label)]
-
-    def balance(self, label_a: str, label_b: str, now: float) -> float:
-        """Per-flow goodput ratio label_a / label_b (Figure 15's metric)."""
-        return rate_balance_ratio(
-            self.goodputs(label_a, now), self.goodputs(label_b, now)
-        )

@@ -4,10 +4,9 @@ Thin, allocation-friendly recorders used throughout the harness:
 
 * :class:`TimeSeries` — (t, value) samples; queue-delay traces (Figures 6,
   11–13), probability traces (Figure 17) and utilization traces
-  (Figure 18) are all instances.
-* :class:`Sampler` — drives a recording callback on a fixed period (the
-  paper's plots use a 1 s sampling interval; Figure 12's overshoot detail
-  uses 100 ms).
+  (Figure 18) are all instances, sampled by the testbed on the period the
+  experiment asks for (1 s in the paper's plots, 100 ms for Figure 12's
+  overshoot detail).
 
 Storage
 -------
@@ -25,13 +24,11 @@ result-cache entries stay loadable.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
-from repro.sim.engine import Simulator
-
-__all__ = ["TimeSeries", "Sampler"]
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -39,7 +36,7 @@ class TimeSeries:
 
     The numpy arrays returned by :attr:`times`/:attr:`values` are built
     lazily and cached — figure and summary code calls ``window``/``mean``/
-    ``percentile`` many times over the same finished series, and
+    ``max`` many times over the same finished series, and
     rebuilding a fresh array per access dominated those paths.  The cache
     is invalidated on :meth:`append`; treat the returned arrays as
     read-only snapshots.
@@ -105,37 +102,5 @@ class TimeSeries:
         vals = self.window(t_from, t_to)
         return float(np.max(vals)) if vals.size else float("nan")
 
-    def percentile(
-        self, q: float, t_from: float = 0.0, t_to: float = float("inf")
-    ) -> float:
-        vals = self.window(t_from, t_to)
-        return float(np.percentile(vals, q)) if vals.size else float("nan")
-
-    def std(self, t_from: float = 0.0, t_to: float = float("inf")) -> float:
-        vals = self.window(t_from, t_to)
-        return float(np.std(vals)) if vals.size else float("nan")
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TimeSeries {self.name!r} n={len(self)}>"
-
-
-class Sampler:
-    """Calls ``probe()`` every ``period`` seconds and records the result."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        probe: Callable[[], float],
-        period: float = 1.0,
-        name: str = "",
-        start_delay: float = 0.0,
-    ):
-        if period <= 0:
-            raise ValueError(f"period must be positive (got {period})")
-        self.series = TimeSeries(name)
-        self._probe = probe
-        sim.every(period, self._tick, start_delay=max(start_delay, period))
-        self._sim = sim
-
-    def _tick(self) -> None:
-        self.series.append(self._sim.now, self._probe())

@@ -1,38 +1,24 @@
 """Statistical helpers for the paper's evaluation metrics.
 
 Everything Figures 14–20 report reduces to a handful of reusable
-computations: empirical CDFs of per-packet queue delay, percentile
-summaries, Jain's fairness index, the per-class rate-balance ratio, and
-normalized per-flow rates.
+computations: percentile summaries of per-packet queue delay, the
+per-class rate-balance ratio, normalized per-flow rates, and the
+geometric mean the grid claims average balance ratios with.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ecdf",
     "percentile_summary",
-    "jain_fairness",
     "rate_balance_ratio",
     "normalized_rates",
     "geometric_mean",
 ]
-
-
-def ecdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted values, cumulative probabilities).
-
-    Used for Figure 14's queue-delay CDF comparison.
-    """
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return arr, probs
 
 
 def percentile_summary(
@@ -52,17 +38,6 @@ def percentile_summary(
     for q in percentiles:
         out[f"p{int(q)}"] = float(np.percentile(arr, q))
     return out
-
-
-def jain_fairness(rates: Sequence[float]) -> float:
-    """Jain's fairness index (Σx)²/(n·Σx²) ∈ (0, 1]."""
-    arr = np.asarray(rates, dtype=float)
-    if arr.size == 0:
-        return math.nan
-    denom = arr.size * float(np.sum(arr * arr))
-    if denom == 0:
-        return math.nan
-    return float(np.sum(arr)) ** 2 / denom
 
 
 def rate_balance_ratio(

@@ -5,7 +5,6 @@ from repro.net.faults import (
     AqmStallFault,
     AqmTimerJitterFault,
     BurstLossFault,
-    CorruptingPipe,
     CorruptionFault,
     DuplicatingPipe,
     Fault,
@@ -17,16 +16,11 @@ from repro.net.faults import (
     parse_fault_spec,
 )
 from repro.net.link import Link, Sink
-from repro.net.node import CallbackSink, CountingSink, NullSink
+from repro.net.node import CountingSink
 from repro.net.packet import ACK_SIZE, DEFAULT_MSS, ECN, HEADER_BYTES, Packet
 from repro.net.pipe import DropPipe, LossyPipe, Pipe
 from repro.net.trace import PacketTrace, TraceEvent, TraceRecord
-from repro.net.queue import (
-    AQMQueue,
-    CapacityDelayEstimator,
-    DepartureRateEstimator,
-    QueueStats,
-)
+from repro.net.queue import AQMQueue, QueueStats
 
 __all__ = [
     "Packet",
@@ -36,8 +30,6 @@ __all__ = [
     "HEADER_BYTES",
     "AQMQueue",
     "QueueStats",
-    "CapacityDelayEstimator",
-    "DepartureRateEstimator",
     "Link",
     "Sink",
     "Pipe",
@@ -45,7 +37,6 @@ __all__ = [
     "LossyPipe",
     "GilbertElliottLoss",
     "GilbertElliottPipe",
-    "CorruptingPipe",
     "ReorderingPipe",
     "DuplicatingPipe",
     "Fault",
@@ -57,8 +48,6 @@ __all__ = [
     "FaultInjector",
     "parse_fault_spec",
     "CountingSink",
-    "NullSink",
-    "CallbackSink",
     "PacketTrace",
     "TraceEvent",
     "TraceRecord",

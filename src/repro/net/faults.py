@@ -12,9 +12,6 @@ on a flow's forward or reverse path):
   Gilbert–Elliott Markov model (:class:`GilbertElliottLoss`), the standard
   way to model correlated wireless/line errors rather than independent
   Bernoulli coin flips;
-* :class:`CorruptingPipe` — per-packet corruption; a corrupted packet
-  fails its checksum at the receiver and is discarded, so corruption is
-  loss with its own attribution counter;
 * :class:`ReorderingPipe` — a fraction of packets are held back for an
   extra delay so later packets overtake them (netem's ``reorder``);
 * :class:`DuplicatingPipe` — a fraction of packets are delivered twice.
@@ -52,7 +49,6 @@ from repro.sim.engine import Simulator
 __all__ = [
     "GilbertElliottLoss",
     "GilbertElliottPipe",
-    "CorruptingPipe",
     "ReorderingPipe",
     "DuplicatingPipe",
     "Fault",
@@ -167,38 +163,6 @@ class GilbertElliottPipe(DropPipe):
 
     def _should_drop(self, packet: Packet) -> bool:
         return self.model.should_drop()
-
-
-class CorruptingPipe(DropPipe):
-    """A pipe that corrupts packets with probability ``corrupt``.
-
-    The TCP/UDP models have no payload to damage, so corruption is modeled
-    at its observable effect: the receiver's checksum fails and the packet
-    is discarded.  Corrupted packets count in :attr:`corrupted` (and in the
-    inherited :attr:`lost`), keeping them distinguishable from congestive
-    loss in reports.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        corrupt: float,
-        rng: random.Random,
-        sink=None,
-    ):
-        super().__init__(sim, delay, sink)
-        if not 0.0 <= corrupt <= 1.0:
-            raise ConfigError(f"corruption probability must be in [0,1] (got {corrupt})")
-        self.corrupt = corrupt
-        self.rng = rng
-        self.corrupted = 0
-
-    def _should_drop(self, packet: Packet) -> bool:
-        if self.corrupt > 0 and self.rng.random() < self.corrupt:
-            self.corrupted += 1
-            return True
-        return False
 
 
 class ReorderingPipe(Pipe):
@@ -543,13 +507,6 @@ class FaultInjector:
 
         self.sim.at(fault.start, enable)
         self.sim.at(fault.end, disable)
-
-    # -- reporting -------------------------------------------------------
-    def describe(self) -> str:
-        """Render the recorded fault timeline as aligned text lines."""
-        if not self.timeline:
-            return "(no fault events fired)"
-        return "\n".join(f"t={t:8.3f}s  {msg}" for t, msg in self.timeline)
 
 
 # ----------------------------------------------------------------------

@@ -93,11 +93,11 @@ class Link:
     # Configuration
     # ------------------------------------------------------------------
     def set_capacity(self, capacity_bps: BitsPerSecond) -> None:
-        """Change the line rate; also updates the queue's delay estimator."""
+        """Change the line rate; also updates the queue's delay estimate."""
         if capacity_bps <= 0:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
         self.capacity_bps = capacity_bps
-        self.queue.estimator.set_capacity(capacity_bps)
+        self.queue.set_capacity(capacity_bps)
 
     def set_router(self, route: Callable[[Packet], Sink]) -> None:
         """Install per-packet routing (used by the dumbbell topology to
@@ -122,18 +122,6 @@ class Link:
             self.down = False
             if not self.busy:
                 self._transmit_next()
-
-    # ------------------------------------------------------------------
-    # Utilization accounting
-    # ------------------------------------------------------------------
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of ``elapsed`` (default: sim time so far) spent serializing.
-
-        ``busy_time`` integrates per-packet serialization times.
-        """
-        if elapsed is None:
-            elapsed = self.sim.now
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
 
     # ------------------------------------------------------------------
     # Transmission loop

@@ -1,17 +1,14 @@
-"""Simple endpoint sinks.
+"""The counting endpoint sink.
 
 The dumbbell harness wires TCP senders/receivers directly, but unresponsive
-traffic (UDP) and several tests need trivial endpoints: a sink that counts
-what it absorbs, and a null sink.
+traffic (UDP) needs a trivial endpoint: a sink that counts what it absorbs.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.net.packet import Packet
 
-__all__ = ["CountingSink", "NullSink", "CallbackSink"]
+__all__ = ["CountingSink"]
 
 
 class CountingSink:
@@ -28,20 +25,3 @@ class CountingSink:
         self.per_flow_bytes[packet.flow_id] = (
             self.per_flow_bytes.get(packet.flow_id, 0) + packet.size
         )
-
-
-class NullSink:
-    """Absorbs and forgets."""
-
-    def deliver(self, packet: Packet) -> None:  # noqa: D102 - trivially named
-        pass
-
-
-class CallbackSink:
-    """Invokes a callback for every delivered packet."""
-
-    def __init__(self, fn: Callable[[Packet], None]):
-        self.fn = fn
-
-    def deliver(self, packet: Packet) -> None:
-        self.fn(packet)

@@ -9,21 +9,15 @@ same FIFO queue", Section 5).
 
 Queue-delay estimation
 ----------------------
-PIE was designed for hardware and estimates queuing delay as
-``backlog / departure_rate`` with a measured departure-rate estimator
-(unlike CoDel's per-packet timestamps).  Both estimators are implemented:
-
-* :class:`CapacityDelayEstimator` — exact conversion using the configured
-  link rate (what the PIE RFC calls the known-drain-rate simplification,
-  used by DOCSIS PIE).
-* :class:`DepartureRateEstimator` — PIE's measurement loop: time how long
-  it takes to drain ``dq_threshold`` bytes, average the rate, divide.
-
-An estimator that measures departures defines ``observe_backlog(bytes)``
-and ``on_dequeue(bytes_sent, now)``; an AQM that does defines
-``on_dequeue(packet, now)`` (only CoDel does).  :class:`AQMQueue` looks
-these hooks up once, at construction, so a queue whose estimator and AQM
-need no departure observation makes no call for them per packet.
+The queue's delay estimate is the exact conversion
+``backlog_bytes * 8 / capacity_bps`` at the configured drain rate (what
+the PIE RFC calls the known-drain-rate simplification, used by DOCSIS
+PIE); :meth:`AQMQueue.set_capacity` tracks the capacity steps of
+Figure 12.  PIE's measured departure-rate estimator belongs to PIE
+(``PieAqm(dq_rate_estimator=True)``, as in Linux ``sch_pie``), which
+observes departures through the AQM's ``on_dequeue`` hook.  The queue
+binds that hook once, at construction, so a queue whose AQM needs no
+departure observation makes no call for it per packet.
 
 The per-packet *actual* sojourn time is additionally recorded at dequeue
 time (difference of timestamps); that is the quantity whose distribution
@@ -39,12 +33,7 @@ from repro.aqm.base import AQM, Decision
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
-__all__ = [
-    "AQMQueue",
-    "QueueStats",
-    "CapacityDelayEstimator",
-    "DepartureRateEstimator",
-]
+__all__ = ["AQMQueue", "QueueStats"]
 
 
 class QueueStats:
@@ -85,82 +74,6 @@ class QueueStats:
         )
 
 
-class CapacityDelayEstimator:
-    """Exact queue-delay estimate from the configured drain rate.
-
-    ``delay = backlog_bytes * 8 / capacity_bps``.  Tracks capacity changes
-    (Figure 12's varying-link-capacity experiment) via :meth:`set_capacity`.
-    The drain rate is known, so it has no departure hooks.
-    """
-
-    def __init__(self, capacity_bps: float):
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive (got {capacity_bps})")
-        self.capacity_bps = capacity_bps
-
-    def set_capacity(self, capacity_bps: float) -> None:
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive (got {capacity_bps})")
-        self.capacity_bps = capacity_bps
-
-    def delay(self, backlog_bytes: int) -> float:
-        return backlog_bytes * 8.0 / self.capacity_bps
-
-
-class DepartureRateEstimator:
-    """PIE's measured departure-rate estimator (RFC 8033 section 5.1).
-
-    Measurement starts when the backlog exceeds ``dq_threshold`` bytes; the
-    rate sample is ``bytes_drained / elapsed`` once at least the threshold
-    has drained, and samples are smoothed with an exponential average.
-    Until the first sample completes, the estimator falls back to the
-    initial rate guess.
-    """
-
-    def __init__(
-        self,
-        initial_rate_bps: float = 10e6,
-        dq_threshold: int = 16 * 1024,
-        smoothing: float = 0.5,
-    ):
-        if initial_rate_bps <= 0:
-            raise ValueError("initial rate must be positive")
-        self.rate_bps = initial_rate_bps
-        self.dq_threshold = dq_threshold
-        self.smoothing = smoothing
-        self._in_measurement = False
-        self._dq_start = 0.0
-        self._dq_bytes = 0
-        self._backlog_hint = 0
-
-    def set_capacity(self, capacity_bps: float) -> None:
-        """Capacity changes are discovered by measurement; nothing to do."""
-
-    def on_dequeue(self, bytes_sent: int, now: float) -> None:
-        if not self._in_measurement:
-            if self._backlog_hint >= self.dq_threshold:
-                # The packet triggering the start drains *at* the start
-                # instant; counting it would bias the rate high.
-                self._in_measurement = True
-                self._dq_start = now
-                self._dq_bytes = 0
-            return
-        self._dq_bytes += bytes_sent
-        if self._dq_bytes >= self.dq_threshold:
-            elapsed = now - self._dq_start
-            if elapsed > 0:
-                sample = self._dq_bytes * 8.0 / elapsed
-                w = self.smoothing
-                self.rate_bps = (1 - w) * self.rate_bps + w * sample
-            self._in_measurement = False
-
-    def observe_backlog(self, backlog_bytes: int) -> None:
-        self._backlog_hint = backlog_bytes
-
-    def delay(self, backlog_bytes: int) -> float:
-        return backlog_bytes * 8.0 / self.rate_bps
-
-
 class AQMQueue:
     """Single FIFO queue managed by an AQM, drained by a link.
 
@@ -172,11 +85,9 @@ class AQMQueue:
         The active queue management algorithm; ``None`` means pure
         tail-drop.
     capacity_bps:
-        Drain rate used by the default exact delay estimator.
+        Drain rate the queue-delay estimate divides the backlog by.
     buffer_packets:
         Hard tail-drop limit in packets (Table 1 uses 40 000).
-    estimator:
-        Override the queue-delay estimator (e.g. PIE's measured one).
     on_sojourn:
         Optional callback ``(now, sojourn_seconds, packet)`` invoked at each
         dequeue — the metrics layer uses this to build the per-packet queue
@@ -189,7 +100,6 @@ class AQMQueue:
         aqm: Optional[AQM],
         capacity_bps: float,
         buffer_packets: int = 40_000,
-        estimator: Optional[object] = None,
         on_sojourn: Optional[Callable[[float, float, Packet], None]] = None,
     ):
         if buffer_packets <= 0:
@@ -197,7 +107,7 @@ class AQMQueue:
         self.sim = sim
         self.aqm = aqm
         self.buffer_packets = buffer_packets
-        self.estimator = estimator or CapacityDelayEstimator(capacity_bps)
+        self.set_capacity(capacity_bps)
         self.on_sojourn = on_sojourn
         self.stats = QueueStats()
         self._fifo: deque[Packet] = deque()
@@ -207,12 +117,10 @@ class AQMQueue:
         #: True return drops the arriving packet (counted separately from
         #: AQM/tail drops so loss attribution in reports stays honest).
         self._ingress_fault: Optional[Callable[[Packet], bool]] = None
-        # The AQM verdict and the departure hooks, bound once (see the
-        # module docstring); None where there is nothing to call.
+        # The AQM verdict and departure hook, bound once (see the module
+        # docstring); None where there is nothing to call.
         self._decide = aqm.decide if aqm is not None else None
-        self._aqm_on_dequeue = aqm.on_dequeue if aqm is not None else None
-        self._observe_backlog = getattr(self.estimator, "observe_backlog", None)
-        self._estimator_on_dequeue = getattr(self.estimator, "on_dequeue", None)
+        self._on_dequeue = aqm.on_dequeue if aqm is not None else None
         if aqm is not None:
             aqm.attach(sim, self)
 
@@ -226,7 +134,14 @@ class AQMQueue:
         return len(self._fifo)
 
     def queue_delay(self) -> float:
-        return self.estimator.delay(self._bytes)
+        return self._bytes * 8.0 / self.capacity_bps
+
+    def set_capacity(self, capacity_bps: float) -> None:
+        """Set the drain rate the delay estimate divides by (the link
+        calls this when its line rate changes)."""
+        if capacity_bps <= 0:
+            raise ValueError(f"capacity must be positive (got {capacity_bps})")
+        self.capacity_bps = capacity_bps
 
     # ------------------------------------------------------------------
     # Datapath
@@ -259,8 +174,6 @@ class AQMQueue:
         fifo.append(packet)
         self._bytes += packet.size
         stats.enqueued += 1
-        if self._observe_backlog is not None:
-            self._observe_backlog(self._bytes)
         # Only an empty queue can have an idle link waiting on it.
         if len(fifo) == 1 and self._wakeup is not None:
             self._wakeup()
@@ -277,10 +190,8 @@ class AQMQueue:
         stats = self.stats
         stats.dequeued += 1
         stats.bytes_dequeued += size
-        if self._estimator_on_dequeue is not None:
-            self._estimator_on_dequeue(size, now)
-        if self._aqm_on_dequeue is not None:
-            self._aqm_on_dequeue(packet, now)
+        if self._on_dequeue is not None:
+            self._on_dequeue(packet, now)
         if self.on_sojourn is not None:
             self.on_sojourn(now, now - packet.enqueue_time, packet)
         return packet

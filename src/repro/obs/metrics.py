@@ -36,13 +36,6 @@ class MetricsRegistry:
         """Set gauge ``name`` to ``value`` (overwrites)."""
         self._values[name] = value
 
-    def increment(self, name: str, amount: Union[int, float] = 1) -> None:
-        """Add ``amount`` to counter ``name`` (creates at 0)."""
-        current = self._values.get(name, 0)
-        if not isinstance(current, (int, float)):
-            raise TypeError(f"metric {name!r} is not numeric: {current!r}")
-        self._values[name] = current + amount
-
     def register_provider(
         self, prefix: str, provider: Callable[[], Mapping[str, Any]]
     ) -> None:

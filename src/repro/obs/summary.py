@@ -93,7 +93,7 @@ def summarize_trace(path: Union[str, Path]) -> Dict[str, Any]:
     decisions = [e for e in events if e.get("event") == "aqm_decision"]
     aqm_summary: Optional[Dict[str, Any]] = None
     if updates or decisions:
-        # AQMs without an update timer (CoDel) emit decisions only: their
+        # AQMs without an update timer (RED) emit decisions only: their
         # series is empty and every update-derived value is None.
         times = [float(e["t"]) for e in updates]
         p_prime = [float(e.get("p_prime") or 0.0) for e in updates]

@@ -485,44 +485,6 @@ class Simulator:
             self._events_processed = processed
             self._running = False
 
-    def step(self) -> bool:
-        """Process a single event.  Returns False when nothing is pending.
-
-        Pops exactly what :meth:`run` would pop next.  Callback failures
-        receive the same structured wrapping as in :meth:`run`.
-        """
-        self._clean_heap()
-        if not self._heap:
-            return False
-        when, _, fn, args = heapq.heappop(self._heap)
-        if fn is None:
-            fn, args = args.fn, args.args
-        self.now = when
-        self._dispatch(fn, args, when)
-        self._events_processed += 1
-        return True
-
-    def _dispatch(self, fn: Callable[..., Any], args: tuple, when: float) -> None:
-        """Run one callback, converting failures into structured errors."""
-        try:
-            fn(*args)
-        except SimulationError as exc:
-            # Already structured (invariant checker, nested engine, ...);
-            # just fill in the virtual time if the raiser could not.
-            if exc.sim_time is None:
-                exc.sim_time = when
-            raise
-        except Exception as exc:
-            name = getattr(fn, "__qualname__", None) or getattr(
-                fn, "__name__", repr(fn)
-            )
-            raise CallbackError(
-                f"event callback {name!r} raised {type(exc).__name__}: {exc}",
-                sim_time=when,
-                callback=name,
-                component="Simulator",
-            ) from exc
-
     @property
     def pending_events(self) -> int:
         """Number of events still queued, including lazily-cancelled ones."""
@@ -617,7 +579,3 @@ class PeriodicTimer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

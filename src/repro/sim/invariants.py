@@ -86,11 +86,6 @@ class InvariantChecker:
         if self._timer is None:
             self._timer = self.sim.every(self.check_interval, self.check_now)
 
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------

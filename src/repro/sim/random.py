@@ -49,16 +49,6 @@ class RandomStreams:
             self._streams[name] = rng
         return rng
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory whose streams are namespaced under ``name``.
-
-        Useful when a sub-component (e.g. the web workload generator) wants
-        to hand out its own sub-streams without risk of colliding with the
-        parent's names.
-        """
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RandomStreams seed={self.seed} streams={len(self._streams)}>"
 

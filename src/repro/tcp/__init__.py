@@ -1,11 +1,15 @@
-"""Transport substrate: window-based TCP models (Reno, Cubic, DCTCP)."""
+"""Transport substrate: window-based TCP models.
+
+:data:`SENDERS` names the four congestion controls the experiments use:
+Reno, Cubic (with its CReno mode), ECN-Cubic (Classic ECN) and DCTCP (the
+Scalable control).
+"""
 
 from repro.tcp.base import INITIAL_RTO, MIN_RTO, TcpSender
 from repro.tcp.cubic import CUBIC_BETA, CUBIC_C, CubicSender, EcnCubicSender
 from repro.tcp.dctcp import DCTCP_GAIN, DctcpSender
 from repro.tcp.receiver import DELACK_TIMEOUT, TcpReceiver
 from repro.tcp.reno import RenoSender
-from repro.tcp.scalable import STCP_A, STCP_B, RelentlessSender, ScalableTcpSender
 
 __all__ = [
     "TcpSender",
@@ -13,10 +17,6 @@ __all__ = [
     "CubicSender",
     "EcnCubicSender",
     "DctcpSender",
-    "RelentlessSender",
-    "ScalableTcpSender",
-    "STCP_A",
-    "STCP_B",
     "TcpReceiver",
     "CUBIC_C",
     "CUBIC_BETA",
@@ -32,6 +32,4 @@ SENDERS = {
     "cubic": CubicSender,
     "ecn-cubic": EcnCubicSender,
     "dctcp": DctcpSender,
-    "relentless": RelentlessSender,
-    "scalable-tcp": ScalableTcpSender,
 }

@@ -108,14 +108,6 @@ class CubicSender(TcpSender):
             # Minimal probing growth in the concave plateau.
             self.cwnd += acked * 0.01 / self.cwnd
 
-    @staticmethod
-    def switchover_is_creno(window: float, rtt: float) -> bool:
-        """Equation (8): True when Cubic operates in its Reno (CReno) mode.
-
-        ``window`` in segments, ``rtt`` in seconds.
-        """
-        return window * rtt ** 1.5 < 3.5
-
 
 class EcnCubicSender(CubicSender):
     """Cubic with classic ECN enabled — the paper's 'ECN-Cubic' control."""

@@ -49,15 +49,11 @@ class DctcpSender(TcpSender):
         #: so a fresh flow reacts strongly to its first marks (Linux default).
         self.alpha = alpha0
         self.gain = gain
-        self.marked_segments = 0
-        self.acked_segments = 0
 
     def on_round_end(self, acked: int, marked: int) -> None:
         """Per-window α update and (at most one) window reduction."""
         if acked <= 0:
             return
-        self.acked_segments += acked
-        self.marked_segments += marked
         fraction = marked / acked
         self.alpha = (1.0 - self.gain) * self.alpha + self.gain * fraction
         if marked > 0 and not self.in_recovery:
@@ -66,10 +62,3 @@ class DctcpSender(TcpSender):
             # Like any congestion response, the reduction ends slow start
             # (Linux DCTCP sets ssthresh via the CWR state machine).
             self.ssthresh = self.cwnd
-
-    @property
-    def observed_mark_probability(self) -> float:
-        """Lifetime fraction of segments that carried a CE mark."""
-        if self.acked_segments == 0:
-            return 0.0
-        return self.marked_segments / self.acked_segments

@@ -1,6 +1,5 @@
 """Traffic substrate: unresponsive CBR sources and web-like short flows."""
 
-from repro.traffic.realtime import RealtimeSink, RealtimeSource
 from repro.traffic.udp import UdpSource
 from repro.traffic.web import WebWorkload, bounded_pareto_segments
 
@@ -8,6 +7,4 @@ __all__ = [
     "UdpSource",
     "WebWorkload",
     "bounded_pareto_segments",
-    "RealtimeSource",
-    "RealtimeSink",
 ]

@@ -19,7 +19,8 @@ __all__ = ["UdpSource"]
 
 
 class UdpSource:
-    """Sends ``rate_bps`` of Not-ECT (by default) packets until stopped."""
+    """Sends ``rate_bps`` of Not-ECT (by default) packets from ``start``
+    until ``until``."""
 
     def __init__(
         self,
@@ -41,7 +42,6 @@ class UdpSource:
         self.packet_size = packet_size
         self.ecn = ecn
         self.packets_sent = 0
-        self._stopped = False
         self._interval = packet_size * 8.0 / rate_bps
 
     def start(self, at: float = 0.0, until: Optional[float] = None) -> None:
@@ -49,12 +49,7 @@ class UdpSource:
         self._until = until
         self.sim.at(at, self._send_next)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _send_next(self) -> None:
-        if self._stopped:
-            return
         if self._until is not None and self.sim.now >= self._until:
             return
         pkt = Packet(

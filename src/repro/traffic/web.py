@@ -82,18 +82,12 @@ class WebWorkload:
         self.flows_started = 0
         self.completion_times: List[float] = []
         self.flow_sizes: List[int] = []
-        self._stopped = False
 
     def start(self, at: float = 0.0, until: Optional[float] = None) -> None:
         self._until = until
         self.sim.at(at, self._arrival)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _arrival(self) -> None:
-        if self._stopped:
-            return
         if self._until is not None and self.sim.now >= self._until:
             return
         size = bounded_pareto_segments(

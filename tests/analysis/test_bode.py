@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.bode import (
     Margins,
-    margin_sweep,
     margins_from_loop,
     margins_reno_pi,
     margins_reno_pi2,
@@ -127,15 +126,3 @@ class TestFigure7:
         is the gain margin of PI2 slightly above 10 dB'."""
         m = margins_reno_pi2(0.8, R0, PAPER_PI2_GAINS)
         assert m.gain_margin_db > 10.0
-
-
-class TestSweep:
-    def test_sweep_shapes(self):
-        ps = np.array([0.01, 0.1])
-        out = margin_sweep("reno_pi2", ps, R0, PAPER_PI2_GAINS)
-        assert len(out) == 2
-        assert all(isinstance(m, Margins) for m in out)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            margin_sweep("nope", np.array([0.1]), R0, PAPER_PI2_GAINS)

@@ -107,6 +107,13 @@ class TestSwitchover:
     def test_high_bdp_is_cubic(self):
         assert not ss.cubic_operates_as_creno(window=1000, rtt=0.1)
 
+    def test_threshold_boundary(self):
+        # W·R^1.5 = 3.5 exactly → not CReno (strict inequality).
+        rtt = 0.1
+        w = 3.5 / rtt ** 1.5
+        assert not ss.cubic_operates_as_creno(w, rtt)
+        assert ss.cubic_operates_as_creno(w * 0.99, rtt)
+
     def test_depends_on_both_w_and_r(self):
         # Same window, different RTT flips the mode.
         assert ss.cubic_operates_as_creno(window=100, rtt=0.01)
@@ -128,13 +135,3 @@ class TestCoupling:
         pc2 = ss.coupled_classic_probability(ps, k=2.0)
         pc119 = ss.coupled_classic_probability(ps)
         assert pc2 < pc119  # larger k → gentler classic signal
-
-
-class TestRates:
-    def test_throughput(self):
-        # 10 segments of 1448 B per 100 ms ≈ 1.16 Mb/s.
-        assert ss.throughput_bps(10, 0.1) == pytest.approx(1448 * 8 * 100)
-
-    def test_window_for_rate_round_trip(self):
-        w = ss.window_for_rate(ss.throughput_bps(17.3, 0.05), 0.05)
-        assert w == pytest.approx(17.3)

@@ -35,11 +35,11 @@ class TestLifecycle:
         sim.run(1.0)  # must not raise; nothing scheduled
         assert sim.events_processed == 0
 
-    def test_detach_idempotent(self, sim, stub_queue):
+    def test_pause_updates_idempotent(self, sim, stub_queue):
         aqm = Recording(Decision.PASS)
         aqm.attach(sim, stub_queue)
-        aqm.detach()
-        aqm.detach()
+        aqm.pause_updates()
+        aqm.pause_updates()
         sim.run(1.0)
         assert aqm.updates == 0
 

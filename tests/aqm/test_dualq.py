@@ -42,7 +42,13 @@ class TestCoupling:
     def test_classic_probability_is_p_prime_squared(self, sim):
         dq = make_dualq(sim)
         dq.controller.p = 0.3
-        assert dq.classic_probability == pytest.approx(0.09)
+        n = 20_000
+        for _ in range(n):
+            dq.enqueue(make_packet(ecn=ECN.ECT0))
+            dq.dequeue()
+        # A Classic packet is marked when both of two draws fall below
+        # p', so at the squared probability p'² = 0.09.
+        assert dq.c_stats.ce_marked / n == pytest.approx(0.09, abs=0.01)
 
     def test_l_probability_is_k_times_p_prime(self, sim):
         dq = make_dualq(sim, k=2.0)

@@ -49,13 +49,6 @@ class TestPIController:
         b.update(0.030, gain_scale=0.5)
         assert b.p == pytest.approx(a.p / 2)
 
-    def test_reset(self):
-        ctl = PIController(alpha=0.1, beta=1.0, target=0.020)
-        ctl.update(0.5)
-        ctl.reset()
-        assert ctl.p == 0.0
-        assert ctl.prev_delay == 0.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -106,11 +99,11 @@ class TestPiAqm:
         )
         assert signals / n == pytest.approx(0.3, rel=0.05)
 
-    def test_detach_stops_timer(self, sim):
+    def test_pause_updates_stops_timer(self, sim):
         aqm = PiAqm(rng=random.Random(1))
         aqm.attach(sim, StubQueue(delay=0.050))
         sim.run(0.1)
-        aqm.detach()
+        aqm.pause_updates()
         p = aqm.probability
         sim.run(1.0)
         assert aqm.probability == p

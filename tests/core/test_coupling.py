@@ -1,22 +1,22 @@
-"""Unit tests for the probability coupling laws (equations 13–14)."""
+"""Unit tests for the probability coupling law (equations 13–14).
+
+Equation (14) is coded once, as
+:func:`repro.analysis.steady_state.coupled_classic_probability` (the
+copy the Appendix A claims read); the deployed factor lives in
+:mod:`repro.core.coupling`.
+"""
 
 
 import pytest
 
-from repro.core.coupling import (
-    K_ANALYTIC,
-    K_DEPLOYED,
-    classic_from_linear,
-    classic_from_scalable,
-    linear_from_classic,
-    scalable_from_classic,
-)
+from repro.analysis import steady_state as ss
+from repro.core.coupling import K_DEPLOYED
 
 
 class TestConstants:
     def test_analytic_k_is_2_over_1_68(self):
-        assert K_ANALYTIC == pytest.approx(2.0 / 1.68)
-        assert K_ANALYTIC == pytest.approx(1.19, abs=0.01)
+        assert ss.k_analytic() == 2.0 / 1.68
+        assert ss.k_analytic() == pytest.approx(1.19, abs=0.01)
 
     def test_deployed_k_is_two(self):
         assert K_DEPLOYED == 2.0
@@ -24,62 +24,33 @@ class TestConstants:
 
 class TestEquation14:
     def test_classic_from_scalable(self):
-        assert classic_from_scalable(0.5, k=2.0) == pytest.approx(0.0625)
+        assert ss.coupled_classic_probability(0.5, k=2.0) == pytest.approx(0.0625)
 
     def test_identity_at_k_one(self):
-        assert classic_from_scalable(0.3, k=1.0) == pytest.approx(0.09)
+        assert ss.coupled_classic_probability(0.3, k=1.0) == pytest.approx(0.09)
 
     def test_round_trip(self):
-        ps = 0.42
-        pc = classic_from_scalable(ps, k=2.0)
-        assert scalable_from_classic(pc, k=2.0) == pytest.approx(ps)
-
-    def test_scalable_clamped_at_one(self):
-        assert scalable_from_classic(1.0, k=2.0) == 1.0
+        # ps -> pc (eq 14 at the analytic k) -> the CReno window (eq 7)
+        # is DCTCP's window at ps (eq 11): equal rates.
+        for ps in (0.01, 0.1, 0.42):
+            pc = ss.coupled_classic_probability(ps)
+            assert ss.window_creno(pc) == pytest.approx(ss.window_dctcp(ps))
 
     def test_monotone(self):
-        values = [classic_from_scalable(p / 10, k=2.0) for p in range(11)]
+        values = [ss.coupled_classic_probability(p / 10, k=2.0) for p in range(1, 11)]
         assert values == sorted(values)
 
     def test_classic_always_leq_scalable(self):
         # With k ≥ 1 and ps ≤ 1, the classic probability never exceeds ps.
         for i in range(1, 101):
             ps = i / 100
-            assert classic_from_scalable(ps, k=2.0) <= ps
+            assert ss.coupled_classic_probability(ps, k=2.0) <= ps
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            classic_from_scalable(bad)
-        with pytest.raises(ValueError):
-            scalable_from_classic(bad)
+            ss.coupled_classic_probability(bad)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            classic_from_scalable(0.5, k=0)
-
-
-class TestLinearStage:
-    def test_square(self):
-        assert classic_from_linear(0.5) == 0.25
-
-    def test_sqrt(self):
-        assert linear_from_classic(0.25) == 0.5
-
-    def test_round_trip(self):
-        for i in range(11):
-            p = i / 10
-            assert linear_from_classic(classic_from_linear(p)) == pytest.approx(p)
-
-    def test_squaring_shrinks_probability(self):
-        # For p' < 1 the applied classic probability is smaller — the
-        # "think twice to drop" property.
-        for i in range(1, 10):
-            p = i / 10
-            assert classic_from_linear(p) < p
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            classic_from_linear(1.2)
-        with pytest.raises(ValueError):
-            linear_from_classic(-0.1)
+            ss.coupled_classic_probability(0.5, k=0)

@@ -105,7 +105,7 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         exp = _quick_experiment()
         frozen = freeze_result(run_experiment(exp))
-        key = cache.key_for(exp)
+        key = experiment_cache_key(exp)
         cache.put(key, frozen)
         loaded = cache.get(key)
         assert isinstance(loaded, FrozenResult)
@@ -142,8 +142,8 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         exp = _quick_experiment()
         frozen = freeze_result(run_experiment(exp))
-        cache.put(cache.key_for(exp), frozen)
-        cache.put(cache.key_for(replace(exp, seed=2)), frozen)
+        cache.put(experiment_cache_key(exp), frozen)
+        cache.put(experiment_cache_key(replace(exp, seed=2)), frozen)
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
@@ -224,7 +224,7 @@ class TestCorruptionHardening:
         cache = ResultCache(tmp_path)
         exp = _quick_experiment()
         frozen = freeze_result(run_experiment(exp))
-        cache.put(cache.key_for(exp), frozen)
+        cache.put(experiment_cache_key(exp), frozen)
         bad = cache._path("ef" + "0" * 62)
         bad.parent.mkdir(parents=True)
         bad.write_bytes(b"junk")
@@ -255,7 +255,7 @@ class TestCorruptionHardening:
 
         cache = ResultCache(tmp_path)
         exp = _quick_experiment()
-        cache.put(cache.key_for(exp), freeze_result(run_experiment(exp)))
+        cache.put(experiment_cache_key(exp), freeze_result(run_experiment(exp)))
         out = StringIO()
         assert main(["cache", "--cache-dir", str(tmp_path), "--verify"],
                     out=out) == 0
@@ -389,14 +389,12 @@ class TestSharedSingleFlight:
         assert cache.stats.computes == 1
         assert cache.stats.waits == 1
 
-    def test_event_log_aggregates_and_clears(self, tmp_path):
+    def test_event_log_aggregates(self, tmp_path):
         cache = self._cache(tmp_path)
         frozen = self._frozen()
         cache.fetch_or_compute("a1" + "0" * 62, lambda: frozen)
         cache.fetch_or_compute("b2" + "0" * 62, lambda: frozen)
         assert cache.event_counts() == {"compute": 2, "wait": 0}
-        cache.clear_events()
-        assert cache.event_counts() == {"compute": 0, "wait": 0}
 
     def test_four_processes_compute_once(self, tmp_path):
         """The real thing: a fork pool racing on one key computes it

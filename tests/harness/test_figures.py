@@ -17,8 +17,8 @@ class TestRegistry:
                      "fig13", "fig14", "fig15", "fig15_18", "fig19", "fig19_20",
                      "appA", "abl_bare_pie", "abl_dctcp_marking",
                      "abl_decision_modes", "abl_k_factor", "abl_rtt_sensitivity",
-                     "abl_sack", "abl_square_vs_tune", "related_work", "dualq",
-                     "short_fct"):
+                     "abl_sack", "abl_square_vs_tune", "related_work", "lineage",
+                     "dualq", "short_fct"):
             assert name in FIGURES
 
     def test_unknown_name_rejected(self):

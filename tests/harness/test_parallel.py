@@ -17,8 +17,7 @@ from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.parallel import SweepTask, execute_tasks, resolve_jobs
-from repro.harness.repeat import repeat_experiment
-from repro.harness.sweep import run_coexistence_grid, run_mix_sweep
+from repro.harness.sweep import _mix_tasks, run_coexistence_grid
 
 
 class ExplodingFactory:
@@ -105,28 +104,27 @@ class TestGridEquivalence:
         ]
 
     def test_mix_sweep_parallel_matches_serial(self):
-        kwargs = dict(
-            mixes=[(1, 1), (2, 1)], capacity_mbps=10,
-            duration=3.0, warmup=1.0, seed=3,
-        )
-        serial = run_mix_sweep(coupled_factory(), **kwargs)
-        parallel = run_mix_sweep(coupled_factory(), jobs=2, **kwargs)
-        assert set(serial) == set(parallel)
-        for mix in serial:
-            assert serial[mix].digest() == parallel[mix].digest()
+        """The Figure 19–20 flow-mix cells, as the figures run them."""
+        tasks = [task for _a, _b, task in _mix_tasks(
+            coupled_factory(), "dctcp", "cubic", [(1, 1), (2, 1)], 10, 10.0,
+            3.0, 1.0, 3,
+        )]
+        serial = execute_tasks(tasks)
+        parallel = execute_tasks(tasks, jobs=2)
+        assert [r.digest() for r, _f in serial] == [r.digest() for r, _f in parallel]
 
 
 class TestRepeatEquivalence:
     def test_parallel_repeat_matches_serial_samples(self):
-        exp = _quick_experiment()
-        metrics = {
-            "delay": lambda r: r.sojourn_summary()["mean"],
-            "goodput": lambda r: r.total_goodput_bps(),
-        }
-        serial = repeat_experiment(exp, metrics, seeds=(1, 2, 3))
-        parallel = repeat_experiment(exp, metrics, seeds=(1, 2, 3), jobs=2)
-        for name in metrics:
-            assert serial[name].samples == parallel[name].samples
+        """Seed replicas of one experiment (how ``abl_decision_modes``
+        repeats its cells) give the same per-seed samples on any backend."""
+        tasks = [SweepTask(f"seed {seed}", replace(_quick_experiment(), seed=seed))
+                 for seed in (1, 2, 3)]
+        serial = execute_tasks(tasks)
+        parallel = execute_tasks(tasks, jobs=2)
+        for metric in (lambda r: r.sojourn_summary()["mean"],
+                       lambda r: r.total_goodput_bps()):
+            assert [metric(r) for r, _f in serial] == [metric(r) for r, _f in parallel]
 
 
 class TestFailureParity:

@@ -1,87 +1,22 @@
-"""Tests for the multi-seed repetition harness."""
+"""Tests for the seed-repetition confidence interval the ablations use."""
 
 import math
 
 import pytest
 
-from repro.harness.experiment import Experiment, FlowGroup
-from repro.harness.factories import pi2_factory, pie_factory
-from repro.harness.repeat import MetricEstimate, compare_metric, repeat_experiment
-
-
-def quick(factory=None, **overrides):
-    defaults = dict(
-        capacity_bps=10e6,
-        duration=10.0,
-        warmup=4.0,
-        aqm_factory=factory or pi2_factory(),
-        flows=[FlowGroup(cc="reno", count=3, rtt=0.03)],
-        record_sojourns=False,
-    )
-    defaults.update(overrides)
-    return Experiment(**defaults)
-
-
-def mean_delay(result):
-    return result.queue_delay.mean(4.0)
+from repro.harness.repeat import _estimate
 
 
 class TestMetricEstimate:
-    def test_interval_bounds(self):
-        est = MetricEstimate(mean=10.0, ci95=2.0, samples=(9.0, 11.0))
-        assert est.low == 8.0
-        assert est.high == 12.0
-
-    def test_overlap(self):
-        a = MetricEstimate(10.0, 1.0, (10.0,))
-        b = MetricEstimate(11.5, 1.0, (11.5,))
-        c = MetricEstimate(20.0, 1.0, (20.0,))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
     def test_single_sample_infinite_ci(self):
-        out = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1,))
-        assert math.isinf(out["d"].ci95)
+        est = _estimate([0.02])
+        assert est.mean == 0.02
+        assert math.isinf(est.ci95)
+        assert est.samples == (0.02,)
 
-
-class TestRepeat:
-    def test_samples_per_seed(self):
-        out = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1, 2, 3))
-        assert len(out["d"].samples) == 3
-
-    def test_seeds_produce_different_samples(self):
-        out = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1, 2, 3))
-        assert len(set(out["d"].samples)) > 1
-
-    def test_deterministic_given_seeds(self):
-        a = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1, 2))
-        b = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1, 2))
-        assert a["d"].samples == b["d"].samples
-
-    def test_mean_near_target(self):
-        out = repeat_experiment(quick(), {"d": mean_delay}, seeds=(1, 2, 3, 4))
-        assert out["d"].mean == pytest.approx(0.020, abs=0.012)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            repeat_experiment(quick(), {"d": mean_delay}, seeds=())
-        with pytest.raises(ValueError):
-            repeat_experiment(quick(), {}, seeds=(1,))
-
-    def test_multiple_metrics(self):
-        out = repeat_experiment(
-            quick(),
-            {"d": mean_delay, "u": lambda r: r.mean_utilization()},
-            seeds=(1, 2),
-        )
-        assert set(out) == {"d", "u"}
-
-
-class TestCompare:
-    def test_pie_vs_pi2_delay_intervals_overlap(self):
-        """Steady-state delay equivalence of PIE and PI2, with error bars."""
-        a, b = compare_metric(
-            quick(pie_factory()), quick(pi2_factory()), mean_delay,
-            seeds=(1, 2, 3),
-        )
-        assert a.overlaps(b)
+    def test_t_interval_over_three_seeds(self):
+        est = _estimate([1.0, 2.0, 3.0])
+        assert est.mean == 2.0
+        # Two degrees of freedom: t = 4.303, sample std 1, n = 3.
+        assert est.ci95 == pytest.approx(4.303 / math.sqrt(3))
+        assert est.samples == (1.0, 2.0, 3.0)

@@ -10,14 +10,14 @@ from repro.aqm.pi import PiAqm
 from repro.errors import ConfigError, ControllerDivergence
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import pi2_factory
-from repro.harness.repeat import repeat_experiment
+from repro.harness.parallel import SweepTask, execute_tasks
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
     RunFailure,
     format_failure_report,
     run_with_retries,
 )
-from repro.harness.sweep import run_coexistence_grid, run_mix_sweep
+from repro.harness.sweep import _mix_tasks, run_coexistence_grid
 from repro.net.faults import LinkFlapFault
 
 
@@ -152,40 +152,37 @@ class TestGridCapture:
         assert outcome.failure_report() == "all runs completed"
 
     def test_mix_sweep_capture(self):
-        results = run_mix_sweep(
-            _divergent_factory(2),
-            mixes=[(1, 1), (2, 1)],
-            capacity_mbps=10,
-            duration=3.0,
-            warmup=1.0,
-            on_error="capture",
-            max_retries=1,
-        )
-        assert len(results) == 1
-        assert len(results.failures) == 1
+        """The Figure 19–20 flow-mix cells under capture: the first mix
+        fails both attempts, the second completes."""
+        tasks = [task for _a, _b, task in _mix_tasks(
+            _divergent_factory(2), "dctcp", "cubic", [(1, 1), (2, 1)], 10, 10.0,
+            3.0, 1.0, 1,
+        )]
+        pairs = execute_tasks(tasks, on_error="capture", max_retries=1)
+        assert [result is not None for result, _failure in pairs] == [False, True]
+        assert pairs[0][1].error_type == "ControllerDivergence"
+
+
+def _seed_replicas(factory, seeds):
+    """One cell per seed, as ``abl_decision_modes`` repeats its cells."""
+    return [SweepTask(f"seed {seed}", _quick_experiment(aqm_factory=factory, seed=seed))
+            for seed in seeds]
 
 
 class TestRepeatCapture:
     def test_dead_seeds_skipped_estimates_from_survivors(self):
-        exp = _quick_experiment(aqm_factory=_divergent_factory(2))
-        outcome = repeat_experiment(
-            exp,
-            {"delay": lambda r: r.sojourn_summary()["mean"]},
-            seeds=(1, 2, 3),
+        pairs = execute_tasks(
+            _seed_replicas(_divergent_factory(2), (1, 2, 3)),
             on_error="capture",
             max_retries=0,
         )
-        # Seeds 1 and 2 got poisoned AQMs; only seed 3 contributes.
-        assert len(outcome.failures) == 2
-        assert not outcome.complete
-        assert len(outcome["delay"].samples) == 1
+        # Seeds 1 and 2 got poisoned AQMs; only seed 3 yields a result.
+        assert [failure is not None for _result, failure in pairs] == [True, True, False]
+        assert pairs[2][0].sojourn_summary()["mean"] > 0
 
     def test_raise_mode_is_default(self):
-        exp = _quick_experiment(aqm_factory=_divergent_factory(99))
         with pytest.raises(ControllerDivergence):
-            repeat_experiment(
-                exp, {"d": lambda r: 0.0}, seeds=(1, 2)
-            )
+            execute_tasks(_seed_replicas(_divergent_factory(99), (1, 2)))
 
 
 class TestFailureReport:

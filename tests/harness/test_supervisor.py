@@ -10,6 +10,7 @@ history.  It is selected with ``execute_tasks(..., supervisor=...)``.
 import pytest
 
 from repro.errors import ConfigError, ParallelExecutionError
+from repro.harness.cache import experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.parallel import RunReport, SweepTask, execute_tasks
@@ -251,48 +252,45 @@ class TestSweepPlumbing:
 
     def test_mix_sweep_supervised_matches_serial(self):
         from repro.harness.factories import coupled_factory
-        from repro.harness.sweep import run_mix_sweep
+        from repro.harness.sweep import _mix_tasks
 
-        kwargs = dict(
-            mixes=[(1, 1), (2, 1)], capacity_mbps=10,
-            duration=2.0, warmup=0.5, seed=3,
+        tasks = [task for _a, _b, task in _mix_tasks(
+            coupled_factory(), "dctcp", "cubic", [(1, 1), (2, 1)], 10, 10.0,
+            2.0, 0.5, 3,
+        )]
+        serial = execute_tasks(tasks)
+        report = RunReport()
+        supervised = execute_tasks(
+            tasks, supervisor=SupervisorConfig(), report=report
         )
-        serial = run_mix_sweep(coupled_factory(), **kwargs)
-        supervised = run_mix_sweep(
-            coupled_factory(), supervisor=SupervisorConfig(), **kwargs
-        )
-        assert set(serial) == set(supervised)
-        for mix in serial:
-            assert serial[mix].digest() == supervised[mix].digest()
-        assert supervised.recovery.executed == len(serial)
+        assert [r.digest() for r, _f in serial] == [
+            r.digest() for r, _f in supervised
+        ]
+        assert report.executed == len(tasks)
 
     def test_repeat_supervised_matches_serial(self):
-        from repro.harness.repeat import repeat_experiment
-
-        exp = _quick_experiment()
-        metrics = {"delay": lambda r: r.sojourn_summary()["mean"]}
-        serial = repeat_experiment(exp, metrics, seeds=(1, 2))
-        supervised = repeat_experiment(
-            exp, metrics, seeds=(1, 2), supervisor=SupervisorConfig()
+        tasks = _tasks(2)
+        serial = execute_tasks(tasks)
+        report = RunReport()
+        supervised = execute_tasks(
+            tasks, supervisor=SupervisorConfig(), report=report
         )
-        assert serial["delay"].samples == supervised["delay"].samples
-        assert supervised.recovery.executed == 2
+        assert [r.sojourn_summary()["mean"] for r, _f in serial] == [
+            r.sojourn_summary()["mean"] for r, _f in supervised
+        ]
+        assert report.executed == 2
 
     def test_repeat_journal_resume(self, tmp_path):
-        from repro.harness.repeat import repeat_experiment
-
-        exp = _quick_experiment()
-        metrics = {"delay": lambda r: r.sojourn_summary()["mean"]}
+        tasks = _tasks(2)
         journal = tmp_path / "repeat.journal"
-        first = repeat_experiment(
-            exp, metrics, seeds=(1, 2), journal=journal
-        )
-        resumed = repeat_experiment(
-            exp, metrics, seeds=(1, 2), journal=journal, resume=True
-        )
-        assert first["delay"].samples == resumed["delay"].samples
-        assert resumed.recovery.replayed == 2
-        assert resumed.recovery.executed == 0
+        first = execute_tasks(tasks, journal=journal)
+        report = RunReport()
+        resumed = execute_tasks(tasks, journal=journal, resume=True, report=report)
+        assert [r.sojourn_summary()["mean"] for r, _f in first] == [
+            r.sojourn_summary()["mean"] for r, _f in resumed
+        ]
+        assert report.replayed == 2
+        assert report.executed == 0
 
     def test_lambda_factory_rejected_with_guidance(self):
         """Supervision is process-per-task, so experiments must pickle:
@@ -329,7 +327,7 @@ class TestSharedCacheScheduling:
 
         cache = SharedResultCache(tmp_path)
         tasks = _tasks(2)
-        fds = [self._hold(cache, cache.key_for(tasks[i].experiment))
+        fds = [self._hold(cache, experiment_cache_key(tasks[i].experiment))
                for i in held]
         tracer, report = RecordingTracer(), RunReport()
         try:
@@ -380,7 +378,7 @@ class TestSharedCacheScheduling:
         tasks = _tasks(2)
         plain = execute_tasks(tasks, jobs=1)
         cache = SharedResultCache(tmp_path / "shared")
-        key0 = cache.key_for(tasks[0].experiment)
+        key0 = experiment_cache_key(tasks[0].experiment)
         lock_path = cache._lock_path(key0)
         lock_path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)

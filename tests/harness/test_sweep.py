@@ -3,13 +3,13 @@
 
 from repro.harness.factories import coupled_factory
 from repro.harness.figures import FIGURES
+from repro.harness.parallel import execute_tasks
 from repro.harness.sweep import (
-    PAPER_FLOW_MIXES,
     PAPER_LINK_MBPS,
     PAPER_RTTS_MS,
+    _mix_tasks,
     format_table,
     run_coexistence_grid,
-    run_mix_sweep,
 )
 
 
@@ -17,11 +17,6 @@ class TestPaperGrids:
     def test_grid_dimensions(self):
         assert PAPER_LINK_MBPS == (4, 12, 40, 120, 200)
         assert PAPER_RTTS_MS == (5, 10, 20, 50, 100)
-
-    def test_mixes_include_extremes(self):
-        assert (0, 10) in PAPER_FLOW_MIXES
-        assert (10, 0) in PAPER_FLOW_MIXES
-        assert (5, 5) in PAPER_FLOW_MIXES
 
 
 class TestRunGrid:
@@ -49,11 +44,13 @@ class TestRunGrid:
         assert durations[(200e6, 0.005)] == 10.0
 
     def test_mix_sweep_runs(self):
-        results = run_mix_sweep(
-            coupled_factory(), mixes=[(1, 1)], capacity_mbps=10,
-            duration=6.0, warmup=3.0,
+        (n_a, n_b, task), = _mix_tasks(
+            coupled_factory(), "dctcp", "cubic", [(1, 2)], 10, 10.0, 6.0, 3.0, 1,
         )
-        assert (1, 1) in results
+        (result, failure), = execute_tasks([task])
+        assert (n_a, n_b) == (1, 2) and failure is None
+        assert len(result.goodputs("dctcp")) == 1
+        assert len(result.goodputs("cubic")) == 2
 
 
 class TestFormatTable:

@@ -1,105 +1,18 @@
-"""Integration tests for the Section 3 lineage claims and variants.
+"""Integration tests for the single queue's classlessness.
 
-* RED "pushes back against higher load with higher queuing delay and
-  higher loss" — its standing queue grows with the number of flows —
-  whereas the PI family "holds queuing delay to a constant target" [18].
-* PIE was designed for hardware: it estimates queue delay from a measured
-  departure rate rather than timestamps; with the measured estimator the
-  control behaviour must be essentially unchanged.
-* The AQMs are classless: flows with different RTTs share one queue, and
-  the usual TCP RTT-bias (throughput ∝ 1/RTT) persists through any AQM —
-  a sanity check that the AQM isn't accidentally scheduling.
+The AQMs are classless: flows with different RTTs share one queue, and
+the usual TCP RTT-bias (throughput ∝ 1/RTT) persists through any AQM —
+a sanity check that the AQM isn't accidentally scheduling.  (Section 3's
+lineage statements — RED's queue grows with load, the PI family holds
+its target, PIE's measured departure rate controls like the exact one —
+are the ``lineage.*`` claims of :mod:`repro.harness.claims`.)
 """
 
 
-import numpy as np
 import pytest
 
-from repro.aqm.pie import PieAqm
-from repro.aqm.red import RedAqm
 from repro.harness import MBPS, pi2_factory, pie_factory, run_experiment
 from repro.harness.experiment import Experiment, FlowGroup
-from repro.net.queue import DepartureRateEstimator
-
-
-def red_factory(**kwargs):
-    def make(rng):
-        return RedAqm(rng=rng, **kwargs)
-
-    return make
-
-
-def run_flows(factory, n_flows, duration=30.0, **kwargs):
-    return run_experiment(
-        Experiment(
-            capacity_bps=10 * MBPS,
-            duration=duration,
-            warmup=10.0,
-            aqm_factory=factory,
-            flows=[FlowGroup(cc="reno", count=n_flows, rtt=0.05)],
-            **kwargs,
-        )
-    )
-
-
-class TestRedVsPiFamily:
-    def test_red_queue_grows_with_load(self):
-        light = run_flows(red_factory(), 4)
-        heavy = run_flows(red_factory(), 24)
-        d_light = light.sojourn_summary()["mean"]
-        d_heavy = heavy.sojourn_summary()["mean"]
-        assert d_heavy > d_light * 1.3
-
-    def test_pi2_queue_constant_with_load(self):
-        light = run_flows(pi2_factory(), 4)
-        heavy = run_flows(pi2_factory(), 24)
-        d_light = light.sojourn_summary()["mean"]
-        d_heavy = heavy.sojourn_summary()["mean"]
-        assert abs(d_heavy - d_light) < 0.010
-
-    def test_pie_queue_constant_with_load(self):
-        light = run_flows(pie_factory(), 4)
-        heavy = run_flows(pie_factory(), 24)
-        assert abs(
-            heavy.sojourn_summary()["mean"] - light.sojourn_summary()["mean"]
-        ) < 0.012
-
-
-class TestMeasuredRateEstimator:
-    """PIE with its departure-rate estimator instead of the exact rate."""
-
-    def _run(self, measured):
-        from repro.harness.topology import Dumbbell
-        from repro.net.queue import AQMQueue
-        from repro.sim.engine import Simulator
-        from repro.sim.random import RandomStreams
-
-        sim = Simulator()
-        streams = RandomStreams(3)
-        aqm = PieAqm(rng=streams.stream("aqm"))
-        estimator = (
-            DepartureRateEstimator(initial_rate_bps=1 * MBPS)
-            if measured
-            else None
-        )
-        sojourns = []
-        queue = AQMQueue(
-            sim, aqm, 10 * MBPS,
-            estimator=estimator,
-            on_sojourn=lambda now, s, p: sojourns.append(s) if now > 10 else None,
-        )
-        bed = Dumbbell(sim, streams, 10 * MBPS, aqm=None, queue=queue)
-        bed.aqm = aqm
-        for _ in range(8):
-            bed.add_tcp_flow("reno", rtt=0.05)
-        sim.run(30.0)
-        return float(np.mean(sojourns))
-
-    def test_measured_estimator_controls_like_exact(self):
-        exact = self._run(measured=False)
-        measured = self._run(measured=True)
-        assert measured == pytest.approx(exact, abs=0.012)
-        assert measured == pytest.approx(0.020, abs=0.015)
 
 
 class TestRttHeterogeneity:

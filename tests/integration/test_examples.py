@@ -42,7 +42,7 @@ class TestExamples:
 
     def test_aqm_shootout(self):
         out = run_example("aqm_shootout.py")
-        for name in ("tail-drop", "RED", "CoDel", "PIE", "bare-PIE", "PI2"):
+        for name in ("tail-drop", "RED", "PIE", "bare-PIE", "PI2"):
             assert name in out
 
     def test_dualq_demo(self):
@@ -54,12 +54,6 @@ class TestExamples:
         out = run_example("fluid_step_response.py")
         assert "light-load oscillation" in out
         assert "20 ms target" in out
-
-    def test_interactive_latency(self):
-        out = run_example("interactive_latency.py")
-        for queue in ("tail-drop", "PIE", "PI2", "DualQ"):
-            assert queue in out
-        assert "delay p99" in out
 
     def test_fault_tolerance(self):
         out = run_example("fault_tolerance.py")

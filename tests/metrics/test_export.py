@@ -1,15 +1,12 @@
-"""Tests for JSON/CSV result export."""
+"""Tests for JSON result export."""
 
-import csv
 import json
-import math
 
 import pytest
 
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import pi2_factory
-from repro.metrics.export import result_summary, write_result_json, write_series_csv
-from repro.metrics.series import TimeSeries
+from repro.metrics.export import result_summary, write_result_json
 
 
 @pytest.fixture(scope="module")
@@ -54,23 +51,3 @@ class TestFiles:
         path = write_result_json(result, tmp_path / "out.json")
         loaded = json.loads(path.read_text())
         assert loaded["config"]["seed"] == 1
-
-    def test_write_series_csv(self, tmp_path):
-        series = TimeSeries("qdelay")
-        series.append(0.0, 1.5)
-        series.append(1.0, 2.5)
-        path = write_series_csv(series, tmp_path / "series.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["time_s", "qdelay"]
-        assert float(rows[1][1]) == 1.5
-        assert float(rows[2][0]) == 1.0
-
-    def test_csv_round_trip_precision(self, tmp_path):
-        series = TimeSeries()
-        series.append(1 / 3, math.pi)
-        path = write_series_csv(series, tmp_path / "p.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert float(rows[1][0]) == 1 / 3
-        assert float(rows[1][1]) == math.pi

@@ -47,17 +47,6 @@ class TestFlowTable:
         assert table.labels() == ["cubic", "dctcp"]
         assert len(table.by_label("cubic")) == 2
 
-    def test_balance(self):
-        table = FlowTable()
-        a = table.add(1, "a", 1000)
-        b = table.add(2, "b", 1000)
-        table.open_windows(0.0)
-        for _ in range(10):
-            a.on_segment(1.0)
-        for _ in range(20):
-            b.on_segment(1.0)
-        assert table.balance("a", "b", 10.0) == pytest.approx(0.5)
-
     def test_goodputs_per_label(self):
         table = FlowTable()
         a1 = table.add(1, "a", 1000)

@@ -1,10 +1,10 @@
-"""Unit tests for time series recording and sampling."""
+"""Unit tests for time series recording."""
 
 import math
 
 import pytest
 
-from repro.metrics.series import Sampler, TimeSeries
+from repro.metrics.series import TimeSeries
 
 
 class TestTimeSeries:
@@ -32,24 +32,17 @@ class TestTimeSeries:
             ts.append(float(t), float(t))
         assert ts.mean(5.0) == pytest.approx(7.0)
 
-    def test_max_and_percentile(self):
+    def test_max_over_window(self):
         ts = TimeSeries()
         for t in range(100):
             ts.append(float(t), float(t))
         assert ts.max() == 99.0
-        assert ts.percentile(50) == pytest.approx(49.5)
-
-    def test_std(self):
-        ts = TimeSeries()
-        for v in (2.0, 2.0, 2.0):
-            ts.append(0.0, v)
-        assert ts.std() == 0.0
+        assert ts.max(10.0, 50.0) == 49.0
 
     def test_empty_stats_are_nan(self):
         ts = TimeSeries()
         assert math.isnan(ts.mean())
         assert math.isnan(ts.max())
-        assert math.isnan(ts.percentile(99))
 
 
 class TestArrayCaching:
@@ -97,21 +90,4 @@ class TestArrayCaching:
         _ = ts.values  # warm the cache
         ts.append(50.0, 50.0)
         assert ts.max() == 50.0
-        assert ts.percentile(100) == 50.0
-
-
-class TestSampler:
-    def test_samples_on_period(self, sim):
-        values = iter(range(100))
-        sampler = Sampler(sim, lambda: float(next(values)), period=1.0)
-        sim.run(3.5)
-        assert sampler.series.times.tolist() == [1.0, 2.0, 3.0]
-
-    def test_start_delay(self, sim):
-        sampler = Sampler(sim, lambda: 1.0, period=1.0, start_delay=2.0)
-        sim.run(3.5)
-        assert sampler.series.times.tolist() == [2.0, 3.0]
-
-    def test_invalid_period_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Sampler(sim, lambda: 0.0, period=0.0)
+        assert ts.mean() == 25.0

@@ -2,37 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.metrics.stats import (
-    ecdf,
     geometric_mean,
-    jain_fairness,
     normalized_rates,
     percentile_summary,
     rate_balance_ratio,
 )
-
-
-class TestEcdf:
-    def test_sorted_output(self):
-        xs, ps = ecdf([3.0, 1.0, 2.0])
-        assert xs.tolist() == [1.0, 2.0, 3.0]
-        assert ps.tolist() == [1 / 3, 2 / 3, 1.0]
-
-    def test_last_probability_is_one(self):
-        _, ps = ecdf(list(range(100)))
-        assert ps[-1] == 1.0
-
-    def test_empty_input(self):
-        xs, ps = ecdf([])
-        assert xs.size == 0 and ps.size == 0
-
-    def test_median_lookup(self):
-        xs, ps = ecdf(np.arange(1000.0))
-        idx = np.searchsorted(ps, 0.5)
-        assert xs[idx] == pytest.approx(499, abs=2)
 
 
 class TestPercentileSummary:
@@ -50,17 +27,6 @@ class TestPercentileSummary:
     def test_empty_gives_nans(self):
         out = percentile_summary([], percentiles=(50,))
         assert math.isnan(out["mean"]) and math.isnan(out["p50"])
-
-
-class TestJainFairness:
-    def test_equal_rates_give_one(self):
-        assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_single_hog_gives_1_over_n(self):
-        assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(jain_fairness([]))
 
 
 class TestRateBalance:

@@ -71,7 +71,8 @@ class TestCapacityChange:
     def test_set_capacity_updates_queue_estimator(self, sim):
         q, link, sink = make_link(sim, capacity=8e6)
         link.set_capacity(16e6)
-        assert q.estimator.capacity_bps == 16e6
+        assert q.capacity_bps == 16e6
+        assert q.queue_delay() == 0.0
 
     def test_invalid_capacity_rejected(self, sim):
         q, link, sink = make_link(sim)

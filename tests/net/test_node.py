@@ -1,6 +1,6 @@
 """Unit tests for endpoint sinks."""
 
-from repro.net.node import CallbackSink, CountingSink, NullSink
+from repro.net.node import CountingSink
 from tests.conftest import make_packet
 
 
@@ -18,17 +18,3 @@ class TestCountingSink:
         sink.deliver(make_packet(flow_id=1, size=100))
         sink.deliver(make_packet(flow_id=2, size=50))
         assert sink.per_flow_bytes == {1: 200, 2: 50}
-
-
-class TestNullSink:
-    def test_absorbs_silently(self):
-        NullSink().deliver(make_packet())
-
-
-class TestCallbackSink:
-    def test_invokes_callback(self):
-        seen = []
-        sink = CallbackSink(seen.append)
-        pkt = make_packet()
-        sink.deliver(pkt)
-        assert seen == [pkt]

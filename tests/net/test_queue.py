@@ -1,16 +1,15 @@
-"""Unit tests for the AQM-managed FIFO queue and its delay estimators."""
+"""Unit tests for the AQM-managed FIFO queue, its delay estimate, and
+PIE's measured departure-rate estimator behind it."""
+
+import random
 
 import pytest
 
 from repro.aqm.base import AQM, Decision
-from repro.aqm.codel import CodelAqm
+from repro.aqm.pie import DQ_INITIAL_RATE, DQ_THRESHOLD, PieAqm
 from repro.net.link import Link
 from repro.net.packet import ECN
-from repro.net.queue import (
-    AQMQueue,
-    CapacityDelayEstimator,
-    DepartureRateEstimator,
-)
+from repro.net.queue import AQMQueue
 from tests.conftest import make_packet
 
 
@@ -140,95 +139,128 @@ class TestAqmIntegration:
 
 
 class TestDepartureHooks:
-    """The queue binds its estimator's and AQM's departure hooks once, at
-    construction; these drive them only through enqueue and dequeue."""
+    """The queue binds its AQM's departure hook once, at construction:
+    ``None`` unless the AQM observes departures (PIE's measured rate
+    estimator), then one call per dequeue."""
 
-    def test_codel_behind_queue_engages_under_standing_sojourn(self, sim):
-        aqm = CodelAqm(target=0.005, interval=0.050)
+    def test_no_hook_without_dq_rate_estimator(self, sim):
+        for aqm in (None, PieAqm()):
+            q = AQMQueue(sim, aqm, 10e6)
+            assert q._on_dequeue is None
+
+    def test_dq_rate_estimator_hook_runs_once_per_dequeue(self, sim):
+        aqm = PieAqm(dq_rate_estimator=True)
+        calls = []
+        measure = aqm.on_dequeue
+
+        def counted(packet, now):
+            calls.append(packet)
+            measure(packet, now)
+
+        aqm.on_dequeue = counted
         q = AQMQueue(sim, aqm, 10e6)
-        for _ in range(5):
-            q.enqueue(make_packet(ecn=ECN.ECT0))
-
-        def tick():
-            # One in, one out every 5 ms: each packet waits 25 ms.  ECT
-            # packets are marked, not dropped, so the backlog stands.
-            q.enqueue(make_packet(ecn=ECN.ECT0))
-            q.dequeue()
-
-        sim.every(0.005, tick)
-        sim.run(0.040)
-        assert not aqm.dropping  # over target, but for less than interval
-        sim.run(0.500)
-        assert aqm.dropping
-        assert q.stats.ce_marked > 0
-        assert len(q) == 5
-
-    def test_departure_rate_estimator_behind_queue_measures_the_link(self, sim):
-        est = DepartureRateEstimator(initial_rate_bps=1e6, dq_threshold=10_000)
-        q = AQMQueue(sim, None, 10e6, estimator=est)
         Link(sim, q, 10e6)
-        for _ in range(40):
-            q.enqueue(make_packet(size=1500))
-        # 1500 B take 1.2 ms at 10 Mb/s.  Measurement starts at the
-        # second departure (1.2 ms) and its first sample needs 7 more
-        # packets (10.5 kB), so it completes at 9.6 ms.
-        sim.run(0.009)
-        assert est.rate_bps == 1e6
-        sim.run(0.010)
-        assert est.rate_bps == pytest.approx(5.5e6)  # EWMA of 1 and 10 Mb/s
+        for i in range(40):
+            q.enqueue(make_packet(seq=i, size=1500))
         sim.run(0.100)
         assert q.stats.dequeued == 40
-        assert est.rate_bps == pytest.approx(10e6, rel=0.1)
+        assert [p.seq for p in calls] == list(range(40))
+
+    def test_departure_rate_estimator_behind_queue_measures_the_link(self, sim):
+        aqm = PieAqm(dq_rate_estimator=True)
+        q = AQMQueue(sim, aqm, 2e6)
+        Link(sim, q, 2e6)
+        for _ in range(40):
+            q.enqueue(make_packet(size=1500))
+        # 1500 B take 6 ms at 2 Mb/s.  Measurement starts at the second
+        # departure (6 ms) and its first sample needs 11 more packets
+        # (16.5 kB), so it completes at 72 ms.
+        sim.run(0.071)
+        assert aqm.dq_rate == DQ_INITIAL_RATE
+        sim.run(0.073)
+        assert aqm.dq_rate == pytest.approx(6e6)  # EWMA of 10 and 2 Mb/s
+        sim.run(1.0)
+        assert q.stats.dequeued == 40
+        # Two more busy drains, each sampled at the link's 2 Mb/s.
+        assert aqm.dq_rate == pytest.approx(3e6)
 
 
 class TestCapacityDelayEstimator:
-    def test_delay_is_backlog_over_rate(self):
-        est = CapacityDelayEstimator(10e6)
+    """The queue's own delay estimate: backlog over the link capacity."""
+
+    def test_delay_is_backlog_over_rate(self, sim):
+        q = AQMQueue(sim, None, 10e6)
+        for _ in range(5):
+            q.enqueue(make_packet(size=2500))
         # 12500 bytes = 100 kbit at 10 Mb/s = 10 ms.
-        assert est.delay(12500) == pytest.approx(0.010)
+        assert q.queue_delay() == pytest.approx(0.010)
 
-    def test_zero_backlog_zero_delay(self):
-        assert CapacityDelayEstimator(10e6).delay(0) == 0.0
+    def test_zero_backlog_zero_delay(self, sim):
+        assert AQMQueue(sim, None, 10e6).queue_delay() == 0.0
 
-    def test_capacity_change_affects_delay(self):
-        est = CapacityDelayEstimator(10e6)
-        est.set_capacity(20e6)
-        assert est.delay(12500) == pytest.approx(0.005)
+    def test_capacity_change_affects_delay(self, sim):
+        q = AQMQueue(sim, None, 10e6)
+        for _ in range(5):
+            q.enqueue(make_packet(size=2500))
+        q.set_capacity(20e6)
+        assert q.queue_delay() == pytest.approx(0.005)
 
-    def test_invalid_capacity_rejected(self):
+    def test_invalid_capacity_rejected(self, sim):
         with pytest.raises(ValueError):
-            CapacityDelayEstimator(0)
+            AQMQueue(sim, None, 0)
         with pytest.raises(ValueError):
-            CapacityDelayEstimator(10e6).set_capacity(-1)
+            AQMQueue(sim, None, 10e6).set_capacity(-1)
 
 
 class TestDepartureRateEstimator:
-    def test_initial_rate_used_before_measurement(self):
-        est = DepartureRateEstimator(initial_rate_bps=8e6)
-        assert est.delay(1000) == pytest.approx(1000 * 8 / 8e6)
+    """PIE's measured departure-rate estimator (RFC 8033 §5.1), driven
+    through a real queue and link."""
 
-    def test_rate_converges_to_actual_drain(self):
-        est = DepartureRateEstimator(initial_rate_bps=1e6, dq_threshold=10_000)
-        # Drain 100 kB at exactly 10 Mb/s: 1250 bytes per ms.
-        now = 0.0
-        for _ in range(200):
-            est.observe_backlog(50_000)
-            est.on_dequeue(1250, now)
-            now += 0.001
-        assert est.rate_bps == pytest.approx(10e6, rel=0.05)
+    def _pie_behind_link(self, sim, capacity_bps):
+        aqm = PieAqm(dq_rate_estimator=True, rng=random.Random(1))
+        queue = AQMQueue(sim, aqm, capacity_bps)
+        Link(sim, queue, capacity_bps)
+        return aqm, queue
 
-    def test_no_measurement_below_threshold(self):
-        est = DepartureRateEstimator(initial_rate_bps=1e6, dq_threshold=10_000)
-        est.observe_backlog(100)
-        est.on_dequeue(1250, 0.0)
-        est.on_dequeue(1250, 0.001)
-        assert est.rate_bps == 1e6
+    def test_initial_rate_used_before_measurement(self, sim):
+        aqm = PieAqm(dq_rate_estimator=True, rng=random.Random(1))
+        q = AQMQueue(sim, aqm, 1e6)
+        for _ in range(5):
+            q.enqueue(make_packet(size=2500))
+        aqm.update()
+        # The queue's exact delay (12 500 B at 1 Mb/s, 100 ms) is
+        # ignored: over the 10 Mb/s stand-in rate it is 10 ms.
+        assert aqm._qdelay == pytest.approx(0.010)
 
-    def test_invalid_initial_rate_rejected(self):
-        with pytest.raises(ValueError):
-            DepartureRateEstimator(initial_rate_bps=0)
+    def test_rate_converges_to_actual_drain(self, sim):
+        aqm, queue = self._pie_behind_link(sim, 2e6)
+        for _ in range(100):
+            queue.enqueue(make_packet(size=1500))
+        sim.run(1.0)
+        assert queue.stats.dequeued == 100
+        assert aqm.dq_rate == pytest.approx(2e6, rel=0.05)
 
-    def test_set_capacity_is_noop(self):
-        est = DepartureRateEstimator(initial_rate_bps=5e6)
-        est.set_capacity(50e6)
-        assert est.rate_bps == 5e6
+    def test_no_measurement_below_threshold(self, sim):
+        aqm, queue = self._pie_behind_link(sim, 2e6)
+        for _ in range(DQ_THRESHOLD // 1500):
+            queue.enqueue(make_packet(size=1500))
+        sim.run(1.0)
+        assert queue.stats.dequeued == DQ_THRESHOLD // 1500
+        assert aqm.dq_rate == DQ_INITIAL_RATE
+
+    @pytest.mark.parametrize("gap", [0.1, 1.0])
+    def test_idle_gap_between_bursts_is_not_sampled(self, sim, gap):
+        """Two 21 000 B bursts separated by an idle gap: every sample
+        times a busy drain, so the estimate stays at the 10 Mb/s line
+        rate rather than averaging the gap in."""
+        aqm, queue = self._pie_behind_link(sim, 10e6)
+
+        def burst():
+            for _ in range(14):
+                queue.enqueue(make_packet(size=1500))
+
+        burst()
+        sim.at(gap, burst)
+        sim.run(gap + 0.1)
+        assert queue.stats.dequeued == 28
+        assert aqm.dq_rate == pytest.approx(10e6, rel=0.05)

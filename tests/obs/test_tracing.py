@@ -28,7 +28,7 @@ import sys
 
 import pytest
 
-from repro.aqm.codel import CodelAqm
+from repro.aqm.red import RedAqm
 from repro.harness import coexistence_pair, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
@@ -62,9 +62,9 @@ def _experiment(seed=3, duration=4.0, factory=None):
     return light_tcp(factory or pi2_factory(), duration=duration, seed=seed)
 
 
-def _codel_factory(rng):
-    """CoDel has no update timer: its trace holds decisions only."""
-    return CodelAqm()
+def _red_factory(rng):
+    """RED has no update timer: its trace holds decisions only."""
+    return RedAqm(rng=rng)
 
 
 def _line(category, event, t, fields):
@@ -352,21 +352,14 @@ class TestSinkEncoding:
 # Metrics registry and the telemetry block
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_set_increment_snapshot(self):
+    def test_set_snapshot(self):
         registry = MetricsRegistry()
         registry.set("aqm", "Pi2Aqm")
-        registry.increment("runs")
-        registry.increment("runs", 2)
+        registry.set("runs", 3)
         snapshot = registry.snapshot()
         assert snapshot["aqm"] == "Pi2Aqm"
         assert snapshot["runs"] == 3
         assert list(snapshot) == sorted(snapshot)
-
-    def test_increment_rejects_non_numeric(self):
-        registry = MetricsRegistry()
-        registry.set("name", "x")
-        with pytest.raises(TypeError):
-            registry.increment("name")
 
     def test_provider_flattening_and_duplicate_prefix(self):
         registry = MetricsRegistry()
@@ -414,25 +407,25 @@ class TestSummarizeTrace:
         assert total_decisions == result.telemetry["aqm.decisions"]
 
     def test_decisions_without_updates_summarize(self, tmp_path):
-        # CoDel has no update timer, so its trace holds aqm_decision
+        # RED has no update timer, so its trace holds aqm_decision
         # lines only; the verdict counts must still be reported.
-        path = tmp_path / "codel.jsonl"
+        path = tmp_path / "red.jsonl"
         with JsonlTracer(path, categories=["aqm"]) as tracer:
             result = run_experiment(
-                _experiment(duration=3.0, factory=_codel_factory),
+                _experiment(duration=3.0, factory=_red_factory),
                 tracer=tracer,
             )
         summary = summarize_trace(path)
         aqm = summary["aqm"]
         assert aqm is not None
-        assert aqm["aqm"] == "CodelAqm" and aqm["updates"] == 0
+        assert aqm["aqm"] == "RedAqm" and aqm["updates"] == 0
         assert sum(aqm["decisions"].values()) == result.telemetry["aqm.decisions"] > 0
         assert aqm["series"] == {"t": [], "p_prime": [], "delay": []}
         for key in ("first_t", "last_t", "final_p_prime", "convergence_time",
                     "mean_delay", "max_delay"):
             assert aqm[key] is None, key
         text = format_trace_summary(summary)
-        assert "control loop (CodelAqm): 0 updates\n  decisions: " in text
+        assert "control loop (RedAqm): 0 updates\n  decisions: " in text
         assert "mean queue delay" not in text and "None" not in text
 
     def test_engine_lane_peaks_read_old_and_new_epochs(self, tmp_path):

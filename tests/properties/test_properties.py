@@ -6,19 +6,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.steady_state import coupled_classic_probability
 from repro.aqm.pi import PIController
 from repro.aqm.tune_table import sqrt2p, tune
-from repro.core.coupling import (
-    classic_from_linear,
-    classic_from_scalable,
-    linear_from_classic,
-    scalable_from_classic,
-)
-from repro.metrics.stats import ecdf, jain_fairness, percentile_summary
+from repro.metrics.stats import percentile_summary
 from repro.sim.engine import Simulator
 from repro.traffic.web import bounded_pareto_segments
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+#: Equation (14) takes a strictly positive signal probability.
+signal_probabilities = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False)
 small_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
@@ -81,31 +78,24 @@ class TestPiControllerProperties:
 
 
 class TestCouplingProperties:
-    @given(probabilities)
-    @settings(max_examples=100, deadline=None)
-    def test_square_round_trip(self, p):
-        assert linear_from_classic(classic_from_linear(p)) == (
-            math.sqrt(p * p) if True else p
-        )
-        assert abs(linear_from_classic(classic_from_linear(p)) - p) < 1e-9
+    """Equation (14), ``pc = (ps / k)²``."""
 
-    @given(probabilities, st.floats(min_value=1.0, max_value=4.0))
+    @given(signal_probabilities, st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=100, deadline=None)
     def test_classic_never_exceeds_scalable(self, ps, k):
-        assert classic_from_scalable(ps, k) <= ps + 1e-12
+        assert coupled_classic_probability(ps, k) <= ps + 1e-12
 
-    @given(probabilities, st.floats(min_value=0.5, max_value=4.0))
+    @given(signal_probabilities, st.floats(min_value=0.5, max_value=4.0))
     @settings(max_examples=100, deadline=None)
     def test_coupling_round_trip_below_clamp(self, ps, k):
-        pc = classic_from_scalable(ps, k)
-        if pc < 1.0 and k * math.sqrt(pc) <= 1.0:
-            assert abs(scalable_from_classic(pc, k) - ps) < 1e-9
+        pc = coupled_classic_probability(ps, k)
+        assert abs(k * math.sqrt(pc) - ps) < 1e-9
 
-    @given(st.lists(probabilities, min_size=2, max_size=20))
+    @given(st.lists(signal_probabilities, min_size=2, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_squaring_is_monotone(self, ps):
         ordered = sorted(ps)
-        squared = [classic_from_linear(p) for p in ordered]
+        squared = [coupled_classic_probability(p, k=1.0) for p in ordered]
         assert squared == sorted(squared)
 
 
@@ -129,15 +119,6 @@ class TestTuneTableProperties:
 
 
 class TestStatsProperties:
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_ecdf_is_valid_distribution(self, xs):
-        vals, probs = ecdf(xs)
-        assert list(vals) == sorted(vals)
-        assert probs[-1] == 1.0
-        assert all(0 < p <= 1.0 for p in probs)
-        assert list(probs) == sorted(probs)
-
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_percentiles_ordered(self, xs):
@@ -146,12 +127,6 @@ class TestStatsProperties:
         assert out["p1"] <= out["mean"] <= out["p99"] or math.isclose(
             out["p1"], out["p99"]
         )
-
-    @given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_jain_fairness_bounds(self, rates):
-        f = jain_fairness(rates)
-        assert 1 / len(rates) - 1e-9 <= f <= 1.0 + 1e-9
 
 
 class TestWorkloadProperties:

@@ -37,13 +37,6 @@ class TestCancelledAccounting:
         assert sim.cancelled_pending == 0
         assert sim.events_processed == 1
 
-    def test_step_decrements_too(self, sim):
-        ev = sim.schedule(1.0, _noop)
-        sim.schedule(2.0, _noop)
-        ev.cancel()
-        assert sim.step() is True  # skips the cancelled event, runs the live one
-        assert sim.cancelled_pending == 0
-
 
 class TestExplicitCompact:
     def test_compact_removes_only_cancelled(self, sim):

@@ -116,16 +116,6 @@ class TestRun:
         sim.run(10.0)
         assert sim.events_processed == 5
 
-    def test_step_processes_one_event(self, sim):
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.schedule(2.0, lambda: seen.append(2))
-        assert sim.step() is True
-        assert seen == [1]
-
-    def test_step_on_empty_heap_returns_false(self, sim):
-        assert sim.step() is False
-
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
@@ -166,7 +156,6 @@ class TestPeriodicTimer:
         sim.schedule(2.5, timer.stop)
         sim.run(10.0)
         assert seen == [1.0, 2.0]
-        assert timer.stopped
 
     def test_stop_from_within_callback(self, sim):
         seen = []
@@ -212,22 +201,15 @@ class TestPost:
         sim.post(2.0, lambda: None)
         assert sim.pending_events == 2
 
-    def test_step_dispatches_posts(self, sim):
-        seen = []
-        sim.post(1.0, lambda: seen.append(sim.now))
-        assert sim.step()
-        assert seen == [1.0]
-        assert not sim.step()
-
 
 def _drive(mode, ops):
     """Apply one randomized workload script; return its dispatch trace.
 
     ``mode`` picks how the script is driven: ``"run"`` advances through
-    :meth:`Simulator.run` horizons, ``"step"`` through a :meth:`step`
-    loop, and ``"traced"`` through ``run()`` with a recording engine
-    tracer installed (the chunked, epoch-snapshotting run loop).  All
-    three must dispatch the identical ``(time, id)`` stream.  Callback
+    :meth:`Simulator.run` horizons, and ``"traced"`` through ``run()``
+    with a recording engine tracer installed (the chunked,
+    epoch-snapshotting run loop).  Both must dispatch the identical
+    ``(time, id)`` stream.  Callback
     behaviour is keyed by op kind so every mode executes byte-for-byte
     the same program:
 
@@ -256,18 +238,6 @@ def _drive(mode, ops):
         elif kind == "flap" and live:
             live.pop(0).cancel()
 
-    def advance(until):
-        if mode != "step":
-            sim.run(until)
-            return
-        while True:
-            head = sim.peek_time()
-            if head is None or head > until:
-                break
-            sim.step()
-        # Nothing is due by ``until`` now: run() only moves the clock.
-        sim.run(until)
-
     for op in ops:
         if op[0] == "later":
             _, delay, kind = op
@@ -278,8 +248,8 @@ def _drive(mode, ops):
         elif op[0] == "post":
             sim.post(op[1], fire, next(ids), "plain", 0.0)
         else:  # drain
-            advance(sim.now + op[1])
-    advance(sim.now + 5.0)
+            sim.run(sim.now + op[1])
+    sim.run(sim.now + 5.0)
     assert sim.pending_events == 0
     if tracer is not None:
         assert tracer.by_event("engine_epoch")
@@ -306,7 +276,7 @@ try:
     )
 
     class TestPopOrderParity:
-        """Property: run(), step() and the traced run loop produce the
+        """Property: run() and the traced run loop produce the
         identical dispatch stream — same (time, id) sequence — for
         arbitrary interleavings of scheduling, cancellation (incl.
         mid-dispatch fault flaps), posted per-packet events, and staged
@@ -314,15 +284,11 @@ try:
 
         @settings(max_examples=50, deadline=None)
         @given(ops=st.lists(_OP, max_size=60))
-        def test_run_step_and_traced_traces_agree(self, ops):
-            reference = _drive("run", ops)
-            assert _drive("step", ops) == reference
-            assert _drive("traced", ops) == reference
+        def test_run_and_traced_traces_agree(self, ops):
+            assert _drive("traced", ops) == _drive("run", ops)
 
 except ImportError:  # pragma: no cover - hypothesis is in the dev env
-    def test_run_step_and_traced_traces_agree_fallback():
+    def test_run_and_traced_traces_agree_fallback():
         ops = [("later", 0.1 * i % 0.7, ("plain", "rearm", "flap")[i % 3])
                for i in range(40)] + [("drain", 0.2), ("cancel", 3)]
-        reference = _drive("run", ops)
-        assert _drive("step", ops) == reference
-        assert _drive("traced", ops) == reference
+        assert _drive("traced", ops) == _drive("run", ops)

@@ -31,13 +31,3 @@ class TestRandomStreams:
         v1 = s1.stream("second").random()
         v2 = s2.stream("second").random()
         assert v1 == v2
-
-    def test_fork_namespaces_streams(self):
-        parent = RandomStreams(5)
-        child = parent.fork("sub")
-        assert child.stream("x").random() != parent.stream("x").random()
-
-    def test_fork_is_reproducible(self):
-        a = RandomStreams(5).fork("sub").stream("x").random()
-        b = RandomStreams(5).fork("sub").stream("x").random()
-        assert a == b

@@ -66,20 +66,33 @@ class TestCubicGrowth:
 
 
 class TestSwitchover:
-    """Equation (8): CReno iff W·R^{3/2} < 3.5."""
+    """Equation (8): Cubic runs as CReno iff W·R^{3/2} < 3.5.  The
+    sender's TCP-friendly region agrees on either side of the threshold
+    across the epoch that follows a cut from W."""
 
-    def test_small_window_short_rtt_is_creno(self):
-        assert CubicSender.switchover_is_creno(window=20, rtt=0.01)
+    @staticmethod
+    def _modes_after_cut(sim, window, rtt):
+        s = Loopback(sim, sender_cls=CubicSender, rtt=rtt).sender
+        s.srtt = rtt
+        s.cwnd = window
+        s.on_congestion_event("loss")
+        s.cwnd = window * CUBIC_BETA
+        s.ca_increase(1)
+        modes = [s.in_creno_mode]
+        # Then at ten instants until the cubic curve regains W.
+        for i in range(1, 11):
+            sim.run(i * s._k / 10)
+            s.ca_increase(1)
+            modes.append(s.in_creno_mode)
+        return modes
 
-    def test_large_window_long_rtt_is_cubic(self):
-        assert not CubicSender.switchover_is_creno(window=500, rtt=0.1)
+    def test_small_window_short_rtt_is_creno(self, sim):
+        # W·R^1.5 = 20 · 0.01^1.5 = 0.02 < 3.5
+        assert all(self._modes_after_cut(sim, window=20, rtt=0.01))
 
-    def test_threshold_boundary(self):
-        # W·R^1.5 = 3.5 exactly → not CReno (strict inequality).
-        rtt = 0.1
-        w = 3.5 / rtt ** 1.5
-        assert not CubicSender.switchover_is_creno(w, rtt)
-        assert CubicSender.switchover_is_creno(w * 0.99, rtt)
+    def test_large_window_long_rtt_is_cubic(self, sim):
+        # W·R^1.5 = 500 · 0.1^1.5 ≈ 15.8 > 3.5
+        assert not any(self._modes_after_cut(sim, window=500, rtt=0.1))
 
 
 class TestEcnCubic:

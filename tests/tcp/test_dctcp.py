@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.packet import ECN
 from repro.tcp.dctcp import DCTCP_GAIN, DctcpSender
-from tests.tcp.helpers import Loopback, drop_seqs, mark_seqs
+from tests.tcp.helpers import Loopback, drop_seqs
 
 
 class TestConfiguration:
@@ -96,12 +96,3 @@ class TestWindowReduction:
         sim.run(10.0)
         assert lb.sender.completed
         assert lb.sender.loss_reductions == 1
-
-    def test_observed_mark_probability(self, sim):
-        lb = Loopback(
-            sim, sender_cls=DctcpSender, rtt=0.1, ecn_mode="scalable",
-            flow_size=100, interceptor=mark_seqs(*range(0, 100, 10)),
-        )
-        lb.sender.start(0.0)
-        sim.run(10.0)
-        assert lb.sender.observed_mark_probability == pytest.approx(0.1, abs=0.03)

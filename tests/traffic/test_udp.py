@@ -35,8 +35,7 @@ class TestUdpSource:
     def test_stop(self, sim):
         count = []
         src = UdpSource(sim, 0, transmit=lambda p: count.append(1), rate_bps=1e6)
-        src.start(0.0)
-        sim.schedule(1.0, src.stop)
+        src.start(0.0, until=1.0)
         sim.run(5.0)
         n_at_stop = len(count)
         assert n_at_stop == pytest.approx(1e6 / (1500 * 8), rel=0.05)

@@ -56,8 +56,7 @@ class TestWebWorkload:
     def test_stop(self, sim):
         wl = WebWorkload(sim, self._spawn_instantly(sim), arrival_rate=100.0,
                          rng=random.Random(1))
-        wl.start(0.0)
-        sim.schedule(0.5, wl.stop)
+        wl.start(0.0, until=0.5)
         sim.run(10.0)
         assert wl.flows_started < 120
 
