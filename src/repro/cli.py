@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grid = sub.add_parser(
         "grid",
-        help="run a link×RTT coexistence grid, optionally supervised/resumable",
+        help="run a link×RTT coexistence grid, optionally journaled/resumable",
     )
     grid.add_argument("--aqm", choices=sorted(FACTORIES), default="coupled")
     grid.add_argument("--links", default="4,12",
@@ -136,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "going; raise: first failure aborts the sweep")
     grid.add_argument("--max-retries", type=int, default=1,
                       help="seed-bump retries per failing cell (default: 1)")
-    grid.add_argument("--supervised", action="store_true",
-                      help="run cells under the watchdogged backend "
-                           "(per-task timeouts, heartbeats, crash retry)")
     grid.add_argument("--journal", metavar="PATH",
                       help="append each completed cell to a crash-safe "
                            "journal")
@@ -179,12 +176,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "re-simulating them (bit-exact)")
     figure.add_argument("--task-timeout", type=float, default=None,
                         metavar="S",
-                        help="run each cell in a supervised worker and kill/"
-                             "retry it past S wall-clock seconds")
+                        help="kill and retry any cell running longer than S "
+                             "wall-clock seconds (runs cells in supervised "
+                             "workers)")
     figure.add_argument("--heartbeat-timeout", type=float, default=None,
                         metavar="S",
                         help="kill and retry a cell's worker silent for S "
-                             "seconds (implies supervised execution)")
+                             "seconds (runs cells in supervised workers)")
     figure.add_argument("--compact-every", type=int, default=None,
                         metavar="N",
                         help="rewrite the journal (latest record per key) "
@@ -288,18 +286,24 @@ def _make_tracer(args):
         raise ConfigError(str(exc)) from exc
 
 
-def _note_untraced_workers(tracer, jobs, supervisor) -> None:
+def _supervised(args) -> bool:
+    """True when the command's cells run in supervised worker processes."""
+    from repro.harness.parallel import _worker_count
+
+    return _worker_count(args.jobs, args.task_timeout,
+                         args.heartbeat_timeout) > 0
+
+
+def _note_untraced_workers(tracer, args) -> None:
     """Say on stderr when ``--trace`` cannot see the cells' simulations.
 
-    Cells run in pool or supervised worker processes are untraced (a
-    JSONL sink cannot cross the process boundary); only the parent's
-    harness spans reach the file.
+    Cells run in supervised worker processes are untraced (a JSONL sink
+    cannot cross the process boundary); only the parent's harness spans
+    reach the file.
     """
-    from repro.harness.parallel import resolve_jobs
-
-    if tracer is not None and (supervisor is not None or resolve_jobs(jobs) > 1):
+    if tracer is not None and _supervised(args):
         print("note: --trace: cells run in worker processes are untraced "
-              "(harness spans only); use --jobs 1 without supervision to "
+              "(harness spans only); use --jobs 1 without a timeout to "
               "record their aqm/engine events", file=sys.stderr)
 
 
@@ -374,27 +378,20 @@ def _cmd_figure(args, out) -> int:
 
     _check_compact_every(args)
 
-    supervisor = None
-    if args.task_timeout is not None or args.heartbeat_timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
-        supervisor = SupervisorConfig(
-            task_timeout=args.task_timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
     cache = _make_cache(args)
     tracer = _make_tracer(args)
     if cache is not None and tracer is not None:
         cache.set_tracer(tracer)
-    _note_untraced_workers(tracer, args.jobs, supervisor)
+    _note_untraced_workers(tracer, args)
     data = generate_figure(args.name, scale=args.scale, jobs=args.jobs,
                            cache=cache, tracer=tracer,
                            journal=args.journal, resume=args.resume,
-                           supervisor=supervisor,
+                           task_timeout=args.task_timeout,
+                           heartbeat_timeout=args.heartbeat_timeout,
                            compact_every=args.compact_every)
     _close_tracer(tracer, out)
     print(data.table(), file=out)
-    if data.report is not None and (args.journal or supervisor is not None):
+    if data.report is not None and (args.journal or _supervised(args)):
         print(f"figure: {data.report.summary()}", file=out)
     if cache is not None and (cache.stats.hits or cache.stats.stores):
         print(f"cache: {cache.stats} ({cache.root})", file=out)
@@ -463,18 +460,10 @@ def _cmd_cache(args, out) -> int:
 
 
 def _cmd_grid(args, out) -> int:
-    from repro.harness.supervisor import SupervisorConfig
     from repro.harness.sweep import run_coexistence_grid
 
     links = _positive_floats("--links", args.links)
     rtts = _positive_floats("--rtts", args.rtts)
-    supervisor = None
-    if (args.supervised or args.task_timeout is not None
-            or args.heartbeat_timeout is not None):
-        supervisor = SupervisorConfig(
-            task_timeout=args.task_timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
     _check_compact_every(args)
     journal = args.journal
     own_journal = None
@@ -488,7 +477,7 @@ def _cmd_grid(args, out) -> int:
     tracer = _make_tracer(args)
     if cache is not None and tracer is not None:
         cache.set_tracer(tracer)
-    _note_untraced_workers(tracer, args.jobs, supervisor)
+    _note_untraced_workers(tracer, args)
     try:
         outcome = run_coexistence_grid(
             FACTORIES[args.aqm](),
@@ -503,7 +492,8 @@ def _cmd_grid(args, out) -> int:
             max_retries=args.max_retries,
             jobs=args.jobs,
             cache=cache,
-            supervisor=supervisor,
+            task_timeout=args.task_timeout,
+            heartbeat_timeout=args.heartbeat_timeout,
             journal=journal,
             resume=args.resume,
             tracer=tracer,
@@ -532,9 +522,10 @@ def _cmd_grid(args, out) -> int:
         ),
         file=out,
     )
-    if supervisor is not None or args.journal is not None:
+    supervised = _supervised(args)
+    if supervised or args.journal is not None:
         report = outcome.recovery
-        label = "supervised" if supervisor is not None else "journal"
+        label = "supervised" if supervised else "journal"
         print(f"{label}: {report.summary()}", file=out)
         if report.actions:
             print(report.format_actions(), file=out)

@@ -31,7 +31,6 @@ from repro.harness.resilience import (
     format_recovery_report,
     run_with_retries,
 )
-from repro.harness.supervisor import SupervisorConfig
 from repro.harness.scenarios import (
     MBPS,
     coexistence_mix,
@@ -100,5 +99,4 @@ __all__ = [
     "JournalRecord",
     "JournalReplay",
     "ResultJournal",
-    "SupervisorConfig",
 ]

@@ -8,9 +8,9 @@ burst allowance, PI2 gains 2.5× PIE's, coupled (Scalable) gains 2× PI2's.
 Each ``*_factory`` helper returns a :class:`NamedAqmFactory` rather than a
 closure.  The two are interchangeable as callables, but the named form is
 
-* **picklable** — required by the process-pool sweep executor
-  (:mod:`repro.harness.parallel`), which ships whole experiments to
-  worker processes, and
+* **picklable** — required by the supervised workers
+  (:mod:`repro.harness.supervisor`), which run whole experiments in
+  other processes, and
 * **describable** — :meth:`NamedAqmFactory.cache_key` renders the AQM
   class and its keyword configuration as a stable string, which the
   on-disk result cache (:mod:`repro.harness.cache`) folds into the

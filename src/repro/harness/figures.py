@@ -23,8 +23,9 @@ Cells and crash safety
 the whole cell pipeline: ``jobs`` fans its cells out, the result cache
 serves repeats, a crash-safe :class:`~repro.harness.journal.ResultJournal`
 (``journal=``) fsyncs each completed cell, ``resume=True`` replays
-journaled cells bit-exactly, and ``supervisor=`` runs each cell in a
-watchdogged worker process.  A failing cell raises
+journaled cells bit-exactly, and ``task_timeout=`` /
+``heartbeat_timeout=`` kill and retry a cell's worker that hangs or
+falls silent.  A failing cell raises
 :class:`~repro.errors.FigureGenerationError` naming the figure, the
 cell and the virtual time of death.
 
@@ -1081,24 +1082,25 @@ def _run_cells(cells: Dict[str, List[SweepTask]], **pipeline):
 
 def generate_figure(
     name: str, scale: float = 1.0, jobs=None, cache=None, tracer=None,
-    journal=None, resume: bool = False, supervisor=None,
+    journal=None, resume: bool = False, task_timeout: Optional[float] = None,
+    heartbeat_timeout: Optional[float] = None,
     compact_every: Optional[int] = None,
 ) -> FigureData:
     """Generate one figure's data by registry name.
 
     The figure's cells run in one
     :func:`~repro.harness.parallel.execute_tasks` call: ``jobs`` fans
-    them out over a process pool (None serial, 0 one worker per CPU);
+    them out over supervised worker processes (None serial, 0 one worker
+    per CPU), where ``task_timeout`` / ``heartbeat_timeout`` kill and
+    retry a cell's worker past that many wall-clock or silent seconds;
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) reuses
-    already-simulated cells across invocations; ``supervisor`` (a
-    :class:`~repro.harness.supervisor.SupervisorConfig`) runs each cell
-    in a watchdogged worker process.  ``journal`` (a directory path or a
-    :class:`~repro.harness.journal.ResultJournal`) makes every completed
-    cell durable as it finishes (one journal per figure name under a
-    directory; ``compact_every=N`` rewrites it, latest record per key,
-    after every N appends) and ``resume=True`` replays journaled cells,
-    so a figure run killed mid-sweep and resumed returns rows
-    bit-identical to an uninterrupted run.  ``tracer`` (a
+    already-simulated cells across invocations.  ``journal`` (a
+    directory path or a :class:`~repro.harness.journal.ResultJournal`)
+    makes every completed cell durable as it finishes (one journal per
+    figure name under a directory; ``compact_every=N`` rewrites it,
+    latest record per key, after every N appends) and ``resume=True``
+    replays journaled cells, so a figure run killed mid-sweep and
+    resumed returns rows bit-identical to an uninterrupted run.  ``tracer`` (a
     :class:`~repro.obs.trace.Tracer`) observes the cells and a final
     ``figure_done`` span; it never changes a number in the rows.
 
@@ -1117,7 +1119,8 @@ def generate_figure(
     try:
         results, report = _run_cells(
             {name: tasks}, jobs=jobs, cache=cache, tracer=tracer,
-            journal=journal_obj, resume=resume, supervisor=supervisor,
+            journal=journal_obj, resume=resume, task_timeout=task_timeout,
+            heartbeat_timeout=heartbeat_timeout,
         )
     finally:
         if owned:

@@ -8,7 +8,7 @@ still holds pending bound-method events.  :func:`freeze_result` copies the
 figure-level read-outs into a :class:`FrozenResult`, a plain bag of time
 series, arrays and counters that
 
-* pickles cheaply (process-pool workers return it to the parent,
+* pickles cheaply (worker processes return it to the parent,
   :mod:`repro.harness.cache` stores it on disk), and
 * answers the same metric API — it shares the
   :class:`~repro.harness.experiment.ResultMetrics` mixin, so

@@ -112,7 +112,7 @@ class ResultJournal:
     """Append-only, fsync'd store of completed cells in one file.
 
     The parent sweep process is the only writer; workers return frozen
-    results over the pool/pipe seam and the parent appends them here as
+    results over their pipes and the parent appends them here as
     they arrive.  Every write is fsync'd: the magic, each record, close,
     and a compaction's temp file and directory entry.
     """

@@ -7,11 +7,13 @@ mix and repeat runners and every simulated figure hand their cells to
 :func:`execute_tasks`, the only place a cell runs::
 
     key ─▶ journal replay ─▶ cache probe ─▶ in-flight reorder
-        ─▶ backend: inline │ pool │ supervised
+        ─▶ backend: inline │ supervised workers
         ─▶ cache store ─▶ fsync'd journal append ─▶ RunReport
 
 Caching, journaling and resume are therefore the same on every backend;
-the backend only decides *where* the simulation runs.
+the backend only decides *where* the simulation runs.  Either way a
+cell's simulation goes through :func:`_run_cell`, in this process or in
+a supervised worker (:mod:`repro.harness.supervisor`).
 
 How determinism is preserved
 ----------------------------
@@ -29,17 +31,16 @@ How determinism is preserved
 Experiments built from the named factories in
 :mod:`repro.harness.factories` are picklable; hand-rolled lambda
 factories are not, and are rejected with a pointer at the fix rather than
-a bare :class:`pickle.PicklingError` from deep inside the pool.
+a bare :class:`pickle.PicklingError` from a worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness.cache import (
@@ -58,9 +59,6 @@ from repro.harness.resilience import (
     format_recovery_report,
     run_with_retries,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - the supervisor imports this module
-    from repro.harness.supervisor import SupervisorConfig
 
 __all__ = [
     "SweepTask",
@@ -150,11 +148,15 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _start_method() -> str:
-    """Prefer fork (fast, inherits sys.path — test-defined factories
-    pickle by reference); fall back to the platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
+def _worker_count(jobs: Optional[int], task_timeout: Optional[float],
+                  heartbeat_timeout: Optional[float]) -> int:
+    """Supervised workers :func:`execute_tasks` runs cells on: ``jobs``
+    resolved, when that is more than one or a timeout is given (a
+    timeout needs a worker to kill); otherwise 0, for inline."""
+    n_jobs = resolve_jobs(jobs)
+    if n_jobs > 1 or task_timeout is not None or heartbeat_timeout is not None:
+        return n_jobs
+    return 0
 
 
 def _failure(label: str, seed: int, exc: Exception) -> RunFailure:
@@ -182,7 +184,8 @@ def _failure(label: str, seed: int, exc: Exception) -> RunFailure:
 
 def _run_cell(task: SweepTask, key: Optional[str], retries: int,
               capture: bool, freeze: bool, cache=None, tracer=None):
-    """Simulate one cell in this process (inline backend and pool workers).
+    """Simulate one cell in this process: the inline backend's body, and
+    each attempt in a supervised worker or the supervisor's degraded mode.
 
     ``retries > 0`` runs :func:`run_with_retries`, which traces the
     first attempt only (retries on bumped seeds are diagnostics, not
@@ -220,14 +223,6 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
     else:
         result = compute()
     return result, failure
-
-
-def _pool_cell(payload):
-    """Pool worker body: one cell, frozen, failures captured not raised —
-    an exception would tear down the map and lose every sibling's work."""
-    index, task, key, retries, shared_root = payload
-    cache = SharedResultCache(shared_root) if shared_root is not None else None
-    return (index, *_run_cell(task, key, retries, True, True, cache))
 
 
 def _check_picklable(tasks: Sequence[SweepTask]) -> None:
@@ -286,17 +281,21 @@ def execute_tasks(
     tracer: Optional[object] = None,
     journal: Optional[Union[ResultJournal, str, os.PathLike]] = None,
     resume: bool = False,
-    supervisor: Optional[SupervisorConfig] = None,
+    task_timeout: Optional[float] = None,
+    heartbeat_timeout: Optional[float] = None,
     report: Optional[RunReport] = None,
 ) -> List[TaskResult]:
     """Run every task through the cell pipeline; results in task order.
 
     Returns one ``(result, failure)`` pair per task **in task order**.
-    The backend is the supervisor when ``supervisor`` (a
-    :class:`~repro.harness.supervisor.SupervisorConfig`) is given, a
-    process pool when ``jobs`` resolves to more than one worker (see
-    :func:`resolve_jobs`: None is serial, 0 is one per CPU), and this
-    process otherwise.
+    Cells run in supervised worker processes
+    (:mod:`repro.harness.supervisor`) when ``jobs`` resolves to more
+    than one worker (see :func:`resolve_jobs`: None is serial, 0 is one
+    per CPU) or a timeout is given, and in this process otherwise.  A
+    worker that crashes (SIGKILL, OOM) is retried on the same seed;
+    ``task_timeout`` kills and retries an attempt running longer than
+    that many wall-clock seconds, and ``heartbeat_timeout`` one whose
+    worker has been silent that long.
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) is probed
     once per cell and filled with every fresh result.  ``journal`` (a
@@ -310,34 +309,39 @@ def execute_tasks(
     bumped seeds and returns a
     :class:`~repro.harness.resilience.RunFailure` in its slot.  With
     ``"raise"`` an inline cell's exception propagates as it happens;
-    the pool and supervised backends run every cell to completion (so
-    the journal keeps all that can finish) and then the first failure in
-    task order raises :class:`~repro.errors.ParallelExecutionError`.
+    supervised workers run every cell to completion (so the journal
+    keeps all that can finish) and then the first failure in task order
+    raises :class:`~repro.errors.ParallelExecutionError`.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) receives ``harness``
     spans from this process — ``journal_hit``/``cache_hit`` per
     served cell, ``task_start``/``task_done`` per executed cell,
-    ``journal_append``, ``cache_deferred``, ``pool_map``, and the
-    supervisor's ``task_retry`` — and, on the inline route, the
-    simulation's AQM/engine events (with ``on_error="capture"``, of each
-    cell's first attempt).  Worker processes run untraced (a
-    JSONL sink cannot cross the process boundary).  Results are
-    bit-exact with tracing on or off.
+    ``journal_append``, ``cache_deferred`` and the supervisor's
+    ``task_retry`` — and, on the inline route, the simulation's
+    AQM/engine events (with ``on_error="capture"``, of each cell's first
+    attempt).  Worker processes run untraced (a JSONL sink cannot cross
+    the process boundary).  Results are bit-exact with tracing on or off.
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture' (got {on_error!r})")
     if max_retries < 0:
         raise ConfigError(f"max_retries cannot be negative (got {max_retries})")
+    for name, value in (("task_timeout", task_timeout),
+                        ("heartbeat_timeout", heartbeat_timeout)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{name} must be positive or None (got {value})")
     if resume and journal is None:
         raise ConfigError("resume=True requires a journal")
+    workers = _worker_count(jobs, task_timeout, heartbeat_timeout)
     report = report if report is not None else RunReport()
     own_journal = journal is not None and not isinstance(journal, ResultJournal)
     journal_obj = ResultJournal(journal) if own_journal else journal
     try:
         out = _pipeline(
-            list(tasks), resolve_jobs(jobs),
+            list(tasks), workers,
             max_retries if on_error == "capture" else 0, on_error == "capture",
-            cache, tracer, journal_obj, resume, supervisor, report,
+            cache, tracer, journal_obj, resume, task_timeout,
+            heartbeat_timeout, report,
         )
     finally:
         if own_journal:
@@ -355,13 +359,17 @@ def execute_tasks(
     return out
 
 
-def _pipeline(tasks, n_jobs, retries, capture, cache, tracer, journal,
-              resume, supervisor, report) -> List[TaskResult]:
-    """The steps of :func:`execute_tasks` after argument handling."""
+def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
+              resume, task_timeout, heartbeat_timeout,
+              report) -> List[TaskResult]:
+    """The steps of :func:`execute_tasks` after argument handling;
+    ``workers`` is the supervised worker count, 0 to run inline."""
     emit = tracer.emit if tracer is not None else None
     out: List[Optional[TaskResult]] = [None] * len(tasks)
     keyed = cache is not None or journal is not None
     keys = [experiment_cache_key(t.experiment) if keyed else None for t in tasks]
+    # A shared cache stores each result under its single-flight lock,
+    # wherever the cell ran; a plain cache is filled here.
     shared = isinstance(cache, SharedResultCache)
     compactions = journal.compactions if journal is not None else 0
 
@@ -382,12 +390,12 @@ def _pipeline(tasks, n_jobs, retries, capture, cache, tracer, journal,
                     "seconds": time.monotonic() - started,
                 })
 
-    def done(index: int, result, failure, cached: bool = False) -> None:
+    def done(index: int, result, failure) -> None:
         """Completion step every backend calls as each cell finishes."""
         out[index] = (result, failure)
         if result is not None:
             report.executed += 1
-            store(index, result, cached)
+            store(index, result, cached=shared)
 
     replay = {}
     if resume:
@@ -415,41 +423,13 @@ def _pipeline(tasks, n_jobs, retries, capture, cache, tracer, journal,
 
     if shared and len(pending) > 1:
         pending = _defer_in_flight(pending, keys, cache, report, emit)
-    if pending and supervisor is not None:
+    if pending and workers:
         from repro.harness.supervisor import _Supervisor
 
         _check_picklable([tasks[i] for i in pending])
-        _Supervisor(tasks, pending, n_jobs, retries, supervisor, report,
-                    emit, done).run()
-    elif pending and n_jobs > 1:
-        _check_picklable([tasks[i] for i in pending])
-        # Shared caches push the store (under the single-flight lock)
-        # down into the workers; plain caches keep the parent-side put.
-        root = str(cache.root) if shared else None
-        payloads = [(i, tasks[i], keys[i], retries, root) for i in pending]
-        workers = min(n_jobs, len(pending))
-        if emit is not None:
-            for i in pending:
-                emit("harness", "task_start", 0.0,
-                     {"label": tasks[i].label, "backend": "pool"})
-        started = time.monotonic()
-        ctx = multiprocessing.get_context(_start_method())
-        with ctx.Pool(processes=workers) as pool:
-            # imap_unordered: each cell is stored and journaled the moment
-            # it lands, so a kill mid-figure loses only unfinished cells.
-            for index, result, failure in pool.imap_unordered(
-                _pool_cell, payloads, chunksize=1
-            ):
-                if emit is not None:
-                    emit("harness", "task_done", 0.0,
-                         {"label": tasks[index].label, "ok": result is not None})
-                done(index, result, failure, cached=shared)
-        if emit is not None:
-            emit("harness", "pool_map", 0.0, {
-                "tasks": len(pending),
-                "jobs": workers,
-                "seconds": time.monotonic() - started,
-            })
+        _Supervisor(tasks, pending, keys, cache if shared else None, workers,
+                    retries, task_timeout, heartbeat_timeout, report, emit,
+                    done).run()
     else:
         for index in pending:
             task = tasks[index]
@@ -467,7 +447,7 @@ def _pipeline(tasks, n_jobs, retries, capture, cache, tracer, journal,
                     "ok": result is not None,
                     "seconds": time.monotonic() - started,
                 })
-            done(index, result, failure, cached=shared)
+            done(index, result, failure)
     if journal is not None:
         report.compactions += journal.compactions - compactions
     # Every slot was filled above (replay, cache hit, or a backend).

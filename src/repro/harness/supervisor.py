@@ -2,15 +2,17 @@
 
 :func:`~repro.harness.parallel.execute_tasks` runs every cell through
 one pipeline — journal replay, cache probe, backend, cache store,
-journal append.  A ``multiprocessing`` pool is a brittle backend: a
-worker that hangs stalls the whole map, and a worker the kernel
-SIGKILLs (OOM) loses its task forever.  Passing
-``supervisor=SupervisorConfig(...)`` to ``execute_tasks`` (or to any
-sweep, repetition or figure) selects this backend instead:
+journal append.  When ``jobs`` resolves to more than one worker, or a
+``task_timeout`` or ``heartbeat_timeout`` is given, the backend is this
+one, and every sweep, repetition and figure gets:
 
-* **process-per-task isolation** — each attempt runs in its own forked
-  worker, so a crash is observable (pipe EOF + exit code) instead of
-  wedging a shared pool;
+* **process isolation** — cells run in forked worker processes, one
+  pipe each, so a crash is observable (pipe EOF + exit code) and costs
+  one attempt instead of a lost cell or a stalled run.  Workers are
+  forked when the run starts and take one cell after another, because
+  forking per cell from a parent that holds every finished result cost
+  the claim run about a tenth more worker CPU (docs/PERFORMANCE.md); a
+  worker that dies or is killed is replaced by a fresh fork;
 * **per-task wall-clock timeouts** and **worker heartbeats** — a hung or
   frozen worker is killed and the task retried, rather than stalling the
   sweep;
@@ -18,7 +20,7 @@ sweep, repetition or figure) selects this backend instead:
   retry on deterministically bumped seeds (the exact
   :data:`~repro.harness.resilience.RETRY_SEED_STRIDE` sequence of the
   inline backend, bounded by the same ``max_retries``), while
-  process-level failures — timeout, SIGKILL, stalled heartbeats — retry
+  process-level failures — SIGKILL, timeout, stalled heartbeats — retry
   the *same* seed, because the cause was external and determinism
   demands the rerun be identical;
 * **graceful degradation to serial execution** after repeated spawn
@@ -29,23 +31,26 @@ sweep, repetition or figure) selects this backend instead:
   carry the full :class:`~repro.harness.resilience.Attempt` history and
   worker identity.
 
-Caching, journaling and resume belong to the pipeline, so they behave
-the same here as on the inline and pool backends, and a fixed seed
-gives bit-identical outcomes serial, pooled, supervised,
-interrupted-and-resumed, or degraded.
+Each attempt, in a worker or degraded in-process, runs the inline
+backend's cell body (:func:`~repro.harness.parallel._run_cell`), so the
+shared cache's single-flight lock and store behave the same on every
+backend, and a fixed seed gives bit-identical outcomes serial,
+supervised, interrupted-and-resumed, or degraded.
+
+The policy constants below are module attributes, read at each use.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from multiprocessing import connection
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigError
-from repro.harness.frozen import freeze_result
-from repro.harness.parallel import SweepTask, _start_method
+from repro.harness.cache import SharedResultCache
+from repro.harness.parallel import SweepTask, _run_cell
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
     Attempt,
@@ -54,79 +59,48 @@ from repro.harness.resilience import (
     current_worker,
 )
 
-__all__ = ["SupervisorConfig"]
+#: Seconds between a worker's heartbeats (always sent; they only kill a
+#: worker when ``heartbeat_timeout`` is set).
+HEARTBEAT_INTERVAL = 0.5
+#: Same-seed retries of a cell after process-level failures.
+MAX_TASK_FAILURES = 2
+#: Process-level retry n waits ``BACKOFF_BASE * BACKOFF_FACTOR**n``
+#: seconds, capped at ``BACKOFF_MAX``; a failed spawn waits ``BACKOFF_BASE``.
+BACKOFF_BASE = 0.25
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+#: Consecutive spawn failures after which the sweep finishes in-process.
+MAX_SPAWN_FAILURES = 3
 
 #: Scheduler poll period: how often timeouts/heartbeats are re-checked.
 _TICK_SECONDS = 0.05
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Tunables of the supervised execution backend.
-
-    ``task_timeout`` is the per-*attempt* wall-clock budget (None =
-    unlimited).  Heartbeats are always emitted by workers every
-    ``heartbeat_interval`` seconds; staleness only kills a worker when
-    ``heartbeat_timeout`` is set (a process can be alive but frozen —
-    e.g. SIGSTOP — which a timeout alone would catch much later).
-
-    Seed-bump retries after simulation exceptions are bounded by the
-    pipeline's ``max_retries`` (one knob for every backend);
-    ``max_task_failures`` bounds same-seed retries after process-level
-    failures, with exponential backoff ``backoff_base *
-    backoff_factor**n`` capped at ``backoff_max``.  After
-    ``max_pool_failures`` consecutive worker-spawn failures the backend
-    degrades to in-process serial execution for the rest of the sweep.
-    """
-
-    task_timeout: Optional[float] = None
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: Optional[float] = None
-    max_task_failures: int = 2
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    max_pool_failures: int = 3
-
-    def __post_init__(self) -> None:
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigError(
-                f"task_timeout must be positive or None (got {self.task_timeout})"
-            )
-        if self.heartbeat_interval <= 0:
-            raise ConfigError(
-                f"heartbeat_interval must be positive (got {self.heartbeat_interval})"
-            )
-        if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
-            raise ConfigError(
-                f"heartbeat_timeout must be positive or None "
-                f"(got {self.heartbeat_timeout})"
-            )
-        if self.max_task_failures < 0:
-            raise ConfigError(
-                f"max_task_failures cannot be negative (got {self.max_task_failures})"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_max < 0:
-            raise ConfigError(
-                "backoff parameters must satisfy base >= 0, factor >= 1, max >= 0"
-            )
-        if self.max_pool_failures < 1:
-            raise ConfigError(
-                f"max_pool_failures must be at least 1 (got {self.max_pool_failures})"
-            )
+def _start_method() -> str:
+    """Prefer fork (fast, inherits sys.path — test-defined factories
+    pickle by reference); fall back to the platform default elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else methods[0]
 
 
-def _supervised_worker(conn, experiment, heartbeat_interval: float) -> None:
-    """Worker body: heartbeat thread + one experiment, reported by pipe.
+def _supervised_worker(conn, parent_end, cache_root: Optional[str],
+                       heartbeat_interval: float) -> None:
+    """Worker body: a heartbeat thread, and cells until the pipe closes.
 
     Sends ``("hb",)`` every ``heartbeat_interval`` seconds from a daemon
-    thread, then exactly one of ``("ok", frozen_result)`` or
-    ``("err", (type_name, message, sim_time, component))``.  A SIGKILL
-    leaves the pipe closed with neither — which is precisely how the
-    parent recognises a crash.
-    """
-    import threading
+    thread.  Each ``(task, key)`` received is acknowledged with a
+    heartbeat and answered with exactly one ``("done", frozen_result,
+    failure)`` — one side None — from
+    :func:`~repro.harness.parallel._run_cell`.  A SIGKILL leaves the
+    pipe closed with no answer, which is precisely how the parent
+    recognises a crash.  A shared cache is reopened here (without the
+    parent's tracer) so its lock and store run worker-side.
 
+    The forked worker first closes its copy of the parent's end
+    (``parent_end``): if the parent dies, the worker's receive then ends
+    and its sends fail, instead of blocking forever.
+    """
+    parent_end.close()
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -142,57 +116,36 @@ def _supervised_worker(conn, experiment, heartbeat_interval: float) -> None:
             send(("hb",))
             stop.wait(heartbeat_interval)
 
-    heartbeat = threading.Thread(target=beat, daemon=True)
-    heartbeat.start()
+    threading.Thread(target=beat, daemon=True).start()
+    cache = SharedResultCache(cache_root) if cache_root is not None else None
     try:
-        from repro.harness.experiment import run_experiment
-
-        result = run_experiment(experiment)
-        frozen = freeze_result(result)
-        stop.set()
-        send(("ok", frozen))
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception as exc:
-        stop.set()
-        send(
-            (
-                "err",
-                (
-                    type(exc).__name__,
-                    str(exc),
-                    getattr(exc, "sim_time", None),
-                    getattr(exc, "component", None),
-                ),
-            )
-        )
+        while True:
+            try:
+                task, key = conn.recv()
+            except (EOFError, OSError):  # the parent closed or went away
+                return
+            send(("hb",))
+            result, failure = _run_cell(task, key, 0, True, True, cache)
+            send(("done", result, failure))
     finally:
+        stop.set()
         conn.close()
 
 
-def _start_worker(ctx, state: "_TaskState", config: SupervisorConfig) -> "_Worker":
-    """Spawn one worker process for one attempt (monkeypatchable seam)."""
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    experiment = replace(state.task.experiment, seed=state.seed)
+def _start_worker(ctx, supervisor: "_Supervisor") -> "_Worker":
+    """Spawn one idle worker process (monkeypatchable seam)."""
+    parent_conn, child_conn = ctx.Pipe()
+    cache = supervisor.cache
     process = ctx.Process(
         target=_supervised_worker,
-        args=(child_conn, experiment, config.heartbeat_interval),
+        args=(child_conn, parent_conn,
+              str(cache.root) if cache is not None else None,
+              HEARTBEAT_INTERVAL),
         daemon=True,
     )
     process.start()
     child_conn.close()
-    now = time.monotonic()
-    deadline = (
-        now + config.task_timeout if config.task_timeout is not None else None
-    )
-    return _Worker(
-        state=state,
-        process=process,
-        conn=parent_conn,
-        started=now,
-        last_heartbeat=now,
-        deadline=deadline,
-    )
+    return _Worker(process, parent_conn)
 
 
 class _TaskState:
@@ -211,19 +164,27 @@ class _TaskState:
         self.attempts: List[Attempt] = []
         self.not_before = 0.0
 
+    def attempt_task(self) -> SweepTask:
+        """The task as the next attempt runs it (on a bumped seed after
+        a simulation exception)."""
+        if self.seed == self.task.experiment.seed:
+            return self.task
+        return replace(self.task,
+                       experiment=replace(self.task.experiment, seed=self.seed))
+
 
 class _Worker:
-    """One live worker process and the supervision state around it."""
+    """One live worker process and the supervision state around it;
+    ``state`` is the cell it runs (None while idle)."""
 
-    __slots__ = ("state", "process", "conn", "started", "last_heartbeat", "deadline")
+    __slots__ = ("state", "process", "conn", "last_heartbeat", "deadline")
 
-    def __init__(self, state, process, conn, started, last_heartbeat, deadline):
-        self.state = state
+    def __init__(self, process, conn):
+        self.state: Optional[_TaskState] = None
         self.process = process
         self.conn = conn
-        self.started = started
-        self.last_heartbeat = last_heartbeat
-        self.deadline = deadline
+        self.last_heartbeat = time.monotonic()
+        self.deadline: Optional[float] = None
 
     @property
     def identity(self) -> str:
@@ -236,29 +197,33 @@ class _Worker:
             self.process.kill()
         except (OSError, ValueError):  # already gone / never started
             pass
-        self.process.join(timeout=5.0)
-        self.conn.close()
+        self.reap()
 
     def reap(self) -> None:
-        """Join a worker that finished on its own."""
+        """Join the worker process and close its pipe."""
         self.process.join(timeout=5.0)
         self.conn.close()
 
 
 class _Supervisor:
-    """The backend: slots, deadlines, retries, degradation.
+    """The backend: workers, deadlines, retries, degradation.
 
-    Runs ``tasks[i]`` for every ``i`` in ``pending`` and hands each
-    finished cell to ``done(index, result, failure)`` — the pipeline's
-    store-and-journal step — the moment it completes.  ``retries`` is
-    the pipeline's seed-bump budget (0 unless ``on_error="capture"``).
+    Runs ``tasks[i]`` for every ``i`` in ``pending`` on at most
+    ``n_jobs`` workers and hands each finished cell to ``done(index,
+    result, failure)`` — the pipeline's store-and-journal step — the
+    moment it completes.  ``keys`` are the pipeline's cell keys and
+    ``cache`` its shared cache (or None); ``retries`` is the seed-bump
+    budget (0 unless ``on_error="capture"``).
     """
 
-    def __init__(self, tasks, pending, n_jobs, retries, config, report,
-                 emit, done):
+    def __init__(self, tasks, pending, keys, cache, n_jobs, retries,
+                 task_timeout, heartbeat_timeout, report, emit, done):
+        self.keys = keys
+        self.cache = cache
         self.n_jobs = n_jobs
         self.retries = retries
-        self.config = config
+        self.task_timeout = task_timeout
+        self.heartbeat_timeout = heartbeat_timeout
         self.report = report
         #: Fire-and-forget span sink (None = tracing off).  The
         #: supervisor only ever *emits* into it; no tracer output feeds
@@ -267,10 +232,18 @@ class _Supervisor:
         self.done = done
         self.queue: List[_TaskState] = [_TaskState(i, tasks[i]) for i in pending]
         self.running: Dict[object, _Worker] = {}
-        self.pool_failures = 0
+        self.spawn_failures = 0
 
     # -- completion paths ------------------------------------------------
-    def _finish_success(self, state: _TaskState, result) -> None:
+    def _attempt_done(self, state: _TaskState, result, failure,
+                      worker: Optional[str]) -> None:
+        """One attempt ran to its end: finish the cell or retry it."""
+        if failure is not None:
+            self._attempt_failed(
+                state, "exception", failure.error_type, failure.error, worker,
+                sim_time=failure.sim_time, component=failure.component,
+            )
+            return
         if self.emit is not None:
             self.emit("harness", "task_done", 0.0, {
                 "label": state.task.label,
@@ -323,11 +296,10 @@ class _Supervisor:
             retry = state.bumps < self.retries
             backoff = 0.0
         else:
-            retry = state.proc_failures < self.config.max_task_failures
+            retry = state.proc_failures < MAX_TASK_FAILURES
             backoff = min(
-                self.config.backoff_base
-                * self.config.backoff_factor ** state.proc_failures,
-                self.config.backoff_max,
+                BACKOFF_BASE * BACKOFF_FACTOR ** state.proc_failures,
+                BACKOFF_MAX,
             ) if retry else 0.0
         state.attempts.append(
             Attempt(
@@ -359,7 +331,7 @@ class _Supervisor:
             state.not_before = now + backoff
             detail = (
                 f"same-seed retry {state.proc_failures}/"
-                f"{self.config.max_task_failures} after {kind} "
+                f"{MAX_TASK_FAILURES} after {kind} "
                 f"(backoff {backoff:.2g}s)"
             )
         self.report.record(
@@ -380,36 +352,56 @@ class _Supervisor:
         self.queue.append(state)
 
     # -- worker lifecycle ------------------------------------------------
-    def _spawn(self, ctx, state: _TaskState) -> bool:
-        """Start one attempt; returns False on a spawn (pool) failure."""
+    def _idle_worker(self, ctx, state: _TaskState) -> Optional[_Worker]:
+        """An idle worker for ``state``'s next attempt: a running one, or
+        a new fork while fewer than ``n_jobs`` run.  None when every
+        worker is busy, or when the fork failed (``state`` backs off)."""
+        for worker in self.running.values():
+            if worker.state is None:
+                return worker
+        if len(self.running) >= self.n_jobs:
+            return None
         try:
-            worker = _start_worker(ctx, state, self.config)
+            worker = _start_worker(ctx, self)
         except (OSError, RuntimeError) as exc:
-            self.pool_failures += 1
+            self.spawn_failures += 1
             self.report.record(
                 RecoveryAction(
                     label=state.task.label,
                     action="spawn failed",
                     detail=f"{type(exc).__name__}: {exc} "
-                           f"({self.pool_failures}/{self.config.max_pool_failures} "
+                           f"({self.spawn_failures}/{MAX_SPAWN_FAILURES} "
                            f"consecutive)",
                 )
             )
-            state.not_before = time.monotonic() + self.config.backoff_base
-            self.queue.insert(0, state)
-            if self.pool_failures >= self.config.max_pool_failures:
+            state.not_before = time.monotonic() + BACKOFF_BASE
+            if self.spawn_failures >= MAX_SPAWN_FAILURES:
                 self.report.degraded = True
                 self.report.record(
                     RecoveryAction(
-                        label="(pool)",
+                        label="(workers)",
                         action="degrade to serial",
-                        detail=f"{self.pool_failures} consecutive spawn failures; "
-                               f"finishing the sweep in-process",
+                        detail=f"{self.spawn_failures} consecutive spawn "
+                               f"failures; finishing the sweep in-process",
                     )
                 )
-            return False
-        self.pool_failures = 0
+            return None
+        self.spawn_failures = 0
         self.running[worker.conn] = worker
+        return worker
+
+    def _assign(self, worker: _Worker, state: _TaskState) -> bool:
+        """Send ``state``'s next attempt to an idle worker; False when the
+        worker is already gone (the attempt never started)."""
+        try:
+            worker.conn.send((state.attempt_task(), self.keys[state.index]))
+        except OSError:
+            self._discard(worker)
+            return False
+        now = time.monotonic()
+        worker.state, worker.last_heartbeat = state, now
+        if self.task_timeout is not None:
+            worker.deadline = now + self.task_timeout
         if self.emit is not None:
             self.emit("harness", "task_start", 0.0, {
                 "label": state.task.label,
@@ -418,6 +410,11 @@ class _Supervisor:
                 "backend": "supervised",
             })
         return True
+
+    def _discard(self, worker: _Worker) -> None:
+        """Reap a worker that exited and forget it."""
+        worker.reap()
+        del self.running[worker.conn]
 
     def _kill_worker(self, worker: _Worker, kind: str, error: str) -> None:
         identity = worker.identity
@@ -438,84 +435,56 @@ class _Supervisor:
                         break
                     message = conn.recv()
                 except (EOFError, OSError):
-                    # Pipe closed with no result: the worker crashed or
-                    # was killed (OOM, SIGKILL) mid-task.
-                    exitcode = worker.process.exitcode
-                    identity = worker.identity
-                    worker.reap()
-                    del self.running[conn]
-                    self._attempt_failed(
-                        worker.state,
-                        "killed",
-                        _PROCESS_ERROR_TYPES["killed"],
-                        f"worker exited without a result (exitcode {exitcode})",
-                        identity,
-                    )
+                    # Pipe closed with no answer: the worker crashed or
+                    # was killed (OOM, SIGKILL).
+                    state, identity = worker.state, worker.identity
+                    self._discard(worker)
+                    if state is not None:
+                        self._attempt_failed(
+                            state,
+                            "killed",
+                            _PROCESS_ERROR_TYPES["killed"],
+                            f"worker exited without a result "
+                            f"(exitcode {worker.process.exitcode})",
+                            identity,
+                        )
                     break
-                tag = message[0]
-                if tag == "hb":
+                if message[0] == "hb":
                     worker.last_heartbeat = time.monotonic()
                     self.report.heartbeats += 1
                     continue
-                if tag == "ok":
-                    worker.reap()
-                    del self.running[conn]
-                    self._finish_success(worker.state, message[1])
-                    break
-                if tag == "err":
-                    error_type, error, sim_time, component = message[1]
-                    identity = worker.identity
-                    worker.reap()
-                    del self.running[conn]
-                    self._attempt_failed(
-                        worker.state, "exception", error_type, error,
-                        identity, sim_time=sim_time, component=component,
-                    )
-                    break
+                state, worker.state, worker.deadline = worker.state, None, None
+                self._attempt_done(state, message[1], message[2],
+                                   worker.identity)
 
     def _check_watchdogs(self) -> None:
         now = time.monotonic()
         for worker in list(self.running.values()):
+            if worker.state is None:
+                continue
             if worker.deadline is not None and now > worker.deadline:
                 self._kill_worker(
                     worker, "timeout",
-                    f"task exceeded its {self.config.task_timeout:.3g}s "
+                    f"task exceeded its {self.task_timeout:.3g}s "
                     f"wall-clock budget",
                 )
             elif (
-                self.config.heartbeat_timeout is not None
-                and now - worker.last_heartbeat > self.config.heartbeat_timeout
+                self.heartbeat_timeout is not None
+                and now - worker.last_heartbeat > self.heartbeat_timeout
             ):
                 self._kill_worker(
                     worker, "stalled",
                     f"no heartbeat for {now - worker.last_heartbeat:.3g}s "
-                    f"(limit {self.config.heartbeat_timeout:.3g}s)",
+                    f"(limit {self.heartbeat_timeout:.3g}s)",
                 )
 
-    # -- degraded serial path --------------------------------------------
     def _run_degraded(self, state: _TaskState) -> None:
-        """In-process execution with the same centralized retry policy."""
-        from repro.harness.experiment import run_experiment
-
-        while True:
-            try:
-                result = freeze_result(
-                    run_experiment(replace(state.task.experiment, seed=state.seed))
-                )
-            except Exception as exc:
-                before = len(self.queue)
-                self._attempt_failed(
-                    state, "exception", type(exc).__name__, str(exc),
-                    current_worker(),
-                    sim_time=getattr(exc, "sim_time", None),
-                    component=getattr(exc, "component", None),
-                )
-                if len(self.queue) > before:  # requeued: retry inline
-                    self.queue.pop()
-                    continue
-                return
-            self._finish_success(state, result)
-            return
+        """One attempt in this process, through the same cell body and
+        retry policy as a worker's (a retry is requeued as usual)."""
+        result, failure = _run_cell(state.attempt_task(),
+                                    self.keys[state.index], 0, True, True,
+                                    self.cache)
+        self._attempt_done(state, result, failure, current_worker())
 
     def _next_spawn_index(self, now: float) -> Optional[int]:
         """First queue position whose retry backoff has expired, if any."""
@@ -529,27 +498,29 @@ class _Supervisor:
         """Execute every pending task, reporting each through ``done``."""
         ctx = multiprocessing.get_context(_start_method())
         try:
-            while self.queue or self.running:
-                if self.report.degraded:
-                    while self.queue:
-                        self._run_degraded(self.queue.pop(0))
+            while self.queue or any(
+                    worker.state is not None for worker in self.running.values()):
+                if self.report.degraded and self.queue:
+                    self._run_degraded(self.queue.pop(0))
                     continue
                 now = time.monotonic()
-                while self.queue and len(self.running) < self.n_jobs:
+                while not self.report.degraded and self.queue:
                     index = self._next_spawn_index(now)
                     if index is None:
                         break
-                    if not self._spawn(ctx, self.queue.pop(index)):
+                    worker = self._idle_worker(ctx, self.queue[index])
+                    if worker is None:
                         break
-                if self.report.degraded:
-                    continue
+                    state = self.queue.pop(index)
+                    if not self._assign(worker, state):
+                        self.queue.insert(index, state)
                 if self.running:
                     ready = connection.wait(
                         list(self.running), timeout=_TICK_SECONDS
                     )
                     self._handle_messages(ready)
                     self._check_watchdogs()
-                elif self.queue:
+                elif self.queue and not self.report.degraded:
                     # Everything is backing off; sleep until the nearest
                     # retry becomes eligible.
                     wake = min(state.not_before for state in self.queue)

@@ -142,7 +142,8 @@ def run_coexistence_grid(
     max_retries: int = 1,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    supervisor=None,
+    task_timeout: Optional[float] = None,
+    heartbeat_timeout: Optional[float] = None,
     journal=None,
     resume: bool = False,
     tracer=None,
@@ -159,10 +160,10 @@ def run_coexistence_grid(
 
     The cells run through
     :func:`~repro.harness.parallel.execute_tasks`, which owns the rest:
-    ``jobs`` (None serial, 0 one worker per CPU, N workers), ``cache``
-    (an on-disk result cache), ``supervisor`` (a
-    :class:`~repro.harness.supervisor.SupervisorConfig`: watchdogged
-    worker per cell), ``journal`` (a
+    ``jobs`` (None serial, 0 one worker per CPU, N supervised workers),
+    ``cache`` (an on-disk result cache), ``task_timeout`` and
+    ``heartbeat_timeout`` (kill and retry a cell's worker past that many
+    wall-clock or silent seconds), ``journal`` (a
     :class:`~repro.harness.journal.ResultJournal` or path, fsync'd per
     completed cell) and ``resume`` (replay journaled cells instead of
     re-simulating).  Cell seeds and ordering never depend on these, so
@@ -185,8 +186,8 @@ def run_coexistence_grid(
     pairs = execute_tasks(
         [task for _link, _rtt, task in cells], jobs=jobs, on_error=on_error,
         max_retries=max_retries, cache=cache, tracer=tracer,
-        journal=journal, resume=resume, supervisor=supervisor,
-        report=outcome.recovery,
+        journal=journal, resume=resume, task_timeout=task_timeout,
+        heartbeat_timeout=heartbeat_timeout, report=outcome.recovery,
     )
     for (link, rtt, _task), (result, failure) in zip(cells, pairs):
         if result is not None:

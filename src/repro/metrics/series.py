@@ -81,7 +81,7 @@ class TimeSeries:
         return self.values[mask]
 
     # The cached arrays are derived state; keep pickles (result cache,
-    # process-pool transfer) lean by rebuilding them on demand instead.
+    # worker-process transfer) lean by rebuilding them on demand instead.
     def __getstate__(self) -> Dict[str, Any]:
         return {"name": self.name, "t": self._t, "v": self._v}
 

@@ -8,30 +8,47 @@ numbers.
 
 The chaos factories are module-level classes (picklable by reference
 under the fork start method) that behave exactly like ``pi2_factory()``
-— so digests are comparable with a plain PI2 run — but inject one fault
-the first time their flag file can be claimed.  The flag lives on disk
-because the fault must fire in a *worker process* and be visible to the
-retry that runs in a different worker.
+(or the factory they wrap) — so digests are comparable with a plain
+run — but inject one fault the first time their flag file can be
+claimed.  The flag lives on disk because the fault must fire in a
+*worker process* and be visible to the retry that runs in a different
+worker.  Faults that kill or freeze the process that builds the AQM
+need worker processes, so those tests run at ``jobs=2`` or with a
+timeout; at ``jobs <= 1`` without one, cells run in the test process.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.harness import supervisor as supervisor_module
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.journal import ResultJournal
 from repro.harness.parallel import RunReport, SweepTask, execute_tasks
-from repro.harness.supervisor import SupervisorConfig
+
+
+@pytest.fixture
+def quick_backoff(monkeypatch):
+    """Short process-level retry backoff, so recoveries take no time."""
+    monkeypatch.setattr(supervisor_module, "BACKOFF_BASE", 0.05)
 
 
 class ChaosPi2Factory:
-    """Base: delegate to PI2, but misbehave once (first flag-file claim)."""
+    """Base: delegate to PI2 (or ``inner``), but misbehave once (first
+    flag-file claim)."""
 
-    def __init__(self, flag_path):
+    def __init__(self, flag_path, inner=None):
         self.flag_path = str(flag_path)
+        self.inner = inner if inner is not None else pi2_factory()
 
     def _first_time(self) -> bool:
         try:
@@ -43,7 +60,7 @@ class ChaosPi2Factory:
     def cache_key(self) -> str:
         # Stable across retries (the flag path is per-test scratch state,
         # not configuration), so journaling and resume work normally.
-        return f"chaos:{type(self).__name__}"
+        return f"chaos:{type(self).__name__}:{self.inner.cache_key()}"
 
     def chaos(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -51,7 +68,7 @@ class ChaosPi2Factory:
     def __call__(self, rng):
         if self._first_time():
             self.chaos()
-        return pi2_factory()(rng)
+        return self.inner(rng)
 
 
 class KillOnceFactory(ChaosPi2Factory):
@@ -113,14 +130,11 @@ def _reference_digests(n=3, **overrides):
 
 
 class TestSigkillRecovery:
-    def test_killed_worker_is_retried_in_place_bit_exact(self, tmp_path):
+    def test_killed_worker_is_retried_in_place_bit_exact(self, tmp_path,
+                                                         quick_backoff):
         tasks = _cells(KillOnceFactory(tmp_path / "kill.flag"))
         report = RunReport()
-        out = execute_tasks(
-            tasks, jobs=2,
-            supervisor=SupervisorConfig(backoff_base=0.05),
-            report=report,
-        )
+        out = execute_tasks(tasks, jobs=2, report=report)
         assert [r.digest() for r, _ in out] == _reference_digests()
         kills = [a for a in report.actions if a.action == "retry after killed"]
         assert len(kills) == 1
@@ -128,12 +142,12 @@ class TestSigkillRecovery:
         assert any(a.action == "recovered" for a in report.actions)
         assert not report.degraded
 
-    def test_kill_every_attempt_is_a_terminal_failure(self, tmp_path):
+    def test_kill_every_attempt_is_a_terminal_failure(self, tmp_path,
+                                                      monkeypatch,
+                                                      quick_backoff):
+        monkeypatch.setattr(supervisor_module, "MAX_TASK_FAILURES", 1)
         tasks = _cells(KillAlwaysFactory(tmp_path / "k.flag"), n=1)
-        out = execute_tasks(
-            tasks, on_error="capture",
-            supervisor=SupervisorConfig(max_task_failures=1, backoff_base=0.05),
-        )
+        out = execute_tasks(tasks, jobs=2, on_error="capture")
         (result, failure) = out[0]
         assert result is None
         assert failure.error_type == "WorkerCrashed"
@@ -142,8 +156,86 @@ class TestSigkillRecovery:
         assert failure.seeds_tried == (1, 1)  # same seed: external cause
 
 
+def _hang_probe(scratch: str) -> None:
+    """Body of :class:`TestKilledWorkerCannotHang`, run in a subprocess.
+
+    SIGKILLs one worker under ``execute_tasks(jobs=2)`` and one under
+    ``generate_figure("fig12", jobs=2)`` (this process's registry entry
+    wraps each cell's AQM factory in :class:`KillOnceFactory`), then
+    prints what came back as one JSON line.
+    """
+    from repro.harness import figures
+
+    report = RunReport()
+    cells = execute_tasks(
+        _cells(KillOnceFactory(Path(scratch) / "cells.flag")), jobs=2,
+        report=report,
+    )
+    declare = figures.FIGURES["fig12"]
+    flag = Path(scratch) / "figure.flag"
+
+    def fig12_with_one_kill(scale):
+        tasks, reduce = declare(scale)
+        return [replace(task, experiment=replace(
+            task.experiment,
+            aqm_factory=KillOnceFactory(flag, task.experiment.aqm_factory),
+        )) for task in tasks], reduce
+
+    figures.FIGURES["fig12"] = fig12_with_one_kill
+    data = figures.generate_figure("fig12", scale=0.12, jobs=2)
+    print(json.dumps({
+        "cells": [result.digest_hex() for result, _failure in cells],
+        "cell_actions": [action.action for action in report.actions],
+        "rows": repr(data.rows),
+        "figure_actions": [action.action for action in data.report.actions],
+    }))
+
+
+class TestKilledWorkerCannotHang:
+    """A worker SIGKILLed at ``jobs=2``, with no other backend argument,
+    costs one same-seed retry: ``execute_tasks`` and ``generate_figure``
+    return bit-exact results instead of waiting forever for the lost
+    cell.  The body runs in its own session under a timeout, and the
+    whole process group is killed on expiry, so a hang fails this test
+    instead of stalling the suite."""
+
+    TIMEOUT_S = 120.0
+
+    def test_killed_worker_at_jobs_two_is_retried_not_awaited(self, tmp_path):
+        from repro.harness.figures import generate_figure
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parents[1]), str(root),
+            env.get("PYTHONPATH"),
+        ]))
+        probe = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from tests.harness.test_chaos import _hang_probe; "
+             "_hang_probe(sys.argv[1])", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=root, start_new_session=True,
+        )
+        try:
+            out, err = probe.communicate(timeout=self.TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(probe.pid, signal.SIGKILL)
+            probe.communicate()
+            pytest.fail(f"a killed worker hung the run: no result after "
+                        f"{self.TIMEOUT_S:.0f} s")
+        assert probe.returncode == 0, err
+        seen = json.loads(out.splitlines()[-1])
+        clean = execute_tasks(_cells(pi2_factory()), jobs=1)
+        assert seen["cells"] == [result.digest_hex() for result, _f in clean]
+        assert seen["cell_actions"].count("retry after killed") == 1
+        assert seen["rows"] == repr(generate_figure("fig12", scale=0.12).rows)
+        assert seen["figure_actions"].count("retry after killed") == 1
+
+
 class TestSigkillMidGridWithResume:
-    def test_interrupted_journaled_sweep_resumes_bit_exact(self, tmp_path):
+    def test_interrupted_journaled_sweep_resumes_bit_exact(self, tmp_path,
+                                                           quick_backoff):
         """The tentpole scenario end-to-end: a worker is SIGKILLed during
         a journaled sweep, the sweep is interrupted after two cells, and
         the resumed run replays the journal and re-executes only the
@@ -155,9 +247,7 @@ class TestSigkillMidGridWithResume:
 
         report = RunReport()
         first = execute_tasks(
-            tasks[:2], jobs=2, journal=journal,
-            supervisor=SupervisorConfig(backoff_base=0.05),
-            report=report,
+            tasks[:2], jobs=2, journal=journal, report=report,
         )
         assert any(a.action == "retry after killed" for a in report.actions)
         assert report.journal_appends == 2
@@ -165,7 +255,6 @@ class TestSigkillMidGridWithResume:
         resumed_report = RunReport()
         resumed = execute_tasks(
             tasks, jobs=2, journal=journal, resume=True,
-            supervisor=SupervisorConfig(backoff_base=0.05),
             report=resumed_report,
         )
         assert resumed_report.replayed == 2   # journal did its job
@@ -180,26 +269,21 @@ class TestSigkillMidGridWithResume:
 
 
 class TestTimeoutExpiry:
-    def test_hung_worker_is_killed_and_retried_bit_exact(self, tmp_path):
+    def test_hung_worker_is_killed_and_retried_bit_exact(self, tmp_path,
+                                                         quick_backoff):
         tasks = _cells(HangOnceFactory(tmp_path / "hang.flag"), n=2)
         report = RunReport()
-        out = execute_tasks(
-            tasks, jobs=2,
-            supervisor=SupervisorConfig(task_timeout=5.0, backoff_base=0.05),
-            report=report,
-        )
+        out = execute_tasks(tasks, jobs=2, task_timeout=5.0, report=report)
         assert [r.digest() for r, _ in out] == _reference_digests(n=2)
         timeouts = [a for a in report.actions if a.action == "retry after timeout"]
         assert len(timeouts) == 1
 
-    def test_timeout_every_attempt_is_terminal_with_history(self, tmp_path):
+    def test_timeout_every_attempt_is_terminal_with_history(self, tmp_path,
+                                                            monkeypatch,
+                                                            quick_backoff):
+        monkeypatch.setattr(supervisor_module, "MAX_TASK_FAILURES", 1)
         tasks = _cells(HangAlwaysFactory(tmp_path / "h.flag"), n=1)
-        out = execute_tasks(
-            tasks, on_error="capture",
-            supervisor=SupervisorConfig(
-                task_timeout=1.0, max_task_failures=1, backoff_base=0.05
-            ),
-        )
+        out = execute_tasks(tasks, on_error="capture", task_timeout=1.0)
         (result, failure) = out[0]
         assert result is None
         assert failure.error_type == "TaskTimeout"
@@ -208,18 +292,12 @@ class TestTimeoutExpiry:
 
 
 class TestHeartbeatStall:
-    def test_stopped_worker_detected_by_heartbeat_and_retried(self, tmp_path):
+    def test_stopped_worker_detected_by_heartbeat_and_retried(
+            self, tmp_path, monkeypatch, quick_backoff):
+        monkeypatch.setattr(supervisor_module, "HEARTBEAT_INTERVAL", 0.1)
         tasks = _cells(StallOnceFactory(tmp_path / "stall.flag"), n=2)
         report = RunReport()
-        out = execute_tasks(
-            tasks, jobs=2,
-            supervisor=SupervisorConfig(
-                heartbeat_interval=0.1,
-                heartbeat_timeout=1.0,
-                backoff_base=0.05,
-            ),
-            report=report,
-        )
+        out = execute_tasks(tasks, jobs=2, heartbeat_timeout=1.0, report=report)
         assert [r.digest() for r, _ in out] == _reference_digests(n=2)
         stalls = [a for a in report.actions if a.action == "retry after stalled"]
         assert len(stalls) == 1
@@ -239,10 +317,7 @@ class TestPoisonTask:
             flows=[FlowGroup(cc="reno", count=2, rtt=0.02)],
         ))
         tasks = [good[0], poison, good[1]]
-        out = execute_tasks(
-            tasks, jobs=2, on_error="capture", max_retries=1,
-            supervisor=SupervisorConfig(),
-        )
+        out = execute_tasks(tasks, jobs=2, on_error="capture", max_retries=1)
         reference = _reference_digests(n=2)
         assert out[0][0].digest() == reference[0]
         assert out[2][0].digest() == reference[1]
@@ -258,13 +333,12 @@ class TestTornJournalRecovery:
         the intact prefix, re-run the rest, and heal the journal file."""
         journal = tmp_path / "grid.journal"
         tasks = _cells(pi2_factory(), n=3)
-        execute_tasks(tasks[:2], journal=journal, supervisor=SupervisorConfig())
+        execute_tasks(tasks[:2], jobs=2, journal=journal)
         with open(journal, "ab") as handle:
             handle.write(b"\x99" * 17)  # torn half-record from a "crash"
         report = RunReport()
         resumed = execute_tasks(
-            tasks, journal=journal, resume=True, report=report,
-            supervisor=SupervisorConfig(),
+            tasks, jobs=2, journal=journal, resume=True, report=report,
         )
         assert report.torn_journal
         assert report.replayed == 2
@@ -275,12 +349,31 @@ class TestTornJournalRecovery:
         assert len(healed.records) == 3
 
 
-def _figure_worker(journal_dir: str, jobs) -> None:
+def _figure_worker(journal_dir: str, jobs, pid_log: str) -> None:
     """Child body for the mid-figure SIGKILL test (module-level so it
-    pickles by reference under the fork start method)."""
+    pickles by reference under the fork start method); appends each
+    supervised worker's pid to ``pid_log``."""
     from repro.harness.figures import generate_figure
 
+    start = supervisor_module._start_worker
+
+    def logged_start(*args):
+        worker = start(*args)
+        with open(pid_log, "a") as log:
+            log.write(f"{worker.process.pid}\n")
+        return worker
+
+    supervisor_module._start_worker = logged_start
     generate_figure("fig12", scale=0.12, journal=journal_dir, jobs=jobs)
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestSigkillMidFigureWithResume:
@@ -288,16 +381,20 @@ class TestSigkillMidFigureWithResume:
         """The figure-pipeline tentpole end-to-end: a `repro figure` run
         is SIGKILLed after its first cell lands in the journal; the
         resumed run replays that cell and re-executes only the rest —
-        with rows byte-identical to an uninterrupted run."""
+        with rows byte-identical to an uninterrupted run.  Workers the
+        killed run leaves behind finish their cell and exit, rather than
+        blocking forever on a pipe nobody reads."""
         import multiprocessing
 
         from repro.harness.figures import generate_figure
 
         journal_dir = tmp_path / "journals"
         journal_path = journal_dir / "fig12.journal"
+        pid_log = tmp_path / "worker.pids"
+        pid_log.touch()
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(target=_figure_worker,
-                            args=(str(journal_dir), jobs))
+                            args=(str(journal_dir), jobs, str(pid_log)))
         child.start()
         deadline = time.monotonic() + 60.0
         try:
@@ -314,6 +411,12 @@ class TestSigkillMidFigureWithResume:
             child.kill()
             child.join(timeout=30.0)
         assert child.exitcode is not None
+        orphans = [int(pid) for pid in pid_log.read_text().split()]
+        assert (jobs is None) == (not orphans)
+        deadline = time.monotonic() + 60.0
+        while any(map(_running, orphans)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, orphans))
 
         replay = ResultJournal(journal_path).read()
         survived = len(replay.records)
@@ -335,9 +438,10 @@ class TestSigkillMidFigureWithResume:
     def test_killed_figure_run_resumes_bit_exact(self, tmp_path):
         self._kill_and_resume(tmp_path, jobs=None)
 
-    def test_killed_pooled_figure_run_resumes_bit_exact(self, tmp_path):
-        """Same with the cells on a 2-worker pool: each cell is journaled
-        the moment it lands, so the kill loses only unfinished cells."""
+    def test_killed_supervised_figure_run_resumes_bit_exact(self, tmp_path):
+        """Same with the cells in 2 supervised workers: each cell is
+        journaled the moment it lands, so the kill loses only unfinished
+        cells."""
         self._kill_and_resume(tmp_path, jobs=2)
 
 
@@ -374,7 +478,7 @@ class TestCliGridChaosFree:
         argv = [
             "grid", "--aqm", "pi2", "--links", "4", "--rtts", "5,10",
             "--duration", "2", "--no-cache",
-            "--journal", str(journal), "--supervised",
+            "--journal", str(journal), "--jobs", "2",
         ]
         out = StringIO()
         assert main(argv, out=out) == 0

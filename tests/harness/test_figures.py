@@ -137,10 +137,10 @@ class TestFailurePropagation:
         assert "seed" not in str(excinfo.value).lower()
         assert cache.stats.stores == 0 and len(cache) == 0
 
-    @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "pool"])
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "supervised"])
     def test_every_route_raises_the_same_error(self, doomed_figure, jobs):
         """With no cache or journal the in-process route used to let the
-        raw WatchdogExceeded escape, and pooled fig15/fig19 cells raised
+        raw WatchdogExceeded escape, and parallel fig15/fig19 cells raised
         the sweep's ParallelExecutionError."""
         with pytest.raises(FigureGenerationError) as excinfo:
             generate_figure(doomed_figure, jobs=jobs)
@@ -246,25 +246,26 @@ class TestInProcessCacheCounters:
 
 
 class TestCellPipelineParity:
-    """One pipeline, many routes: serial, pooled and journaled-then-resumed
-    runs of the same figure give byte-identical rows."""
+    """One pipeline, many routes: serial, supervised and
+    journaled-then-resumed runs of the same figure give byte-identical
+    rows."""
 
     @pytest.mark.parametrize("name, scale", [("fig11", 0.1), ("fig15", 0.1)])
-    def test_rows_identical_serial_pooled_and_resumed(self, tmp_path, name,
-                                                      scale):
+    def test_rows_identical_serial_supervised_and_resumed(self, tmp_path,
+                                                          name, scale):
         from repro.obs import RecordingTracer
 
         serial = generate_figure(name, scale=scale, jobs=1)
         tracer = RecordingTracer()
-        pooled = generate_figure(name, scale=scale, jobs=2, tracer=tracer)
+        supervised = generate_figure(name, scale=scale, jobs=2, tracer=tracer)
         backends = {event[3]["backend"] for event in tracer.by_event("task_start")}
-        assert backends == {"pool"}
+        assert backends == {"supervised"}
         journaled = generate_figure(name, scale=scale, jobs=2, journal=tmp_path)
         resumed = generate_figure(name, scale=scale, journal=tmp_path,
                                   resume=True)
         cells = serial.report.executed
         assert resumed.report.replayed == cells and resumed.report.executed == 0
         assert journaled.report.journal_appends == cells
-        assert repr(pooled.rows) == repr(serial.rows)
+        assert repr(supervised.rows) == repr(serial.rows)
         assert repr(journaled.rows) == repr(serial.rows)
         assert repr(resumed.rows) == repr(serial.rows)

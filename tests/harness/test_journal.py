@@ -25,7 +25,6 @@ from repro.harness.journal import (
 )
 from repro.harness.parallel import SweepTask, execute_tasks
 from repro.harness.scenarios import light_tcp
-from repro.harness.supervisor import SupervisorConfig
 
 
 @pytest.fixture(scope="module")
@@ -281,9 +280,9 @@ class TestJournalCost:
         tasks = [SweepTask(f"light-{seed}",
                            light_tcp(pi2_factory(), duration=2.0, seed=seed))
                  for seed in (1, 2, 3)]
-        supervisor = SupervisorConfig() if backend == "supervised" else None
+        jobs = 2 if backend == "supervised" else None
         path = tmp_path / "cells.journal"
-        pairs = execute_tasks(tasks, journal=path, supervisor=supervisor)
+        pairs = execute_tasks(tasks, journal=path, jobs=jobs)
         assert all(failure is None for _result, failure in pairs)
         self._assert_cost(journal_io, path, cells=3)
 

@@ -3,9 +3,10 @@ and the picklability guard.
 
 The contract under test is the strongest one the module makes: for a
 fixed seed, results are **bit-exact identical** (``digest()`` equality)
-whether cells run serially, in a process pool, or via
-:func:`execute_tasks` directly — and failures come back in the same
-slots either way.
+whether cells run inline or in supervised worker processes — and
+failures come back in the same slots either way.  The supervisor's own
+reporting and recovery paths are in ``test_supervisor.py`` and
+``test_chaos.py``.
 """
 
 from dataclasses import replace
@@ -58,7 +59,7 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 1  # None means serial
 
     def test_none_is_serial_even_with_a_cache(self, tmp_path):
-        """A cache used to route a jobs=None sweep into a process pool."""
+        """A cache used to route a jobs=None sweep into worker processes."""
         from repro.harness.cache import ResultCache
         from repro.obs import RecordingTracer
 

@@ -1,26 +1,27 @@
 """Supervised execution backend: parity, retry policy, degradation.
 
 The supervisor must be *invisible* in the results — bit-exact digest
-parity with the inline and pool backends in every mode — while being
-very visible in its reporting: every retry, kill and degradation lands
-in the recovery log, and terminal failures carry the full attempt
-history.  It is selected with ``execute_tasks(..., supervisor=...)``.
+parity with the inline backend in every mode — while being very
+visible in its reporting: every retry, kill and degradation lands in
+the recovery log, and terminal failures carry the full attempt history.
+``execute_tasks`` runs cells on it when ``jobs`` resolves to more than
+one worker or a timeout is given.
 """
 
 import pytest
 
 from repro.errors import ConfigError, ParallelExecutionError
+from repro.harness import supervisor as supervisor_module
 from repro.harness.cache import experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.parallel import RunReport, SweepTask, execute_tasks
 from repro.harness.resilience import RETRY_SEED_STRIDE
-from repro.harness.supervisor import SupervisorConfig
 
 
-def _supervised(tasks, config=None, **kwargs):
-    """``execute_tasks`` on the supervised backend (default config)."""
-    return execute_tasks(tasks, supervisor=config or SupervisorConfig(), **kwargs)
+def _supervised(tasks, **kwargs):
+    """``execute_tasks`` on the supervised backend (two workers)."""
+    return execute_tasks(tasks, jobs=2, **kwargs)
 
 
 def _quick_experiment(**overrides):
@@ -45,21 +46,22 @@ class TestConfigValidation:
         [
             {"task_timeout": 0.0},
             {"task_timeout": -1.0},
-            {"heartbeat_interval": 0.0},
+            {"heartbeat_timeout": 0.0},
             {"heartbeat_timeout": -2.0},
-            {"backoff_max": -1.0},
-            {"max_task_failures": -1},
-            {"backoff_factor": 0.5},
-            {"backoff_base": -1.0},
-            {"max_pool_failures": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            SupervisorConfig(**kwargs)
+            execute_tasks(_tasks(1), **kwargs)
 
     def test_defaults_valid(self):
-        SupervisorConfig()
+        """The retry policy's constants describe a policy that can run."""
+        assert supervisor_module.HEARTBEAT_INTERVAL > 0
+        assert supervisor_module.MAX_TASK_FAILURES >= 0
+        assert supervisor_module.BACKOFF_BASE >= 0
+        assert supervisor_module.BACKOFF_FACTOR >= 1
+        assert supervisor_module.BACKOFF_MAX >= 0
+        assert supervisor_module.MAX_SPAWN_FAILURES >= 1
 
     def test_resume_without_journal_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,7 +77,7 @@ class TestParity:
         tasks = _tasks(3)
         plain = execute_tasks(tasks, jobs=1)
         report = RunReport()
-        supervised = _supervised(tasks, jobs=2, report=report)
+        supervised = _supervised(tasks, report=report)
         assert [r.digest() for r, _ in supervised] == [
             r.digest() for r, _ in plain
         ]
@@ -86,15 +88,13 @@ class TestParity:
 
     def test_capture_failure_parity_with_plain_executor(self):
         """A poisoned cell fails with the same seeds_tried under
-        supervision as under the plain executor's seed-bump retries."""
+        supervision as under the inline executor's seed-bump retries."""
         tasks = [
             SweepTask("ok", _quick_experiment()),
             SweepTask("doomed", _quick_experiment(max_events=500, seed=9)),
         ]
         plain = execute_tasks(tasks, jobs=1, on_error="capture", max_retries=1)
-        supervised = _supervised(
-            tasks, jobs=2, on_error="capture", max_retries=1,
-        )
+        supervised = _supervised(tasks, on_error="capture", max_retries=1)
         (_, plain_fail) = plain[1]
         (none_result, sup_fail) = supervised[1]
         assert none_result is None
@@ -115,7 +115,7 @@ class TestParity:
             SweepTask("second-bad", _quick_experiment(max_events=400, seed=3)),
         ]
         with pytest.raises(ParallelExecutionError) as excinfo:
-            _supervised(tasks, jobs=2, on_error="raise")
+            _supervised(tasks, on_error="raise")
         assert excinfo.value.label == "first-bad"
         assert excinfo.value.error_type == "WatchdogExceeded"
 
@@ -185,18 +185,21 @@ class TestJournalIntegration:
         assert resumed_report.replayed == 2
 
 
+def _broken_spawn(ctx, supervisor):
+    raise OSError("no more processes")
+
+
 class TestDegradation:
+    @pytest.fixture(autouse=True)
+    def _no_workers(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "_start_worker", _broken_spawn)
+        monkeypatch.setattr(supervisor_module, "BACKOFF_BASE", 0.01)
+
     def test_spawn_failures_degrade_to_serial(self, monkeypatch):
-        import repro.harness.supervisor as supervisor_module
-
-        def broken_spawn(ctx, state, config):
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
+        monkeypatch.setattr(supervisor_module, "MAX_SPAWN_FAILURES", 2)
         tasks = _tasks(2)
         report = RunReport()
-        config = SupervisorConfig(max_pool_failures=2, backoff_base=0.01)
-        out = _supervised(tasks, jobs=2, config=config, report=report)
+        out = _supervised(tasks, report=report)
         assert report.degraded
         assert any(a.action == "degrade to serial" for a in report.actions)
         reference = execute_tasks(tasks, jobs=1)
@@ -205,17 +208,9 @@ class TestDegradation:
         ]
 
     def test_degraded_mode_still_applies_capture_retry_policy(self, monkeypatch):
-        import repro.harness.supervisor as supervisor_module
-
-        def broken_spawn(ctx, state, config):
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(supervisor_module, "_start_worker", broken_spawn)
+        monkeypatch.setattr(supervisor_module, "MAX_SPAWN_FAILURES", 1)
         tasks = [SweepTask("doomed", _quick_experiment(max_events=500, seed=4))]
-        config = SupervisorConfig(max_pool_failures=1, backoff_base=0.01)
-        out = _supervised(
-            tasks, jobs=2, on_error="capture", max_retries=1, config=config
-        )
+        out = _supervised(tasks, on_error="capture", max_retries=1)
         (result, failure) = out[0]
         assert result is None
         assert failure.seeds_tried == (4, 4 + RETRY_SEED_STRIDE)
@@ -230,7 +225,15 @@ class TestOneRetryKnob:
         assert failure.seeds_tried == (6,)
 
 
+#: A timeout no quick cell reaches; at the default ``jobs`` it alone puts
+#: the cells in one supervised worker.
+_GENEROUS_TIMEOUT = 120.0
+
+
 class TestSweepPlumbing:
+    """A timeout reaches the supervisor through every entry point, and
+    the supervised results match the inline ones."""
+
     def test_grid_supervised_matches_serial(self):
         from repro.harness.factories import coupled_factory
         from repro.harness.sweep import run_coexistence_grid
@@ -240,7 +243,7 @@ class TestSweepPlumbing:
         )
         serial = run_coexistence_grid(coupled_factory(), **kwargs)
         supervised = run_coexistence_grid(
-            coupled_factory(), jobs=2, supervisor=SupervisorConfig(), **kwargs
+            coupled_factory(), task_timeout=_GENEROUS_TIMEOUT, **kwargs
         )
         assert [c.result.digest() for c in serial] == [
             c.result.digest() for c in supervised
@@ -261,24 +264,26 @@ class TestSweepPlumbing:
         serial = execute_tasks(tasks)
         report = RunReport()
         supervised = execute_tasks(
-            tasks, supervisor=SupervisorConfig(), report=report
+            tasks, task_timeout=_GENEROUS_TIMEOUT, report=report
         )
         assert [r.digest() for r, _f in serial] == [
             r.digest() for r, _f in supervised
         ]
         assert report.executed == len(tasks)
+        assert report.heartbeats > 0
 
     def test_repeat_supervised_matches_serial(self):
         tasks = _tasks(2)
         serial = execute_tasks(tasks)
         report = RunReport()
         supervised = execute_tasks(
-            tasks, supervisor=SupervisorConfig(), report=report
+            tasks, heartbeat_timeout=_GENEROUS_TIMEOUT, report=report
         )
         assert [r.sojourn_summary()["mean"] for r, _f in serial] == [
             r.sojourn_summary()["mean"] for r, _f in supervised
         ]
         assert report.executed == 2
+        assert report.heartbeats > 0
 
     def test_repeat_journal_resume(self, tmp_path):
         tasks = _tasks(2)
@@ -294,13 +299,16 @@ class TestSweepPlumbing:
 
     def test_lambda_factory_rejected_with_guidance(self):
         """Supervision is process-per-task, so experiments must pickle:
-        lambda factories get the same actionable error as the pool path."""
+        a lambda factory under a timeout alone gets the same actionable
+        error as one at jobs=2."""
         from repro.aqm.pi import PiAqm
 
         exp = _quick_experiment(aqm_factory=lambda rng: PiAqm(rng=rng))
         with pytest.raises(ConfigError) as excinfo:
-            _supervised([SweepTask("lambda-cell", exp)])
+            execute_tasks([SweepTask("lambda-cell", exp)],
+                          task_timeout=_GENEROUS_TIMEOUT)
         assert "pickled" in str(excinfo.value)
+        assert "jobs=1" in str(excinfo.value)
 
 
 class TestSharedCacheScheduling:
@@ -318,10 +326,16 @@ class TestSharedCacheScheduling:
         fcntl.flock(fd, fcntl.LOCK_EX)
         return fd
 
-    def _start_order(self, tmp_path, held):
-        """Labels in spawn order with the cells at ``held`` in flight."""
+    def _start_order(self, tmp_path, monkeypatch, held):
+        """Labels in spawn order with the cells at ``held`` in flight.
+
+        The locks are released once the pipeline has ordered the cells
+        and before any worker forks: a worker would otherwise inherit
+        the held lock and wait out the cache's lock timeout on it.
+        """
         import os
 
+        import repro.harness.parallel as parallel_module
         from repro.harness.cache import SharedResultCache
         from repro.obs import RecordingTracer
 
@@ -329,23 +343,32 @@ class TestSharedCacheScheduling:
         tasks = _tasks(2)
         fds = [self._hold(cache, experiment_cache_key(tasks[i].experiment))
                for i in held]
+        defer = parallel_module._defer_in_flight
+
+        def defer_then_release(*args):
+            order = defer(*args)
+            while fds:
+                os.close(fds.pop())
+            return order
+
+        monkeypatch.setattr(parallel_module, "_defer_in_flight",
+                            defer_then_release)
         tracer, report = RecordingTracer(), RunReport()
         try:
-            _supervised(tasks, jobs=1, cache=cache, tracer=tracer,
-                        report=report)
+            _supervised(tasks, cache=cache, tracer=tracer, report=report)
         finally:
             for fd in fds:
                 os.close(fd)
         starts = [event[3]["label"] for event in tracer.by_event("task_start")]
         return starts, report
 
-    def test_in_flight_cell_is_passed_over(self, tmp_path):
-        starts, report = self._start_order(tmp_path, held=[0])
+    def test_in_flight_cell_is_passed_over(self, tmp_path, monkeypatch):
+        starts, report = self._start_order(tmp_path, monkeypatch, held=[0])
         assert starts == ["t2", "t1"]
         assert report.deferred == 1
 
-    def test_all_in_flight_falls_back_to_earliest(self, tmp_path):
-        starts, report = self._start_order(tmp_path, held=[0, 1])
+    def test_all_in_flight_falls_back_to_earliest(self, tmp_path, monkeypatch):
+        starts, report = self._start_order(tmp_path, monkeypatch, held=[0, 1])
         assert starts == ["t1", "t2"]
         assert report.deferred == 2
 
@@ -355,7 +378,8 @@ class TestSharedCacheScheduling:
         from repro.harness.supervisor import _Supervisor
 
         sup = _Supervisor(
-            _tasks(2), [0, 1], n_jobs=1, retries=1, config=SupervisorConfig(),
+            _tasks(2), [0, 1], keys=[None, None], cache=None, n_jobs=1,
+            retries=1, task_timeout=None, heartbeat_timeout=None,
             report=RunReport(), emit=None, done=lambda *args: None,
         )
         now = time.monotonic()
@@ -365,9 +389,11 @@ class TestSharedCacheScheduling:
         assert sup._next_spawn_index(now) is None
 
     def test_supervised_deferral_stays_bit_exact(self, tmp_path):
-        """End-to-end: a cell 'in flight' elsewhere is deferred; once
-        the remote winner publishes, the deferred cell still resolves
-        with digests identical to a plain run."""
+        """End-to-end: a cell 'in flight' elsewhere is deferred and its
+        worker waits for the remote winner instead of recomputing it;
+        once the winner publishes, the deferred cell resolves with
+        digests identical to a plain run.  The shared cache's event log
+        records one compute: the cell nobody held."""
         import os
         import threading
         import time as _time
@@ -396,9 +422,7 @@ class TestSharedCacheScheduling:
         winner.start()
         report = RunReport()
         try:
-            supervised = _supervised(
-                tasks, jobs=1, cache=cache, report=report,
-            )
+            supervised = _supervised(tasks, cache=cache, report=report)
         finally:
             winner.join()
         assert [r.digest() for r, _ in supervised] == [
@@ -406,3 +430,4 @@ class TestSharedCacheScheduling:
         ]
         assert report.deferred >= 1
         assert report.executed + report.cache_hits == 2
+        assert cache.event_counts()["compute"] == 1

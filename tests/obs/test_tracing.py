@@ -33,7 +33,6 @@ from repro.harness import coexistence_pair, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
 from repro.harness.frozen import freeze_result
 from repro.harness.parallel import SweepTask, execute_tasks
-from repro.harness.supervisor import SupervisorConfig
 from repro.net.packet import ECN
 from repro.obs import (
     CATEGORIES,
@@ -165,10 +164,7 @@ class TestDigestParity:
         exp = _experiment(duration=3.0)
         reference = run_experiment(exp).digest()
         tracer = RecordingTracer()
-        pairs = execute_tasks(
-            [SweepTask("cell", exp)], jobs=1, tracer=tracer,
-            supervisor=SupervisorConfig(),
-        )
+        pairs = execute_tasks([SweepTask("cell", exp)], jobs=2, tracer=tracer)
         assert pairs[0][0].digest() == reference
         starts = tracer.by_event("task_start")
         assert starts and starts[0][3]["backend"] == "supervised"
