@@ -27,6 +27,10 @@ How determinism is preserved
 * A result is frozen (:mod:`repro.harness.frozen`) only to be stored or
   to cross a process; the inline route without a cache or journal
   returns the live :class:`~repro.harness.experiment.ExperimentResult`.
+* A cell's key names its declared seed, so only that seed's result is
+  cached or journaled under it.  A result from a bumped seed (a
+  ``capture`` retry) goes to the caller and into the report's log, and
+  nowhere else: a later run of the cell must not be served it.
 
 Experiments built from the named factories in
 :mod:`repro.harness.factories` are picklable; hand-rolled lambda
@@ -91,9 +95,11 @@ class RunReport:
     and ``compactions`` describe journal activity, and ``deferred``
     counts cells moved to the back because another process held them in
     flight in the shared cache.  ``torn_journal`` is True when resume
-    found (and tolerated) a crash-torn final record.  The supervised
-    backend adds its recovery log (``actions``: kills, retries, seed
-    bumps, degradation), ``degraded`` and the ``heartbeats`` it saw.
+    found (and tolerated) a crash-torn final record.  ``actions`` is
+    the recovery log: on every backend, a ``"seed-bumped result"`` entry
+    for each cell whose result came from a bumped seed (the detail names
+    that seed); the supervised backend adds its kills, retries and
+    degradation, ``degraded`` and the ``heartbeats`` it saw.
     """
 
     actions: List[RecoveryAction] = field(default_factory=list)
@@ -194,12 +200,13 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
     (``capture``) or propagates.  A :class:`SharedResultCache` routes
     the simulation through its per-key single-flight lock, which also
     stores the result, so identical cells in concurrent processes are
-    computed once.
+    computed once; it never stores a bumped seed's result under ``key``.
     """
     failure = None
+    bumped = None
 
     def compute():
-        nonlocal failure
+        nonlocal failure, bumped
         if retries:
             result, failure = run_with_retries(
                 task.experiment, label=task.label, max_retries=retries,
@@ -214,7 +221,13 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
                 result, failure = None, _failure(
                     task.label, task.experiment.seed, exc
                 )
-        return freeze_result(result) if freeze and result is not None else result
+        if freeze and result is not None:
+            result = freeze_result(result)
+        if result is not None and result.experiment.seed != task.experiment.seed:
+            # Not this key's result: kept from the single-flight store.
+            bumped = result
+            return None
+        return result
 
     if isinstance(cache, SharedResultCache) and key is not None:
         # The pipeline already probed (one counted miss); go straight to
@@ -222,7 +235,7 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
         result = cache._single_flight(key, compute)
     else:
         result = compute()
-    return result, failure
+    return (result if bumped is None else bumped), failure
 
 
 def _check_picklable(tasks: Sequence[SweepTask]) -> None:
@@ -393,9 +406,19 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
     def done(index: int, result, failure) -> None:
         """Completion step every backend calls as each cell finishes."""
         out[index] = (result, failure)
-        if result is not None:
-            report.executed += 1
+        if result is None:
+            return
+        report.executed += 1
+        seed, declared = result.experiment.seed, tasks[index].experiment.seed
+        if seed == declared:
             store(index, result, cached=shared)
+            return
+        report.record(RecoveryAction(
+            label=tasks[index].label,
+            action="seed-bumped result",
+            detail=f"produced by seed {seed}, not the declared {declared}; "
+                   f"returned, not cached or journaled",
+        ))
 
     replay = {}
     if resume:

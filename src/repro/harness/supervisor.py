@@ -47,7 +47,7 @@ import threading
 import time
 from dataclasses import replace
 from multiprocessing import connection
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.cache import SharedResultCache
 from repro.harness.parallel import SweepTask, _run_cell
@@ -164,13 +164,15 @@ class _TaskState:
         self.attempts: List[Attempt] = []
         self.not_before = 0.0
 
-    def attempt_task(self) -> SweepTask:
-        """The task as the next attempt runs it (on a bumped seed after
-        a simulation exception)."""
+    def attempt_task(self, key: Optional[str]) -> Tuple[SweepTask, Optional[str]]:
+        """``(task, key)`` as the next attempt runs it: on a bumped seed
+        after a simulation exception, and then with no key, because
+        ``key`` names the declared seed and must not receive the bumped
+        seed's result."""
         if self.seed == self.task.experiment.seed:
-            return self.task
-        return replace(self.task,
-                       experiment=replace(self.task.experiment, seed=self.seed))
+            return self.task, key
+        return replace(self.task, experiment=replace(
+            self.task.experiment, seed=self.seed)), None
 
 
 class _Worker:
@@ -394,7 +396,7 @@ class _Supervisor:
         """Send ``state``'s next attempt to an idle worker; False when the
         worker is already gone (the attempt never started)."""
         try:
-            worker.conn.send((state.attempt_task(), self.keys[state.index]))
+            worker.conn.send(state.attempt_task(self.keys[state.index]))
         except OSError:
             self._discard(worker)
             return False
@@ -481,9 +483,8 @@ class _Supervisor:
     def _run_degraded(self, state: _TaskState) -> None:
         """One attempt in this process, through the same cell body and
         retry policy as a worker's (a retry is requeued as usual)."""
-        result, failure = _run_cell(state.attempt_task(),
-                                    self.keys[state.index], 0, True, True,
-                                    self.cache)
+        task, key = state.attempt_task(self.keys[state.index])
+        result, failure = _run_cell(task, key, 0, True, True, self.cache)
         self._attempt_done(state, result, failure, current_worker())
 
     def _next_spawn_index(self, now: float) -> Optional[int]:

@@ -5,18 +5,26 @@ AQM router.  The simulated dumbbell preserves what matters to the
 experiments:
 
 * all data packets share one bottleneck (AQM queue + serializing link);
-* each flow has its own base RTT (per-flow netem delay in the testbed,
-  per-flow forward/reverse pipes here), so RTT heterogeneity is possible;
+* each flow has its own base RTT (per-flow netem delay in the testbed), so
+  RTT heterogeneity is possible;
 * the reverse (ACK) path is uncongested;
 * UDP sources feed the same bottleneck and terminate in counting sinks.
+
+Each fixed delay is one event posted straight to the next hop: the link
+posts a flow's data packet to its receiver ``rtt / 2`` after transmission
+(the link's per-flow :attr:`~repro.net.link.Link.routes`), and the
+receiver posts each ACK to its sender ``rtt / 2`` later.
 
 Per-packet sojourn times at the bottleneck, the AQM probability, the
 queue-delay estimate and link utilization are all recorded here, on the
 sampling grid the experiment requests (1 s in most of the paper's plots).
+The queue writes sojourns into :attr:`Dumbbell.sojourns` itself, and each
+flow's goodput record reads its receiver's delivered-segment count.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.aqm.base import AQM
@@ -25,8 +33,7 @@ from repro.metrics.series import TimeSeries
 from repro.net.faults import FaultInjector
 from repro.net.link import Link
 from repro.net.node import CountingSink
-from repro.net.packet import ECN, Packet
-from repro.net.pipe import Pipe
+from repro.net.packet import ECN
 from repro.net.queue import AQMQueue
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantChecker
@@ -93,7 +100,6 @@ class Dumbbell:
         self.receivers: Dict[int, TcpReceiver] = {}
         self.udp_sources: Dict[int, UdpSource] = {}
         self._next_flow_id = 0
-        self._fwd_pipes: Dict[int, Pipe] = {}
         self._udp_sink = CountingSink()
 
         self.sojourns = TimeSeries("sojourn")
@@ -104,22 +110,19 @@ class Dumbbell:
         #: Per-flow congestion-window traces (filled when track_cwnd is on).
         self.cwnd_series: Dict[int, TimeSeries] = {}
         self.track_cwnd = False
-        self._record_sojourns = record_sojourns
 
         if queue is not None:
             if aqm is not None:
                 raise ValueError("pass either a custom queue or an aqm, not both")
             self.queue = queue
         else:
-            self.queue = AQMQueue(
-                sim,
-                aqm,
-                capacity_bps,
-                buffer_packets=buffer_packets,
-                on_sojourn=self._on_sojourn if record_sojourns else None,
-            )
-        self.link = Link(sim, self.queue, capacity_bps)
-        self.link.set_router(self._route)
+            self.queue = AQMQueue(sim, aqm, capacity_bps, buffer_packets=buffer_packets)
+            if record_sojourns:
+                self.queue.record_time, self.queue.record_sojourn = (
+                    self.sojourns.buffer_appends()
+                )
+        # Flows without a route (UDP) end in the counting sink.
+        self.link = Link(sim, self.queue, capacity_bps, sink=self._udp_sink)
         #: Set by :meth:`install_faults` / :meth:`enable_validation`.
         self.fault_injector: Optional[FaultInjector] = None
         self.invariant_checker: Optional[InvariantChecker] = None
@@ -131,13 +134,6 @@ class Dumbbell:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def _route(self, packet: Packet):
-        pipe = self._fwd_pipes.get(packet.flow_id)
-        return pipe if pipe is not None else self._udp_sink
-
-    def _on_sojourn(self, now: float, sojourn: float, packet: Packet) -> None:
-        self.sojourns.append(now, sojourn)
-
     def _sample(self) -> None:
         now = self.sim.now
         self.queue_delay.append(now, self.queue.queue_delay())
@@ -229,18 +225,16 @@ class Dumbbell:
             flow_size=flow_size,
             sack=sack,
         )
-        rev_pipe = Pipe(self.sim, rtt / 2.0, sink=sender)
+        # Each one-way delay is a post straight to the next hop.
         receiver = TcpReceiver(
             self.sim,
             flow_id,
-            ack_out=rev_pipe.deliver,
+            ack_out=partial(self.sim.post, rtt / 2.0, sender.deliver),
             ecn_mode=_ECN_MODE[cc],
-            on_data=lambda now, pkt, rec=record: rec.on_segment(now),
             sack=sack,
         )
-        fwd_pipe = Pipe(self.sim, rtt / 2.0, sink=receiver)
-
-        self._fwd_pipes[flow_id] = fwd_pipe
+        record.receiver = receiver
+        self.link.routes[flow_id] = partial(self.sim.post, rtt / 2.0, receiver.deliver)
         self.senders[flow_id] = sender
         self.receivers[flow_id] = receiver
 

@@ -1,47 +1,53 @@
-"""Per-flow accounting: goodput, windows, marks and drops.
+"""Per-flow goodput accounting.
 
-One :class:`FlowRecord` per flow collects what the receiver delivers
-in-order (goodput — what Figures 15, 19 and 20 report) and what the
-sender experienced (reductions, retransmits).  :class:`FlowTable` groups
-records by traffic class so the rate-balance ratios can be computed per
-(class A, class B) pair.
+One :class:`FlowRecord` per flow measures the goodput of what its
+receiver delivers in order (what Figures 15, 19 and 20 report).
+:class:`FlowTable` groups records by traffic class so the rate-balance
+ratios can be computed per (class A, class B) pair.
+
+A record reads its receiver's ``segments_received`` counter, the count of
+in-order segments delivered, and snapshots it when the window opens; the
+receiver's per-segment path makes no call for goodput accounting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 __all__ = ["FlowRecord", "FlowTable"]
 
 
 class FlowRecord:
-    """Accounting for one flow over an observation window."""
+    """Accounting for one flow over an observation window.
+
+    :attr:`receiver` is the flow's receiver, or anything with a
+    ``segments_received`` count; a flow without one (UDP) has goodput 0.
+    """
 
     def __init__(self, flow_id: int, label: str, mss_bytes: int):
         self.flow_id = flow_id
         self.label = label
         self.mss_bytes = mss_bytes
-        self.segments_delivered = 0
+        self.receiver: Optional[Any] = None
         self._window_start: Optional[float] = None
-        self._window_segments = 0
+        self._window_base = 0
 
-    def on_segment(self, now: float) -> None:
-        """Receiver callback: one in-order segment delivered."""
-        self.segments_delivered += 1
-        if self._window_start is not None:
-            self._window_segments += 1
+    def _segments(self) -> int:
+        receiver = self.receiver
+        return receiver.segments_received if receiver is not None else 0
 
     def open_window(self, now: float) -> None:
         """Begin the measurement window (after warm-up)."""
         self._window_start = now
-        self._window_segments = 0
+        self._window_base = self._segments()
 
     def goodput_bps(self, now: float) -> float:
         """Goodput over the open measurement window, in bits/second."""
         if self._window_start is None or now <= self._window_start:
             return 0.0
-        return self._window_segments * self.mss_bytes * 8.0 / (now - self._window_start)
+        segments = self._segments() - self._window_base
+        return segments * self.mss_bytes * 8.0 / (now - self._window_start)
 
 
 class FlowTable:

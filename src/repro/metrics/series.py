@@ -15,16 +15,18 @@ amortized-doubling growth, so an append is one unboxed store instead of
 a boxed-``float`` + pointer append, and a million-sample trace costs
 8 MB instead of ~28 MB of float objects.  The numpy export copies out of
 the buffer (``np.frombuffer`` views would pin the buffer and make every
-later append raise ``BufferError``) and is cached until the next append.
-Pickles carry the raw buffers; :meth:`TimeSeries.__setstate__` also
-accepts the plain-list payloads written by earlier versions, so old
-result-cache entries stay loadable.
+later append raise ``BufferError``) and is cached for as long as the
+buffer keeps the length it was copied at.  A series only grows, so that
+length check is also what keeps the cache right when a recorder appends
+to the buffers directly (:meth:`TimeSeries.buffer_appends`, which the
+bottleneck queue's per-packet sojourn recording uses).  Pickles carry the
+raw buffers.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +39,9 @@ class TimeSeries:
     The numpy arrays returned by :attr:`times`/:attr:`values` are built
     lazily and cached — figure and summary code calls ``window``/``mean``/
     ``max`` many times over the same finished series, and
-    rebuilding a fresh array per access dominated those paths.  The cache
-    is invalidated on :meth:`append`; treat the returned arrays as
-    read-only snapshots.
+    rebuilding a fresh array per access dominated those paths.  A cached
+    array is rebuilt once the series has grown past it; treat the
+    returned arrays as read-only snapshots.
     """
 
     __slots__ = ("name", "_t", "_v", "_t_arr", "_v_arr")
@@ -54,8 +56,14 @@ class TimeSeries:
     def append(self, t: float, value: float) -> None:
         self._t.append(t)
         self._v.append(value)
-        self._t_arr = None
-        self._v_arr = None
+
+    def buffer_appends(self) -> Tuple[Callable[[float], None], Callable[[float], None]]:
+        """The time and value buffers' bound ``append``s.
+
+        A recorder that calls both once per sample writes the series with
+        no Python frame per sample.
+        """
+        return self._t.append, self._v.append
 
     def __len__(self) -> int:
         return len(self._t)
@@ -63,14 +71,14 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         arr = self._t_arr
-        if arr is None:
+        if arr is None or len(arr) != len(self._t):
             arr = self._t_arr = np.array(self._t, dtype=np.float64)
         return arr
 
     @property
     def values(self) -> np.ndarray:
         arr = self._v_arr
-        if arr is None:
+        if arr is None or len(arr) != len(self._v):
             arr = self._v_arr = np.array(self._v, dtype=np.float64)
         return arr
 
@@ -87,10 +95,8 @@ class TimeSeries:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.name = state["name"]
-        t, v = state["t"], state["v"]
-        # Pre-buffer pickles stored plain lists of boxed floats.
-        self._t = t if isinstance(t, array) else array("d", t)
-        self._v = v if isinstance(v, array) else array("d", v)
+        self._t = state["t"]
+        self._v = state["v"]
         self._t_arr = None
         self._v_arr = None
 

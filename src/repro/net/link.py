@@ -1,9 +1,10 @@
 """Serializing bottleneck link.
 
 Drains an :class:`~repro.net.queue.AQMQueue` at a configurable bit rate and
-hands each packet to a downstream sink after its serialization time plus a
-fixed propagation delay.  Utilization accounting (busy time and delivered
-bytes per sampling window) feeds Figure 18.
+hands each packet on after its serialization time: to its flow's entry in
+:attr:`Link.routes`, or else to a downstream sink after a fixed
+propagation delay.  Utilization accounting (busy time and delivered bytes
+per sampling window) feeds Figure 18.
 
 The rate may be changed mid-simulation (:meth:`Link.set_capacity`), which
 is how the Figure 12 varying-link-capacity experiment (100:20:100 Mb/s) is
@@ -16,14 +17,17 @@ A busy link is the simulator's hot path: a saturated 100 Mb/s
 bottleneck completes ~8600 transmissions per simulated second before any
 TCP or AQM work happens.  Each completion, and each propagation-delay
 delivery, is one :meth:`~repro.sim.engine.Simulator.post` — a plain heap
-tuple with no cancellable handle.  A fault (a link flap or outage) is an
+tuple with no cancellable handle.  A route entry is called directly at
+completion, so the dumbbell's ``functools.partial(sim.post, rtt / 2,
+receiver.deliver)`` puts the packet on the heap for its receiver with no
+forwarding frame in between.  A fault (a link flap or outage) is an
 ordinary event that lands between two completions: the in-flight packet
 finishes and nothing new starts until the link comes back up.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Callable, Dict, Optional, Protocol
 
 from repro.net.packet import Packet
 from repro.net.queue import AQMQueue
@@ -53,9 +57,11 @@ class Link:
     capacity_bps:
         Line rate in bits per second.
     sink:
-        Downstream recipient of transmitted packets.
+        Downstream recipient of transmitted packets whose flow has no
+        entry in :attr:`routes`.
     prop_delay:
-        One-way propagation delay in seconds appended after serialization.
+        One-way propagation delay in seconds appended after serialization
+        on the way to ``sink``.
     """
 
     def __init__(
@@ -86,7 +92,10 @@ class Link:
         self._busy_since: Optional[float] = None
         self.idle_time = 0.0
         self._idle_since = sim.now
-        self._route: Optional[Callable[[Packet], Sink]] = None
+        #: Per-flow delivery: ``flow_id -> deliver(packet)``, called at
+        #: transmission completion in place of ``sink``; an entry carries
+        #: the rest of its flow's path, delay included.
+        self.routes: Dict[int, Callable[[Packet], None]] = {}
         queue.set_wakeup(self._on_queue_nonempty)
 
     # ------------------------------------------------------------------
@@ -98,11 +107,6 @@ class Link:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
         self.capacity_bps = capacity_bps
         self.queue.set_capacity(capacity_bps)
-
-    def set_router(self, route: Callable[[Packet], Sink]) -> None:
-        """Install per-packet routing (used by the dumbbell topology to
-        deliver each flow's packets to its own receiver-side pipe)."""
-        self._route = route
 
     def set_down(self) -> None:
         """Take the link down (fault injection: an outage / flap window).
@@ -157,12 +161,14 @@ class Link:
 
     def _on_tx_complete(self, packet: Packet) -> None:
         """Hand ``packet`` downstream, then start the next transmission."""
-        sink = self._route(packet) if self._route is not None else self.sink
-        if sink is not None:
+        deliver = self.routes.get(packet.flow_id)
+        if deliver is not None:
+            deliver(packet)
+        elif self.sink is not None:
             if self.prop_delay > 0:
-                self.sim.post(self.prop_delay, sink.deliver, packet)
+                self.sim.post(self.prop_delay, self.sink.deliver, packet)
             else:
-                sink.deliver(packet)
+                self.sink.deliver(packet)
         self._transmit_next()
 
     # ------------------------------------------------------------------

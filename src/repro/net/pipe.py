@@ -1,11 +1,14 @@
-"""Fixed-delay, infinite-capacity path segments.
+"""Fixed-delay, infinite-capacity path segments for hand-built paths.
 
-A :class:`Pipe` models the uncongested parts of the paper's testbed paths:
-the per-flow netem delay that sets each flow's base RTT, and the reverse
-(ACK) path, which the testbed keeps uncongested.  Packets are delivered to
-the sink exactly ``delay`` seconds after entering; each arrival is one
-:meth:`~repro.sim.engine.Simulator.post`, and ordering is preserved
-because the engine pops same-delay arrivals in (time, seq) order.
+A :class:`Pipe` delivers packets to its sink exactly ``delay`` seconds
+after they enter; each arrival is one
+:meth:`~repro.sim.engine.Simulator.post` of the sink's ``deliver``, and
+ordering is preserved because the engine pops same-delay arrivals in
+(time, seq) order.  The dumbbell does not use pipes: its fixed per-flow
+delays (the testbed's netem delay and uncongested ACK path) are posts
+straight to the next hop.  Pipes serve paths built by hand around a
+sender and receiver, chiefly the TCP robustness rigs, which swap in a
+lossy, reordering or duplicating segment.
 
 :class:`DropPipe` is the shared base for pipes that discard packets on the
 way through; :class:`LossyPipe` (independent Bernoulli loss) lives here,
@@ -51,28 +54,20 @@ class Pipe:
         self.sim = sim
         self.delay = delay
         self.sink = sink
-        self.delivered = 0
 
     def deliver(self, packet: Packet) -> None:
         if self.sink is None:
             raise RuntimeError("pipe has no sink connected")
-        if self.delay <= 0:
-            self._arrive(packet)
-        else:
-            self.sim.post(self.delay, self._arrive, packet)
+        self._schedule_arrival(packet)
 
     def _schedule_arrival(self, packet: Packet, extra_delay: float = 0.0) -> None:
         """Deliver after the base delay plus ``extra_delay`` (the adverse
         pipes' reordering and duplication gaps)."""
         delay = self.delay + extra_delay
         if delay <= 0:
-            self._arrive(packet)
-            return
-        self.sim.post(delay, self._arrive, packet)
-
-    def _arrive(self, packet: Packet) -> None:
-        self.delivered += 1
-        self.sink.deliver(packet)
+            self.sink.deliver(packet)
+        else:
+            self.sim.post(delay, self.sink.deliver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Pipe delay={self.delay * 1e3:.2f}ms>"

@@ -21,7 +21,12 @@ departure observation makes no call for it per packet.
 
 The per-packet *actual* sojourn time is additionally recorded at dequeue
 time (difference of timestamps); that is the quantity whose distribution
-Figures 14 and 16 report.
+Figures 14 and 16 report.  The dumbbell points
+:attr:`AQMQueue.record_time` and :attr:`AQMQueue.record_sojourn` at the
+bound ``append``s of its sojourn series' two ``array('d')`` buffers, so a
+departure is recorded with no Python frame.  ``on_sojourn`` is the
+general callback, for testbeds that split sojourns by packet (the DualQ
+previews split them by traffic class).
 """
 
 from __future__ import annotations
@@ -90,8 +95,7 @@ class AQMQueue:
         Hard tail-drop limit in packets (Table 1 uses 40 000).
     on_sojourn:
         Optional callback ``(now, sojourn_seconds, packet)`` invoked at each
-        dequeue — the metrics layer uses this to build the per-packet queue
-        delay distributions of Figures 14 and 16.
+        dequeue, for testbeds that need the packet with its sojourn.
     """
 
     def __init__(
@@ -109,6 +113,11 @@ class AQMQueue:
         self.buffer_packets = buffer_packets
         self.set_capacity(capacity_bps)
         self.on_sojourn = on_sojourn
+        #: Per-departure recorders called with the dequeue time and the
+        #: packet's sojourn: the dumbbell binds them to its sojourn
+        #: series' buffer ``append``s (both set, or both None).
+        self.record_time: Optional[Callable[[float], None]] = None
+        self.record_sojourn: Optional[Callable[[float], None]] = None
         self.stats = QueueStats()
         self._fifo: deque[Packet] = deque()
         self._bytes = 0
@@ -192,6 +201,9 @@ class AQMQueue:
         stats.bytes_dequeued += size
         if self._on_dequeue is not None:
             self._on_dequeue(packet, now)
+        if self.record_time is not None:
+            self.record_time(now)
+            self.record_sojourn(now - packet.enqueue_time)
         if self.on_sojourn is not None:
             self.on_sojourn(now, now - packet.enqueue_time, packet)
         return packet

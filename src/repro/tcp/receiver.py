@@ -48,9 +48,6 @@ class TcpReceiver:
     delayed_acks:
         ACK every second in-order segment (with a 40 ms cap) instead of
         every segment.  Defaults on, as in Linux.
-    on_data:
-        Optional callback ``(now, packet)`` for goodput accounting — fired
-        only for in-order (new) segments.
     sack:
         Advertise selective acknowledgements: each ACK carries the
         out-of-order data above the cumulative ACK as ``(start, end)``
@@ -70,7 +67,6 @@ class TcpReceiver:
         ack_out: Callable[[Packet], None],
         ecn_mode: str = "off",
         delayed_acks: bool = True,
-        on_data: Optional[Callable[[float, Packet], None]] = None,
         sack: bool = False,
     ):
         if ecn_mode not in _ECN_MODES:
@@ -81,7 +77,6 @@ class TcpReceiver:
         self.ack_out = ack_out
         self.ecn_mode = ecn_mode
         self.delayed_acks = delayed_acks
-        self.on_data = on_data
 
         self.rcv_next = 0
         self._ooo: set[int] = set()
@@ -96,6 +91,9 @@ class TcpReceiver:
         self._delack_event: Optional[Event] = None
         self._delack_deadline: Optional[float] = None
 
+        #: In-order segments delivered to the application; goodput
+        #: accounting (:class:`~repro.metrics.flowstats.FlowRecord`)
+        #: reads it.
         self.segments_received = 0
         self.duplicates = 0
         self.ce_received = 0
@@ -133,9 +131,6 @@ class TcpReceiver:
                 self.rcv_next += 1
                 delivered += 1
             self.segments_received += delivered
-            if self.on_data is not None:
-                for _ in range(delivered):
-                    self.on_data(self.sim.now, pkt)
             self._pending += 1
             self._pending_ts = pkt.send_time
             if self._ooo:

@@ -7,10 +7,12 @@ import random
 import pytest
 
 from repro.aqm.pi import PiAqm
-from repro.errors import ConfigError, ControllerDivergence
+from repro.errors import ConfigError, ControllerDivergence, ParallelExecutionError
+from repro.harness.cache import ResultCache, SharedResultCache, experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import pi2_factory
-from repro.harness.parallel import SweepTask, execute_tasks
+from repro.harness.journal import ResultJournal
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
     RunFailure,
@@ -19,6 +21,7 @@ from repro.harness.resilience import (
 )
 from repro.harness.sweep import _mix_tasks, run_coexistence_grid
 from repro.net.faults import LinkFlapFault
+from repro.sim.random import RandomStreams
 
 
 def _quick_experiment(aqm_factory=None, **overrides):
@@ -298,3 +301,58 @@ class TestExperimentWatchdog:
             trips.append(info.value.sim_time)
         assert trips[0] == trips[1]
         assert trips[0] > 0.5
+
+
+#: The seed whose cell diverges in :func:`pi_diverging_at_seed_5`.
+_DOOMED_SEED = 5
+
+
+def pi_diverging_at_seed_5(rng: random.Random):
+    """PI whose controller goes NaN in a run at seed 5 (recognised by its
+    fresh ``aqm`` stream) and runs clean at every other seed.  A
+    module-level function: cacheable by name and picklable for workers."""
+    aqm = PiAqm(rng=rng)
+    if rng.getstate() == RandomStreams(_DOOMED_SEED).stream("aqm").getstate():
+        original = aqm.controller.update
+        aqm.controller.update = lambda delay, gain_scale=1.0: original(float("nan"))
+    return aqm
+
+
+class TestSeedBumpedResultStaysOffTheDeclaredKey:
+    """A cell that fails on its declared seed and succeeds on the bumped
+    one: capture mode returns the bumped result, but the cache and the
+    journal never file it under the declared seed's key, so a later run
+    of the same cell cannot be served it."""
+
+    @pytest.mark.parametrize("cache_cls", [ResultCache, SharedResultCache])
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "jobs2"])
+    def test_capture_then_raise_does_not_hit_the_bumped_result(
+        self, tmp_path, jobs, cache_cls
+    ):
+        task = SweepTask(
+            "doomed at 5",
+            _quick_experiment(aqm_factory=pi_diverging_at_seed_5, seed=_DOOMED_SEED),
+        )
+        key = experiment_cache_key(task.experiment)
+        journal = tmp_path / "run.journal"
+        bumped = _DOOMED_SEED + RETRY_SEED_STRIDE
+        report = RunReport()
+        [(result, failure)] = execute_tasks(
+            [task], jobs=jobs, on_error="capture", max_retries=1,
+            cache=cache_cls(tmp_path / "cache"), journal=journal, report=report,
+        )
+        assert failure is None and result is not None
+        assert result.experiment.seed == bumped
+        assert report.executed == 1 and report.journal_appends == 0
+        [action] = [a for a in report.actions if a.action == "seed-bumped result"]
+        assert action.label == "doomed at 5"
+        assert f"seed {bumped}," in action.detail
+        assert cache_cls(tmp_path / "cache").get(key) is None
+        assert key not in ResultJournal(journal).read().replay_map()
+
+        # A later strict run of the same cell fails on its own seed.
+        with pytest.raises((ControllerDivergence, ParallelExecutionError)):
+            execute_tasks(
+                [task], jobs=jobs, on_error="raise", max_retries=0,
+                cache=cache_cls(tmp_path / "cache"), journal=journal, resume=True,
+            )

@@ -46,8 +46,8 @@ class TestTimeSeries:
 
 
 class TestArrayCaching:
-    """times/values build a numpy array once and reuse it until the next
-    append — the arrays feed every percentile/mean call in the figure
+    """times/values build a numpy array once and reuse it until the series
+    grows — the arrays feed every percentile/mean call in the figure
     pipeline, so rebuilding per call was pure overhead."""
 
     def test_repeated_access_returns_cached_array(self):
@@ -67,6 +67,21 @@ class TestArrayCaching:
         assert ts.values.tolist() == [10.0, 20.0]
         # The stale arrays are unchanged (no in-place mutation).
         assert before_t.tolist() == [1.0]
+
+    def test_buffer_appends_cannot_leave_a_stale_array(self):
+        # The bottleneck queue records sojourns through the buffers' own
+        # appends, with no call into the series.
+        ts = TimeSeries()
+        ts.append(1.0, 10.0)
+        before_t, before_v = ts.times, ts.values
+        append_t, append_v = ts.buffer_appends()
+        append_t(2.0)
+        append_v(20.0)
+        assert len(ts) == 2
+        assert ts.times.tolist() == [1.0, 2.0]
+        assert ts.values.tolist() == [10.0, 20.0]
+        assert ts.window(1.5, 3.0).tolist() == [20.0]
+        assert before_t.tolist() == [1.0] and before_v.tolist() == [10.0]
 
     def test_pickle_round_trip_drops_caches_keeps_data(self):
         import pickle

@@ -89,11 +89,16 @@ class TestCapacityChange:
 
 class TestRouting:
     def test_router_overrides_sink(self, sim):
-        q, link, default_sink = make_link(sim)
+        # A flow with a route goes there, with no propagation delay added;
+        # every other flow goes to the sink after it.
+        q, link, default_sink = make_link(sim, prop_delay=0.5)
         special = CountingSink()
-        link.set_router(lambda pkt: special if pkt.flow_id == 7 else default_sink)
+        link.routes[7] = special.deliver
         q.enqueue(make_packet(flow_id=7))
         q.enqueue(make_packet(flow_id=1))
+        sim.run(0.1)
+        assert special.packets == 1
+        assert default_sink.packets == 0
         sim.run(1.0)
         assert special.packets == 1
         assert default_sink.packets == 1

@@ -70,7 +70,7 @@ class TestDeliveryTiming:
             sim.schedule(at, pipe.deliver, make_packet())
         sim.run(1.0)
         assert sink.times == pytest.approx([at + 0.010 for at in sends])
-        assert pipe.delivered == 5
+        assert len(sink.times) == len(sends)
 
     def test_foreign_event_mid_burst_changes_no_delivery_time(self):
         sim = Simulator()

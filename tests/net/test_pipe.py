@@ -51,7 +51,7 @@ class TestPipe:
         pipe.deliver(make_packet())
         pipe.deliver(make_packet())
         sim.run(1.0)
-        assert pipe.delivered == 2
+        assert sink.packets == 2
 
 
 class TestLossyPipe:
