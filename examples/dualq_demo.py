@@ -45,7 +45,8 @@ def run(kind):
         queue = DualQueueCoupledAqm(
             sim, CAPACITY, rng=streams.stream("aqm"), on_sojourn=on_sojourn
         )
-    bed = Dumbbell(sim, streams, CAPACITY, aqm=None, queue=queue)
+    bed = Dumbbell(sim, streams, CAPACITY, aqm=None, queue=queue,
+                   record_sojourns=False)
     bed.add_tcp_flow("dctcp", rtt=RTT, label="dctcp")
     bed.add_tcp_flow("cubic", rtt=RTT, label="cubic")
     sim.at(WARMUP, bed.flows.open_windows, WARMUP)

@@ -10,7 +10,7 @@ and PI2 are the ``lineage.*`` claims of :mod:`repro.harness.claims`.
 """
 
 from repro.aqm.adaptive import AdaptivePiAqm
-from repro.aqm.base import AQM, AQMStats, Decision, QueueView
+from repro.aqm.base import AQM, Decision, QueueView
 from repro.aqm.dualq import DualQueueCoupledAqm
 from repro.aqm.fixed import DeterministicMarker, FixedProbabilityAqm
 from repro.aqm.pi import PIController, PiAqm
@@ -21,7 +21,6 @@ from repro.aqm.tune_table import K_PI2, K_PIE, TUNE_TABLE, sqrt2p, tune
 
 __all__ = [
     "AQM",
-    "AQMStats",
     "Decision",
     "QueueView",
     "PIController",

@@ -6,7 +6,10 @@ RED) — implements the small :class:`AQM` interface:
 
 * :meth:`AQM.on_enqueue` is consulted for every arriving packet and returns
   a :class:`Decision` (pass / CE-mark / drop).  This mirrors the enqueue-
-  side drop decision of the Linux ``sch_pie``/``sch_pi2`` qdiscs.
+  side drop decision of the Linux ``sch_pie``/``sch_pi2`` qdiscs.  The
+  queue binds it once, at construction, and counts each verdict in its
+  own :class:`~repro.net.queue.QueueStats`; the AQM keeps no verdict
+  counters, and its ``aqm.*`` telemetry derives them from the queue's.
 * :attr:`AQM.on_dequeue` is ``None`` unless the algorithm observes
   departures; PIE with its measured departure-rate estimator sets it to a
   bound method.  The queue binds it once, at construction, and calls
@@ -31,6 +34,7 @@ from repro.units import Bytes, Packets, Probability, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.packet import Packet
+    from repro.net.queue import QueueStats
     from repro.sim.engine import Simulator
 
 
@@ -38,7 +42,6 @@ __all__ = [
     "Decision",
     "QueueView",
     "AQM",
-    "AQMStats",
     "clamp_unit",
     "guard_finite",
     "is_unit_probability",
@@ -105,30 +108,10 @@ class QueueView(Protocol):
         """Estimated queuing delay in seconds for a packet arriving now."""
         ...
 
-
-class AQMStats:
-    """Counters shared by every AQM implementation."""
-
-    __slots__ = ("passed", "marked", "dropped", "decisions")
-
-    def __init__(self) -> None:
-        self.passed = 0
-        self.marked = 0
-        self.dropped = 0
-        self.decisions = 0
-
     @property
-    def signal_fraction(self) -> float:
-        """Fraction of packets that received a congestion signal."""
-        if self.decisions == 0:
-            return 0.0
-        return (self.marked + self.dropped) / self.decisions
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<AQMStats pass={self.passed} mark={self.marked} "
-            f"drop={self.dropped}>"
-        )
+    def stats(self) -> "QueueStats":
+        """The queue's counters, the AQM's verdicts among them."""
+        ...
 
 
 class AQM:
@@ -153,7 +136,6 @@ class AQM:
     on_dequeue: Optional[Callable[["Packet", Seconds], None]] = None
 
     def __init__(self) -> None:
-        self.stats = AQMStats()
         self.sim: Optional["Simulator"] = None
         self.queue: Optional[QueueView] = None
         self._timer = None
@@ -190,19 +172,6 @@ class AQM:
         return self._timer
 
     # -- datapath hooks ---------------------------------------------------
-    def decide(self, packet: "Packet") -> Decision:
-        """Run :meth:`on_enqueue` and tally the outcome in :attr:`stats`."""
-        decision = self.on_enqueue(packet)
-        stats = self.stats
-        stats.decisions += 1
-        if decision is Decision.PASS:
-            stats.passed += 1
-        elif decision is Decision.MARK:
-            stats.marked += 1
-        else:
-            stats.dropped += 1
-        return decision
-
     def on_enqueue(self, packet: "Packet") -> Decision:
         """Per-packet decision; override in subclasses."""
         return Decision.PASS
@@ -235,19 +204,28 @@ class AQM:
     def _metrics_snapshot(self) -> dict:
         """Flat metric values: decision counters plus probabilities.
 
+        The decision counters come from the attached queue's
+        :class:`~repro.net.queue.QueueStats` (``decisions``, ``passed``,
+        ``ce_marked``, ``aqm_dropped``), which counts each verdict it
+        applied.
         PI-family subclasses contribute their controller state through
         ``PIController.state()`` when a ``controller`` attribute is
         present; coupled AQMs additionally expose their Classic-branch
         probability.
         """
-        stats = self.stats
+        if self.queue is None:  # not attached: no verdicts yet
+            decisions = passed = marked = dropped = 0
+        else:
+            stats = self.queue.stats
+            decisions, passed = stats.decisions, stats.passed
+            marked, dropped = stats.ce_marked, stats.aqm_dropped
         out: dict = {
             "kind": type(self).__name__,
-            "decisions": stats.decisions,
-            "passed": stats.passed,
-            "marked": stats.marked,
-            "dropped": stats.dropped,
-            "signal_fraction": stats.signal_fraction,
+            "decisions": decisions,
+            "passed": passed,
+            "marked": marked,
+            "dropped": dropped,
+            "signal_fraction": (marked + dropped) / decisions if decisions else 0.0,
             "probability": self.probability,
             "raw_probability": self.raw_probability,
         }

@@ -86,6 +86,10 @@ class DualQueueCoupledAqm:
         self.tshift = tshift
         self.rng = rng or default_stream()
         self.on_sojourn = on_sojourn
+        #: Per-departure recorders, as on :class:`repro.net.queue.AQMQueue`
+        #: (both set, or both None).
+        self.record_time: Optional[Callable[[float], None]] = None
+        self.record_sojourn: Optional[Callable[[float], None]] = None
         self.stats = QueueStats()
         self.l_stats = QueueStats()
         self.c_stats = QueueStats()
@@ -198,6 +202,9 @@ class DualQueueCoupledAqm:
         now = self.sim.now
         self.stats.dequeued += 1
         self.stats.bytes_dequeued += packet.size
+        if self.record_time is not None:
+            self.record_time(now)
+            self.record_sojourn(now - packet.enqueue_time)
         if self.on_sojourn is not None:
             self.on_sojourn(now, now - packet.enqueue_time, packet)
         return packet

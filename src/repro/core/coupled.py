@@ -32,7 +32,7 @@ from typing import Optional
 from repro.aqm.base import AQM, Decision, clamp_unit
 from repro.aqm.pi import PIController
 from repro.core.coupling import K_DEPLOYED
-from repro.net.packet import Packet
+from repro.net.packet import ECN, Packet
 from repro.sim.random import default_stream
 from repro.units import PerSecond, Probability, Seconds
 
@@ -43,6 +43,10 @@ __all__ = ["CoupledPi2Aqm", "DEFAULT_ALPHA_COUPLED", "DEFAULT_BETA_COUPLED"]
 #: gain-factor ratio.
 DEFAULT_ALPHA_COUPLED: PerSecond = 10.0 / 16.0
 DEFAULT_BETA_COUPLED: PerSecond = 100.0 / 16.0
+
+# Module globals read faster than the enum class attributes per packet.
+_NOT_ECT, _ECT1, _CE = ECN.NOT_ECT, ECN.ECT1, ECN.CE
+_PASS, _MARK, _DROP = Decision.PASS, Decision.MARK, Decision.DROP
 
 
 class CoupledPi2Aqm(AQM):
@@ -77,22 +81,27 @@ class CoupledPi2Aqm(AQM):
 
     def on_enqueue(self, packet: Packet) -> Decision:
         ps = self.controller.p
-        if packet.is_scalable:
+        ecn = packet.ecn
+        # Figure 9's classifier (``Packet.is_scalable``): ECT(1), or CE on
+        # a packet that was sent ECT(1).
+        if ecn is _ECT1 or (ecn is _CE and packet.ect is _ECT1):
             # Scalable branch: direct linear marking, think once.
             self.scalable_seen += 1
             if ps > 0.0 and self.rng.random() < ps:
                 self.scalable_marked += 1
-                return Decision.MARK
-            return Decision.PASS
+                return _MARK
+            return _PASS
         # Classic branch: coupled and squared, think twice.
         self.classic_seen += 1
-        pc_prime = clamp_unit(ps / self.k)
+        # The controller keeps ps finite and in [0, ps_max], and k > 0, so
+        # only the upper clamp can bite.
+        pc_prime = min(ps / self.k, 1.0)
         if pc_prime > 0.0 and max(self.rng.random(), self.rng.random()) < pc_prime:
             self.classic_signalled += 1
-            if packet.ecn_capable:
-                return Decision.MARK  # ECT(0): classic ECN marking
-            return Decision.DROP
-        return Decision.PASS
+            if ecn is not _NOT_ECT:
+                return _MARK  # ECT(0): classic ECN marking
+            return _DROP
+        return _PASS
 
     # ------------------------------------------------------------------
     @property

@@ -41,7 +41,7 @@ from typing import Optional
 
 from repro.aqm.base import AQM, Decision, clamp_unit
 from repro.aqm.pi import PIController
-from repro.net.packet import Packet
+from repro.net.packet import ECN, Packet
 from repro.sim.random import default_stream
 from repro.units import PerSecond, Probability, Seconds
 
@@ -50,6 +50,10 @@ __all__ = ["Pi2Aqm", "DEFAULT_ALPHA_PI2", "DEFAULT_BETA_PI2"]
 #: PI2 gain defaults (Figure 6/7 captions): 2.5 × PIE's base gains.
 DEFAULT_ALPHA_PI2: PerSecond = 0.3125
 DEFAULT_BETA_PI2: PerSecond = 3.125
+
+# Module globals read faster than the enum class attributes per packet.
+_NOT_ECT = ECN.NOT_ECT
+_PASS, _MARK, _DROP = Decision.PASS, Decision.MARK, Decision.DROP
 
 
 class Pi2Aqm(AQM):
@@ -108,17 +112,17 @@ class Pi2Aqm(AQM):
     def on_enqueue(self, packet: Packet) -> Decision:
         p_prime = self.controller.p
         if p_prime <= 0.0:
-            return Decision.PASS
+            return _PASS
         if self.decision_mode == "multiply":
             signal = self.rng.random() < p_prime * p_prime
         else:
             # Think twice to drop: both random values must fall below p'.
             signal = max(self.rng.random(), self.rng.random()) < p_prime
         if not signal:
-            return Decision.PASS
-        if self.ecn and packet.ecn_capable:
-            return Decision.MARK
-        return Decision.DROP
+            return _PASS
+        if self.ecn and packet.ecn is not _NOT_ECT:
+            return _MARK
+        return _DROP
 
     # ------------------------------------------------------------------
     @property

@@ -886,13 +886,15 @@ def _dualq_run(kind: str, capacity: float, rtt: float, duration: float,
     if kind == "single-queue":
         aqm = coupled_factory()(streams.stream("aqm"))
         queue = AQMQueue(sim, aqm, capacity, on_sojourn=on_sojourn)
-        bed = Dumbbell(sim, streams, capacity, aqm=None, queue=queue)
+        bed = Dumbbell(sim, streams, capacity, aqm=None, queue=queue,
+                       record_sojourns=False)
         bed.aqm = aqm
     else:
         queue = DualQueueCoupledAqm(
             sim, capacity, rng=streams.stream("aqm"), on_sojourn=on_sojourn
         )
-        bed = Dumbbell(sim, streams, capacity, aqm=None, queue=queue)
+        bed = Dumbbell(sim, streams, capacity, aqm=None, queue=queue,
+                       record_sojourns=False)
     bed.add_tcp_flow("dctcp", rtt=rtt, label="dctcp")
     bed.add_tcp_flow("cubic", rtt=rtt, label="cubic")
     sim.at(warmup, bed.flows.open_windows, warmup)

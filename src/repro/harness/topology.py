@@ -28,6 +28,7 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from repro.aqm.base import AQM
+from repro.errors import ConfigError
 from repro.metrics.flowstats import FlowTable
 from repro.metrics.series import TimeSeries
 from repro.net.faults import FaultInjector
@@ -72,12 +73,15 @@ class Dumbbell:
         Period of the sampled series (1 s in the paper's plots).
     record_sojourns:
         Keep every packet's bottleneck sojourn time (needed by the CDF
-        and percentile figures; switch off for very long runs).
+        and percentile figures; switch off for very long runs).  The
+        queue records them through its ``record_time`` and
+        ``record_sojourn`` attributes, which the dumbbell binds to
+        :attr:`sojourns`' buffers; a custom queue without them raises
+        :class:`~repro.errors.ConfigError`.
     queue:
         Override the bottleneck queue with a custom link-drainable queue
         (e.g. :class:`repro.aqm.dualq.DualQueueCoupledAqm`).  When given,
-        ``aqm`` must be None — the queue owns its own AQM logic — and the
-        queue should already carry any sojourn callback it needs.
+        ``aqm`` must be None — the queue owns its own AQM logic.
     """
 
     def __init__(
@@ -117,10 +121,19 @@ class Dumbbell:
             self.queue = queue
         else:
             self.queue = AQMQueue(sim, aqm, capacity_bps, buffer_packets=buffer_packets)
-            if record_sojourns:
-                self.queue.record_time, self.queue.record_sojourn = (
-                    self.sojourns.buffer_appends()
+        if record_sojourns:
+            if not (
+                hasattr(self.queue, "record_time")
+                and hasattr(self.queue, "record_sojourn")
+            ):
+                raise ConfigError(
+                    f"{type(self.queue).__name__} has no record_time/"
+                    "record_sojourn, so it cannot record sojourns; pass "
+                    "record_sojourns=False"
                 )
+            self.queue.record_time, self.queue.record_sojourn = (
+                self.sojourns.buffer_appends()
+            )
         # Flows without a route (UDP) end in the counting sink.
         self.link = Link(sim, self.queue, capacity_bps, sink=self._udp_sink)
         #: Set by :meth:`install_faults` / :meth:`enable_validation`.

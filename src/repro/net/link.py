@@ -17,12 +17,15 @@ A busy link is the simulator's hot path: a saturated 100 Mb/s
 bottleneck completes ~8600 transmissions per simulated second before any
 TCP or AQM work happens.  Each completion, and each propagation-delay
 delivery, is one :meth:`~repro.sim.engine.Simulator.post` — a plain heap
-tuple with no cancellable handle.  A route entry is called directly at
-completion, so the dumbbell's ``functools.partial(sim.post, rtt / 2,
-receiver.deliver)`` puts the packet on the heap for its receiver with no
-forwarding frame in between.  A fault (a link flap or outage) is an
-ordinary event that lands between two completions: the in-flight packet
-finishes and nothing new starts until the link comes back up.
+tuple with no cancellable handle.  The completion event is
+:meth:`Link._transmit_next` itself, posted with the finished packet: it
+hands that packet on and starts the next one in the same call.  A route
+entry is called directly at completion, so the dumbbell's
+``functools.partial(sim.post, rtt / 2, receiver.deliver)`` puts the
+packet on the heap for its receiver with no forwarding frame in
+between.  A fault (a link flap or outage) is an ordinary event that
+lands between two completions: the in-flight packet finishes and
+nothing new starts until the link comes back up.
 """
 
 from __future__ import annotations
@@ -134,12 +137,23 @@ class Link:
         if not self.busy and not self.down:
             self._transmit_next()
 
-    def _transmit_next(self) -> None:
-        """Start serializing the head-of-line packet, if the link may.
+    def _transmit_next(self, sent: Optional[Packet] = None) -> None:
+        """Hand ``sent`` downstream, then start serializing the
+        head-of-line packet, if the link may.
 
-        Runs on a queue wake-up, on link restoration and after every
-        transmission completes; the completion is one posted event.
+        Each transmission's completion is this call, posted with the
+        finished packet as ``sent``; a queue wake-up and link restoration
+        call it with no packet.
         """
+        if sent is not None:
+            deliver = self.routes.get(sent.flow_id)
+            if deliver is not None:
+                deliver(sent)
+            elif self.sink is not None:
+                if self.prop_delay > 0:
+                    self.sim.post(self.prop_delay, self.sink.deliver, sent)
+                else:
+                    self.sink.deliver(sent)
         packet = None if self.down else self.queue.dequeue()
         if packet is None:
             self.busy = False
@@ -157,19 +171,7 @@ class Link:
         self.busy_time += tx_time
         self.bytes_sent += size
         self.packets_sent += 1
-        self.sim.post(tx_time, self._on_tx_complete, packet)
-
-    def _on_tx_complete(self, packet: Packet) -> None:
-        """Hand ``packet`` downstream, then start the next transmission."""
-        deliver = self.routes.get(packet.flow_id)
-        if deliver is not None:
-            deliver(packet)
-        elif self.sink is not None:
-            if self.prop_delay > 0:
-                self.sim.post(self.prop_delay, self.sink.deliver, packet)
-            else:
-                self.sink.deliver(packet)
-        self._transmit_next()
+        self.sim.post(tx_time, self._transmit_next, packet)
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -40,6 +40,9 @@ from repro.sim.engine import Simulator
 
 __all__ = ["AQMQueue", "QueueStats"]
 
+# Module globals read faster than the enum class attributes per packet.
+_DROP, _MARK = Decision.DROP, Decision.MARK
+
 
 class QueueStats:
     """Arrival/departure/drop accounting for one queue."""
@@ -70,6 +73,17 @@ class QueueStats:
     @property
     def dropped(self) -> int:
         return self.aqm_dropped + self.tail_dropped + self.fault_dropped
+
+    @property
+    def decisions(self) -> int:
+        """Arrivals past the fault gate and then the buffer limit, the
+        two drops the queue applies before it asks its AQM for a verdict."""
+        return self.arrived - self.fault_dropped - self.tail_dropped
+
+    @property
+    def passed(self) -> int:
+        """AQM verdicts that neither marked nor dropped the packet."""
+        return self.decisions - self.ce_marked - self.aqm_dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -127,8 +141,9 @@ class AQMQueue:
         #: AQM/tail drops so loss attribution in reports stays honest).
         self._ingress_fault: Optional[Callable[[Packet], bool]] = None
         # The AQM verdict and departure hook, bound once (see the module
-        # docstring); None where there is nothing to call.
-        self._decide = aqm.decide if aqm is not None else None
+        # docstring); None where there is nothing to call.  The verdicts
+        # are counted here, in ``stats``, and nowhere else.
+        self._on_enqueue = aqm.on_enqueue if aqm is not None else None
         self._on_dequeue = aqm.on_dequeue if aqm is not None else None
         if aqm is not None:
             aqm.attach(sim, self)
@@ -170,12 +185,12 @@ class AQMQueue:
             stats.tail_dropped += 1
             return False
 
-        if self._decide is not None:
-            decision = self._decide(packet)
-            if decision is Decision.DROP:
+        if self._on_enqueue is not None:
+            decision = self._on_enqueue(packet)
+            if decision is _DROP:
                 stats.aqm_dropped += 1
                 return False
-            if decision is Decision.MARK:
+            if decision is _MARK:
                 packet.mark_ce()
                 stats.ce_marked += 1
 

@@ -210,10 +210,10 @@ def engine_tracer(tracer: Optional[Any]) -> Optional[Any]:
 def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[Any]:
     """Instrument one AQM instance with control-law tracing.
 
-    Installs ``update``/``decide`` wrappers as *instance attributes*, so
-    it must run **before** the AQM is attached to a simulator/queue
+    Installs ``update``/``on_enqueue`` wrappers as *instance attributes*,
+    so it must run **before** the AQM is attached to a simulator/queue
     (attachment binds ``aqm.update`` into the periodic update timer and
-    the queue binds ``aqm.decide`` when it is constructed — both find
+    the queue binds ``aqm.on_enqueue`` when it is constructed — both find
     the wrapper only if it is already installed).  An un-traced AQM carries
     no wrapper and pays zero overhead.
 
@@ -235,7 +235,7 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     if aqm is None or tracer is None or not tracer.wants("aqm"):
         return aqm
     original_update = aqm.update
-    original_decide = aqm.decide
+    original_on_enqueue = aqm.on_enqueue
     emit = tracer.emit
     kind = type(aqm).__name__
     controller = getattr(aqm, "controller", None)
@@ -266,9 +266,9 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
             fields["pc"] = classic
         emit("aqm", "aqm_update", now, fields)
 
-    def traced_decide(packet: Any) -> Any:
+    def traced_on_enqueue(packet: Any) -> Any:
         """Run the real verdict, then emit ``aqm_decision``."""
-        decision = original_decide(packet)
+        decision = original_on_enqueue(packet)
         sim = aqm.sim
         now = sim.now if sim is not None else 0.0
         emit(
@@ -286,5 +286,5 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
         return decision
 
     aqm.update = traced_update
-    aqm.decide = traced_decide
+    aqm.on_enqueue = traced_on_enqueue
     return aqm

@@ -222,14 +222,40 @@ class TcpSender:
             # during it.
             extra = self._inflation if self.in_recovery else min(self.dupacks, 2)
             budget = self.una + max(1, int(self.cwnd + extra)) - self.next_seq
+        # New segments are built here; _send_segment is for retransmissions.
+        # ``next_seq`` and ``_cwr_pending`` are read per segment, because
+        # ``transmit`` may re-enter this sender synchronously (the unit rigs).
+        flow_id = self.flow_id
+        flow_size = self.flow_size
+        size = self.mss + HEADER_BYTES
+        codepoint = self._data_codepoint
+        now = self.sim.now
+        transmit = self.transmit
         while budget > 0:
-            if self.flow_size is not None and self.next_seq >= self.flow_size:
+            seq = self.next_seq
+            if flow_size is not None and seq >= flow_size:
                 break
-            self._send_segment(self.next_seq)
+            pkt = Packet(
+                flow_id=flow_id,
+                size=size,
+                seq=seq,
+                ecn=codepoint,
+                cwr=self._cwr_pending,
+                send_time=now,
+            )
+            self._cwr_pending = False
+            self.segments_sent += 1
+            # RFC 6298: start the timer only when it is not already running
+            # (see _send_segment).
+            if self._rto_deadline is None:
+                self._arm_rto()
+            transmit(pkt)
             self.next_seq += 1
             budget -= 1
 
-    def _send_segment(self, seq: int, retransmit: bool = False) -> None:
+    def _send_segment(self, seq: int) -> None:
+        """Retransmit segment ``seq`` (new segments are sent by
+        :meth:`_maybe_send`)."""
         pkt = Packet(
             flow_id=self.flow_id,
             size=self.mss + HEADER_BYTES,
@@ -237,12 +263,11 @@ class TcpSender:
             ecn=self._data_codepoint,
             cwr=self._cwr_pending,
             send_time=self.sim.now,
-            is_retransmit=retransmit,
+            is_retransmit=True,
         )
         self._cwr_pending = False
         self.segments_sent += 1
-        if retransmit:
-            self.retransmits += 1
+        self.retransmits += 1
         # RFC 6298: start the timer only when it is not already running —
         # re-arming per transmission would let a steady trickle of sends
         # postpone the timeout of a lost retransmission indefinitely.
@@ -260,7 +285,18 @@ class TcpSender:
         """
         if not ack.is_ack or self.completion_time is not None:
             return
-        self._rtt_sample(self.sim.now - ack.send_time)
+        now = self.sim.now
+        # RTT sample and RTO (RFC 6298).
+        rtt = now - ack.send_time
+        if rtt > 0:
+            srtt = self.srtt
+            if srtt is None:
+                self.srtt = srtt = rtt
+                self.rttvar = rtt / 2
+            else:
+                self.rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt)
+                self.srtt = srtt = 0.875 * srtt + 0.125 * rtt
+            self.rto = max(MIN_RTO, srtt + 4 * self.rttvar)
         if self.sack:
             # Rebuild the scoreboard from the ACK's (start, end) blocks.
             sacked = set()
@@ -295,9 +331,16 @@ class TcpSender:
                     # NewReno partial ACK: the next hole was also lost.
                     # Deflate by what the partial ACK removed from flight.
                     self._inflation = max(0, self._inflation - acked)
-                    self._send_segment(self.una, retransmit=True)
+                    self._send_segment(self.una)
+            elif self.cwnd < self.ssthresh:
+                # Slow start, switching to CA at ssthresh.
+                grow = min(acked, max(0.0, self.ssthresh - self.cwnd))
+                self.cwnd += grow
+                rest = acked - grow
+                if rest > 0:
+                    self.ca_increase(int(rest))
             else:
-                self._grow_window(acked)
+                self.ca_increase(acked)
 
             if self.ecn_mode == "classic" and ack.ece:
                 self._ecn_reaction()
@@ -310,7 +353,20 @@ class TcpSender:
             if self.flow_size is not None and self.una >= self.flow_size:
                 self._complete()
                 return
-            self._arm_rto() if self.next_seq > self.una else self._cancel_rto()
+            if self.next_seq > self.una:
+                # Re-arm the RTO: a deadline write, and a heap event only
+                # when none is pending or the deadline moved earlier (see
+                # _arm_rto).
+                deadline = now + self.rto * self._backoff
+                self._rto_deadline = deadline
+                ev = self._rto_event
+                if ev is None:
+                    self._rto_event = self.sim.at(deadline, self._on_rto)
+                elif ev.time > deadline:
+                    ev.cancel()
+                    self._rto_event = self.sim.at(deadline, self._on_rto)
+            else:
+                self._rto_deadline = None  # lazy disarm (see _cancel_rto)
         else:
             self.dupacks += 1
             if self.in_recovery:
@@ -322,17 +378,6 @@ class TcpSender:
             if self.dupacks == 3 and not self.in_recovery:
                 self._fast_retransmit()
         self._maybe_send()
-
-    def _grow_window(self, acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            # Slow start, switching to CA at ssthresh.
-            grow = min(acked, max(0.0, self.ssthresh - self.cwnd))
-            self.cwnd += grow
-            rest = acked - grow
-            if rest > 0:
-                self.ca_increase(int(rest))
-        else:
-            self.ca_increase(acked)
 
     # ------------------------------------------------------------------
     # Congestion events
@@ -355,7 +400,7 @@ class TcpSender:
         self._reduce("loss")
         if self.sack:
             self._rtx_episode.add(self.una)
-        self._send_segment(self.una, retransmit=True)
+        self._send_segment(self.una)
 
     def _sack_retransmit(self) -> None:
         """Fill the lowest un-SACKed, not-yet-retransmitted hole (one per
@@ -372,7 +417,7 @@ class TcpSender:
         while seq < ceiling:
             if seq not in self._sacked and seq not in self._rtx_episode:
                 self._rtx_episode.add(seq)
-                self._send_segment(seq, retransmit=True)
+                self._send_segment(seq)
                 return
             seq += 1
 
@@ -383,19 +428,8 @@ class TcpSender:
         self.cwnd = self.ssthresh
 
     # ------------------------------------------------------------------
-    # RTT / RTO machinery (RFC 6298)
+    # RTO machinery (RFC 6298; the RTT sample is taken in deliver)
     # ------------------------------------------------------------------
-    def _rtt_sample(self, rtt: float) -> None:
-        if rtt <= 0:
-            return
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = max(MIN_RTO, self.srtt + 4 * self.rttvar)
-
     def _arm_rto(self) -> None:
         """(Re)start the retransmission timer at ``now + rto * backoff``.
 
@@ -447,7 +481,7 @@ class TcpSender:
         self._backoff = min(self._backoff * 2, 64)
         # Go back to the oldest hole; ACK clocking restarts from there.
         self.next_seq = self.una
-        self._send_segment(self.una, retransmit=True)
+        self._send_segment(self.una)
         self.next_seq = self.una + 1
 
     # ------------------------------------------------------------------

@@ -31,6 +31,9 @@ __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
 #: Delayed-ACK timer (Linux uses 40 ms by default).
 DELACK_TIMEOUT = 0.040
 
+# A module global reads faster than the enum class attribute per segment.
+_CE = ECN.CE
+
 
 class TcpReceiver:
     """Receives data segments and generates ACKs on the reverse path.
@@ -106,7 +109,7 @@ class TcpReceiver:
         """Sink interface for the forward path; ACKs are ignored."""
         if pkt.is_ack:
             return
-        ce = pkt.ecn is ECN.CE
+        ce = pkt.ecn is _CE
         if ce:
             self.ce_received += 1
         if self.ecn_mode == "classic":
@@ -138,8 +141,16 @@ class TcpReceiver:
                 self._send_ack()
             elif not self.delayed_acks or self._pending >= 2:
                 self._send_ack()
-            else:
-                self._arm_delack()
+            elif self._delack_deadline is None:
+                # Start the delayed-ACK timer, lazily like the sender's
+                # RTO: arming writes a deadline, and the heap event (one
+                # per receiver, created only when none is pending)
+                # re-checks it when it fires, so the every-other-ACK
+                # cancel + reschedule cycle never touches the heap.
+                deadline = self.sim.now + DELACK_TIMEOUT
+                self._delack_deadline = deadline
+                if self._delack_event is None:
+                    self._delack_event = self.sim.at(deadline, self._on_delack)
         elif pkt.seq > self.rcv_next:
             self._ooo.add(pkt.seq)
             self._pending_ts = pkt.send_time
@@ -189,20 +200,6 @@ class TcpReceiver:
         self._pending = 0
         self.acks_sent += 1
         self.ack_out(ack)
-
-    def _arm_delack(self) -> None:
-        """Start the delayed-ACK timer (lazy, like the sender's RTO).
-
-        Arming writes a deadline; the heap event — one per receiver,
-        created only when none is pending — re-checks that deadline when
-        it fires, so the every-other-ACK cancel + reschedule cycle never
-        touches the heap.
-        """
-        if self._delack_deadline is None:
-            deadline = self.sim.now + DELACK_TIMEOUT
-            self._delack_deadline = deadline
-            if self._delack_event is None:
-                self._delack_event = self.sim.at(deadline, self._on_delack)
 
     def _on_delack(self) -> None:
         self._delack_event = None

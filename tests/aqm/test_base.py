@@ -4,6 +4,9 @@ import pytest
 
 from repro.aqm.base import AQM, Decision
 from repro.core.pi2 import Pi2Aqm
+from repro.net.packet import ECN
+from repro.net.queue import AQMQueue
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import make_packet
 
 
@@ -53,12 +56,16 @@ class TestDecisionRecording:
             (Decision.DROP, "dropped"),
         ],
     )
-    def test_decide_updates_stats(self, decision, attr):
+    def test_queue_counts_each_verdict(self, sim, decision, attr):
         aqm = Recording(decision)
+        registry = MetricsRegistry()
+        aqm.register_metrics(registry)
+        queue = AQMQueue(sim, aqm, capacity_bps=10e6)
         for _ in range(4):
-            aqm.decide(make_packet())
-        assert getattr(aqm.stats, attr) == 4
-        assert aqm.stats.decisions == 4
+            queue.enqueue(make_packet(ecn=ECN.ECT0))
+        telemetry = registry.snapshot()
+        assert telemetry[f"aqm.{attr}"] == 4
+        assert telemetry["aqm.decisions"] == 4
 
     def test_base_defaults(self):
         aqm = AQM()

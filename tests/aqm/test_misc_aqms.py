@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from repro.aqm.base import AQM, AQMStats, Decision
+from repro.aqm.base import AQM, Decision
 from repro.aqm.fixed import DeterministicMarker, FixedProbabilityAqm
 from repro.net.packet import ECN
+from repro.net.queue import AQMQueue
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import make_packet
 
 
@@ -65,14 +67,50 @@ class Scripted(AQM):
 
 
 class TestAqmStats:
-    def test_counters(self):
-        aqm = Scripted([Decision.PASS, Decision.MARK, Decision.DROP])
-        verdicts = [aqm.decide(make_packet(ecn=ECN.ECT0)) for _ in range(3)]
-        assert verdicts == [Decision.PASS, Decision.MARK, Decision.DROP]
-        stats = aqm.stats
-        assert (stats.passed, stats.marked, stats.dropped) == (1, 1, 1)
-        assert stats.decisions == 3
-        assert stats.signal_fraction == pytest.approx(2 / 3)
+    """The ``aqm.*`` verdict counters, which the AQM derives from the
+    counts its queue keeps."""
 
-    def test_empty_signal_fraction(self):
-        assert AQMStats().signal_fraction == 0.0
+    @staticmethod
+    def _queue(sim, aqm, **kwargs):
+        registry = MetricsRegistry()
+        aqm.register_metrics(registry)
+        return AQMQueue(sim, aqm, capacity_bps=10e6, **kwargs), registry
+
+    def test_counters(self, sim):
+        aqm = Scripted([Decision.PASS, Decision.MARK, Decision.DROP])
+        queue, registry = self._queue(sim, aqm)
+        accepted = [queue.enqueue(make_packet(ecn=ECN.ECT0)) for _ in range(3)]
+        assert accepted == [True, True, False]
+        t = registry.snapshot()
+        assert (t["aqm.passed"], t["aqm.marked"], t["aqm.dropped"]) == (1, 1, 1)
+        assert t["aqm.decisions"] == 3
+        assert t["aqm.signal_fraction"] == pytest.approx(2 / 3)
+
+    def test_empty_signal_fraction(self, sim):
+        _, registry = self._queue(sim, Scripted([]))
+        t = registry.snapshot()
+        assert t["aqm.decisions"] == 0
+        assert t["aqm.signal_fraction"] == 0.0
+
+    def test_unattached_aqm_reads_no_verdicts(self):
+        registry = MetricsRegistry()
+        Scripted([]).register_metrics(registry)
+        t = registry.snapshot()
+        assert (t["aqm.decisions"], t["aqm.passed"]) == (0, 0)
+        assert t["aqm.signal_fraction"] == 0.0
+
+    def test_tail_and_fault_drops_are_not_decisions(self, sim):
+        # Neither a fault-gated arrival nor one over the buffer limit
+        # reaches on_enqueue, so neither is an AQM decision.
+        aqm = Scripted([Decision.PASS, Decision.MARK, Decision.DROP])
+        queue, registry = self._queue(sim, aqm, buffer_packets=2)
+        queue.set_ingress_fault(lambda packet: packet.flow_id == 9)
+        flows = [0, 9, 0, 9, 0, 0]  # flow 9 is fault-dropped
+        accepted = [queue.enqueue(make_packet(flow_id=f, ecn=ECN.ECT0)) for f in flows]
+        # PASS, fault, MARK, fault, then two tail drops (2 queued).
+        assert accepted == [True, False, True, False, False, False]
+        assert (queue.stats.fault_dropped, queue.stats.tail_dropped) == (2, 2)
+        t = registry.snapshot()
+        assert t["aqm.decisions"] == 2
+        assert (t["aqm.passed"], t["aqm.marked"], t["aqm.dropped"]) == (1, 1, 0)
+        assert t["aqm.signal_fraction"] == pytest.approx(1 / 2)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.net.packet import ECN, Packet
+from repro.net.queue import QueueStats
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
@@ -44,6 +45,7 @@ class StubQueue:
         self.delay = delay
         self.bytes_ = bytes_
         self.packets = packets
+        self.stats = QueueStats()
 
     def byte_length(self) -> int:
         return self.bytes_

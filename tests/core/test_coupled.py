@@ -92,6 +92,24 @@ class TestPerClassDecisions:
         assert aqm.scalable_seen == 1
         assert aqm.classic_seen == 1
 
+    @pytest.mark.parametrize("ect", list(ECN), ids=lambda c: f"ect={c.name}")
+    @pytest.mark.parametrize("ecn", list(ECN), ids=lambda c: f"ecn={c.name}")
+    def test_branch_and_verdict_follow_the_packet_properties(self, ecn, ect):
+        # on_enqueue tests the codepoints inline; it must classify exactly
+        # as Packet.is_scalable and signal exactly as Packet.ecn_capable.
+        # k = 0.5 lifts ps / k above 1, so every Classic packet is signalled.
+        aqm = coupled(k=0.5)
+        aqm.controller.p = 1.0
+        pkt = make_packet(ecn=ecn, ect=ect)
+        decision = aqm.on_enqueue(pkt)
+        assert (aqm.scalable_seen, aqm.classic_seen) == (
+            (1, 0) if pkt.is_scalable else (0, 1)
+        )
+        if pkt.is_scalable or pkt.ecn_capable:
+            assert decision is Decision.MARK
+        else:
+            assert decision is Decision.DROP
+
 
 class TestOverloadLimits:
     def test_classic_capped_at_25_percent(self, sim):

@@ -94,6 +94,17 @@ class TestEcnHandling:
         assert Decision.MARK in got_ect
         assert Decision.DROP not in got_ect
 
+    @pytest.mark.parametrize("ecn", list(ECN), ids=lambda c: c.name)
+    def test_signal_follows_ecn_capable(self, ecn):
+        # on_enqueue tests the codepoint inline; it must mark exactly the
+        # packets Packet.ecn_capable calls ECN-capable.  At p' = 1 every
+        # packet is signalled.
+        aqm = pi2()
+        aqm.controller.p = 1.0
+        pkt = make_packet(ecn=ecn)
+        expected = Decision.MARK if pkt.ecn_capable else Decision.DROP
+        assert aqm.on_enqueue(pkt) is expected
+
     def test_ecn_disabled_drops_ect(self):
         aqm = pi2(ecn=False, rng=random.Random(2))
         aqm.controller.p = 0.5

@@ -13,27 +13,48 @@ does no work fails it, on any machine, however noisy.
 """
 
 import sys
+from functools import partial
 
 import pytest
 
 from repro.harness import light_tcp, run_experiment, tcp_plus_udp
-from repro.harness.factories import pi2_factory
+from repro.harness.factories import coupled_factory, pi2_factory
+from repro.harness.scenarios import MBPS, coexistence_pair
 
 #: Python calls into ``repro`` per extra dequeued bottleneck packet
-#: between 2 s and 4 s of simulated time, seed 3, PI2.  ``light_tcp``
-#: (1 487 extra packets) read 42.3 before each hop became one call that
-#: does work, then 25.6, and 17.75 once each fixed delay became one post
-#: straight to the next hop and the sojourn and goodput bookkeeping
-#: stopped calling Python.  ``tcp_plus_udp`` (1 667 extra packets, most of
-#: them UDP: 12 Mb/s of it into 10 Mb/s) read 17.74, then 14.38; it also
-#: covers the queue's drop path and the link's flows with no route.
+#: between 2 s and 4 s of simulated time, seed 3: a cell builder taking
+#: ``duration``, and its budget.
+#:
+#: * ``light_tcp`` (PI2, 1 487 extra packets) read 42.3 before each hop
+#:   became one call that does work, then 25.6, then 17.75 once each
+#:   fixed delay became one post straight to the next hop, and 12.89 once
+#:   the TCP endpoints' helper frames, the link's completion hop and
+#:   ``AQM.decide`` were folded into the calls that do the work.
+#: * ``tcp_plus_udp`` (PI2, 1 667 extra packets, most of them UDP: 12 Mb/s
+#:   of it into 10 Mb/s) read 17.74, then 14.38, then 11.24; it also
+#:   covers the queue's drop path and the link's flows with no route.
+#: * ``coupled_pair`` (DCTCP and Cubic under the coupled AQM at
+#:   200 Mb/s, 10 ms; 33 333 extra packets) read 17.64, then 11.04; it is
+#:   the only case that reaches ``CoupledPi2Aqm.on_enqueue``, DCTCP's
+#:   per-packet echo and Cubic's ``ca_increase``.
 CALLS_PER_PACKET_BUDGET = {
-    "light_tcp": (light_tcp, 17.75),
-    "tcp_plus_udp": (tcp_plus_udp, 14.38),
+    "light_tcp": (partial(light_tcp, pi2_factory(), seed=3), 12.90),
+    "tcp_plus_udp": (partial(tcp_plus_udp, pi2_factory(), seed=3), 11.25),
+    "coupled_pair": (
+        partial(
+            coexistence_pair,
+            coupled_factory(),
+            capacity_bps=200 * MBPS,
+            rtt=0.010,
+            warmup=1.0,
+            seed=3,
+        ),
+        11.05,
+    ),
 }
 
 
-def _repro_calls(scenario, duration):
+def _repro_calls(cell, duration):
     """Run the cell untraced; (Python calls into repro, packets dequeued)."""
     calls = 0
 
@@ -44,7 +65,7 @@ def _repro_calls(scenario, duration):
             if module == "repro" or module.startswith("repro."):
                 calls += 1
 
-    experiment = scenario(pi2_factory(), duration=duration, seed=3)
+    experiment = cell(duration=duration)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -57,9 +78,9 @@ def _repro_calls(scenario, duration):
 class TestPerPacketCallBudget:
     @pytest.mark.parametrize("cell", sorted(CALLS_PER_PACKET_BUDGET))
     def test_marginal_calls_per_dequeued_packet_within_budget(self, cell):
-        scenario, budget = CALLS_PER_PACKET_BUDGET[cell]
-        short_calls, short_packets = _repro_calls(scenario, 2.0)
-        long_calls, long_packets = _repro_calls(scenario, 4.0)
+        build, budget = CALLS_PER_PACKET_BUDGET[cell]
+        short_calls, short_packets = _repro_calls(build, 2.0)
+        long_calls, long_packets = _repro_calls(build, 4.0)
         assert long_packets > short_packets
         per_packet = (long_calls - short_calls) / (long_packets - short_packets)
         assert per_packet <= budget, (

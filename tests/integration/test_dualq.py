@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.aqm.dualq import DualQueueCoupledAqm
+from repro.errors import ConfigError
 from repro.harness.topology import Dumbbell
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -68,3 +69,36 @@ class TestDualQ:
     def test_probability_sampled_from_queue(self):
         bed, _, _, _ = run_dualq_pair(duration=12.0)
         assert len(bed.probability) > 0
+
+
+class TestCustomQueueSojourns:
+    def test_custom_queue_records_every_sojourn(self):
+        # One Cubic flow, 20 Mb/s, 20 ms, 2 s: every dequeue lands in
+        # bed.sojourns, with the value the queue's on_sojourn sees.
+        sim = Simulator()
+        streams = RandomStreams(1)
+        seen = []
+        queue = DualQueueCoupledAqm(
+            sim, 20e6, rng=streams.stream("aqm"),
+            on_sojourn=lambda now, sojourn, pkt: seen.append((now, sojourn)),
+        )
+        bed = Dumbbell(sim, streams, 20e6, aqm=None, queue=queue)
+        bed.add_tcp_flow("cubic", rtt=0.020)
+        sim.run(2.0)
+        assert queue.stats.dequeued > 1000
+        assert len(bed.sojourns) == queue.stats.dequeued
+        assert list(zip(bed.sojourns.times, bed.sojourns.values)) == seen
+
+    def test_queue_that_cannot_record_is_rejected(self):
+        class NoRecorders:
+            def set_wakeup(self, fn):
+                pass
+
+        sim = Simulator()
+        streams = RandomStreams(1)
+        with pytest.raises(ConfigError, match="record_sojourns=False"):
+            Dumbbell(sim, streams, 10e6, aqm=None, queue=NoRecorders())
+        bed = Dumbbell(
+            sim, streams, 10e6, aqm=None, queue=NoRecorders(), record_sojourns=False
+        )
+        assert len(bed.sojourns) == 0

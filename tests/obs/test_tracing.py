@@ -177,7 +177,7 @@ class TestDigestParity:
 
         aqm = Pi2Aqm()
         assert install_aqm_tracer(aqm, None) is aqm
-        assert "update" not in vars(aqm) and "decide" not in vars(aqm)
+        assert "update" not in vars(aqm) and "on_enqueue" not in vars(aqm)
 
     def test_tracing_off_costs_no_obs_call_per_event(self):
         # Tracing off is free: an untraced run enters repro.obs a fixed
