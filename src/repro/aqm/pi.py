@@ -28,11 +28,15 @@ import random
 from typing import Optional
 
 from repro.aqm.base import AQM, Decision, clamp_unit, guard_finite
-from repro.net.packet import Packet
+from repro.net.packet import ECN, Packet
 from repro.sim.random import default_stream
 from repro.units import PerSecond, Probability, Seconds
 
 __all__ = ["PIController", "PiAqm"]
+
+# Module globals read faster than the enum class attributes per packet.
+_NOT_ECT = ECN.NOT_ECT
+_PASS, _MARK, _DROP = Decision.PASS, Decision.MARK, Decision.DROP
 
 #: Paper defaults (Figure 6 caption): PIE-scale gains without auto-tuning.
 DEFAULT_ALPHA: PerSecond = 0.125
@@ -155,10 +159,10 @@ class PiAqm(AQM):
         """Signal the arriving packet with probability ``p`` (mark if ECT)."""
         p = self.controller.p
         if p <= 0.0 or self.rng.random() >= p:
-            return Decision.PASS
-        if self.ecn and packet.ecn_capable:
-            return Decision.MARK
-        return Decision.DROP
+            return _PASS
+        if self.ecn and packet.ecn is not _NOT_ECT:
+            return _MARK
+        return _DROP
 
     @property
     def probability(self) -> Probability:

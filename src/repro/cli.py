@@ -207,28 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the domain static-analysis rules (ORD)",
+        help="run the ORD lint (no hash- or filesystem-order iteration)",
     )
     check.add_argument("paths", nargs="*", metavar="PATH",
                        help="files or directories to check "
                             "(default: the installed repro package)")
-    check.add_argument("--rules", metavar="NAMES",
-                       help="comma-separated rule subset (e.g. ORD)")
-    check.add_argument("--format", choices=["human", "json"],
-                       default="human", dest="output_format",
-                       help="report format (json is versioned; see "
-                            "docs/STATIC_ANALYSIS.md)")
-    check.add_argument("--list-rules", action="store_true",
-                       help="print the rule catalogue and exit")
-    check.add_argument("--baseline", metavar="PATH", default=None,
-                       help="findings-baseline ratchet file "
-                            "(default: tools/findings_baseline.json when "
-                            "a baseline flag is used)")
-    check.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline to the current counts")
-    check.add_argument("--require-baseline", action="store_true",
-                       help="fail when the baseline file is missing "
-                            "(CI mode); gate counts against it")
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache.add_argument("--cache-dir", metavar="DIR",
@@ -423,17 +406,7 @@ def _cmd_trace(args, out) -> int:
 def _cmd_check(args, out) -> int:
     from repro.analysis.static import run_check
 
-    rule_names = args.rules.split(",") if args.rules is not None else None
-    return run_check(
-        paths=args.paths or None,
-        rule_names=rule_names,
-        output_format=args.output_format,
-        list_rules=args.list_rules,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        require_baseline=args.require_baseline,
-        out=out,
-    )
+    return run_check(args.paths, out=out)
 
 
 def _cmd_cache(args, out) -> int:
@@ -647,7 +620,7 @@ def _cmd_bode(args, out) -> int:
 
 def _cmd_fluid(args, out) -> int:
     cap_pps = args.link * MBPS / (1448 * 8)
-    alpha, beta = DEFAULT_GAINS[args.kind if args.kind != "reno_pi" else "reno_pi"]
+    alpha, beta = DEFAULT_GAINS[args.kind]
     try:
         scenario = FluidScenario(
             capacity_pps=cap_pps,

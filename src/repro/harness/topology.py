@@ -111,9 +111,6 @@ class Dumbbell:
         self.probability = TimeSeries("probability")
         self.raw_probability = TimeSeries("raw_probability")
         self.utilization = TimeSeries("utilization")
-        #: Per-flow congestion-window traces (filled when track_cwnd is on).
-        self.cwnd_series: Dict[int, TimeSeries] = {}
-        self.track_cwnd = False
 
         if queue is not None:
             if aqm is not None:
@@ -161,14 +158,6 @@ class Dumbbell:
         self.utilization.append(
             now, delta * 8.0 / (self.capacity_bps * self.sample_period)
         )
-        if self.track_cwnd:
-            for flow_id, sender in self.senders.items():
-                series = self.cwnd_series.get(flow_id)
-                if series is None:
-                    series = self.cwnd_series[flow_id] = TimeSeries(
-                        f"cwnd/{flow_id}"
-                    )
-                series.append(now, sender.cwnd)
 
     def set_capacity(self, capacity_bps: float) -> None:
         """Change the bottleneck rate (Figure 12's experiment)."""

@@ -19,7 +19,6 @@ from repro.net.link import Link, Sink
 from repro.net.node import CountingSink
 from repro.net.packet import ACK_SIZE, DEFAULT_MSS, ECN, HEADER_BYTES, Packet
 from repro.net.pipe import DropPipe, LossyPipe, Pipe
-from repro.net.trace import PacketTrace, TraceEvent, TraceRecord
 from repro.net.queue import AQMQueue, QueueStats
 
 __all__ = [
@@ -48,7 +47,4 @@ __all__ = [
     "FaultInjector",
     "parse_fault_spec",
     "CountingSink",
-    "PacketTrace",
-    "TraceEvent",
-    "TraceRecord",
 ]

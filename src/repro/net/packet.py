@@ -146,10 +146,6 @@ class Packet:
         """Classifier predicate from Figure 9: ``ECT(1) or CE`` → Scalable."""
         return self.ecn is ECN.ECT1 or (self.ecn is ECN.CE and self.ect is ECN.ECT1)
 
-    @property
-    def ce_marked(self) -> bool:
-        return self.ecn is ECN.CE
-
     def mark_ce(self) -> None:
         """Apply a CE congestion mark.  Only valid on ECN-capable packets."""
         if self.ecn is ECN.NOT_ECT:

@@ -1,12 +1,10 @@
-"""The domain static-analysis framework: the rule fires on fixtures that
-violate it (one shaped like its audit plant) and stays quiet on the
-compliant twins, suppressions behave as documented, the JSON schema is
-locked, input that checks nothing is a usage error, and — the acceptance
-gate — the repository's own tree is clean.
+"""The ORD lint: it fires on fixtures that violate it (one shaped like
+its audit plant) and stays quiet on the compliant twins, suppressions
+behave as documented, input that checks nothing is a usage error, and —
+the acceptance gate — the repository's own tree is clean.
 """
 
 import ast
-import json
 import time
 from io import StringIO
 from pathlib import Path
@@ -14,14 +12,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.static import (
-    JSON_SCHEMA_VERSION,
-    RULES,
     SourceFile,
     analyze_paths,
     check_source,
+    parse_allow_comments,
     run_check,
 )
-from repro.analysis.static.core import parse_allow_comments
 
 #: Full-tree ``analyze_paths()`` wall-clock budget.  Pre-commit and CI
 #: lean on the analyzer being interactive-fast; a full run must stay well
@@ -29,12 +25,9 @@ from repro.analysis.static.core import parse_allow_comments
 STATIC_ANALYSIS_BUDGET_SECONDS = 10.0
 
 
-def _check(text, package, rules=None, path="fixture.py"):
-    """Run selected rules over an in-memory fixture; returns findings."""
-    source = SourceFile(Path(path), text=text, package=package)
-    selected = [RULES[name] for name in rules] if rules else None
-    findings, suppressed = check_source(source, selected)
-    return findings, suppressed
+def _check(text, package, path="fixture.py"):
+    """Check an in-memory fixture; returns (findings, suppressed)."""
+    return check_source(SourceFile(Path(path), text=text, package=package))
 
 
 def _rules_hit(findings):
@@ -42,32 +35,35 @@ def _rules_hit(findings):
 
 
 # ----------------------------------------------------------------------
-# Registry / framework basics
+# Package scope, parse failures, finding order
 # ----------------------------------------------------------------------
 class TestFramework:
-    def test_all_builtin_rules_registered(self):
-        assert set(RULES) == {"ORD"}
-
-    def test_rules_have_descriptions_and_severity(self):
-        for rule in RULES.values():
-            assert rule.description
-            assert rule.severity.value in ("error", "warning")
-
     def test_package_scoping(self):
         # An ORD violation in a package the rule does not cover is ignored.
         text = "for n in {'a', 'b'}:\n    print(n)\n"
-        findings, _ = _check(text, package="analysis", rules=["ORD"])
+        findings, _ = _check(text, package="analysis")
         assert findings == []
-        findings, _ = _check(text, package="harness", rules=["ORD"])
+        findings, _ = _check(text, package="harness")
         assert _rules_hit(findings) == {"ORD"}
 
     def test_syntax_error_yields_syntax_finding(self):
         findings, _ = _check("def broken(:\n", package="aqm")
         assert [finding.rule for finding in findings] == ["SYNTAX"]
 
+    def test_package_inferred_from_path(self):
+        # The directory right below the last ``repro`` component; a file
+        # directly inside ``repro/``, or outside any, is in no package.
+        def package(path):
+            return SourceFile(Path(path), text="").package
+
+        assert package("src/repro/sim/engine.py") == "sim"
+        assert package("repro/x/repro/aqm/pi.py") == "aqm"
+        assert package("src/repro/cli.py") == ""
+        assert package("tools/script.py") == ""
+
     def test_finding_is_sorted_and_locatable(self):
         text = "s = set()\nb = [x for x in s]\na = [x for x in s]\n"
-        findings, _ = _check(text, package="sim", rules=["ORD"])
+        findings, _ = _check(text, package="sim")
         assert [finding.line for finding in findings] == [2, 3]
         assert all(finding.col >= 1 for finding in findings)
 
@@ -87,7 +83,7 @@ class TestOrdRule:
         ],
     )
     def test_fires(self, snippet):
-        findings, _ = _check(snippet, package="harness", rules=["ORD"])
+        findings, _ = _check(snippet, package="harness")
         assert _rules_hit(findings) == {"ORD"}, snippet
 
     @pytest.mark.parametrize(
@@ -101,7 +97,94 @@ class TestOrdRule:
         ],
     )
     def test_quiet_on_compliant(self, snippet):
-        findings, _ = _check(snippet, package="harness", rules=["ORD"])
+        findings, _ = _check(snippet, package="harness")
+        assert findings == []
+
+    # Every shape the module docstring names, one case per branch of the
+    # visitor, with where the finding points and how its message opens.
+    @pytest.mark.parametrize(
+        "snippet, line, col, opening",
+        [
+            pytest.param(
+                "s = {1, 2}\ns.pop()\n", 2, 1, "set.pop() removes",
+                id="set-pop",
+            ),
+            pytest.param(
+                "names: set[str] = load()\nfor n in names:\n    print(n)\n",
+                2, 10, "iteration over a set", id="annotated-set",
+            ),
+            pytest.param(
+                "import typing\nids: typing.AbstractSet[int] = load()\n"
+                "out = [i for i in ids]\n",
+                3, 19, "iteration over a set", id="qualified-annotation",
+            ),
+            pytest.param(
+                "class T:\n"
+                "    def __init__(self):\n"
+                "        self.ids = set()\n"
+                "\n"
+                "    def run(self):\n"
+                "        for i in self.ids:\n"
+                "            print(i)\n",
+                6, 18, "iteration over a set", id="self-attribute",
+            ),
+            pytest.param(
+                "out = {k: 1 for k in frozenset('ab')}\n", 1, 22,
+                "iteration over a set", id="dict-comprehension",
+            ),
+            pytest.param(
+                "out = {k for k in {1, 2}}\n", 1, 19,
+                "iteration over a set", id="set-comprehension",
+            ),
+            pytest.param(
+                "total = list(x for x in {1, 2})\n", 1, 25,
+                "iteration over a set", id="generator",
+            ),
+            pytest.param(
+                "async def f():\n    async for x in {1, 2}:\n        print(x)\n",
+                2, 20, "iteration over a set", id="async-for",
+            ),
+            pytest.param(
+                "import os\nfor e in os.scandir('.'):\n    print(e)\n",
+                2, 10, "os.scandir() yields entries", id="os-scandir",
+            ),
+            pytest.param(
+                "import glob\nfor f in glob.iglob('*.py'):\n    print(f)\n",
+                2, 10, "glob.iglob() yields entries", id="glob-iglob",
+            ),
+            pytest.param(
+                "from pathlib import Path\n"
+                "for f in Path('.').rglob('*.py'):\n    print(f)\n",
+                2, 10, "listing() yields entries", id="path-rglob",
+            ),
+            pytest.param(
+                "def scan(root):\n    return [f for f in root.glob('*.py')]\n",
+                2, 24, "root.glob() yields entries", id="method-glob",
+            ),
+        ],
+    )
+    def test_each_documented_shape_fires(self, snippet, line, col, opening):
+        findings, _ = _check(snippet, package="harness")
+        assert [(f.rule, f.line, f.col) for f in findings] == [("ORD", line, col)]
+        assert findings[0].message.startswith(opening)
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            pytest.param(
+                "s = {1, 2}\nn = len(s) + min(s) + max(s) + (1 in s)\n",
+                id="order-insensitive-reductions",
+            ),
+            pytest.param("stack = [1, 2]\nstack.pop()\n", id="list-pop"),
+            pytest.param(
+                "from pathlib import Path\n"
+                "for f in sorted(Path('.').rglob('*.py')):\n    print(f)\n",
+                id="sorted-rglob",
+            ),
+        ],
+    )
+    def test_quiet_on_documented_exemptions(self, snippet):
+        findings, _ = _check(snippet, package="harness")
         assert findings == []
 
     def test_fires_on_the_audit_plant(self):
@@ -113,7 +196,7 @@ class TestOrdRule:
             "        return [label for label in "
             "{r.label for r in self._records.values()}]\n"
         )
-        findings, _ = _check(text, package="metrics", rules=["ORD"])
+        findings, _ = _check(text, package="metrics")
         assert _rules_hit(findings) == {"ORD"}
 
 
@@ -126,7 +209,7 @@ class TestSuppressions:
             "s = set()\n"
             "out = [x for x in s]  # repro: allow[ORD] fixture justification\n"
         )
-        findings, suppressed = _check(text, package="sim", rules=["ORD"])
+        findings, suppressed = _check(text, package="sim")
         assert findings == []
         assert [finding.rule for finding in suppressed] == ["ORD"]
 
@@ -136,7 +219,7 @@ class TestSuppressions:
             "# repro: allow[ORD] fixture justification\n"
             "out = [x for x in s]\n"
         )
-        findings, suppressed = _check(text, package="sim", rules=["ORD"])
+        findings, suppressed = _check(text, package="sim")
         assert findings == []
         assert len(suppressed) == 1
 
@@ -145,7 +228,7 @@ class TestSuppressions:
             "s = set()\n"
             "out = [x for x in s]  # repro: allow[PROB] wrong rule\n"
         )
-        findings, suppressed = _check(text, package="sim", rules=["ORD"])
+        findings, suppressed = _check(text, package="sim")
         assert [finding.rule for finding in findings] == ["ORD"]
         assert suppressed == []
 
@@ -153,9 +236,7 @@ class TestSuppressions:
         allowed = parse_allow_comments(
             ["x = 1  # repro: allow[ORD, PROB] two at once"]
         )
-        names, why = allowed[1]
-        assert names == frozenset({"ORD", "PROB"})
-        assert why == "two at once"
+        assert allowed[1] == frozenset({"ORD", "PROB"})
 
     def test_standalone_allow_does_not_leak_past_one_statement(self):
         text = (
@@ -164,13 +245,21 @@ class TestSuppressions:
             "a = [x for x in s]\n"
             "b = [x for x in s]\n"
         )
-        findings, suppressed = _check(text, package="sim", rules=["ORD"])
+        findings, suppressed = _check(text, package="sim")
         assert [finding.line for finding in findings] == [4]
         assert len(suppressed) == 1
 
+    def test_allow_cannot_silence_a_syntax_finding(self):
+        # A file that does not parse can hide any violation.
+        findings, suppressed = _check(
+            "def broken(:  # repro: allow[SYNTAX, ORD] no\n", package="sim"
+        )
+        assert [finding.rule for finding in findings] == ["SYNTAX"]
+        assert suppressed == []
+
 
 # ----------------------------------------------------------------------
-# Runner: JSON schema, file walking, exit codes, the tree itself
+# Runner: file walking, exit codes, the tree itself
 # ----------------------------------------------------------------------
 class TestRunner:
     def _write_fixture(self, tmp_path, name="repro/sim/bad.py"):
@@ -179,25 +268,6 @@ class TestRunner:
         target.write_text("for n in {'a', 'b'}:\n    print(n)\n")
         return target
 
-    def test_json_schema_locked(self, tmp_path):
-        self._write_fixture(tmp_path)
-        report = analyze_paths([tmp_path])
-        payload = report.to_json()
-        assert set(payload) == {
-            "schema",
-            "files_checked",
-            "rules",
-            "counts",
-            "findings",
-            "suppressed",
-        }
-        assert payload["schema"] == JSON_SCHEMA_VERSION == 3
-        assert payload["files_checked"] == 1
-        assert set(payload["counts"]) == set(payload["rules"]) == set(RULES)
-        (finding,) = [f for f in payload["findings"] if f["rule"] == "ORD"]
-        assert set(finding) == {"rule", "severity", "path", "line", "col", "message"}
-        assert payload["counts"]["ORD"] == 1
-
     def test_run_check_exit_codes(self, tmp_path):
         bad = self._write_fixture(tmp_path)
         out = StringIO()
@@ -205,20 +275,9 @@ class TestRunner:
         clean = tmp_path / "repro" / "sim" / "clean.py"
         clean.write_text("for n in sorted({'a', 'b'}):\n    print(n)\n")
         out = StringIO()
-        assert run_check([str(clean)], rule_names=["ORD"], out=out) == 0
+        assert run_check([str(clean)], out=out) == 0
         out = StringIO()
-        assert run_check([str(bad)], rule_names=["NOPE"], out=out) == 2
-        assert "unknown rule" in out.getvalue()
-        out = StringIO()
-        assert run_check(list_rules=True, out=out) == 0
-        assert "ORD" in out.getvalue()
-
-    def test_json_output_parses(self, tmp_path):
-        bad = self._write_fixture(tmp_path)
-        out = StringIO()
-        run_check([str(bad)], output_format="json", out=out)
-        payload = json.loads(out.getvalue())
-        assert payload["schema"] == 3
+        assert run_check([str(tmp_path / "missing.py")], out=out) == 2
 
     def test_pycache_skipped_and_order_stable(self, tmp_path):
         self._write_fixture(tmp_path, "repro/sim/bad.py")
@@ -227,6 +286,29 @@ class TestRunner:
         cached.write_text("for n in {'a', 'b'}:\n    print(n)\n")
         report = analyze_paths([tmp_path])
         assert report.files_checked == 1
+
+    def test_path_given_twice_is_checked_once(self, tmp_path):
+        bad = self._write_fixture(tmp_path)
+        report = analyze_paths([bad, tmp_path, bad])
+        assert report.files_checked == 1
+        assert len(report.findings) == 1
+
+    def test_report_lines_and_summary(self, tmp_path):
+        bad = self._write_fixture(tmp_path)
+        clean = tmp_path / "repro" / "sim" / "clean.py"
+        clean.write_text(
+            "for n in {'a'}:  # repro: allow[ORD] fixture\n    print(n)\n"
+        )
+        out = StringIO()
+        assert run_check([str(bad), str(clean)], out=out) == 1
+        finding = analyze_paths([bad]).findings[0]
+        assert out.getvalue() == (
+            f"{finding.path}:1:10: ORD: {finding.message}\n"
+            "1 finding in 2 files (1 suppressed)\n"
+        )
+        out = StringIO()
+        assert run_check([str(clean)], out=out) == 0
+        assert out.getvalue() == "OK: 0 findings in 1 files (1 suppressed)\n"
 
     def test_repository_tree_is_clean(self):
         """The acceptance gate: zero unsuppressed findings at HEAD, found
@@ -255,13 +337,6 @@ class TestCli:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "OK: 0 findings" in out
-
-    def test_repro_check_rules_and_json(self, capsys):
-        from repro.cli import main
-
-        assert main(["check", "--rules", "ord", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["rules"]) == {"ORD"}
 
     def test_repro_check_flags_violation(self, tmp_path, capsys):
         from repro.cli import main
@@ -293,28 +368,13 @@ class TestCli:
             f"repro check: not a Python file: {readme}\n"
         )
 
-    def test_empty_rule_selection_is_a_usage_error(self, capsys):
+    def test_directory_without_python_is_a_usage_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["check", "--rules", ","]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("repro check: empty rule selection")
-        assert len(out.splitlines()) == 1
-
-    def test_baseline_ceiling_for_unknown_rule_is_a_usage_error(
-        self, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"max_findings": {"ORD": 0, "NOSUCH": 3}}))
-        assert main(["check", "--baseline", str(baseline)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith(
-            f"repro check: baseline {baseline} has a ceiling for unknown "
-            "rule 'NOSUCH'"
+        assert main(["check", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            f"repro check: no Python files under {tmp_path}\n"
         )
-        assert len(out.splitlines()) == 1
 
 
 def test_ast_fixture_roundtrip():

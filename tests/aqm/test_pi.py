@@ -85,6 +85,17 @@ class TestPiAqm:
         assert aqm.on_enqueue(make_packet(ecn=ECN.NOT_ECT)) is Decision.DROP
         assert aqm.on_enqueue(make_packet(ecn=ECN.ECT0)) is Decision.MARK
 
+    @pytest.mark.parametrize("ecn", list(ECN), ids=lambda c: c.name)
+    def test_signal_follows_ecn_capable(self, rng, ecn):
+        # on_enqueue tests the codepoint inline; it must mark exactly the
+        # packets Packet.ecn_capable calls ECN-capable.  At p = 1 every
+        # packet is signalled.
+        aqm = PiAqm(rng=rng)
+        aqm.controller.p = 1.0
+        pkt = make_packet(ecn=ecn)
+        expected = Decision.MARK if pkt.ecn_capable else Decision.DROP
+        assert aqm.on_enqueue(pkt) is expected
+
     def test_ecn_disabled_drops_ect(self, rng):
         aqm = PiAqm(ecn=False, rng=rng)
         aqm.controller.p = 1.0

@@ -122,6 +122,21 @@ class TestHeuristics:
         decisions = {pie.on_enqueue(make_packet(ecn=ECN.ECT0)) for _ in range(200)}
         assert Decision.DROP not in decisions
 
+    @pytest.mark.parametrize("ecn", list(ECN), ids=lambda c: c.name)
+    def test_signal_follows_ecn_capable(self, sim, ecn):
+        # on_enqueue tests the codepoint inline; it must mark exactly the
+        # packets Packet.ecn_capable calls ECN-capable.  At p = 1, with the
+        # burst allowance and early-drop suppression off, every packet is
+        # signalled.
+        pie = attached_pie(
+            sim, StubQueue(delay=0.5, packets=100), max_burst=0.0,
+            drop_early_suppress=False,
+        )
+        pie.controller.p = 1.0
+        pkt = make_packet(ecn=ecn)
+        expected = Decision.MARK if pkt.ecn_capable else Decision.DROP
+        assert pie.on_enqueue(pkt) is expected
+
     def test_dp_cap_limits_growth_above_10pct(self, sim):
         queue = StubQueue(delay=1.0)  # huge error
         pie = attached_pie(sim, queue, max_burst=0.0, delay_kick_enabled=False)

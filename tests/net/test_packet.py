@@ -45,7 +45,6 @@ class TestMarking:
         pkt = make_packet(ecn=ECN.ECT0)
         pkt.mark_ce()
         assert pkt.ecn is ECN.CE
-        assert pkt.ce_marked
 
     def test_mark_ce_preserves_original_ect(self):
         pkt = make_packet(ecn=ECN.ECT1)

@@ -7,9 +7,11 @@ import pytest
 
 from repro.aqm.base import AQM, Decision
 from repro.aqm.pie import DQ_INITIAL_RATE, DQ_THRESHOLD, PieAqm
+from repro.harness.topology import Dumbbell
 from repro.net.link import Link
 from repro.net.packet import ECN
 from repro.net.queue import AQMQueue
+from repro.obs import RecordingTracer, install_aqm_tracer
 from tests.conftest import make_packet
 
 
@@ -21,6 +23,16 @@ class AlwaysDrop(AQM):
 class AlwaysMark(AQM):
     def on_enqueue(self, packet):
         return Decision.MARK
+
+
+class DropEverySecond(AQM):
+    def __init__(self):
+        super().__init__()
+        self._n = 0
+
+    def on_enqueue(self, packet):
+        self._n += 1
+        return Decision.DROP if self._n % 2 == 0 else Decision.PASS
 
 
 class TestFifoBasics:
@@ -58,6 +70,26 @@ class TestFifoBasics:
         pkt = q.dequeue()
         assert pkt.enqueue_time == 2.5
 
+    def test_departures_follow_arrivals_in_a_run(self, sim, streams):
+        """In a real dumbbell run, packets leave in the order they
+        arrived (the buffer never fills, so every arrival is accepted)."""
+        bed = Dumbbell(sim, streams, 10e6, None)
+        arrived, departed = [], []
+        enqueue = bed.queue.enqueue
+
+        def recording_enqueue(packet):
+            # Recorded first: an idle link dequeues the packet inside the
+            # enqueue call, before it returns.
+            arrived.append(packet)
+            return enqueue(packet)
+
+        bed.queue.enqueue = recording_enqueue
+        bed.queue.on_sojourn = lambda now, sojourn, packet: departed.append(packet)
+        bed.add_tcp_flow("reno", rtt=0.05, flow_size=50)
+        sim.run(10.0)
+        assert bed.queue.stats.dequeued == 50
+        assert departed == arrived
+
 
 class TestTailDrop:
     def test_buffer_limit_enforced(self, sim):
@@ -84,6 +116,13 @@ class TestAqmIntegration:
         assert q.enqueue(make_packet()) is False
         assert q.stats.aqm_dropped == 1
         assert len(q) == 0
+
+    def test_aqm_drops_leave_the_survivors_in_arrival_order(self, sim):
+        q = AQMQueue(sim, DropEverySecond(), 10e6)
+        accepted = [q.enqueue(make_packet(seq=i)) for i in range(4)]
+        assert accepted == [True, False, True, False]
+        assert q.stats.aqm_dropped == 2
+        assert [q.dequeue().seq, q.dequeue().seq, q.dequeue()] == [0, 2, None]
 
     def test_aqm_mark_sets_ce(self, sim):
         q = AQMQueue(sim, AlwaysMark(), 10e6)
@@ -136,6 +175,57 @@ class TestAqmIntegration:
         sim.schedule(0.5, q.dequeue)
         sim.run(1.0)
         assert seen == [(0.5, 0.5)]
+
+
+class TestVerdictTrace:
+    """Each verdict the queue asks of its AQM, as the tracer records it:
+    the sim time of the arrival, the verdict, the arriving codepoint and
+    the flow."""
+
+    def _traced_queue(self, sim, aqm, **kwargs):
+        tracer = RecordingTracer(categories=["aqm"])
+        queue = AQMQueue(sim, install_aqm_tracer(aqm, tracer), 10e6, **kwargs)
+        return queue, tracer
+
+    @staticmethod
+    def _verdicts(tracer):
+        return [
+            (t, fields["verdict"], fields["ecn"], fields["flow"])
+            for _, _, t, fields in tracer.by_event("aqm_decision")
+        ]
+
+    def test_drop_carries_its_sim_time(self, sim):
+        q, tracer = self._traced_queue(sim, DropEverySecond())
+        sim.schedule(1.5, lambda: q.enqueue(make_packet(flow_id=1)))
+        sim.schedule(2.0, lambda: q.enqueue(make_packet(flow_id=2)))
+        sim.run(3.0)
+        assert self._verdicts(tracer) == [
+            (1.5, "pass", "NOT_ECT", 1),
+            (2.0, "drop", "NOT_ECT", 2),
+        ]
+        assert q.stats.aqm_dropped == 1
+
+    def test_mark_carries_its_sim_time_and_arriving_codepoint(self, sim):
+        q, tracer = self._traced_queue(sim, AlwaysMark())
+        sim.schedule(0.5, lambda: q.enqueue(make_packet(ecn=ECN.ECT0)))
+        sim.schedule(0.75, lambda: q.enqueue(make_packet(ecn=ECN.ECT1)))
+        sim.run(1.0)
+        assert self._verdicts(tracer) == [
+            (0.5, "mark", "ECT0", 0),
+            (0.75, "mark", "ECT1", 0),
+        ]
+        assert [q.dequeue().ecn, q.dequeue().ecn] == [ECN.CE, ECN.CE]
+
+    def test_tail_drop_reaches_no_verdict(self, sim):
+        q, tracer = self._traced_queue(sim, DropEverySecond(), buffer_packets=1)
+        assert q.enqueue(make_packet(seq=0)) is True
+        assert q.enqueue(make_packet(seq=1)) is False  # buffer full
+        q.dequeue()
+        # The AQM's second verdict goes to the third arrival.
+        assert q.enqueue(make_packet(seq=2)) is False
+        assert [v[1] for v in self._verdicts(tracer)] == ["pass", "drop"]
+        assert q.stats.tail_dropped == 1
+        assert q.stats.decisions == 2
 
 
 class TestDepartureHooks:

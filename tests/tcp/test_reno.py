@@ -3,6 +3,8 @@ test_base_sender; these pin the AIMD constants)."""
 
 import pytest
 
+from repro.core.pi2 import Pi2Aqm
+from repro.harness.topology import Dumbbell
 from repro.tcp.reno import RenoSender
 from tests.tcp.helpers import Loopback
 
@@ -30,3 +32,20 @@ class TestRenoConstants:
         sim.run(30.0)
         assert lb.sender.completed
         assert lb.sender.timeouts == 0
+
+
+class TestRenoUnderAqm:
+    def test_sawtooth_under_pi2(self, sim, streams):
+        """Under an AQM a Classic flow's cwnd goes up and down (the
+        sawtooth the paper's Figure 1 sketches)."""
+        bed = Dumbbell(sim, streams, 10e6, Pi2Aqm(rng=streams.stream("aqm")))
+        bed.add_tcp_flow("reno", rtt=0.05)
+        sender = bed.senders[0]
+        samples = []
+        sim.every(0.2, lambda: samples.append((sim.now, sender.cwnd)))
+        sim.run(30.0)
+        values = [cwnd for t, cwnd in samples if 10.0 <= t <= 30.0]
+        rises = sum(b > a for a, b in zip(values, values[1:]))
+        falls = sum(b < a for a, b in zip(values, values[1:]))
+        assert rises > 5
+        assert falls > 2

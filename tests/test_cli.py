@@ -155,10 +155,11 @@ class TestFluid:
         assert code == 0
         assert "steady queue delay" in text
 
-    def test_scalable_kind(self):
-        code, text = run_cli("fluid", "--kind", "scal_pi", "--duration", "30")
+    @pytest.mark.parametrize("kind", ["scal_pi", "reno_pi"])
+    def test_other_kinds(self, kind):
+        code, text = run_cli("fluid", "--kind", kind, "--duration", "30")
         assert code == 0
-        assert "kind=scal_pi" in text
+        assert f"kind={kind}" in text
 
 
 def run_module(*argv):
