@@ -36,9 +36,10 @@ applies to the sub-packages of ``repro`` listed in :data:`ORD_PACKAGES`.
 
 A finding is silenced by an allow comment, ``# repro: allow[ORD]
 justification``, on the offending line or on a standalone comment line
-directly above it.  A file that does not parse yields one ``SYNTAX``
-finding, which no comment silences: a broken file can hide any
-violation.
+directly above it.  A file that does not parse, or does not decode in
+the encoding it declares (PEP 263; UTF-8 when it declares none), yields
+one ``SYNTAX`` finding, which no comment silences: a broken file can
+hide any violation.
 
 :func:`run_check` is the CLI body; it returns the process exit code
 (0 = clean, 1 = findings, 2 = usage error).  Input that would check
@@ -51,6 +52,7 @@ from __future__ import annotations
 import ast
 import re
 import sys
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -129,6 +131,18 @@ def parse_allow_comments(lines: Sequence[str]) -> Dict[int, frozenset]:
     return allowed
 
 
+def _undecodable(exc: UnicodeDecodeError) -> SyntaxError:
+    """The error a file's first undecodable byte reports, at its line."""
+    head = exc.object[: exc.start]
+    line = head.count(b"\n") + 1
+    col = exc.start - head.rfind(b"\n")
+    byte = exc.object[exc.start]
+    return SyntaxError(
+        f"byte 0x{byte:02x} is not {exc.encoding} ({exc.reason})",
+        (None, line, col, None),
+    )
+
+
 class SourceFile:
     """One Python file under analysis: text, AST and package scope.
 
@@ -137,7 +151,8 @@ class SourceFile:
     path:
         Filesystem location (used for display and package inference).
     text:
-        Source text; read from ``path`` when omitted.
+        Source text; read from ``path`` in its declared encoding when
+        omitted.
     package:
         Package scope override (``"aqm"``, ``"sim"``, ...).  When None it
         is inferred from the path: the directory immediately below the
@@ -150,7 +165,20 @@ class SourceFile:
         self, path: Path, text: Optional[str] = None, package: Optional[str] = None
     ):
         self.path = Path(path)
-        self.text = self.path.read_text() if text is None else text
+        #: Parsed module, or None when the file does not decode or parse.
+        self.tree: Optional[ast.Module] = None
+        self.syntax_error: Optional[SyntaxError] = None
+        if text is None:
+            # tokenize.open honours a coding declaration, as the
+            # interpreter does when it runs the file.
+            try:
+                with tokenize.open(self.path) as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                text, self.syntax_error = "", _undecodable(exc)
+            except SyntaxError as exc:  # an unknown or malformed declaration
+                text, self.syntax_error = "", exc
+        self.text = text
         self.lines = self.text.splitlines()
         try:
             self.display_path = str(self.path.relative_to(Path.cwd()))
@@ -158,13 +186,11 @@ class SourceFile:
             self.display_path = str(self.path)
         self.package = self._infer_package() if package is None else package
         self.allowed = parse_allow_comments(self.lines)
-        #: Parsed module, or None when the file does not parse.
-        self.tree: Optional[ast.Module] = None
-        self.syntax_error: Optional[SyntaxError] = None
-        try:
-            self.tree = ast.parse(self.text, filename=str(self.path))
-        except SyntaxError as exc:
-            self.syntax_error = exc
+        if self.syntax_error is None:
+            try:
+                self.tree = ast.parse(self.text, filename=str(self.path))
+            except SyntaxError as exc:
+                self.syntax_error = exc
 
     def _infer_package(self) -> str:
         parts = self.path.parts

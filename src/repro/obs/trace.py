@@ -20,6 +20,8 @@ schema is documented in ``docs/OBSERVABILITY.md`` and locked by
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -54,6 +56,9 @@ CATEGORIES = ("aqm", "engine", "harness")
 #: ``.name`` descriptor call.
 _VERDICT_NAMES = {decision: decision.name.lower() for decision in Decision}
 _ECN_NAMES = {ecn: ecn.name for ecn in ECN}
+#: The same names as JSON strings, spliced into the decision fast line.
+_VERDICT_JSON = {d: encode_basestring_ascii(n) for d, n in _VERDICT_NAMES.items()}
+_ECN_JSON = {ecn: encode_basestring_ascii(n) for ecn, n in _ECN_NAMES.items()}
 
 
 class Tracer(Protocol):
@@ -103,6 +108,10 @@ class JsonlTracer:
     the header or of ``{"cat": category, "event": event, "t": t,
     **fields}``, produced by one encoder built at construction (``dumps``
     with non-default options would build a fresh encoder per record).
+    The one exception is the per-packet ``aqm_decision`` record, which
+    :func:`install_aqm_tracer`'s hook formats itself, to the same bytes,
+    and writes and counts through this sink's ``_write`` and
+    :attr:`counts`.
 
     Parameters
     ----------
@@ -229,6 +238,21 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     ``aqm_decision`` with the verdict name, applied probability, ECN
     codepoint and flow id.
 
+    ``aqm_decision`` is the one record written once per packet, so into a
+    :class:`JsonlTracer` it takes a fast line: one f-string whose fixed
+    text (sorted keys, the JSON-quoted AQM class name, the pre-quoted
+    verdict and ECN names) is settled here, leaving ``float.__repr__`` of
+    ``t`` and ``p`` and ``int.__repr__`` of ``flow`` per packet.  Those
+    reprs are the encoder's output only for an exact finite ``float``
+    and an exact ``int``, so any other value (an ``int`` or
+    ``np.float64`` probability, NaN, a ``bool`` or ``IntEnum`` flow id)
+    and any other sink go through :meth:`Tracer.emit`, and every line
+    stays schema 1's ``json.dumps(record, sort_keys=True, default=str)``.
+    The other records (``aqm_update`` once per update interval,
+    ``engine_epoch``, harness spans) are about 3 % of a trace's lines
+    and keep :meth:`JsonlTracer.emit`: a fast line for each of their
+    shapes would add code, not measurable time.
+
     Returns ``aqm`` (possibly None, possibly uninstrumented when the
     tracer does not subscribe to the ``aqm`` category).
     """
@@ -239,6 +263,11 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     emit = tracer.emit
     kind = type(aqm).__name__
     controller = getattr(aqm, "controller", None)
+    # The decision fast line writes and counts through the sink itself;
+    # ``head`` is its fixed text up to the ECN name.
+    jsonl = type(tracer) is JsonlTracer
+    write, counts = (tracer._write, tracer.counts) if jsonl else (None, None)
+    head = '{"aqm": ' + encode_basestring_ascii(kind) + ', "cat": "aqm", "ecn": '
 
     def traced_update() -> None:
         """Run the real control-law update, then emit ``aqm_update``."""
@@ -267,22 +296,39 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
         emit("aqm", "aqm_update", now, fields)
 
     def traced_on_enqueue(packet: Any) -> Any:
-        """Run the real verdict, then emit ``aqm_decision``."""
+        """Run the real verdict, then record ``aqm_decision``."""
         decision = original_on_enqueue(packet)
         sim = aqm.sim
         now = sim.now if sim is not None else 0.0
-        emit(
-            "aqm",
-            "aqm_decision",
-            now,
-            {
-                "aqm": kind,
-                "verdict": _VERDICT_NAMES[decision],
-                "p": aqm.probability,
-                "ecn": _ECN_NAMES[packet.ecn],
-                "flow": packet.flow_id,
-            },
-        )
+        p = aqm.probability
+        flow = packet.flow_id
+        if (
+            jsonl
+            and type(now) is float
+            and type(p) is float
+            and type(flow) is int
+            and isfinite(now)
+            and isfinite(p)
+        ):
+            write(
+                f'{head}{_ECN_JSON[packet.ecn]}, "event": "aqm_decision", '
+                f'"flow": {flow!r}, "p": {p!r}, "t": {now!r}, '
+                f'"verdict": {_VERDICT_JSON[decision]}}}\n'
+            )
+            counts["aqm"] += 1
+        else:
+            emit(
+                "aqm",
+                "aqm_decision",
+                now,
+                {
+                    "aqm": kind,
+                    "verdict": _VERDICT_NAMES[decision],
+                    "p": p,
+                    "ecn": _ECN_NAMES[packet.ecn],
+                    "flow": flow,
+                },
+            )
         return decision
 
     aqm.update = traced_update

@@ -13,8 +13,8 @@ monotonic sequence number breaks ties), so a simulation with a fixed seed
 is exactly reproducible run-to-run and platform-to-platform.  The
 ``(time, seq)`` head of every heap entry is unique, so each heap
 comparison is a C tuple comparison that never reaches the callback, and
-:meth:`Simulator.run`, :meth:`Simulator.step` and the traced run loop
-pop the identical total order.  Compaction (below) only ever removes
+:meth:`Simulator.run` pops the identical total order with or without a
+tracer (the traced loop runs the same heap in epoch chunks).  Compaction (below) only ever removes
 cancelled events and re-heapifies; the total order means the pop
 sequence is unchanged, so compaction never perturbs results.
 

@@ -310,6 +310,36 @@ class TestRunner:
         assert run_check([str(clean)], out=out) == 0
         assert out.getvalue() == "OK: 0 findings in 1 files (1 suppressed)\n"
 
+    def test_declared_latin1_file_is_checked_normally(self, tmp_path):
+        # The interpreter honours a PEP 263 declaration, so the checker
+        # reads the file the same way and checks what it runs.
+        latin = tmp_path / "repro" / "sim" / "latin.py"
+        latin.parent.mkdir(parents=True)
+        latin.write_bytes(
+            "# -*- coding: latin-1 -*-\n"
+            '"""Délai."""\n'
+            "for n in {'a', 'b'}:\n"
+            "    print(n)\n".encode("latin-1")
+        )
+        assert "Délai" in SourceFile(latin).text
+        report = analyze_paths([latin])
+        assert [(f.rule, f.line, f.col) for f in report.findings] == [("ORD", 3, 10)]
+
+    def test_undecodable_file_is_one_syntax_finding(self, tmp_path):
+        # No declaration means UTF-8, and 0xe9 is not UTF-8 here.
+        bad = tmp_path / "repro" / "sim" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_bytes(b"x = 1\ny = 'caf\xe9'\nfor n in {'a', 'b'}:\n    print(n)\n")
+        out = StringIO()
+        assert run_check([str(bad)], out=out) == 1
+        findings = analyze_paths([bad]).findings
+        assert [(f.rule, f.line, f.col) for f in findings] == [("SYNTAX", 2, 9)]
+        assert out.getvalue() == (
+            f"{findings[0].path}:2:9: SYNTAX: file does not parse: "
+            "byte 0xe9 is not utf-8 (invalid continuation byte)\n"
+            "1 finding in 1 files (0 suppressed)\n"
+        )
+
     def test_repository_tree_is_clean(self):
         """The acceptance gate: zero unsuppressed findings at HEAD, found
         inside the analyzer's time budget."""

@@ -1,6 +1,6 @@
 """The observability layer: tracing is bit-exact-neutral and schema-locked.
 
-Four claims are pinned here:
+Five claims are pinned here:
 
 * **Determinism** — a traced run produces the identical result digest as
   an untraced one, directly, through the parallel
@@ -8,13 +8,13 @@ Four claims are pinned here:
   golden seeded digests; an untraced run makes no per-event call into
   ``repro.obs``.
 * **Schema lock** — the JSONL trace format (header, reserved keys,
-  per-event fields) is v1 and changes only with a deliberate bump,
-  mirroring the static-analysis JSON schema lock.
+  per-event fields) is v1 and changes only with a deliberate bump.
 * **Metrics** — the registry flattens provider snapshots correctly and
   the ``telemetry`` block survives freezing and pickling.
 * **Sink contract** — every line ``JsonlTracer`` writes is
-  ``json.dumps(record, sort_keys=True, default=str)`` of the event, and
-  the decision hook's verdict and ECN names are documented values.
+  ``json.dumps(record, sort_keys=True, default=str)`` of the event,
+  including the ``aqm_decision`` lines the decision hook formats itself,
+  and the hook's verdict and ECN names are documented values.
 * **CLI** — ``repro run --trace`` writes a readable trace,
   ``repro grid --trace`` traces its inline cells and says on stderr when
   worker cells are untraced, and ``repro trace summarize`` reconstructs
@@ -22,12 +22,17 @@ Four claims are pinned here:
 """
 
 import io
+import itertools
 import json
 import pickle
 import sys
+from enum import IntEnum
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.aqm.base import Decision
 from repro.aqm.red import RedAqm
 from repro.harness import coexistence_pair, light_tcp, run_experiment
 from repro.harness.factories import coupled_factory, pi2_factory
@@ -64,6 +69,21 @@ def _experiment(seed=3, duration=4.0, factory=None):
 def _red_factory(rng):
     """RED has no update timer: its trace holds decisions only."""
     return RedAqm(rng=rng)
+
+
+class _ScriptedAqm:
+    """An AQM stand-in whose clock, probability and verdict a test sets."""
+
+    def __init__(self):
+        self.sim = SimpleNamespace(now=0.0)
+        self.probability = 0.0
+        self.verdict = Decision.PASS
+
+    def update(self):
+        pass
+
+    def on_enqueue(self, packet):
+        return self.verdict
 
 
 def _line(category, event, t, fields):
@@ -313,6 +333,49 @@ class TestSinkEncoding:
         assert "NaN" in lines[0] and "-Infinity" in lines[0]
         assert '"opaque": "opaque<7>"' in lines[0]
         assert '"ecn": 3' in lines[0]
+
+    def test_decision_fast_line_is_the_dumps_encoding(self, tmp_path):
+        # A JsonlTracer's decision hook formats its own line when t and
+        # p are finite exact floats and flow is an exact int; every other
+        # value must fall back to emit.  Either way the line is dumps'.
+        class Flow(IntEnum):
+            UDP = 7
+
+        nan, inf = float("nan"), float("inf")
+        cases = [(t, 0.25, 3) for t in (1.5, 0, True, np.float64(2.5), nan, inf, -inf)]
+        cases += [
+            (1.5, p, 3)
+            for p in (1, True, np.float64(0.1), nan, inf, -0.0, 1e16, 1e-9, 0.0)
+        ]
+        cases += [(1.5, 0.25, flow) for flow in (True, Flow.UDP, "udp-0", 10**20, -1)]
+        non_ascii = type('Pi²Aqm "délai"', (_ScriptedAqm,), {})
+        path = tmp_path / "decisions.jsonl"
+        expected = []
+        with JsonlTracer(path) as tracer:
+            for cls in (_ScriptedAqm, non_ascii):
+                aqm = install_aqm_tracer(cls(), tracer)
+                for (t, p, flow), verdict, ecn in itertools.product(
+                    cases, Decision, ECN
+                ):
+                    aqm.sim.now, aqm.probability, aqm.verdict = t, p, verdict
+                    packet = SimpleNamespace(ecn=ecn, flow_id=flow)
+                    assert aqm.on_enqueue(packet) is verdict
+                    expected.append(_line("aqm", "aqm_decision", t, {
+                        "aqm": cls.__name__,
+                        "verdict": verdict.name.lower(),
+                        "p": p,
+                        "ecn": ecn.name,
+                        "flow": flow,
+                    }))
+                # A detached AQM (no simulator) records t = 0.0.
+                aqm.sim, aqm.probability, aqm.verdict = None, 0.0, Decision.DROP
+                aqm.on_enqueue(SimpleNamespace(ecn=ECN.CE, flow_id=0))
+                expected.append(_line("aqm", "aqm_decision", 0.0, {
+                    "aqm": cls.__name__, "verdict": "drop", "p": 0.0,
+                    "ecn": "CE", "flow": 0,
+                }))
+            assert tracer.counts["aqm"] == len(expected)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == expected
 
     def test_jsonl_lines_encode_the_recorded_events(self, tmp_path):
         exp = _experiment(duration=2.0)
