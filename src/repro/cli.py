@@ -142,9 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--resume", action="store_true",
                       help="replay cells already in --journal instead of "
                            "re-simulating them (bit-exact)")
-    grid.add_argument("--compact-every", type=int, default=None, metavar="N",
-                      help="rewrite the journal (latest record per key) "
-                           "after every N appends")
     grid.add_argument("--task-timeout", type=float, default=None, metavar="S",
                       help="kill and retry any cell running longer than S "
                            "wall-clock seconds")
@@ -183,10 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="kill and retry a cell's worker silent for S "
                              "seconds (runs cells in supervised workers)")
-    figure.add_argument("--compact-every", type=int, default=None,
-                        metavar="N",
-                        help="rewrite the journal (latest record per key) "
-                             "after every N appends")
     _add_perf_options(figure)
     _add_trace_options(figure)
 
@@ -303,19 +296,12 @@ def _close_tracer(tracer, out) -> None:
 
 
 def _make_cache(args):
-    """Build the result cache an argparse namespace asks for (or None).
-
-    The CLI always hands out the shared (cross-process single-flight)
-    flavour: concurrent ``repro figure``/``repro grid`` invocations over
-    the same cache directory then compute each cell once between them.
-    """
-    from repro.harness.cache import DEFAULT_CACHE_DIR, SharedResultCache
+    """Build the result cache an argparse namespace asks for (or None)."""
+    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
 
     if getattr(args, "no_cache", False):
         return None
-    return SharedResultCache(
-        getattr(args, "cache_dir", None) or DEFAULT_CACHE_DIR
-    )
+    return ResultCache(getattr(args, "cache_dir", None) or DEFAULT_CACHE_DIR)
 
 
 def _cmd_list(out) -> int:
@@ -326,16 +312,6 @@ def _cmd_list(out) -> int:
     print("bode kinds:", ", ".join(sorted(BODE_KINDS)), file=out)
     print("figures:  ", ", ".join(sorted(FIGURES)), file=out)
     return 0
-
-
-def _check_compact_every(args) -> None:
-    """Reject a nonpositive ``--compact-every`` as configuration, not as
-    a :class:`~repro.errors.JournalError` traceback from the journal."""
-    value = getattr(args, "compact_every", None)
-    if value is not None and value < 1:
-        raise ConfigError(
-            f"--compact-every must be a positive append count (got {value})"
-        )
 
 
 def _positive_floats(option: str, text: str) -> List[float]:
@@ -359,19 +335,14 @@ def _positive_floats(option: str, text: str) -> List[float]:
 def _cmd_figure(args, out) -> int:
     from repro.harness.figures import generate_figure
 
-    _check_compact_every(args)
-
     cache = _make_cache(args)
     tracer = _make_tracer(args)
-    if cache is not None and tracer is not None:
-        cache.set_tracer(tracer)
     _note_untraced_workers(tracer, args)
     data = generate_figure(args.name, scale=args.scale, jobs=args.jobs,
                            cache=cache, tracer=tracer,
                            journal=args.journal, resume=args.resume,
                            task_timeout=args.task_timeout,
-                           heartbeat_timeout=args.heartbeat_timeout,
-                           compact_every=args.compact_every)
+                           heartbeat_timeout=args.heartbeat_timeout)
     _close_tracer(tracer, out)
     print(data.table(), file=out)
     if data.report is not None and (args.journal or _supervised(args)):
@@ -437,43 +408,28 @@ def _cmd_grid(args, out) -> int:
 
     links = _positive_floats("--links", args.links)
     rtts = _positive_floats("--rtts", args.rtts)
-    _check_compact_every(args)
-    journal = args.journal
-    own_journal = None
-    if args.journal is not None and args.compact_every is not None:
-        from repro.harness.journal import ResultJournal
-
-        journal = own_journal = ResultJournal(
-            args.journal, compact_every=args.compact_every
-        )
     cache = _make_cache(args)
     tracer = _make_tracer(args)
-    if cache is not None and tracer is not None:
-        cache.set_tracer(tracer)
     _note_untraced_workers(tracer, args)
-    try:
-        outcome = run_coexistence_grid(
-            FACTORIES[args.aqm](),
-            cc_a=args.cc_a,
-            cc_b=args.cc_b,
-            links_mbps=links,
-            rtts_ms=rtts,
-            duration=args.duration,
-            warmup=min(10.0, args.duration / 2),
-            seed=args.seed,
-            on_error=args.on_error,
-            max_retries=args.max_retries,
-            jobs=args.jobs,
-            cache=cache,
-            task_timeout=args.task_timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-            journal=journal,
-            resume=args.resume,
-            tracer=tracer,
-        )
-    finally:
-        if own_journal is not None:
-            own_journal.close()
+    outcome = run_coexistence_grid(
+        FACTORIES[args.aqm](),
+        cc_a=args.cc_a,
+        cc_b=args.cc_b,
+        links_mbps=links,
+        rtts_ms=rtts,
+        duration=args.duration,
+        warmup=min(10.0, args.duration / 2),
+        seed=args.seed,
+        on_error=args.on_error,
+        max_retries=args.max_retries,
+        jobs=args.jobs,
+        cache=cache,
+        task_timeout=args.task_timeout,
+        heartbeat_timeout=args.heartbeat_timeout,
+        journal=args.journal,
+        resume=args.resume,
+        tracer=tracer,
+    )
     _close_tracer(tracer, out)
     rows = [
         (

@@ -1001,12 +1001,12 @@ FIGURES: Dict[str, Callable[[float], Figure]] = {
 }
 
 
-def _resolve_journal(journal, name: str, compact_every: Optional[int]):
+def _resolve_journal(journal, name: str):
     """Resolve the ``journal`` argument into (ResultJournal|None, owned).
 
     A path names a *directory* holding one journal per figure
-    (``<dir>/<name>.journal``) so a fleet can share one ``--journal``
-    flag across figures; a ready-made
+    (``<dir>/<name>.journal``), so one ``--journal`` directory serves
+    every figure; a ready-made
     :class:`~repro.harness.journal.ResultJournal` is used as-is (and not
     closed — the caller owns it).
     """
@@ -1020,10 +1020,7 @@ def _resolve_journal(journal, name: str, compact_every: Optional[int]):
 
     root = Path(journal)
     root.mkdir(parents=True, exist_ok=True)
-    return (
-        ResultJournal(root / f"{name}.journal", compact_every=compact_every),
-        True,
-    )
+    return ResultJournal(root / f"{name}.journal"), True
 
 
 def _cell_error(figure: str, label: str, failure) -> FigureGenerationError:
@@ -1086,7 +1083,6 @@ def generate_figure(
     name: str, scale: float = 1.0, jobs=None, cache=None, tracer=None,
     journal=None, resume: bool = False, task_timeout: Optional[float] = None,
     heartbeat_timeout: Optional[float] = None,
-    compact_every: Optional[int] = None,
 ) -> FigureData:
     """Generate one figure's data by registry name.
 
@@ -1099,10 +1095,9 @@ def generate_figure(
     already-simulated cells across invocations.  ``journal`` (a
     directory path or a :class:`~repro.harness.journal.ResultJournal`)
     makes every completed cell durable as it finishes (one journal per
-    figure name under a directory; ``compact_every=N`` rewrites it,
-    latest record per key, after every N appends) and ``resume=True``
-    replays journaled cells, so a figure run killed mid-sweep and
-    resumed returns rows bit-identical to an uninterrupted run.  ``tracer`` (a
+    figure name under a directory) and ``resume=True`` replays journaled
+    cells, so a figure run killed mid-sweep and resumed returns rows
+    bit-identical to an uninterrupted run.  ``tracer`` (a
     :class:`~repro.obs.trace.Tracer`) observes the cells and a final
     ``figure_done`` span; it never changes a number in the rows.
 
@@ -1117,7 +1112,7 @@ def generate_figure(
     if not scale > 0:
         raise ConfigError(f"scale must be positive (got {scale})")
     tasks, reduce = FIGURES[name](scale)
-    journal_obj, owned = _resolve_journal(journal, name, compact_every)
+    journal_obj, owned = _resolve_journal(journal, name)
     try:
         results, report = _run_cells(
             {name: tasks}, jobs=jobs, cache=cache, tracer=tracer,

@@ -32,17 +32,9 @@ the first incomplete or corrupt record and report the intact prefix
 truncates the tail back to the last intact record before appending, so
 one crash never poisons subsequent appends.
 
-Compaction
-----------
-Appends are strictly append-only, so a journal reused across runs (or a
-very long sweep re-recording cells) accumulates superseded records —
-replay keeps only the **latest** record per key, but the file keeps them
-all.  :meth:`ResultJournal.compact` rewrites the file keeping just the
-latest record per key (atomically: temp file + fsync + rename, so a
-crash mid-compaction loses nothing), and ``compact_every=N`` makes the
-journal do that automatically after every ``N`` appends.  Compaction
-never changes what a resume replays: the replay map before and after is
-identical.
+The file is append-only: a later run that writes the same journal
+without ``resume`` appends its records after the earlier ones, and
+replay keeps the **latest** record per key.
 """
 
 from __future__ import annotations
@@ -113,24 +105,13 @@ class ResultJournal:
 
     The parent sweep process is the only writer; workers return frozen
     results over their pipes and the parent appends them here as
-    they arrive.  Every write is fsync'd: the magic, each record, close,
-    and a compaction's temp file and directory entry.
+    they arrive.  Every write is fsync'd: the magic, each record and
+    close.
     """
 
-    def __init__(
-        self,
-        path: os.PathLike | str,
-        compact_every: Optional[int] = None,
-    ):
-        if compact_every is not None and compact_every < 1:
-            raise JournalError(
-                f"compact_every must be a positive append count, "
-                f"got {compact_every!r}"
-            )
+    def __init__(self, path: os.PathLike | str):
         self.path = Path(path)
         self.appended = 0
-        self.compactions = 0
-        self.compact_every = compact_every
         self._handle: Optional[io.BufferedWriter] = None
 
     # -- writing ---------------------------------------------------------
@@ -146,9 +127,6 @@ class ResultJournal:
         handle.flush()
         os.fsync(handle.fileno())
         self.appended += 1
-        if self.compact_every is not None:
-            if self.appended % self.compact_every == 0:
-                self.compact()
 
     @staticmethod
     def _encode(key: str, label: str, result: FrozenResult) -> bytes:
@@ -163,58 +141,6 @@ class ResultJournal:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-
-    def compact(self) -> int:
-        """Rewrite the journal keeping only the latest record per key.
-
-        Returns the number of superseded records dropped (a torn tail,
-        which never decoded into a record, is healed but not counted).
-        The rewrite is atomic — records stream into a
-        sibling temp file which is fsync'd and renamed over the original —
-        so a crash at any point leaves either the old or the new journal,
-        both of which replay to the same map.  Surviving records keep the
-        order in which their key last completed, preserving replay
-        semantics (later records win) trivially: after compaction every
-        key appears exactly once.
-        """
-        replay = self.read()
-        latest: Dict[str, JournalRecord] = {}
-        for record in replay.records:
-            # Re-insert so the surviving record sits at its *latest*
-            # completion position, not its first.
-            latest.pop(record.key, None)
-            latest[record.key] = record
-        dropped = len(replay.records) - len(latest)
-        if dropped == 0 and not replay.torn:
-            return 0
-        self.close()
-        tmp_path = self.path.with_name(self.path.name + ".compact")
-        with tmp_path.open("wb") as handle:
-            handle.write(JOURNAL_MAGIC)
-            for record in latest.values():
-                payload = self._encode(
-                    record.key, record.label, record.result
-                )
-                handle.write(_LEN_STRUCT.pack(len(payload)))
-                handle.write(hashlib.sha256(payload).digest())
-                handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
-        self._fsync_dir()
-        self.compactions += 1
-        return dropped
-
-    def _fsync_dir(self) -> None:
-        """Make the compaction rename itself durable (best effort)."""
-        try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fsync
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def _writer(self) -> io.BufferedWriter:
         """Open (once) for appending, truncating any torn tail first."""

@@ -6,14 +6,15 @@ six load/AQM pairs for Figure 11, five seeds per repetition.  The grid,
 mix and repeat runners and every simulated figure hand their cells to
 :func:`execute_tasks`, the only place a cell runs::
 
-    key ─▶ journal replay ─▶ cache probe ─▶ in-flight reorder
+    key ─▶ journal replay ─▶ cache probe
         ─▶ backend: inline │ supervised workers
         ─▶ cache store ─▶ fsync'd journal append ─▶ RunReport
 
 Caching, journaling and resume are therefore the same on every backend;
 the backend only decides *where* the simulation runs.  Either way a
 cell's simulation goes through :func:`_run_cell`, in this process or in
-a supervised worker (:mod:`repro.harness.supervisor`).
+a supervised worker (:mod:`repro.harness.supervisor`), and its result
+comes back to this process, which alone stores and journals it.
 
 How determinism is preserved
 ----------------------------
@@ -47,11 +48,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ParallelExecutionError
-from repro.harness.cache import (
-    ResultCache,
-    SharedResultCache,
-    experiment_cache_key,
-)
+from repro.harness.cache import ResultCache, experiment_cache_key
 from repro.harness.experiment import Experiment, ExperimentResult, run_experiment
 from repro.harness.frozen import FrozenResult, freeze_result
 from repro.harness.journal import ResultJournal
@@ -91,15 +88,13 @@ class RunReport:
     """What one :func:`execute_tasks` call did beyond running its cells.
 
     ``executed`` cells were simulated, ``replayed`` came from the journal
-    (resume), ``cache_hits`` from the result cache; ``journal_appends``
-    and ``compactions`` describe journal activity, and ``deferred``
-    counts cells moved to the back because another process held them in
-    flight in the shared cache.  ``torn_journal`` is True when resume
-    found (and tolerated) a crash-torn final record.  ``actions`` is
-    the recovery log: on every backend, a ``"seed-bumped result"`` entry
-    for each cell whose result came from a bumped seed (the detail names
-    that seed); the supervised backend adds its kills, retries and
-    degradation, ``degraded`` and the ``heartbeats`` it saw.
+    (resume), ``cache_hits`` from the result cache, and
+    ``journal_appends`` counts journal records written.  ``torn_journal``
+    is True when resume found (and tolerated) a crash-torn final record.
+    ``actions`` is the recovery log: on every backend, a ``"seed-bumped
+    result"`` entry for each cell whose result came from a bumped seed
+    (the detail names that seed); the supervised backend adds its kills,
+    retries and degradation, ``degraded`` and the ``heartbeats`` it saw.
     """
 
     actions: List[RecoveryAction] = field(default_factory=list)
@@ -107,8 +102,6 @@ class RunReport:
     replayed: int = 0
     cache_hits: int = 0
     journal_appends: int = 0
-    compactions: int = 0
-    deferred: int = 0
     heartbeats: int = 0
     degraded: bool = False
     torn_journal: bool = False
@@ -125,10 +118,6 @@ class RunReport:
             f"cache_hits={self.cache_hits}",
             f"journal_appends={self.journal_appends}",
         ]
-        if self.compactions:
-            parts.append(f"compactions={self.compactions}")
-        if self.deferred:
-            parts.append(f"deferred={self.deferred}")
         if self.torn_journal:
             parts.append("torn_journal=yes")
         if self.degraded:
@@ -188,8 +177,8 @@ def _failure(label: str, seed: int, exc: Exception) -> RunFailure:
     )
 
 
-def _run_cell(task: SweepTask, key: Optional[str], retries: int,
-              capture: bool, freeze: bool, cache=None, tracer=None):
+def _run_cell(task: SweepTask, retries: int, capture: bool, freeze: bool,
+              tracer=None):
     """Simulate one cell in this process: the inline backend's body, and
     each attempt in a supervised worker or the supervisor's degraded mode.
 
@@ -197,45 +186,27 @@ def _run_cell(task: SweepTask, key: Optional[str], retries: int,
     first attempt only (retries on bumped seeds are diagnostics, not
     trace subjects).  Otherwise the run is traced, and its exception
     either becomes a :class:`~repro.harness.resilience.RunFailure`
-    (``capture``) or propagates.  A :class:`SharedResultCache` routes
-    the simulation through its per-key single-flight lock, which also
-    stores the result, so identical cells in concurrent processes are
-    computed once; it never stores a bumped seed's result under ``key``.
+    (``capture``) or propagates.  Returns ``(result, failure)``, one
+    side None, with the result frozen when ``freeze`` is set.
     """
     failure = None
-    bumped = None
-
-    def compute():
-        nonlocal failure, bumped
-        if retries:
-            result, failure = run_with_retries(
-                task.experiment, label=task.label, max_retries=retries,
-                tracer=tracer,
-            )
-        else:
-            try:
-                result = run_experiment(task.experiment, tracer=tracer)
-            except Exception as exc:
-                if not capture:
-                    raise
-                result, failure = None, _failure(
-                    task.label, task.experiment.seed, exc
-                )
-        if freeze and result is not None:
-            result = freeze_result(result)
-        if result is not None and result.experiment.seed != task.experiment.seed:
-            # Not this key's result: kept from the single-flight store.
-            bumped = result
-            return None
-        return result
-
-    if isinstance(cache, SharedResultCache) and key is not None:
-        # The pipeline already probed (one counted miss); go straight to
-        # the lock, which re-checks for an entry published meanwhile.
-        result = cache._single_flight(key, compute)
+    if retries:
+        result, failure = run_with_retries(
+            task.experiment, label=task.label, max_retries=retries,
+            tracer=tracer,
+        )
     else:
-        result = compute()
-    return (result if bumped is None else bumped), failure
+        try:
+            result = run_experiment(task.experiment, tracer=tracer)
+        except Exception as exc:
+            if not capture:
+                raise
+            result, failure = None, _failure(
+                task.label, task.experiment.seed, exc
+            )
+    if freeze and result is not None:
+        result = freeze_result(result)
+    return result, failure
 
 
 def _check_picklable(tasks: Sequence[SweepTask]) -> None:
@@ -249,39 +220,6 @@ def _check_picklable(tasks: Sequence[SweepTask]) -> None:
                 f"factories from repro.harness.factories (picklable) or run "
                 f"with jobs=1"
             ) from exc
-
-
-def _defer_in_flight(
-    pending: List[int],
-    keys: List[Optional[str]],
-    cache: SharedResultCache,
-    report: RunReport,
-    emit,
-) -> List[int]:
-    """Reorder submission so in-flight cells run last (shared cache only).
-
-    Another process over the same :class:`SharedResultCache` may already
-    be computing some of these cells (its per-key lock is held).
-    Running those first would make our workers sleep-poll on the remote
-    winner while unclaimed cells wait behind them; running them *last*
-    lets the fleet compute each cell once with every worker busy, and by
-    the time the deferred cells run the winner has usually published.
-    Only the order changes: results are reassembled by task index, so
-    the returned list (and every digest built from it) is bit-identical.
-    When every cell is in flight the order is unchanged — deferral never
-    starves work.
-    """
-    in_flight = [
-        i for i in pending
-        if keys[i] is not None and cache.in_flight(keys[i])
-    ]
-    if not in_flight:
-        return pending
-    report.deferred += len(in_flight)
-    if emit is not None:
-        emit("harness", "cache_deferred", 0.0, {"tasks": len(in_flight)})
-    deferred = set(in_flight)
-    return [i for i in pending if i not in deferred] + in_flight
 
 
 def execute_tasks(
@@ -329,10 +267,9 @@ def execute_tasks(
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) receives ``harness``
     spans from this process — ``journal_hit``/``cache_hit`` per
     served cell, ``task_start``/``task_done`` per executed cell,
-    ``journal_append``, ``cache_deferred`` and the supervisor's
-    ``task_retry`` — and, on the inline route, the simulation's
-    AQM/engine events (with ``on_error="capture"``, of each cell's first
-    attempt).  Worker processes run untraced (a JSONL sink cannot cross
+    ``journal_append`` and the supervisor's ``task_retry`` — and, on the
+    inline route, the simulation's AQM/engine events (with
+    ``on_error="capture"``, of each cell's first attempt).  Worker processes run untraced (a JSONL sink cannot cross
     the process boundary).  Results are bit-exact with tracing on or off.
     """
     if on_error not in ("raise", "capture"):
@@ -381,10 +318,6 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
     out: List[Optional[TaskResult]] = [None] * len(tasks)
     keyed = cache is not None or journal is not None
     keys = [experiment_cache_key(t.experiment) if keyed else None for t in tasks]
-    # A shared cache stores each result under its single-flight lock,
-    # wherever the cell ran; a plain cache is filled here.
-    shared = isinstance(cache, SharedResultCache)
-    compactions = journal.compactions if journal is not None else 0
 
     def store(index: int, result, cached: bool) -> None:
         """Cache store + fsync'd journal append for one completed cell."""
@@ -411,7 +344,7 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
         report.executed += 1
         seed, declared = result.experiment.seed, tasks[index].experiment.seed
         if seed == declared:
-            store(index, result, cached=shared)
+            store(index, result, cached=False)
             return
         report.record(RecoveryAction(
             label=tasks[index].label,
@@ -444,15 +377,12 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
             emit("harness", "cache_hit", 0.0, {"label": task.label})
         store(index, hit, cached=True)
 
-    if shared and len(pending) > 1:
-        pending = _defer_in_flight(pending, keys, cache, report, emit)
     if pending and workers:
         from repro.harness.supervisor import _Supervisor
 
         _check_picklable([tasks[i] for i in pending])
-        _Supervisor(tasks, pending, keys, cache if shared else None, workers,
-                    retries, task_timeout, heartbeat_timeout, report, emit,
-                    done).run()
+        _Supervisor(tasks, pending, workers, retries, task_timeout,
+                    heartbeat_timeout, report, emit, done).run()
     else:
         for index in pending:
             task = tasks[index]
@@ -461,8 +391,7 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
                      {"label": task.label, "backend": "serial"})
             started = time.monotonic()
             result, failure = _run_cell(
-                task, keys[index], retries, capture, keys[index] is not None,
-                cache, tracer,
+                task, retries, capture, keys[index] is not None, tracer
             )
             if emit is not None:
                 emit("harness", "task_done", 0.0, {
@@ -471,7 +400,5 @@ def _pipeline(tasks, workers, retries, capture, cache, tracer, journal,
                     "seconds": time.monotonic() - started,
                 })
             done(index, result, failure)
-    if journal is not None:
-        report.compactions += journal.compactions - compactions
     # Every slot was filled above (replay, cache hit, or a backend).
     return out  # type: ignore[return-value]

@@ -32,9 +32,9 @@ one, and every sweep, repetition and figure gets:
   worker identity.
 
 Each attempt, in a worker or degraded in-process, runs the inline
-backend's cell body (:func:`~repro.harness.parallel._run_cell`), so the
-shared cache's single-flight lock and store behave the same on every
-backend, and a fixed seed gives bit-identical outcomes serial,
+backend's cell body (:func:`~repro.harness.parallel._run_cell`) and hands
+its frozen result to the parent, which stores and journals it as the
+inline backend does; a fixed seed gives bit-identical outcomes serial,
 supervised, interrupted-and-resumed, or degraded.
 
 The policy constants below are module attributes, read at each use.
@@ -47,9 +47,8 @@ import threading
 import time
 from dataclasses import replace
 from multiprocessing import connection
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.harness.cache import SharedResultCache
 from repro.harness.parallel import SweepTask, _run_cell
 from repro.harness.resilience import (
     RETRY_SEED_STRIDE,
@@ -83,18 +82,15 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-def _supervised_worker(conn, parent_end, cache_root: Optional[str],
-                       heartbeat_interval: float) -> None:
+def _supervised_worker(conn, parent_end, heartbeat_interval: float) -> None:
     """Worker body: a heartbeat thread, and cells until the pipe closes.
 
     Sends ``("hb",)`` every ``heartbeat_interval`` seconds from a daemon
-    thread.  Each ``(task, key)`` received is acknowledged with a
-    heartbeat and answered with exactly one ``("done", frozen_result,
-    failure)`` — one side None — from
-    :func:`~repro.harness.parallel._run_cell`.  A SIGKILL leaves the
-    pipe closed with no answer, which is precisely how the parent
-    recognises a crash.  A shared cache is reopened here (without the
-    parent's tracer) so its lock and store run worker-side.
+    thread.  Each task received is acknowledged with a heartbeat and
+    answered with exactly one ``("done", frozen_result, failure)`` — one
+    side None — from :func:`~repro.harness.parallel._run_cell`.  A
+    SIGKILL leaves the pipe closed with no answer, which is precisely how
+    the parent recognises a crash.
 
     The forked worker first closes its copy of the parent's end
     (``parent_end``): if the parent dies, the worker's receive then ends
@@ -117,30 +113,26 @@ def _supervised_worker(conn, parent_end, cache_root: Optional[str],
             stop.wait(heartbeat_interval)
 
     threading.Thread(target=beat, daemon=True).start()
-    cache = SharedResultCache(cache_root) if cache_root is not None else None
     try:
         while True:
             try:
-                task, key = conn.recv()
+                task = conn.recv()
             except (EOFError, OSError):  # the parent closed or went away
                 return
             send(("hb",))
-            result, failure = _run_cell(task, key, 0, True, True, cache)
+            result, failure = _run_cell(task, 0, True, True)
             send(("done", result, failure))
     finally:
         stop.set()
         conn.close()
 
 
-def _start_worker(ctx, supervisor: "_Supervisor") -> "_Worker":
+def _start_worker(ctx) -> "_Worker":
     """Spawn one idle worker process (monkeypatchable seam)."""
     parent_conn, child_conn = ctx.Pipe()
-    cache = supervisor.cache
     process = ctx.Process(
         target=_supervised_worker,
-        args=(child_conn, parent_conn,
-              str(cache.root) if cache is not None else None,
-              HEARTBEAT_INTERVAL),
+        args=(child_conn, parent_conn, HEARTBEAT_INTERVAL),
         daemon=True,
     )
     process.start()
@@ -164,15 +156,13 @@ class _TaskState:
         self.attempts: List[Attempt] = []
         self.not_before = 0.0
 
-    def attempt_task(self, key: Optional[str]) -> Tuple[SweepTask, Optional[str]]:
-        """``(task, key)`` as the next attempt runs it: on a bumped seed
-        after a simulation exception, and then with no key, because
-        ``key`` names the declared seed and must not receive the bumped
-        seed's result."""
+    def attempt_task(self) -> SweepTask:
+        """The task as the next attempt runs it: on a bumped seed after a
+        simulation exception."""
         if self.seed == self.task.experiment.seed:
-            return self.task, key
+            return self.task
         return replace(self.task, experiment=replace(
-            self.task.experiment, seed=self.seed)), None
+            self.task.experiment, seed=self.seed))
 
 
 class _Worker:
@@ -213,15 +203,12 @@ class _Supervisor:
     Runs ``tasks[i]`` for every ``i`` in ``pending`` on at most
     ``n_jobs`` workers and hands each finished cell to ``done(index,
     result, failure)`` — the pipeline's store-and-journal step — the
-    moment it completes.  ``keys`` are the pipeline's cell keys and
-    ``cache`` its shared cache (or None); ``retries`` is the seed-bump
-    budget (0 unless ``on_error="capture"``).
+    moment it completes.  ``retries`` is the seed-bump budget (0 unless
+    ``on_error="capture"``).
     """
 
-    def __init__(self, tasks, pending, keys, cache, n_jobs, retries,
-                 task_timeout, heartbeat_timeout, report, emit, done):
-        self.keys = keys
-        self.cache = cache
+    def __init__(self, tasks, pending, n_jobs, retries, task_timeout,
+                 heartbeat_timeout, report, emit, done):
         self.n_jobs = n_jobs
         self.retries = retries
         self.task_timeout = task_timeout
@@ -364,7 +351,7 @@ class _Supervisor:
         if len(self.running) >= self.n_jobs:
             return None
         try:
-            worker = _start_worker(ctx, self)
+            worker = _start_worker(ctx)
         except (OSError, RuntimeError) as exc:
             self.spawn_failures += 1
             self.report.record(
@@ -396,7 +383,7 @@ class _Supervisor:
         """Send ``state``'s next attempt to an idle worker; False when the
         worker is already gone (the attempt never started)."""
         try:
-            worker.conn.send(state.attempt_task(self.keys[state.index]))
+            worker.conn.send(state.attempt_task())
         except OSError:
             self._discard(worker)
             return False
@@ -483,8 +470,7 @@ class _Supervisor:
     def _run_degraded(self, state: _TaskState) -> None:
         """One attempt in this process, through the same cell body and
         retry policy as a worker's (a retry is requeued as usual)."""
-        task, key = state.attempt_task(self.keys[state.index])
-        result, failure = _run_cell(task, key, 0, True, True, self.cache)
+        result, failure = _run_cell(state.attempt_task(), 0, True, True)
         self._attempt_done(state, result, failure, current_worker())
 
     def _next_spawn_index(self, now: float) -> Optional[int]:

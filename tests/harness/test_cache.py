@@ -11,6 +11,8 @@ uncacheable by design, never silently mis-keyed.
 import pickle
 from dataclasses import replace
 
+import pytest
+
 from repro.aqm.pi import PiAqm
 from repro.harness.cache import (
     CacheStats,
@@ -149,6 +151,49 @@ class TestResultCacheStore:
         assert len(cache) == 0
 
 
+    def test_missing_root_reads_as_empty_without_creating_it(self, tmp_path):
+        cache = ResultCache(tmp_path / "absent")
+        assert cache.get("ab" + "0" * 62) is None
+        assert (len(cache), cache.verify(), cache.clear()) == (0, (0, []), 0)
+        assert not cache.root.exists()
+
+    def test_put_replaces_an_existing_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = experiment_cache_key(_quick_experiment())
+        for seed in (1, 2):
+            latest = freeze_result(run_experiment(_quick_experiment(seed=seed)))
+            cache.put(key, latest)
+        assert len(cache) == 1
+        assert cache.get(key).digest() == latest.digest()
+        assert sorted(tmp_path.rglob(".*.tmp")) == []
+
+    def test_failed_put_leaves_no_entry_and_no_temp_file(self, tmp_path):
+        """A store that fails mid-write removes its temp file and leaves
+        the key absent, so the next run simply misses."""
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("cannot pickle")
+
+        cache, key = ResultCache(tmp_path), "ab" + "0" * 62
+        with pytest.raises(RuntimeError, match="cannot pickle"):
+            cache.put(key, Unpicklable())
+        assert sorted(tmp_path.rglob(".*.tmp")) == []
+        assert cache.stats.stores == 0
+        assert cache.get(key) is None and not cache._path(key).exists()
+
+    def test_stale_temp_file_is_not_an_entry(self, tmp_path):
+        """A writer killed between write and rename leaves a temp file;
+        it is never counted, verified or served."""
+        cache, exp = ResultCache(tmp_path), _quick_experiment()
+        key, frozen = experiment_cache_key(exp), freeze_result(run_experiment(exp))
+        cache.put(key, frozen)
+        path = cache._path(key)
+        path.with_name(f".{path.name}.999999.tmp").write_bytes(b"\x80\x05 torn")
+        assert len(cache) == 1 and cache.verify() == (1, [])
+        assert cache.get(key).digest() == frozen.digest()
+        assert cache.stats.corrupt == 0
+
 class TestSweepIntegration:
     def test_warm_rerun_hits_and_matches(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -270,195 +315,100 @@ class TestCorruptionHardening:
         assert not bad.exists()
 
 
-def _shared_flight_worker(payload):
-    """Module-level (picklable) worker for the fork-pool single-flight test."""
-    import time as _time
-
-    from repro.harness.cache import SharedResultCache
-
-    root, key = payload
-    cache = SharedResultCache(root)
-
-    def compute():
-        _time.sleep(0.2)  # widen the race window: everyone piles on the lock
-        return freeze_result(run_experiment(_quick_experiment(duration=1.5)))
-
-    result = cache.fetch_or_compute(key, compute)
-    return result.digest_hex()
+def _simulate_then_put(root, key, barrier):
+    """Child body for the concurrent-writers tests (module-level so it
+    pickles by reference under fork): simulate the cell, wait for the
+    other writer, then store."""
+    frozen = freeze_result(run_experiment(_quick_experiment()))
+    barrier.wait(timeout=60)
+    ResultCache(root).put(key, frozen)
 
 
-class TestSharedSingleFlight:
-    """Cross-process single-flight: compute once, share, never deadlock."""
+def _put_repeatedly(root, key, results, rounds):
+    """Child body: store ``results`` under one key in turn, ``rounds``
+    times over, so the last store is ``results[-1]``."""
+    cache = ResultCache(root)
+    for _ in range(rounds):
+        for result in results:
+            cache.put(key, result)
 
-    def _cache(self, tmp_path):
-        from repro.harness.cache import SharedResultCache
 
-        cache = SharedResultCache(tmp_path)
-        cache.LOCK_POLL_INTERVAL = 0.01
-        cache.LOCK_TIMEOUT = 10.0
-        return cache
+def _run_children(ctx, target, arg_lists, while_running=None):
+    """Fork one child per argument tuple, call ``while_running`` (if
+    given) until they have all exited, and return their exit codes."""
+    children = [ctx.Process(target=target, args=args) for args in arg_lists]
+    for child in children:
+        child.start()
+    try:
+        while while_running is not None and any(c.is_alive() for c in children):
+            while_running()
+        for child in children:
+            child.join(timeout=120)
+    finally:
+        for child in children:
+            if child.is_alive():
+                child.kill()
+    return [child.exitcode for child in children]
 
-    def _frozen(self):
-        return freeze_result(run_experiment(_quick_experiment(duration=1.5)))
 
-    def test_computes_once_then_serves_from_disk(self, tmp_path):
-        cache = self._cache(tmp_path)
-        key = "ab" + "0" * 62
-        frozen = self._frozen()
-        assert cache.fetch_or_compute(key, lambda: frozen) is frozen
-        assert cache.stats.computes == 1
+class TestConcurrentWriters:
+    """Two processes that miss the same key both simulate the cell and
+    both store it.  Each writes its own temp file and renames it over
+    the entry, so the entry ends up whole, with the bytes a lone writer
+    leaves, and no temp file remains."""
 
-        def boom():
-            raise AssertionError("cached entry must not be recomputed")
-
-        again = cache.fetch_or_compute(key, boom)
-        assert again.digest() == frozen.digest()
-        assert cache.stats.computes == 1
-        assert cache.event_counts() == {"compute": 1, "wait": 0}
-
-    def test_failed_compute_is_not_cached(self, tmp_path):
-        cache = self._cache(tmp_path)
-        key = "cd" + "0" * 62
-        assert cache.fetch_or_compute(key, lambda: None) is None
-        assert cache.get(key) is None  # failure never published
-        frozen = self._frozen()
-        assert cache.fetch_or_compute(key, lambda: frozen) is frozen
-        assert cache.stats.computes == 2
-
-    def test_waiter_shares_the_winners_entry(self, tmp_path):
-        """While another holder owns the key's lock, fetch_or_compute
-        must wait for the published entry instead of simulating."""
-        import fcntl
-        import os
-        import threading
-
-        cache = self._cache(tmp_path)
-        key = "ef" + "0" * 62
-        frozen = self._frozen()
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)  # pose as the winning process
-        got = []
-
-        def boom():
-            raise AssertionError("waiter must not compute a published entry")
-
-        waiter = threading.Thread(
-            target=lambda: got.append(cache.fetch_or_compute(key, boom))
-        )
-        waiter.start()
-        try:
-            import time
-
-            time.sleep(0.05)
-            cache.put(key, frozen)  # the "winner" publishes
-            waiter.join(timeout=5.0)
-        finally:
-            os.close(fd)
-        assert not waiter.is_alive()
-        assert got and got[0].digest() == frozen.digest()
-        assert cache.stats.waits == 1
-        assert cache.stats.computes == 0
-
-    def test_waiter_inherits_lock_from_dead_winner(self, tmp_path):
-        """A winner that dies without publishing must not strand the
-        waiters: the flock dies with its fd and the next poll wins it."""
-        import fcntl
-        import os
-        import threading
-        import time
-
-        cache = self._cache(tmp_path)
-        key = "12" + "0" * 62
-        frozen = self._frozen()
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        got = []
-        waiter = threading.Thread(
-            target=lambda: got.append(cache.fetch_or_compute(key, lambda: frozen))
-        )
-        waiter.start()
-        time.sleep(0.05)
-        os.close(fd)  # winner crashes: lock released, nothing published
-        waiter.join(timeout=5.0)
-        assert not waiter.is_alive()
-        assert got and got[0] is frozen
-        assert cache.stats.computes == 1
-        assert cache.stats.waits == 1
-
-    def test_event_log_aggregates(self, tmp_path):
-        cache = self._cache(tmp_path)
-        frozen = self._frozen()
-        cache.fetch_or_compute("a1" + "0" * 62, lambda: frozen)
-        cache.fetch_or_compute("b2" + "0" * 62, lambda: frozen)
-        assert cache.event_counts() == {"compute": 2, "wait": 0}
-
-    def test_four_processes_compute_once(self, tmp_path):
-        """The real thing: a fork pool racing on one key computes it
-        exactly once fleet-wide and every process gets the same bits."""
+    def test_two_writers_leave_a_lone_writers_bytes(self, tmp_path):
         import multiprocessing
 
-        from repro.harness.cache import SharedResultCache
-
-        key = "fe" + "0" * 62
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=4) as pool:
-            digests = pool.map(
-                _shared_flight_worker, [(str(tmp_path), key)] * 4
-            )
-        assert len(set(digests)) == 1
-        counts = SharedResultCache(tmp_path).event_counts()
-        assert counts["compute"] == 1
-        assert counts["wait"] == 3
+        key = experiment_cache_key(_quick_experiment())
+        shared = tmp_path / "shared"
+        barrier = ctx.Barrier(2)
+        codes = _run_children(ctx, _simulate_then_put, [(shared, key, barrier)] * 2)
+        assert codes == [0, 0]
 
+        lone = ResultCache(tmp_path / "lone")
+        lone.put(key, freeze_result(run_experiment(_quick_experiment())))
+        cache = ResultCache(shared)
+        assert cache._path(key).read_bytes() == lone._path(key).read_bytes()
+        assert sorted(shared.rglob(".*.tmp")) == []
+        assert cache.verify() == (1, [])
 
-class TestInFlightProbe:
-    """``in_flight`` is the non-blocking peek behind shared-cache-aware
-    scheduling: it must see a held per-key lock without ever waiting."""
+    def test_writers_of_two_keys_in_one_shard(self, tmp_path):
+        """Both writers create the same two-character shard directory at
+        once, each for its own key; both entries land whole."""
+        import multiprocessing
 
-    def _cache(self, tmp_path):
-        from repro.harness.cache import SharedResultCache
+        ctx = multiprocessing.get_context("fork")
+        keys = ["ab" + "1" * 62, "ab" + "2" * 62]
+        barrier = ctx.Barrier(2)
+        codes = _run_children(ctx, _simulate_then_put,
+                              [(tmp_path, key, barrier) for key in keys])
+        assert codes == [0, 0]
+        cache = ResultCache(tmp_path)
+        assert cache.verify() == (2, [])
+        assert cache.get(keys[0]).digest() == cache.get(keys[1]).digest()
 
-        return SharedResultCache(tmp_path)
+    def test_reader_sees_only_whole_entries(self, tmp_path):
+        """While one process keeps replacing an entry, a reader in
+        another gets either a miss (before the first rename) or a whole
+        result, never a torn one."""
+        import multiprocessing
 
-    def test_unknown_key_is_not_in_flight(self, tmp_path):
-        cache = self._cache(tmp_path)
-        assert cache.in_flight("aa" + "0" * 62) is False
+        ctx = multiprocessing.get_context("fork")
+        results = [freeze_result(run_experiment(_quick_experiment(seed=s)))
+                   for s in (1, 2)]
+        key, reader, seen = "cd" + "0" * 62, ResultCache(tmp_path), set()
 
-    def test_held_lock_reads_as_in_flight_until_released(self, tmp_path):
-        import fcntl
-        import os
+        def read():
+            hit = reader.get(key)
+            if hit is not None:
+                seen.add(hit.digest_hex())
 
-        cache = self._cache(tmp_path)
-        key = "bb" + "0" * 62
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        try:
-            assert cache.in_flight(key) is False  # file exists, unlocked
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            assert cache.in_flight(key) is True
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            assert cache.in_flight(key) is False
-        finally:
-            os.close(fd)
+        codes = _run_children(ctx, _put_repeatedly,
+                              [(tmp_path, key, results, 40)], read)
+        assert codes == [0]
+        assert reader.stats.corrupt == 0
+        assert seen <= {result.digest_hex() for result in results}
+        assert reader.get(key).digest() == results[1].digest()
 
-    def test_probe_does_not_steal_the_lock(self, tmp_path):
-        """The probe's transient flock must not leave the key locked —
-        a later holder must still be able to win it immediately."""
-        import fcntl
-        import os
-
-        cache = self._cache(tmp_path)
-        key = "cc" + "0" * 62
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        try:
-            assert cache.in_flight(key) is False
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # must not raise
-        finally:
-            os.close(fd)

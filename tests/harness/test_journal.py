@@ -167,74 +167,6 @@ class TestBadFiles:
         assert len(ResultJournal(path).read().records) == 1
 
 
-class TestCompaction:
-    def test_compact_keeps_latest_record_per_key(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path) as journal:
-            journal.append("key-a", "a first", frozen_result)
-            journal.append("key-b", "b only", frozen_result)
-            journal.append("key-a", "a latest", frozen_result)
-            before = path.stat().st_size
-            before_map = journal.read().replay_map()
-            assert journal.compact() == 1
-            assert journal.compactions == 1
-        replay = ResultJournal(path).read()
-        assert not replay.torn
-        # Replay semantics are unchanged: same keys, same results.
-        assert replay.replay_map().keys() == before_map.keys()
-        for key, result in replay.replay_map().items():
-            assert result.digest() == before_map[key].digest()
-        # The superseded record is physically gone; the latest survives.
-        assert [r.label for r in replay.records] == ["b only", "a latest"]
-        assert path.stat().st_size < before
-
-    def test_compact_noop_when_unique(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path) as journal:
-            journal.append("key-a", "a", frozen_result)
-            journal.append("key-b", "b", frozen_result)
-            assert journal.compact() == 0
-            assert journal.compactions == 0
-
-    def test_append_continues_after_compact(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path) as journal:
-            journal.append("key-a", "a", frozen_result)
-            journal.append("key-a", "a again", frozen_result)
-            journal.compact()
-            journal.append("key-b", "b", frozen_result)
-        replay = ResultJournal(path).read()
-        assert [r.key for r in replay.records] == ["key-a", "key-b"]
-
-    def test_compact_every_auto_compacts(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path, compact_every=2) as journal:
-            journal.append("key", "1", frozen_result)
-            journal.append("key", "2", frozen_result)  # triggers compaction
-            assert journal.compactions == 1
-            journal.append("key", "3", frozen_result)
-        replay = ResultJournal(path).read()
-        assert [r.label for r in replay.records] == ["2", "3"]
-        assert replay.replay_map()["key"].digest() == frozen_result.digest()
-
-    def test_compact_heals_torn_tail(self, tmp_path, frozen_result):
-        path = tmp_path / "j.journal"
-        with ResultJournal(path) as journal:
-            journal.append("key-a", "a", frozen_result)
-        with path.open("ab") as handle:
-            handle.write(b"\x07garbage-partial-record")
-        journal = ResultJournal(path)
-        assert journal.read().torn
-        assert journal.compact() == 0  # nothing superseded, tail dropped
-        replay = ResultJournal(path).read()
-        assert not replay.torn
-        assert [r.key for r in replay.records] == ["key-a"]
-
-    def test_bad_compact_every_rejected(self, tmp_path):
-        with pytest.raises(JournalError):
-            ResultJournal(tmp_path / "j.journal", compact_every=0)
-
-
 class TestJournalCost:
     """What journaling a run of N cells costs, counted rather than timed:
     N appends, N + 2 fsyncs (the magic, one per record, close), one read

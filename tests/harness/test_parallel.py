@@ -15,9 +15,10 @@ import pytest
 
 from repro.aqm.pi import PiAqm
 from repro.errors import ConfigError, ParallelExecutionError
+from repro.harness.cache import ResultCache, experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import coupled_factory, pi2_factory
-from repro.harness.parallel import SweepTask, execute_tasks, resolve_jobs
+from repro.harness.parallel import RunReport, SweepTask, execute_tasks, resolve_jobs
 from repro.harness.sweep import _mix_tasks, run_coexistence_grid
 
 
@@ -218,52 +219,93 @@ class TestFrozenResults:
         assert cell.result.events_processed > 0
 
 
-class TestSharedCacheDeferral:
-    """Shared-cache-aware submission: cells another process holds in
-    flight go to the back of the queue — order only, never results."""
+JOBS = pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "supervised"])
 
-    def _held(self, cache, key):
-        import fcntl
-        import os
 
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        return fd
+def _seeded_tasks(n=2):
+    return [SweepTask(f"s{s}", _quick_experiment(seed=s)) for s in range(1, n + 1)]
 
-    def test_in_flight_cells_submit_last(self, tmp_path):
-        import os
 
-        from repro.harness.cache import SharedResultCache
-        from repro.harness.parallel import RunReport, _defer_in_flight
+class TestParentSideStore:
+    """The pipeline's one store path: whichever backend simulated a cell,
+    its fresh result is stored by the process that called
+    ``execute_tasks``, through the caller's cache instance."""
 
-        cache = SharedResultCache(tmp_path)
-        keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
-        fd = self._held(cache, keys[0])
-        events = []
-        report = RunReport()
-        try:
-            order = _defer_in_flight(
-                [0, 1, 2], keys, cache, report,
-                lambda cat, name, t, data: events.append((name, data)),
-            )
-        finally:
-            os.close(fd)
-        assert order == [1, 2, 0]
-        assert events == [("cache_deferred", {"tasks": 1})]
-        assert report.deferred == 1
+    @JOBS
+    def test_every_fresh_keyed_result_is_stored(self, tmp_path, jobs):
+        tasks, cache, report = _seeded_tasks(), ResultCache(tmp_path), RunReport()
+        out = execute_tasks(tasks, jobs=jobs, cache=cache, report=report)
+        assert report.executed == cache.stats.misses == cache.stats.stores == 2
+        assert len(cache) == 2
+        for task, (result, _) in zip(tasks, out):
+            stored = ResultCache(tmp_path).get(experiment_cache_key(task.experiment))
+            assert stored.digest() == result.digest()
 
-    def test_nothing_in_flight_keeps_order_and_emits_nothing(self, tmp_path):
-        from repro.harness.cache import SharedResultCache
-        from repro.harness.parallel import RunReport, _defer_in_flight
+    def test_entries_match_across_backends(self, tmp_path):
+        """A result frozen in a worker and stored by the parent lands
+        under the same key, with the same digest, as one frozen and
+        stored inline.  The pickled bytes may differ: unpickling does not
+        re-intern strings, so a result that crossed the worker's pipe
+        spells out some strings that an inline result writes as memo
+        references."""
+        execute_tasks(_seeded_tasks(), cache=ResultCache(tmp_path / "inline"))
+        execute_tasks(_seeded_tasks(), jobs=2,
+                      cache=ResultCache(tmp_path / "supervised"))
 
-        cache = SharedResultCache(tmp_path)
-        keys = ["dd" + "0" * 62, None]
-        events = []
-        order = _defer_in_flight(
-            [0, 1], keys, cache, RunReport(),
-            lambda cat, name, t, data: events.append(name),
+        def entries(root):
+            return {path.stem: ResultCache(root).get(path.stem).digest()
+                    for path in sorted(root.glob("*/*.pkl"))}
+
+        inline = entries(tmp_path / "inline")
+        assert len(inline) == 2 and entries(tmp_path / "supervised") == inline
+
+    @pytest.mark.parametrize("cold_jobs, warm_jobs", [(None, 2), (2, None)],
+                             ids=["inline-then-supervised", "supervised-then-inline"])
+    def test_one_backends_entries_serve_the_other(self, tmp_path, cold_jobs, warm_jobs):
+        cold = execute_tasks(_seeded_tasks(), jobs=cold_jobs, cache=ResultCache(tmp_path))
+        cache, report = ResultCache(tmp_path), RunReport()
+        warm = execute_tasks(_seeded_tasks(), jobs=warm_jobs, cache=cache, report=report)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (2, 0, 0)
+        assert (report.cache_hits, report.executed) == (2, 0)
+        assert [r.digest() for r, _ in warm] == [r.digest() for r, _ in cold]
+
+    @JOBS
+    def test_failed_cell_is_not_stored(self, tmp_path, jobs):
+        ok, doomed = _quick_experiment(), _quick_experiment(max_events=500)
+        cache = ResultCache(tmp_path)
+        out = execute_tasks([SweepTask("ok", ok), SweepTask("doomed", doomed)],
+                            jobs=jobs, cache=cache, on_error="capture",
+                            max_retries=0)
+        assert out[1][0] is None and out[1][1].label == "doomed"
+        assert cache.stats.stores == 1
+        assert ResultCache(tmp_path).get(experiment_cache_key(doomed)) is None
+        assert ResultCache(tmp_path).get(experiment_cache_key(ok)) is not None
+
+    @JOBS
+    def test_replayed_cells_bypass_the_cache(self, tmp_path, jobs):
+        """Resume serves journaled cells without probing or filling the
+        cache; only the cell that runs is stored."""
+        tasks, journal = _seeded_tasks(3), tmp_path / "run.journal"
+        execute_tasks(tasks[:2], jobs=jobs, journal=journal)
+        cache, report = ResultCache(tmp_path / "cache"), RunReport()
+        resumed = execute_tasks(tasks, jobs=jobs, cache=cache, journal=journal,
+                                resume=True, report=report)
+        assert (report.replayed, report.executed) == (2, 1)
+        assert (cache.stats.misses, cache.stats.stores, len(cache)) == (1, 1, 1)
+        assert [r.digest() for r, _ in resumed] == [
+            r.digest() for r, _ in execute_tasks(tasks)
+        ]
+
+
+class TestRunReport:
+    def test_summary_names_the_run_counters_and_flags(self):
+        report = RunReport(executed=3, replayed=2, cache_hits=1,
+                           journal_appends=3, torn_journal=True, degraded=True)
+        assert report.summary() == (
+            "executed=3 replayed=2 cache_hits=1 journal_appends=3 "
+            "torn_journal=yes DEGRADED-TO-SERIAL"
         )
-        assert order == [0, 1]
-        assert events == []
+        assert RunReport().summary() == (
+            "executed=0 replayed=0 cache_hits=0 journal_appends=0"
+        )

@@ -8,7 +8,7 @@ import pytest
 
 from repro.aqm.pi import PiAqm
 from repro.errors import ConfigError, ControllerDivergence, ParallelExecutionError
-from repro.harness.cache import ResultCache, SharedResultCache, experiment_cache_key
+from repro.harness.cache import ResultCache, experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup, run_experiment
 from repro.harness.factories import pi2_factory
 from repro.harness.journal import ResultJournal
@@ -324,7 +324,7 @@ class TestSeedBumpedResultStaysOffTheDeclaredKey:
     journal never file it under the declared seed's key, so a later run
     of the same cell cannot be served it."""
 
-    @pytest.mark.parametrize("cache_cls", [ResultCache, SharedResultCache])
+    @pytest.mark.parametrize("cache_cls", [ResultCache])
     @pytest.mark.parametrize("jobs", [None, 2], ids=["inline", "jobs2"])
     def test_capture_then_raise_does_not_hit_the_bumped_result(
         self, tmp_path, jobs, cache_cls

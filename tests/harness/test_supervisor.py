@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import ConfigError, ParallelExecutionError
 from repro.harness import supervisor as supervisor_module
-from repro.harness.cache import experiment_cache_key
 from repro.harness.experiment import Experiment, FlowGroup
 from repro.harness.factories import pi2_factory
 from repro.harness.parallel import RunReport, SweepTask, execute_tasks
@@ -185,7 +184,7 @@ class TestJournalIntegration:
         assert resumed_report.replayed == 2
 
 
-def _broken_spawn(ctx, supervisor):
+def _broken_spawn(ctx):
     raise OSError("no more processes")
 
 
@@ -311,76 +310,18 @@ class TestSweepPlumbing:
         assert "jobs=1" in str(excinfo.value)
 
 
-class TestSharedCacheScheduling:
-    """The supervised backend runs cells another process holds in flight
-    in the shared cache last — the pipeline's one deferral policy — and
-    never starves them; retry backoff still gates each spawn."""
-
-    def _hold(self, cache, key):
-        import fcntl
-        import os
-
-        lock_path = cache._lock_path(key)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        return fd
-
-    def _start_order(self, tmp_path, monkeypatch, held):
-        """Labels in spawn order with the cells at ``held`` in flight.
-
-        The locks are released once the pipeline has ordered the cells
-        and before any worker forks: a worker would otherwise inherit
-        the held lock and wait out the cache's lock timeout on it.
-        """
-        import os
-
-        import repro.harness.parallel as parallel_module
-        from repro.harness.cache import SharedResultCache
-        from repro.obs import RecordingTracer
-
-        cache = SharedResultCache(tmp_path)
-        tasks = _tasks(2)
-        fds = [self._hold(cache, experiment_cache_key(tasks[i].experiment))
-               for i in held]
-        defer = parallel_module._defer_in_flight
-
-        def defer_then_release(*args):
-            order = defer(*args)
-            while fds:
-                os.close(fds.pop())
-            return order
-
-        monkeypatch.setattr(parallel_module, "_defer_in_flight",
-                            defer_then_release)
-        tracer, report = RecordingTracer(), RunReport()
-        try:
-            _supervised(tasks, cache=cache, tracer=tracer, report=report)
-        finally:
-            for fd in fds:
-                os.close(fd)
-        starts = [event[3]["label"] for event in tracer.by_event("task_start")]
-        return starts, report
-
-    def test_in_flight_cell_is_passed_over(self, tmp_path, monkeypatch):
-        starts, report = self._start_order(tmp_path, monkeypatch, held=[0])
-        assert starts == ["t2", "t1"]
-        assert report.deferred == 1
-
-    def test_all_in_flight_falls_back_to_earliest(self, tmp_path, monkeypatch):
-        starts, report = self._start_order(tmp_path, monkeypatch, held=[0, 1])
-        assert starts == ["t1", "t2"]
-        assert report.deferred == 2
-
+class TestRetryBackoff:
     def test_backoff_still_gates_eligibility(self):
+        """A cell waiting out its retry backoff is passed over for the
+        next eligible one, and nothing is taken while all wait."""
         import time
 
         from repro.harness.supervisor import _Supervisor
 
         sup = _Supervisor(
-            _tasks(2), [0, 1], keys=[None, None], cache=None, n_jobs=1,
-            retries=1, task_timeout=None, heartbeat_timeout=None,
-            report=RunReport(), emit=None, done=lambda *args: None,
+            _tasks(2), [0, 1], n_jobs=1, retries=1, task_timeout=None,
+            heartbeat_timeout=None, report=RunReport(), emit=None,
+            done=lambda *args: None,
         )
         now = time.monotonic()
         sup.queue[0].not_before = now + 60.0
@@ -388,46 +329,65 @@ class TestSharedCacheScheduling:
         sup.queue[1].not_before = now + 60.0
         assert sup._next_spawn_index(now) is None
 
-    def test_supervised_deferral_stays_bit_exact(self, tmp_path):
-        """End-to-end: a cell 'in flight' elsewhere is deferred and its
-        worker waits for the remote winner instead of recomputing it;
-        once the winner publishes, the deferred cell resolves with
-        digests identical to a plain run.  The shared cache's event log
-        records one compute: the cell nobody held."""
-        import os
-        import threading
-        import time as _time
 
-        from repro.harness.cache import SharedResultCache
-        from repro.harness.frozen import freeze_result
+class TestWorkerProtocol:
+    """A worker receives a bare task and answers with its frozen result.
+    It holds no cache: the parent stores what it sends back."""
 
-        tasks = _tasks(2)
-        plain = execute_tasks(tasks, jobs=1)
-        cache = SharedResultCache(tmp_path / "shared")
-        key0 = experiment_cache_key(tasks[0].experiment)
-        lock_path = cache._lock_path(key0)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT)
-        import fcntl
+    def test_bare_task_in_frozen_result_out(self):
+        import multiprocessing
 
-        fcntl.flock(fd, fcntl.LOCK_EX)
+        from repro.harness.frozen import FrozenResult
 
-        def publish_and_release():
-            _time.sleep(0.3)
-            # The remote winner publishes (a plain run's result is live).
-            cache.put(key0, freeze_result(plain[0][0]))
-            os.close(fd)
-
-        winner = threading.Thread(target=publish_and_release)
-        winner.start()
-        report = RunReport()
+        [task] = _tasks(1)
+        ctx = multiprocessing.get_context(supervisor_module._start_method())
+        worker = supervisor_module._start_worker(ctx)
         try:
-            supervised = _supervised(tasks, cache=cache, report=report)
+            worker.conn.send(task)
+            message = ("hb",)
+            while message[0] == "hb":
+                assert worker.conn.poll(60), "worker sent no answer"
+                message = worker.conn.recv()
         finally:
-            winner.join()
-        assert [r.digest() for r, _ in supervised] == [
-            r.digest() for r, _ in plain
-        ]
-        assert report.deferred >= 1
-        assert report.executed + report.cache_hits == 2
-        assert cache.event_counts()["compute"] == 1
+            worker.kill()
+        kind, result, failure = message
+        assert (kind, failure) == ("done", None)
+        assert isinstance(result, FrozenResult)
+        [(reference, _)] = execute_tasks([task])
+        assert result.digest() == reference.digest()
+
+    def test_attempt_task_is_the_declared_task_until_a_seed_bump(self):
+        from dataclasses import replace
+
+        from repro.harness.supervisor import _TaskState
+
+        [task] = _tasks(1)
+        state = _TaskState(0, task)
+        assert state.attempt_task() is task
+        state.seed = task.experiment.seed + RETRY_SEED_STRIDE
+        bumped = state.attempt_task()
+        assert bumped.label == task.label
+        assert bumped.experiment.seed == state.seed
+        assert replace(bumped.experiment,
+                       seed=task.experiment.seed) == task.experiment
+
+    def test_every_store_runs_in_the_calling_process(self, tmp_path):
+        """Each ``put`` leaves a marker named by the storing process's
+        pid; a supervised run leaves only the parent's."""
+        import os
+
+        from repro.harness.cache import ResultCache
+
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        class MarkingCache(ResultCache):
+            def put(self, key, result):
+                (markers / f"{os.getpid()}-{key}").touch()
+                super().put(key, result)
+
+        cache = MarkingCache(tmp_path / "cache")
+        _supervised(_tasks(2), cache=cache)
+        pids = [path.name.split("-")[0] for path in sorted(markers.iterdir())]
+        assert pids == [str(os.getpid())] * 2
+        assert cache.stats.stores == len(cache) == 2

@@ -148,6 +148,51 @@ class TestFigure:
         code, text = run_cli("list")
         assert "fig12" in text
 
+    def test_cache_line_counts_supervised_stores(self, tmp_path):
+        """At --jobs 2 the cells run in workers, but their results are
+        stored by the process that prints the `cache:` line."""
+        argv = ("figure", "fig12", "--scale", "0.1", "--jobs", "2",
+                "--cache-dir", str(tmp_path))
+        code, cold = run_cli(*argv)
+        assert code == 0
+        assert "cache: hits=0 misses=2 stores=2" in cold
+        code, warm = run_cli(*argv)
+        assert code == 0
+        assert "cache: hits=2 " in warm
+
+
+    def test_no_cache_stores_nothing(self, tmp_path):
+        code, text = run_cli("figure", "fig12", "--scale", "0.1", "--no-cache",
+                             "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0
+        assert "cache:" not in text
+        assert not (tmp_path / "cache").exists()
+
+class TestGrid:
+    def test_cache_line_counts_supervised_stores(self, tmp_path):
+        """As for `figure`: cells run in workers at --jobs 2 are stored,
+        and counted, by the process that prints the `cache:` line."""
+        argv = ("grid", "--aqm", "pi2", "--links", "4", "--rtts", "5,10",
+                "--duration", "2", "--jobs", "2", "--cache-dir", str(tmp_path))
+        code, cold = run_cli(*argv)
+        assert code == 0
+        assert "cache: hits=0 misses=2 stores=2" in cold
+        code, warm = run_cli(*argv)
+        assert code == 0
+        assert "cache: hits=2 misses=0 stores=0" in warm
+        digest = [line for line in cold.splitlines()
+                  if line.startswith("grid digest: ")]
+        assert len(digest) == 1 and digest[0] in warm.splitlines()
+
+class TestCacheCommand:
+    def test_counts_then_clears_entries(self, tmp_path):
+        run_cli("figure", "fig12", "--scale", "0.1", "--cache-dir", str(tmp_path))
+        code, text = run_cli("cache", "--cache-dir", str(tmp_path))
+        assert code == 0 and "entries:   2" in text
+        code, text = run_cli("cache", "--cache-dir", str(tmp_path), "--clear")
+        assert code == 0 and "removed 2 cached result(s)" in text
+        code, text = run_cli("cache", "--cache-dir", str(tmp_path))
+        assert "entries:   0" in text
 
 class TestFluid:
     def test_reports_steady_state(self):
@@ -198,3 +243,16 @@ class TestBadInputIsAUsageError:
         assert err.splitlines() == [err.strip()], err
         assert err.startswith("error: ") and needle in err, err
         assert "grid digest" not in out
+
+
+class TestRemovedOptions:
+    """Journal compaction is gone, and with it ``--compact-every``: the
+    option is an unknown argument, a usage error."""
+
+    @pytest.mark.parametrize("argv", [("figure", "fig12"), ("grid",)],
+                             ids=["figure", "grid"])
+    def test_compact_every_is_a_usage_error(self, argv):
+        code, out, err = run_module(*argv, "--compact-every", "2")
+        assert code == 2, (out, err)
+        assert "unrecognized arguments: --compact-every 2" in err
+        assert out == ""
