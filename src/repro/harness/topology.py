@@ -10,10 +10,14 @@ experiments:
 * the reverse (ACK) path is uncongested;
 * UDP sources feed the same bottleneck and terminate in counting sinks.
 
-Each fixed delay is one event posted straight to the next hop: the link
-posts a flow's data packet to its receiver ``rtt / 2`` after transmission
-(the link's per-flow :attr:`~repro.net.link.Link.routes`), and the
-receiver posts each ACK to its sender ``rtt / 2`` later.
+Each fixed delay is one heap entry pushed straight to the next hop, with
+no :meth:`~repro.sim.engine.Simulator.post` frame: the link pushes a
+flow's data packet to its receiver ``rtt / 2`` after transmission (the
+route :meth:`~repro.net.link.Link.add_route` registers), and the
+receiver pushes each ACK to its sender ``rtt / 2`` later (its
+:meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`).  Both take
+their delay from :meth:`Dumbbell.add_tcp_flow`, which requires
+``rtt > 0``.
 
 Per-packet sojourn times at the bottleneck, the AQM probability, the
 queue-delay estimate and link utilization are all recorded here, on the
@@ -24,7 +28,6 @@ flow's goodput record reads its receiver's delivered-segment count.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional
 
 from repro.aqm.base import AQM
@@ -211,7 +214,7 @@ class Dumbbell:
         """
         if cc not in SENDERS:
             raise ValueError(f"unknown congestion control {cc!r}; choose from {sorted(SENDERS)}")
-        if rtt <= 0:
+        if not rtt > 0:  # NaN too: its half would reach the heap unordered
             raise ValueError(f"RTT must be positive (got {rtt})")
         flow_id = self._next_flow_id
         self._next_flow_id += 1
@@ -227,16 +230,18 @@ class Dumbbell:
             flow_size=flow_size,
             sack=sack,
         )
-        # Each one-way delay is a post straight to the next hop.
+        # Each one-way delay is a heap entry pushed straight to the next
+        # hop's own deliver.
         receiver = TcpReceiver(
             self.sim,
             flow_id,
-            ack_out=partial(self.sim.post, rtt / 2.0, sender.deliver),
+            ack_out=sender.deliver,
             ecn_mode=_ECN_MODE[cc],
             sack=sack,
         )
+        receiver.set_ack_delay(rtt / 2.0)
         record.receiver = receiver
-        self.link.routes[flow_id] = partial(self.sim.post, rtt / 2.0, receiver.deliver)
+        self.link.add_route(flow_id, rtt / 2.0, receiver.deliver)
         self.senders[flow_id] = sender
         self.receivers[flow_id] = receiver
 

@@ -15,22 +15,32 @@ Events
 ------
 A busy link is the simulator's hot path: a saturated 100 Mb/s
 bottleneck completes ~8600 transmissions per simulated second before any
-TCP or AQM work happens.  Each completion, and each propagation-delay
-delivery, is one :meth:`~repro.sim.engine.Simulator.post` — a plain heap
-tuple with no cancellable handle.  The completion event is
-:meth:`Link._transmit_next` itself, posted with the finished packet: it
-hands that packet on and starts the next one in the same call.  A route
-entry is called directly at completion, so the dumbbell's
-``functools.partial(sim.post, rtt / 2, receiver.deliver)`` puts the
-packet on the heap for its receiver with no forwarding frame in
-between.  A fault (a link flap or outage) is an ordinary event that
-lands between two completions: the in-flight packet finishes and
-nothing new starts until the link comes back up.
+TCP or AQM work happens.  Each completion, and each routed flow's
+propagation delay, is one uncancellable ``(time, seq, fn, args)`` entry
+that the link pushes onto the engine's heap itself (the engine
+contract: :attr:`~repro.sim.engine.Simulator.heap`), with no
+:meth:`~repro.sim.engine.Simulator.post` frame.  The completion event is
+:meth:`Link._transmit_next` itself, pushed with the finished packet: it
+hands that packet on and starts the next one in the same call.  A
+route is a ``(delay, deliver)`` pair, registered through
+:meth:`Link.add_route`, which checks the delay; at completion the link
+pushes ``deliver(packet)`` ``delay`` seconds out, drawing its seq where
+the post did, so the dumbbell's data packet reaches its receiver with
+no forwarding frame in between.  Both delays are checked where they
+enter, so the pushes need no check of their own: the serialization
+time through the capacity (here) and the packet size
+(:class:`~repro.net.packet.Packet`), the route's delay in
+:meth:`Link.add_route`.  A flow with no route goes to ``sink`` through
+``post``.  A fault (a link
+flap or outage) is an ordinary event that lands between two
+completions: the in-flight packet finishes and nothing new starts until
+the link comes back up.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol
+from heapq import heappush
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.net.packet import Packet
 from repro.net.queue import AQMQueue
@@ -61,7 +71,7 @@ class Link:
         Line rate in bits per second.
     sink:
         Downstream recipient of transmitted packets whose flow has no
-        entry in :attr:`routes`.
+        route (see :meth:`add_route`).
     prop_delay:
         One-way propagation delay in seconds appended after serialization
         on the way to ``sink``.
@@ -95,15 +105,31 @@ class Link:
         self._busy_since: Optional[float] = None
         self.idle_time = 0.0
         self._idle_since = sim.now
-        #: Per-flow delivery: ``flow_id -> deliver(packet)``, called at
-        #: transmission completion in place of ``sink``; an entry carries
-        #: the rest of its flow's path, delay included.
-        self.routes: Dict[int, Callable[[Packet], None]] = {}
+        #: Per-flow delivery, ``flow_id -> (delay, deliver)``, written by
+        #: :meth:`add_route`: at transmission completion the link pushes
+        #: ``deliver(packet)`` ``delay`` seconds out in place of ``sink``.
+        self.routes: Dict[int, Tuple[float, Callable[[Packet], None]]] = {}
+        # The engine's heap and seq handles (never rebound).
+        self._heap = sim.heap
+        self._seq = sim.seq
         queue.set_wakeup(self._on_queue_nonempty)
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    def add_route(
+        self, flow_id: int, delay: Seconds, deliver: Callable[[Packet], None]
+    ) -> None:
+        """Hand each packet of ``flow_id`` to ``deliver`` ``delay``
+        seconds after its transmission completes, in place of ``sink``.
+
+        The delay is checked here because the completion pushes the
+        delivery onto the engine's heap with no check of its own.
+        """
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise ValueError(f"route delay must be non-negative (got {delay})")
+        self.routes[flow_id] = (delay, deliver)
+
     def set_capacity(self, capacity_bps: BitsPerSecond) -> None:
         """Change the line rate; also updates the queue's delay estimate."""
         if capacity_bps <= 0:
@@ -141,14 +167,18 @@ class Link:
         """Hand ``sent`` downstream, then start serializing the
         head-of-line packet, if the link may.
 
-        Each transmission's completion is this call, posted with the
+        Each transmission's completion is this call, pushed with the
         finished packet as ``sent``; a queue wake-up and link restoration
-        call it with no packet.
+        call it with no packet.  Both pushes are the entry
+        :meth:`~repro.sim.engine.Simulator.post` would push, at the
+        point it would draw its seq.
         """
+        now = self.sim.now
         if sent is not None:
-            deliver = self.routes.get(sent.flow_id)
-            if deliver is not None:
-                deliver(sent)
+            route = self.routes.get(sent.flow_id)
+            if route is not None:
+                delay, deliver = route
+                heappush(self._heap, (now + delay, next(self._seq), deliver, (sent,)))
             elif self.sink is not None:
                 if self.prop_delay > 0:
                     self.sim.post(self.prop_delay, self.sink.deliver, sent)
@@ -159,11 +189,10 @@ class Link:
             self.busy = False
             if self._busy_since is not None:
                 self._busy_since = None
-                self._idle_since = self.sim.now
+                self._idle_since = now
             return
         self.busy = True
         if self._busy_since is None:
-            now = self.sim.now
             self._busy_since = now
             self.idle_time += now - self._idle_since
         size = packet.size
@@ -171,7 +200,10 @@ class Link:
         self.busy_time += tx_time
         self.bytes_sent += size
         self.packets_sent += 1
-        self.sim.post(tx_time, self._transmit_next, packet)
+        heappush(
+            self._heap,
+            (now + tx_time, next(self._seq), self._transmit_next, (packet,)),
+        )
 
     # ------------------------------------------------------------------
     # Telemetry

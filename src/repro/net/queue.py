@@ -134,6 +134,9 @@ class AQMQueue:
         self.record_sojourn: Optional[Callable[[float], None]] = None
         self.stats = QueueStats()
         self._fifo: deque[Packet] = deque()
+        #: The QueueView backlog in packets: the FIFO's own bound
+        #: ``__len__``, so PIE's per-arrival read costs no Python frame.
+        self.packet_length: Callable[[], int] = self._fifo.__len__
         self._bytes = 0
         self._wakeup: Optional[Callable[[], None]] = None
         #: Fault-injection gate: a predicate consulted before the AQM; a
@@ -153,9 +156,6 @@ class AQMQueue:
     # ------------------------------------------------------------------
     def byte_length(self) -> int:
         return self._bytes
-
-    def packet_length(self) -> int:
-        return len(self._fifo)
 
     def queue_delay(self) -> float:
         return self._bytes * 8.0 / self.capacity_bps

@@ -18,17 +18,34 @@ tracer (the traced loop runs the same heap in epoch chunks).  Compaction (below)
 cancelled events and re-heapifies; the total order means the pop
 sequence is unchanged, so compaction never perturbs results.
 
-Two entry points
-----------------
+Two entry points, and the entry they push
+-----------------------------------------
 :meth:`Simulator.schedule` and :meth:`Simulator.at` return a cancellable
 :class:`Event`; the heap entry is ``(time, seq, None, event)`` and the
 run loop skips it once cancelled.  :meth:`Simulator.post` returns
 nothing: its entry is ``(time, seq, fn, args)`` and allocates no handle.
-Per-packet work (link transmission completions and propagation-delay
-deliveries, pipe arrivals, constant-rate sources) is posted; timers that
-are re-armed or cancelled (TCP retransmission and delayed-ACK timers,
-AQM updates) are scheduled.  Both draw their seq from one counter, so
-same-time events fire in call order across the two.
+Timers that are re-armed or cancelled (TCP retransmission and
+delayed-ACK timers, AQM updates) are scheduled.  Both draw their seq
+from one counter, so same-time events fire in call order across the two.
+
+The uncancellable entry is a contract, not an implementation detail.
+:attr:`Simulator.heap` is the heap list and :attr:`Simulator.seq` the
+seq counter; neither is ever rebound (:meth:`Simulator.compact` rewrites
+the list in place), so a handle taken at construction stays valid.  A
+component may push ``(time, next(seq), fn, args)`` onto ``heap`` with
+:func:`heapq.heappush` itself, where ``time`` is ``now`` plus a delay
+that was checked non-negative where it entered the component, ``fn``
+is never None and ``args`` is a tuple.  That is exactly the entry
+:meth:`post` pushes, minus its frame and its delay check, and the seq
+is drawn at the point the post would draw it, so the dispatch order is
+the same.  The four per-packet events do this: the link's completion
+(``Link._transmit_next``), the link's hop to the flow's receiver
+(``Link.routes``), the receiver's ACK hop to its sender
+(``TcpReceiver.ack_delay``) and the constant-rate source's tick
+(``UdpSource._send_next``).  :meth:`post` stays for every other
+handle-less event (pipes, fault windows, stage schedules): none runs
+per packet on the dumbbell, so its frame costs nothing measurable, and
+its delay check guards delays that nothing else validates.
 
 Cancelled events
 ----------------
@@ -172,8 +189,11 @@ class Simulator:
         self.now: float = start_time
         #: Binary heap of ``(time, seq, fn, args)`` entries.  ``fn`` is
         #: None for a cancellable :class:`Event`, which rides in ``args``.
-        self._heap: List[Tuple[float, int, Any, Any]] = []
-        self._seq = itertools.count()
+        #: Never rebound, so per-packet components may hold it and push
+        #: uncancellable entries themselves (see the module docstring).
+        self.heap: List[Tuple[float, int, Any, Any]] = []
+        #: The one seq counter every entry draws from, with ``next(seq)``.
+        self.seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
         self._compactions = 0
@@ -234,23 +254,24 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current time {self.now}"
             )
-        seq = next(self._seq)
-        ev = Event(time, seq, fn, args, sim=self)
-        _heappush(self._heap, (time, seq, None, ev))
+        seq = next(self.seq)
+        ev = Event(time, seq, fn, args, self)
+        _heappush(self.heap, (time, seq, None, ev))
         return ev
 
     def post(self, delay: Seconds, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` ``delay`` seconds from now; no handle.
 
-        The per-packet entry point: the heap entry is the plain
-        ``(time, seq, fn, args)`` tuple, with no :class:`Event` to
-        allocate, so a posted callback cannot be cancelled.  It draws its
-        seq from the counter :meth:`schedule` uses, so same-time events
-        fire in call order across both entry points.
+        The heap entry is the plain ``(time, seq, fn, args)`` tuple, with
+        no :class:`Event` to allocate, so a posted callback cannot be
+        cancelled.  It draws its seq from the counter :meth:`schedule`
+        uses, so same-time events fire in call order across both entry
+        points.  The per-packet hops push this same entry onto
+        :attr:`heap` themselves (see the module docstring).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        _heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
+        _heappush(self.heap, (self.now + delay, next(self.seq), fn, args))
 
     def every(
         self,
@@ -279,19 +300,20 @@ class Simulator:
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= self.COMPACT_THRESHOLD
-            and self._cancelled_pending * 2 >= len(self._heap)
+            and self._cancelled_pending * 2 >= len(self.heap)
         ):
             self.compact()
 
     def compact(self) -> int:
         """Drop cancelled events from the heap; returns how many were removed.
 
-        The heap list is mutated in place (``run`` holds a local
-        reference to it), and re-heapified.  Safe to call at any time,
+        The heap list is mutated in place (``run`` and every holder of
+        the :attr:`heap` handle keep a reference to it), and
+        re-heapified.  Safe to call at any time,
         including from inside an event callback; pop order is unaffected
         because entries are totally ordered by (time, seq).
         """
-        heap = self._heap
+        heap = self.heap
         before = len(heap)
         heap[:] = [e for e in heap if e[2] is not None or not e[3].cancelled]
         removed = before - len(heap)
@@ -303,7 +325,7 @@ class Simulator:
 
     def _clean_heap(self) -> None:
         """Pop lazily-cancelled events off the heap's head."""
-        heap = self._heap
+        heap = self.heap
         while heap and heap[0][2] is None and heap[0][3].cancelled:
             heapq.heappop(heap)
             if self._cancelled_pending > 0:
@@ -317,7 +339,7 @@ class Simulator:
         changes which callbacks fire or when.
         """
         self._clean_heap()
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     # ------------------------------------------------------------------
     # Execution
@@ -385,7 +407,7 @@ class Simulator:
                 self.now,
                 {
                     "epoch": self._trace_epochs,
-                    "heap": len(self._heap),
+                    "heap": len(self.heap),
                     "events_processed": self._events_processed,
                     "cancelled_pending": self._cancelled_pending,
                     "compactions": self._compactions,
@@ -417,7 +439,7 @@ class Simulator:
         # checks are single comparisons that short-circuit when no
         # watchdog is installed.  The first event past ``stop`` is pushed
         # back, once per call.
-        heap = self._heap
+        heap = self.heap
         heappop = heapq.heappop
         # Hot-loop local for the watchdog's wall-time check only.
         monotonic = time.monotonic
@@ -488,7 +510,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued, including lazily-cancelled ones."""
-        return len(self._heap)
+        return len(self.heap)
 
     @property
     def cancelled_pending(self) -> int:

@@ -110,6 +110,7 @@ class TcpSender:
         self.mss = mss
         self.ecn_mode = ecn_mode
         self._data_codepoint = _DATA_CODEPOINT[ecn_mode]
+        self._classic_ecn = ecn_mode == "classic"
         self.flow_size = flow_size
         self.on_complete = on_complete
 
@@ -213,15 +214,26 @@ class TcpSender:
     # Sending
     # ------------------------------------------------------------------
     def _maybe_send(self) -> None:
+        # The window floor and the limited-transmit cap are plain
+        # comparisons in the order ``max(1, w)`` and ``min(dupacks, 2)``
+        # compare, so they pick the same value without a builtin call.
         if self.sack:
             # SACKed segments have left the network; the scoreboard gives
             # exact pipe accounting, so no inflation heuristics are needed.
-            budget = max(1, int(self.cwnd)) - (self.flight_size - len(self._sacked))
+            window = int(self.cwnd)
+            in_flight = self.next_seq - self.una - len(self._sacked)
+            budget = (window if window > 1 else 1) - in_flight
         else:
             # RFC 3042 limited transmit before recovery; NewReno inflation
             # during it.
-            extra = self._inflation if self.in_recovery else min(self.dupacks, 2)
-            budget = self.una + max(1, int(self.cwnd + extra)) - self.next_seq
+            if self.in_recovery:
+                extra = self._inflation
+            else:
+                extra = self.dupacks
+                if extra > 2:
+                    extra = 2
+            window = int(self.cwnd + extra)
+            budget = self.una + (window if window > 1 else 1) - self.next_seq
         # New segments are built here; _send_segment is for retransmissions.
         # ``next_seq`` and ``_cwr_pending`` are read per segment, because
         # ``transmit`` may re-enter this sender synchronously (the unit rigs).
@@ -235,13 +247,10 @@ class TcpSender:
             seq = self.next_seq
             if flow_size is not None and seq >= flow_size:
                 break
+            # Positional: a keyword call builds a dict per segment.
             pkt = Packet(
-                flow_id=flow_id,
-                size=size,
-                seq=seq,
-                ecn=codepoint,
-                cwr=self._cwr_pending,
-                send_time=now,
+                flow_id, size, seq, -1, False, codepoint, codepoint, False,
+                self._cwr_pending, (), now,
             )
             self._cwr_pending = False
             self.segments_sent += 1
@@ -256,14 +265,10 @@ class TcpSender:
     def _send_segment(self, seq: int) -> None:
         """Retransmit segment ``seq`` (new segments are sent by
         :meth:`_maybe_send`)."""
+        codepoint = self._data_codepoint
         pkt = Packet(
-            flow_id=self.flow_id,
-            size=self.mss + HEADER_BYTES,
-            seq=seq,
-            ecn=self._data_codepoint,
-            cwr=self._cwr_pending,
-            send_time=self.sim.now,
-            is_retransmit=True,
+            self.flow_id, self.mss + HEADER_BYTES, seq, -1, False, codepoint,
+            codepoint, False, self._cwr_pending, (), self.sim.now, 0.0, True,
         )
         self._cwr_pending = False
         self.segments_sent += 1
@@ -296,7 +301,8 @@ class TcpSender:
             else:
                 self.rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt)
                 self.srtt = srtt = 0.875 * srtt + 0.125 * rtt
-            self.rto = max(MIN_RTO, srtt + 4 * self.rttvar)
+            rto = srtt + 4 * self.rttvar
+            self.rto = rto if rto > MIN_RTO else MIN_RTO  # max(MIN_RTO, rto)
         if self.sack:
             # Rebuild the scoreboard from the ACK's (start, end) blocks.
             sacked = set()
@@ -342,7 +348,7 @@ class TcpSender:
             else:
                 self.ca_increase(acked)
 
-            if self.ecn_mode == "classic" and ack.ece:
+            if self._classic_ecn and ack.ece:
                 self._ecn_reaction()
             if self.una >= self._round_end:
                 self.on_round_end(self._round_acked, self._round_marked)
@@ -373,7 +379,7 @@ class TcpSender:
                 self._inflation += 1
                 if self.sack:
                     self._sack_retransmit()
-            if self.ecn_mode == "classic" and ack.ece:
+            if self._classic_ecn and ack.ece:
                 self._ecn_reaction()
             if self.dupacks == 3 and not self.in_recovery:
                 self._fast_retransmit()

@@ -16,10 +16,20 @@ Two echo disciplines are implemented, selected by the sender's ECN mode:
 Out-of-order segments are buffered and trigger immediate duplicate ACKs so
 the sender's fast-retransmit machinery works; this mirrors the mandatory
 quickack-on-reordering behaviour of real stacks.
+
+Each ACK goes to ``ack_out``, in one of two ways.  By default the
+receiver calls ``ack_out(ack)`` at once: the hand-built test rigs pass a
+reverse pipe there, lossy or reordering as the test needs.  On the
+dumbbell's uncongested reverse path ``ack_out`` is the sender's
+``deliver`` and :meth:`TcpReceiver.set_ack_delay` sets the one-way
+delay: each ACK is then one uncancellable heap entry ``ack_delay``
+seconds out, pushed with no :meth:`~repro.sim.engine.Simulator.post`
+frame.  ``set_ack_delay`` checks the delay where it enters.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.net.packet import ACK_SIZE, ECN, Packet
@@ -31,8 +41,9 @@ __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
 #: Delayed-ACK timer (Linux uses 40 ms by default).
 DELACK_TIMEOUT = 0.040
 
-# A module global reads faster than the enum class attribute per segment.
+# Module globals read faster than the enum class attributes per segment.
 _CE = ECN.CE
+_NOT_ECT = ECN.NOT_ECT
 
 
 class TcpReceiver:
@@ -45,7 +56,9 @@ class TcpReceiver:
     flow_id:
         Flow this receiver terminates.
     ack_out:
-        Callback carrying ACK packets back towards the sender.
+        Callback carrying ACK packets back towards the sender: called at
+        once, or ``ack_delay`` later through the heap (see
+        :meth:`set_ack_delay`).
     ecn_mode:
         Must match the sender's: "off", "classic" or "scalable".
     delayed_acks:
@@ -78,7 +91,17 @@ class TcpReceiver:
         self.sim = sim
         self.flow_id = flow_id
         self.ack_out = ack_out
+        #: One-way delay to ``ack_out`` set by :meth:`set_ack_delay`, or
+        #: None to call ``ack_out`` at once.
+        self.ack_delay: Optional[float] = None
+        # The engine's heap and seq handles (never rebound).
+        self._heap = sim.heap
+        self._seq = sim.seq
         self.ecn_mode = ecn_mode
+        # Per-segment echo discipline, settled here rather than compared
+        # as strings per segment.
+        self._classic = ecn_mode == "classic"
+        self._scalable = ecn_mode == "scalable"
         self.delayed_acks = delayed_acks
 
         self.rcv_next = 0
@@ -102,6 +125,17 @@ class TcpReceiver:
         self.ce_received = 0
         self.acks_sent = 0
 
+    def set_ack_delay(self, delay: float) -> None:
+        """Hand each ACK to ``ack_out`` ``delay`` seconds after it is
+        sent, as one heap entry pushed directly, instead of at once.
+
+        The delay is checked here because the push has no check of its
+        own.
+        """
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
+            raise ValueError(f"ACK delay must be non-negative (got {delay})")
+        self.ack_delay = delay
+
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
@@ -112,12 +146,12 @@ class TcpReceiver:
         ce = pkt.ecn is _CE
         if ce:
             self.ce_received += 1
-        if self.ecn_mode == "classic":
+        if self._classic:
             if ce:
                 self._ece_latched = True
             if pkt.cwr:
                 self._ece_latched = False
-        elif self.ecn_mode == "scalable" and ce != self._ce_state:
+        elif self._scalable and ce != self._ce_state:
             # DCTCP state machine: flush the previous run immediately so
             # each ACK covers segments with uniform CE-ness.
             if self._pending > 0:
@@ -186,20 +220,24 @@ class TcpReceiver:
         sack_info: tuple = ()
         if self.sack and self._ooo:
             sack_info = self._sack_blocks()
+        # Positional: a keyword call builds a dict per ACK.  Only the
+        # classic mode latches and only the scalable mode tracks CE
+        # state, so at most one of the two ECE sources is ever set.
         ack = Packet(
-            flow_id=self.flow_id,
-            size=ACK_SIZE,
-            ack=self.rcv_next,
-            is_ack=True,
-            # Only the classic mode latches and only the scalable mode
-            # tracks CE state, so at most one of the two is ever set.
-            ece=self._ece_latched or self._ce_state,
-            sack=sack_info,
-            send_time=self._pending_ts,
+            self.flow_id, ACK_SIZE, -1, self.rcv_next, True, _NOT_ECT,
+            _NOT_ECT, self._ece_latched or self._ce_state, False, sack_info,
+            self._pending_ts,
         )
         self._pending = 0
         self.acks_sent += 1
-        self.ack_out(ack)
+        delay = self.ack_delay
+        if delay is None:
+            self.ack_out(ack)
+        else:
+            heappush(
+                self._heap,
+                (self.sim.now + delay, next(self._seq), self.ack_out, (ack,)),
+            )
 
     def _on_delack(self) -> None:
         self._delack_event = None

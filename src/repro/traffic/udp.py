@@ -6,10 +6,16 @@ test AQM behaviour under unresponsive overload.  The source emits
 fixed-size packets at a constant rate; it ignores all feedback, which is
 the point — the AQM must push its probability high (or saturate and let
 tail-drop act) to protect responsive traffic.
+
+Each tick pushes the next one onto the engine's heap itself, as the
+uncancellable entry :meth:`~repro.sim.engine.Simulator.post` would push,
+one packet interval out; the constructor's positive rate and packet size
+make that interval positive.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.net.packet import DEFAULT_MSS, ECN, HEADER_BYTES, Packet
@@ -43,6 +49,9 @@ class UdpSource:
         self.ecn = ecn
         self.packets_sent = 0
         self._interval = packet_size * 8.0 / rate_bps
+        # The engine's heap and seq handles (never rebound).
+        self._heap = sim.heap
+        self._seq = sim.seq
 
     def start(self, at: float = 0.0, until: Optional[float] = None) -> None:
         """Begin sending at ``at``; optionally stop at ``until``."""
@@ -50,17 +59,20 @@ class UdpSource:
         self.sim.at(at, self._send_next)
 
     def _send_next(self) -> None:
-        if self._until is not None and self.sim.now >= self._until:
+        now = self.sim.now
+        if self._until is not None and now >= self._until:
             return
+        ecn = self.ecn
+        # Positional: a keyword call builds a dict per packet.
         pkt = Packet(
-            flow_id=self.flow_id,
-            size=self.packet_size,
-            ecn=self.ecn,
-            send_time=self.sim.now,
+            self.flow_id, self.packet_size, -1, -1, False, ecn, ecn, False,
+            False, (), now,
         )
         self.packets_sent += 1
         self.transmit(pkt)
-        self.sim.post(self._interval, self._send_next)
+        heappush(
+            self._heap, (now + self._interval, next(self._seq), self._send_next, ())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<UdpSource flow={self.flow_id} {self.rate_bps / 1e6:.1f}Mbps>"

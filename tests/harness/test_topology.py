@@ -27,6 +27,24 @@ class TestFlowWiring:
         with pytest.raises(ValueError):
             bed.add_tcp_flow("reno", rtt=0)
 
+    @pytest.mark.parametrize("rtt", [-0.05, float("nan")])
+    def test_bad_rtt_wires_nothing(self, sim, streams, rtt):
+        # rtt / 2 becomes two directly pushed delays, which no later
+        # check sees; NaN would sit in the heap unordered.
+        bed = make_bed(sim, streams)
+        with pytest.raises(ValueError, match="RTT must be positive"):
+            bed.add_tcp_flow("reno", rtt=rtt)
+        assert bed.link.routes == {} and bed.receivers == {}
+
+    def test_each_one_way_delay_is_a_direct_hop(self, sim, streams):
+        # The link's route and the receiver's ACK hop each carry rtt / 2
+        # straight to the next hop's deliver.
+        bed = make_bed(sim, streams)
+        bed.add_tcp_flow("reno", rtt=0.05)
+        receiver, sender = bed.receivers[0], bed.senders[0]
+        assert bed.link.routes[0] == (0.025, receiver.deliver)
+        assert (receiver.ack_delay, receiver.ack_out) == (0.025, sender.deliver)
+
     def test_flow_ids_unique(self, sim, streams):
         bed = make_bed(sim, streams)
         a = bed.add_tcp_flow("reno", rtt=0.05)

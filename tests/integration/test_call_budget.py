@@ -2,14 +2,22 @@
 
 Every cell of the paper's evaluation pays its cost per bottleneck packet.
 A TCP data segment crosses its sender, the queue and its AQM, and the
-link, which posts it straight to its receiver; the receiver posts each
-ACK straight back to the sender.  A UDP packet crosses its source, the
-queue and the link, and ends in the dumbbell's counting sink.  This check
-counts Python calls into ``repro`` (with ``sys.setprofile``) during two
-untraced runs of one cell that differ only in length, and divides the
-extra calls by the extra dequeued packets.  Set-up and teardown cancel
-out, so what is left is the per-packet path; a hop that gains a call that
-does no work fails it, on any machine, however noisy.
+link, which pushes it onto the engine's heap straight to its receiver;
+the receiver pushes each ACK straight back to the sender.  A UDP packet
+crosses its source, the queue and the link, and ends in the dumbbell's
+counting sink.  This check counts Python calls into ``repro`` (with
+``sys.setprofile``) during two untraced runs of one cell that differ
+only in length, and divides the extra calls by the extra dequeued
+packets.  Set-up and teardown cancel out, so what is left is the
+per-packet path; a hop that gains a call that does no work fails it, on
+any machine, however noisy.
+
+The profiler sees Python frames only.  A C call (``heappush``, a bound
+``deque.__len__``) is invisible to it, and so is the dict a keyword call
+to a Python class builds for its arguments: ``Packet(flow_id=...)`` and
+``Packet(flow_id, ...)`` count the same one frame, though the keyword
+call costs about twice as much.  ``tests/test_positional_builds.py``
+keeps that cost out instead.
 """
 
 import sys
@@ -18,7 +26,7 @@ from functools import partial
 import pytest
 
 from repro.harness import light_tcp, run_experiment, tcp_plus_udp
-from repro.harness.factories import coupled_factory, pi2_factory
+from repro.harness.factories import coupled_factory, pi2_factory, pie_factory
 from repro.harness.scenarios import MBPS, coexistence_pair
 
 #: Python calls into ``repro`` per extra dequeued bottleneck packet
@@ -27,19 +35,29 @@ from repro.harness.scenarios import MBPS, coexistence_pair
 #:
 #: * ``light_tcp`` (PI2, 1 487 extra packets) read 42.3 before each hop
 #:   became one call that does work, then 25.6, then 17.75 once each
-#:   fixed delay became one post straight to the next hop, and 12.89 once
+#:   fixed delay became one post straight to the next hop, 12.89 once
 #:   the TCP endpoints' helper frames, the link's completion hop and
-#:   ``AQM.decide`` were folded into the calls that do the work.
+#:   ``AQM.decide`` were folded into the calls that do the work, and
+#:   10.27 once the link's completion, its route to the receiver and the
+#:   receiver's ACK hop pushed their heap entries themselves instead of
+#:   through ``Simulator.post`` (2.62 frames per packet).
 #: * ``tcp_plus_udp`` (PI2, 1 667 extra packets, most of them UDP: 12 Mb/s
-#:   of it into 10 Mb/s) read 17.74, then 14.38, then 11.24; it also
-#:   covers the queue's drop path and the link's flows with no route.
+#:   of it into 10 Mb/s) read 17.74, then 14.38, then 11.24, then 8.92
+#:   with the UDP tick's push as well; it also covers the queue's drop
+#:   path and the link's flows with no route.
 #: * ``coupled_pair`` (DCTCP and Cubic under the coupled AQM at
-#:   200 Mb/s, 10 ms; 33 333 extra packets) read 17.64, then 11.04; it is
-#:   the only case that reaches ``CoupledPi2Aqm.on_enqueue``, DCTCP's
-#:   per-packet echo and Cubic's ``ca_increase``.
+#:   200 Mb/s, 10 ms; 33 333 extra packets) read 17.64, then 11.04, then
+#:   8.54; it is the only case that reaches ``CoupledPi2Aqm.on_enqueue``,
+#:   DCTCP's per-packet echo and Cubic's ``ca_increase``.
+#: * ``pie_light_tcp`` (PIE, 992 extra packets) and ``pie_tcp_plus_udp``
+#:   (PIE, 1 667) read 13.23 and 12.63 before the pushes and before
+#:   ``AQMQueue.packet_length``, which PIE reads on every arrival, became
+#:   the FIFO's bound ``deque.__len__``; then 10.70 and 8.99.  PIE runs
+#:   in claimed figures and in two benchmark workloads (``many_flows``
+#:   and ``udp_overload``).
 CALLS_PER_PACKET_BUDGET = {
-    "light_tcp": (partial(light_tcp, pi2_factory(), seed=3), 12.90),
-    "tcp_plus_udp": (partial(tcp_plus_udp, pi2_factory(), seed=3), 11.25),
+    "light_tcp": (partial(light_tcp, pi2_factory(), seed=3), 10.27),
+    "tcp_plus_udp": (partial(tcp_plus_udp, pi2_factory(), seed=3), 8.93),
     "coupled_pair": (
         partial(
             coexistence_pair,
@@ -49,8 +67,10 @@ CALLS_PER_PACKET_BUDGET = {
             warmup=1.0,
             seed=3,
         ),
-        11.05,
+        8.55,
     ),
+    "pie_light_tcp": (partial(light_tcp, pie_factory(), seed=3), 10.71),
+    "pie_tcp_plus_udp": (partial(tcp_plus_udp, pie_factory(), seed=3), 8.99),
 }
 
 

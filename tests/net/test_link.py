@@ -89,11 +89,12 @@ class TestCapacityChange:
 
 class TestRouting:
     def test_router_overrides_sink(self, sim):
-        # A flow with a route goes there, with no propagation delay added;
-        # every other flow goes to the sink after it.
+        # A flow with a route goes there after the route's own delay, not
+        # the link's propagation delay; every other flow goes to the sink.
         q, link, default_sink = make_link(sim, prop_delay=0.5)
         special = CountingSink()
-        link.routes[7] = special.deliver
+        link.add_route(7, 0.0, special.deliver)
+        assert link.routes[7] == (0.0, special.deliver)
         q.enqueue(make_packet(flow_id=7))
         q.enqueue(make_packet(flow_id=1))
         sim.run(0.1)
@@ -102,3 +103,24 @@ class TestRouting:
         sim.run(1.0)
         assert special.packets == 1
         assert default_sink.packets == 1
+
+    def test_route_delay_runs_from_completion(self, sim):
+        # 1000 B at 8 Mb/s completes at 1 ms; the route adds 10 ms.
+        q, link, default_sink = make_link(sim, capacity=8e6)
+        special = CountingSink()
+        link.add_route(7, 0.010, special.deliver)
+        q.enqueue(make_packet(flow_id=7, size=1000))
+        sim.run(0.0109)
+        assert special.packets == 0
+        sim.run(0.0111)
+        assert special.packets == 1
+        assert default_sink.packets == 0
+
+    @pytest.mark.parametrize("delay", [-0.001, float("nan")])
+    def test_bad_route_delay_rejected_at_registration(self, sim, delay):
+        # The completion pushes the delivery onto the heap with no check
+        # of its own (post's is bypassed), so registration checks it.
+        q, link, _ = make_link(sim)
+        with pytest.raises(ValueError, match="route delay must be non-negative"):
+            link.add_route(7, delay, CountingSink().deliver)
+        assert 7 not in link.routes

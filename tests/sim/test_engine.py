@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 
 from repro.obs.trace import RecordingTracer
@@ -202,6 +204,47 @@ class TestPost:
         assert sim.pending_events == 2
 
 
+def _push(sim, delay, fn, *args):
+    """The documented direct push: post's entry, without post's frame."""
+    heapq.heappush(sim.heap, (sim.now + delay, next(sim.seq), fn, args))
+
+
+class TestDirectPush:
+    """The ``(time, seq, fn, args)`` entry the per-packet hops push
+    through the public ``heap`` and ``seq`` handles."""
+
+    def test_push_is_the_entry_post_pushes(self):
+        posted, pushed = Simulator(), Simulator()
+        for sim in (posted, pushed):
+            sim.run(0.25)
+        posted.post(1.0, print, "x")
+        _push(pushed, 1.0, print, "x")
+        assert posted.heap == pushed.heap == [(1.25, 0, print, ("x",))]
+
+    def test_push_shares_the_one_counter(self, sim):
+        seen = []
+        sim.post(1.0, seen.append, "post")
+        _push(sim, 1.0, seen.append, "push")
+        ev = sim.schedule(1.0, seen.append, "schedule")
+        _push(sim, 0.5, seen.append, "early")
+        assert ev.seq == 2
+        sim.run(2.0)
+        assert seen == ["early", "post", "push", "schedule"]
+
+    def test_handles_taken_before_compact_stay_live(self, sim):
+        heap, seq = sim.heap, sim.seq
+        events = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
+        for ev in events:
+            ev.cancel()
+        assert sim.compact() == 10
+        assert sim.heap is heap and sim.seq is seq
+        seen = []
+        heapq.heappush(heap, (sim.now + 0.5, next(seq), seen.append, ("pushed",)))
+        assert sim.pending_events == 1
+        sim.run(1.0)
+        assert seen == ["pushed"]
+
+
 def _drive(mode, ops):
     """Apply one randomized workload script; return its dispatch trace.
 
@@ -217,7 +260,9 @@ def _drive(mode, ops):
       child, ``flap`` callbacks cancel the oldest pending sibling
       *mid-dispatch* (the fault-injection pattern).
     * ``cancel`` — cancel a pending event from outside the run loop.
-    * ``post``   — a handle-less per-packet event (:meth:`Simulator.post`).
+    * ``post``   — a handle-less event (:meth:`Simulator.post`).
+    * ``push``   — the same entry pushed through the public ``heap`` and
+      ``seq`` handles, as the per-packet hops do.
     * ``drain``  — advance the horizon a bit (events straddle run()s).
     """
     import itertools as _it
@@ -247,6 +292,8 @@ def _drive(mode, ops):
                 live.pop(op[1] % len(live)).cancel()
         elif op[0] == "post":
             sim.post(op[1], fire, next(ids), "plain", 0.0)
+        elif op[0] == "push":
+            _push(sim, op[1], fire, next(ids), "plain", 0.0)
         else:  # drain
             sim.run(sim.now + op[1])
     sim.run(sim.now + 5.0)
@@ -272,6 +319,7 @@ try:
                   st.sampled_from(["plain", "rearm", "flap"])),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
         st.tuples(st.just("post"), st.floats(min_value=0.0, max_value=0.05)),
+        st.tuples(st.just("push"), st.floats(min_value=0.0, max_value=0.05)),
         st.tuples(st.just("drain"), st.floats(min_value=0.0, max_value=0.5)),
     )
 
@@ -279,8 +327,8 @@ try:
         """Property: run() and the traced run loop produce the
         identical dispatch stream — same (time, id) sequence — for
         arbitrary interleavings of scheduling, cancellation (incl.
-        mid-dispatch fault flaps), posted per-packet events, and staged
-        horizons."""
+        mid-dispatch fault flaps), posted events, directly pushed
+        per-packet entries, and staged horizons."""
 
         @settings(max_examples=50, deadline=None)
         @given(ops=st.lists(_OP, max_size=60))
@@ -290,5 +338,6 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the dev env
     def test_run_and_traced_traces_agree_fallback():
         ops = [("later", 0.1 * i % 0.7, ("plain", "rearm", "flap")[i % 3])
-               for i in range(40)] + [("drain", 0.2), ("cancel", 3)]
+               for i in range(40)] + [("drain", 0.2), ("cancel", 3),
+                                      ("push", 0.01), ("post", 0.01)]
         assert _drive("traced", ops) == _drive("run", ops)

@@ -1,8 +1,11 @@
 """Unit tests for the TCP receiver: ACK generation and ECN echo."""
 
+from functools import partial
+
 import pytest
 
 from repro.net.packet import ECN, Packet
+from repro.sim.engine import Simulator
 from repro.tcp.receiver import DELACK_TIMEOUT, TcpReceiver
 
 
@@ -31,6 +34,56 @@ class TestValidation:
         # A misspelt mode would otherwise behave as "off" and never echo.
         with pytest.raises(ValueError, match="ecn_mode must be one of"):
             make_receiver(sim, acks, ecn_mode=mode)
+
+
+class TestAckDelay:
+    """The dumbbell's reverse path: each ACK pushed straight onto the
+    heap, ``ack_delay`` seconds out to ``ack_out``, instead of a call."""
+
+    @pytest.mark.parametrize("delay", [-0.001, float("nan")])
+    def test_bad_delay_rejected_where_it_enters(self, sim, acks, delay):
+        # The push bypasses post's check, so set_ack_delay checks it.
+        rcv = make_receiver(sim, acks)
+        with pytest.raises(ValueError, match="ACK delay must be non-negative"):
+            rcv.set_ack_delay(delay)
+        assert rcv.ack_delay is None
+
+    def test_without_a_delay_ack_out_is_called_at_once(self, sim, acks):
+        rcv = make_receiver(sim, acks)
+        rcv.deliver(data(0))
+        assert [a.ack for a in acks] == [1]
+        assert sim.pending_events == 0
+
+    def test_delay_defers_ack_out(self, sim):
+        arrived = []
+        rcv = TcpReceiver(sim, 0, ack_out=lambda ack: arrived.append((sim.now, ack.ack)),
+                          delayed_acks=False)
+        rcv.set_ack_delay(0.005)
+        rcv.deliver(data(0))
+        assert arrived == []
+        sim.run(0.0049)
+        assert arrived == []
+        sim.run(0.01)
+        assert arrived == [(0.005, 1)]
+
+    def test_delay_dispatches_as_the_post_it_replaces(self):
+        # Same ACKs, same times, same interleaving with other events.
+        def drive(pushed):
+            sim = Simulator()
+            seen = []
+            sink = lambda ack: seen.append((sim.now, "ack", ack.ack))  # noqa: E731
+            if pushed:
+                rcv = TcpReceiver(sim, 0, ack_out=sink)
+                rcv.set_ack_delay(0.01)
+            else:
+                rcv = TcpReceiver(sim, 0, ack_out=partial(sim.post, 0.01, sink))
+            for i in range(4):
+                sim.at(0.001 * i, rcv.deliver, data(i))
+                sim.at(0.011 + 0.001 * i, seen.append, (0.011 + 0.001 * i, "timer", i))
+            sim.run(1.0)
+            return seen
+
+        assert drive(True) == drive(False)
 
 
 class TestCumulativeAcks:
