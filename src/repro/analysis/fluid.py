@@ -82,8 +82,8 @@ class AqmTransfer:
     r0: float
 
     def __post_init__(self) -> None:
-        if self.r0 <= 0:
-            raise ValueError(f"R0 must be positive (got {self.r0})")
+        if not (self.r0 > 0 and math.isfinite(self.r0)):
+            raise ValueError(f"R0 must be positive and finite (got {self.r0})")
 
     @property
     def kappa_a(self) -> float:
@@ -111,8 +111,8 @@ def _plant_constants(p_prime: float, r0: float) -> tuple[float, float, float, fl
     """κ_S, s_S, κ_R, s_R from a scalable-space operating point p₀′."""
     if not 0.0 < p_prime <= 1.0:
         raise ValueError(f"operating point p' must be in (0,1] (got {p_prime})")
-    if r0 <= 0:
-        raise ValueError(f"R0 must be positive (got {r0})")
+    if not (r0 > 0 and math.isfinite(r0)):  # NaN or inf gives nan margins
+        raise ValueError(f"R0 must be positive and finite (got {r0})")
     kappa_s = 1.0 / p_prime
     s_s = p_prime / (2.0 * r0)
     kappa_r = kappa_s / 2.0

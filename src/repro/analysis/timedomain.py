@@ -63,10 +63,16 @@ class FluidScenario:
     def __post_init__(self) -> None:
         if self.kind not in ("reno_pi2", "reno_pi", "scal_pi"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.capacity_pps <= 0 or self.n_flows <= 0 or self.base_rtt <= 0:
-            raise ValueError("capacity, flows and base RTT must be positive")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        # NaN passes a ``<= 0`` check, an infinite duration cannot be
+        # stepped through, and an infinite rate or RTT leaves a model
+        # with nothing in it, so each must be a finite positive number.
+        if not all(
+            x > 0 and math.isfinite(x)
+            for x in (self.capacity_pps, self.n_flows, self.base_rtt)
+        ):
+            raise ValueError("capacity, flows and base RTT must be positive and finite")
+        if not all(x > 0 and math.isfinite(x) for x in (self.dt, self.duration)):
+            raise ValueError("dt and duration must be positive and finite")
         if self.dt > self.base_rtt / 4:
             raise ValueError(
                 f"dt={self.dt} too coarse for base RTT {self.base_rtt}"

@@ -21,6 +21,19 @@ RED) — implements the small :class:`AQM` interface:
 The queue exposes only what a real qdisc can observe: byte/packet backlog
 and a queue-delay estimate (the exact backlog/capacity conversion; see
 :mod:`repro.net.queue`).
+
+An AQM built on a PI core keeps it in a ``controller`` attribute (a
+:class:`~repro.aqm.pi.PIController`: PI, PIE, bare-PIE, adaptive PI, PI2
+and the coupled AQM).  Such an AQM's :attr:`AQM.probability` must be a
+function of ``controller.p`` alone, and ``controller.p`` changes only by
+being rebound (a float cannot change in place), so the value is
+unchanged for as long as ``controller.p`` is the same object; the
+``controller`` itself is never replaced.  The trace hook of
+:func:`repro.obs.trace.install_aqm_tracer` relies on this to build each
+``aqm_decision`` line's ``p`` text once per controller step.  An AQM
+whose probability depends on other state (RED's average queue, a step
+threshold) has no ``controller``, and the hook reads its probability on
+every record.
 """
 
 from __future__ import annotations

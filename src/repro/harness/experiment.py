@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -104,10 +105,22 @@ class Experiment:
     max_wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ConfigError(f"capacity must be positive (got {self.capacity_bps})")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive (got {self.duration})")
+        # NaN fails every comparison and an infinite duration never ends,
+        # so each of these must be a finite positive number.
+        if not (self.capacity_bps > 0 and math.isfinite(self.capacity_bps)):
+            raise ConfigError(
+                f"capacity must be positive and finite (got {self.capacity_bps})"
+            )
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ConfigError(
+                f"duration must be positive and finite (got {self.duration})"
+            )
+        for index, group in enumerate(self.flows):
+            if not (group.rtt > 0 and math.isfinite(group.rtt)):
+                raise ConfigError(
+                    f"flows[{index}] rtt must be positive and finite "
+                    f"(got {group.rtt})"
+                )
         if not 0 <= self.warmup < self.duration:
             raise ConfigError(
                 f"warmup must be in [0, duration) (got {self.warmup} vs {self.duration})"
@@ -141,7 +154,7 @@ class Experiment:
                     f"capacity_schedule[{index}] must be a (time, rate_bps) "
                     f"pair (got {entry!r})"
                 ) from None
-            if when < 0:
+            if not when >= 0:  # also rejects NaN
                 raise ConfigError(
                     f"capacity_schedule[{index}] time cannot be negative "
                     f"(got {when})"
@@ -151,7 +164,7 @@ class Experiment:
                     f"capacity_schedule[{index}] time {when} is outside "
                     f"[0, duration={self.duration})"
                 )
-            if rate <= 0:
+            if not (rate > 0 and math.isfinite(rate)):
                 raise ConfigError(
                     f"capacity_schedule[{index}] rate must be positive "
                     f"(got {rate})"

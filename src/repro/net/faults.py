@@ -37,6 +37,7 @@ history can be reported next to its results.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -255,9 +256,10 @@ class Fault:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        # Written so that NaN, which fails every comparison, fails them.
+        if not self.start >= 0:
             raise ConfigError(f"fault start cannot be negative (got {self.start})")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ConfigError(f"fault duration must be positive (got {self.duration})")
 
     @property
@@ -283,7 +285,7 @@ class LinkFlapFault(Fault):
         if self.repeat_every is None:
             if self.count > 1:
                 raise ConfigError("count > 1 requires repeat_every")
-        elif self.repeat_every <= self.duration:
+        elif not self.repeat_every > self.duration:
             raise ConfigError(
                 f"repeat_every ({self.repeat_every}) must exceed the outage "
                 f"duration ({self.duration})"
@@ -313,7 +315,7 @@ class BurstLossFault(Fault):
         super().__post_init__()
         if not 0.0 < self.loss_rate < 1.0:
             raise ConfigError(f"loss_rate must be in (0,1) (got {self.loss_rate})")
-        if self.mean_burst < 1.0:
+        if not self.mean_burst >= 1.0:
             raise ConfigError(f"mean_burst must be >= 1 (got {self.mean_burst})")
 
 
@@ -344,8 +346,12 @@ class AqmTimerJitterFault(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.max_jitter <= 0:
-            raise ConfigError(f"max_jitter must be positive (got {self.max_jitter})")
+        # A NaN drift re-arms the timer at the same instant forever (the
+        # re-arm floors the delay at 0), and an infinite one stops it.
+        if not (self.max_jitter > 0 and math.isfinite(self.max_jitter)):
+            raise ConfigError(
+                f"max_jitter must be positive and finite (got {self.max_jitter})"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -85,9 +85,10 @@ class Link:
         sink: Optional[Sink] = None,
         prop_delay: Seconds = 0.0,
     ):
-        if capacity_bps <= 0:
+        # ``not x > 0`` also rejects NaN, which no comparison orders.
+        if not capacity_bps > 0:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
-        if prop_delay < 0:
+        if not prop_delay >= 0:
             raise ValueError(f"propagation delay cannot be negative (got {prop_delay})")
         self.sim = sim
         self.queue = queue
@@ -132,7 +133,7 @@ class Link:
 
     def set_capacity(self, capacity_bps: BitsPerSecond) -> None:
         """Change the line rate; also updates the queue's delay estimate."""
-        if capacity_bps <= 0:
+        if not capacity_bps > 0:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
         self.capacity_bps = capacity_bps
         self.queue.set_capacity(capacity_bps)

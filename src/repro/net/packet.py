@@ -115,7 +115,7 @@ class Packet:
         enqueue_time: float = 0.0,
         is_retransmit: bool = False,
     ) -> None:
-        if size <= 0:
+        if not size > 0:  # also rejects NaN
             raise ValueError(f"packet size must be positive (got {size})")
         self.flow_id = flow_id
         self.size = size

@@ -49,7 +49,7 @@ class Pipe:
         delay: float,
         sink: Optional[Sink] = None,
     ):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
             raise ValueError(f"delay cannot be negative (got {delay})")
         self.sim = sim
         self.delay = delay

@@ -163,7 +163,7 @@ class AQMQueue:
     def set_capacity(self, capacity_bps: float) -> None:
         """Set the drain rate the delay estimate divides by (the link
         calls this when its line rate changes)."""
-        if capacity_bps <= 0:
+        if not capacity_bps > 0:  # also rejects NaN
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
         self.capacity_bps = capacity_bps
 

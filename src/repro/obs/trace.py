@@ -57,7 +57,12 @@ CATEGORIES = ("aqm", "engine", "harness")
 _VERDICT_NAMES = {decision: decision.name.lower() for decision in Decision}
 _ECN_NAMES = {ecn: ecn.name for ecn in ECN}
 #: The same names as JSON strings, spliced into the decision fast line.
-_VERDICT_JSON = {d: encode_basestring_ascii(n) for d, n in _VERDICT_NAMES.items()}
+#: Verdicts are keyed by ``id()``: hashing a plain ``Enum`` member runs
+#: ``Enum.__hash__``, a Python frame, while ``ECN`` is an ``IntEnum``
+#: and hashes as its ``int``, in C.
+_VERDICT_JSON = {
+    id(d): encode_basestring_ascii(n) for d, n in _VERDICT_NAMES.items()
+}
 _ECN_JSON = {ecn: encode_basestring_ascii(n) for ecn, n in _ECN_NAMES.items()}
 
 
@@ -241,8 +246,15 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     ``aqm_decision`` is the one record written once per packet, so into a
     :class:`JsonlTracer` it takes a fast line: one f-string whose fixed
     text (sorted keys, the JSON-quoted AQM class name, the pre-quoted
-    verdict and ECN names) is settled here, leaving ``float.__repr__`` of
-    ``t`` and ``p`` and ``int.__repr__`` of ``flow`` per packet.  Those
+    verdict and ECN names) is settled here.  Its ``p`` and ``t`` texts
+    are ``float.__repr__`` of the values, built only when their input
+    changes: ``t`` when ``sim.now`` is a new object (every enqueue inside
+    one event shares it), and ``p``, for an AQM with a ``controller``,
+    when ``controller.p`` is rebound (once per update interval), which
+    holds because such an AQM's ``probability`` is a function of
+    ``controller.p`` alone (:mod:`repro.aqm.base` states the contract).
+    An AQM without one (RED, step, fixed) reads ``probability`` per
+    record.  Per packet that leaves ``int.__repr__`` of ``flow``.  Those
     reprs are the encoder's output only for an exact finite ``float``
     and an exact ``int``, so any other value (an ``int`` or
     ``np.float64`` probability, NaN, a ``bool`` or ``IntEnum`` flow id)
@@ -268,6 +280,11 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
     jsonl = type(tracer) is JsonlTracer
     write, counts = (tracer._write, tracer.counts) if jsonl else (None, None)
     head = '{"aqm": ' + encode_basestring_ascii(kind) + ', "cat": "aqm", "ecn": '
+    # The inputs the line's ``p`` and ``t`` texts were built from (fresh
+    # sentinels match nothing), and the texts: None where the value is
+    # not an exact finite float, which sends the record through ``emit``.
+    raw = seen_now = object()
+    p = p_text = t_text = None
 
     def traced_update() -> None:
         """Run the real control-law update, then emit ``aqm_update``."""
@@ -297,23 +314,23 @@ def install_aqm_tracer(aqm: Optional[Any], tracer: Optional[Any]) -> Optional[An
 
     def traced_on_enqueue(packet: Any) -> Any:
         """Run the real verdict, then record ``aqm_decision``."""
+        nonlocal raw, p, p_text, seen_now, t_text
         decision = original_on_enqueue(packet)
         sim = aqm.sim
         now = sim.now if sim is not None else 0.0
-        p = aqm.probability
+        if now is not seen_now:
+            seen_now = now
+            t_text = repr(now) if type(now) is float and isfinite(now) else None
+        if controller is None or controller.p is not raw:
+            raw = controller.p if controller is not None else None
+            p = aqm.probability
+            p_text = repr(p) if type(p) is float and isfinite(p) else None
         flow = packet.flow_id
-        if (
-            jsonl
-            and type(now) is float
-            and type(p) is float
-            and type(flow) is int
-            and isfinite(now)
-            and isfinite(p)
-        ):
+        if jsonl and t_text is not None and p_text is not None and type(flow) is int:
             write(
                 f'{head}{_ECN_JSON[packet.ecn]}, "event": "aqm_decision", '
-                f'"flow": {flow!r}, "p": {p!r}, "t": {now!r}, '
-                f'"verdict": {_VERDICT_JSON[decision]}}}\n'
+                f'"flow": {flow!r}, "p": {p_text}, "t": {t_text}, '
+                f'"verdict": {_VERDICT_JSON[id(decision)]}}}\n'
             )
             counts["aqm"] += 1
         else:

@@ -244,13 +244,13 @@ class Simulator:
         ``delay`` must be non-negative; a zero delay runs the callback
         after all events already scheduled for the current instant.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which no comparison orders
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.at(self.now + delay, fn, *args)
 
     def at(self, time: Seconds, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time {self.now}"
             )
@@ -269,7 +269,7 @@ class Simulator:
         points.  The per-packet hops push this same entry onto
         :attr:`heap` themselves (see the module docstring).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         _heappush(self.heap, (self.now + delay, next(self.seq), fn, args))
 
@@ -285,7 +285,7 @@ class Simulator:
         The first firing is after ``start_delay`` (default: one interval).
         Used for AQM update timers (the paper's ``T`` = 32 ms / 16 ms).
         """
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError(f"interval must be positive (got {interval})")
         timer = PeriodicTimer(self, interval, fn, args)
         timer.start(start_delay if start_delay is not None else interval)

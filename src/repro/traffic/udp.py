@@ -37,9 +37,10 @@ class UdpSource:
         packet_size: int = DEFAULT_MSS + HEADER_BYTES,
         ecn: ECN = ECN.NOT_ECT,
     ):
-        if rate_bps <= 0:
+        # ``not x > 0`` also rejects NaN, which no comparison orders.
+        if not rate_bps > 0:
             raise ValueError(f"rate must be positive (got {rate_bps})")
-        if packet_size <= 0:
+        if not packet_size > 0:
             raise ValueError(f"packet size must be positive (got {packet_size})")
         self.sim = sim
         self.flow_id = flow_id

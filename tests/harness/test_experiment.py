@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.harness.experiment import Experiment, FlowGroup, UdpGroup, run_experiment
 from repro.harness.factories import pi2_factory, taildrop_factory
 
@@ -31,6 +32,19 @@ class TestValidation:
     def test_warmup_must_precede_duration(self):
         with pytest.raises(ValueError):
             quick_experiment(warmup=10.0, duration=8.0)
+
+    @pytest.mark.parametrize("field", ["capacity_bps", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_duration_rejected(self, field, value):
+        # NaN passes a ``<= 0`` check, and an infinite duration never ends.
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            quick_experiment(**{field: value})
+
+    @pytest.mark.parametrize("rtt", [0.0, -0.005, float("nan"), float("inf")])
+    def test_flow_rtt_must_be_positive_and_finite(self, rtt):
+        flows = [FlowGroup("reno", 1, 0.02), FlowGroup("cubic", 1, rtt)]
+        with pytest.raises(ConfigError, match=r"flows\[1\] rtt must be positive"):
+            quick_experiment(flows=flows)
 
     def test_flow_group_count_positive(self):
         with pytest.raises(ValueError):

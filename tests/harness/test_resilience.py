@@ -240,6 +240,14 @@ class TestExperimentValidation:
         with pytest.raises(ConfigError):
             _quick_experiment(capacity_schedule=[(1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "entry", [(float("nan"), 5e6), (1.0, float("nan")), (1.0, float("inf"))]
+    )
+    def test_capacity_schedule_non_finite_rejected(self, entry):
+        # A NaN time or rate used to pass and fail only inside the run.
+        with pytest.raises(ConfigError):
+            _quick_experiment(capacity_schedule=[entry])
+
     def test_capacity_schedule_pair_shape(self):
         with pytest.raises(ConfigError):
             _quick_experiment(capacity_schedule=[(1.0,)])

@@ -18,6 +18,12 @@ to a Python class builds for its arguments: ``Packet(flow_id=...)`` and
 ``Packet(flow_id, ...)`` count the same one frame, though the keyword
 call costs about twice as much.  ``tests/test_positional_builds.py``
 keeps that cost out instead.
+
+A traced run adds the ``aqm_decision`` hook on every enqueue.  The
+traced cases run three of the cells with a ``JsonlTracer`` on every
+category and count the same way, so a per-record frame creeping back
+into the hook (a ``probability`` read per packet where the text is
+cached, or an enum hash) fails them too.
 """
 
 import sys
@@ -28,6 +34,7 @@ import pytest
 from repro.harness import light_tcp, run_experiment, tcp_plus_udp
 from repro.harness.factories import coupled_factory, pi2_factory, pie_factory
 from repro.harness.scenarios import MBPS, coexistence_pair
+from repro.obs import JsonlTracer
 
 #: Python calls into ``repro`` per extra dequeued bottleneck packet
 #: between 2 s and 4 s of simulated time, seed 3: a cell builder taking
@@ -73,9 +80,22 @@ CALLS_PER_PACKET_BUDGET = {
     "pie_tcp_plus_udp": (partial(tcp_plus_udp, pie_factory(), seed=3), 8.99),
 }
 
+#: The same count with a ``JsonlTracer`` on every category, for three of
+#: the cells above.  Each enqueue runs the ``aqm_decision`` hook, which
+#: wrote its line for 12.97 (``tcp_plus_udp``), 13.06 (``pie_light_tcp``)
+#: and 10.56 (``coupled_pair``) calls per packet while it read
+#: ``probability`` (and PI2's ``clamp_unit``) on every record; with the
+#: ``p`` text rebuilt only when ``controller.p`` is rebound they read
+#: 10.43, 12.12 and 9.56.
+TRACED_CALLS_PER_PACKET_BUDGET = {
+    "tcp_plus_udp": 10.44,
+    "pie_light_tcp": 12.12,
+    "coupled_pair": 9.57,
+}
 
-def _repro_calls(cell, duration):
-    """Run the cell untraced; (Python calls into repro, packets dequeued)."""
+
+def _repro_calls(cell, duration, tracer=None):
+    """Run the cell; (Python calls into repro, packets dequeued)."""
     calls = 0
 
     def profile(frame, event, _arg):
@@ -89,21 +109,40 @@ def _repro_calls(cell, duration):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        result = run_experiment(experiment)
+        result = run_experiment(experiment, tracer=tracer)
     finally:
         sys.setprofile(previous)
     return calls, result.bed.queue.stats.dequeued
+
+
+def _per_packet(build, tracers=(None, None)):
+    """Extra repro calls per extra dequeued packet, 2 s against 4 s."""
+    short_calls, short_packets = _repro_calls(build, 2.0, tracers[0])
+    long_calls, long_packets = _repro_calls(build, 4.0, tracers[1])
+    assert long_packets > short_packets
+    return (long_calls - short_calls) / (long_packets - short_packets)
 
 
 class TestPerPacketCallBudget:
     @pytest.mark.parametrize("cell", sorted(CALLS_PER_PACKET_BUDGET))
     def test_marginal_calls_per_dequeued_packet_within_budget(self, cell):
         build, budget = CALLS_PER_PACKET_BUDGET[cell]
-        short_calls, short_packets = _repro_calls(build, 2.0)
-        long_calls, long_packets = _repro_calls(build, 4.0)
-        assert long_packets > short_packets
-        per_packet = (long_calls - short_calls) / (long_packets - short_packets)
+        per_packet = _per_packet(build)
         assert per_packet <= budget, (
             f"{cell}: {per_packet:.2f} repro calls per bottleneck packet, "
             f"budget {budget}"
+        )
+
+    @pytest.mark.parametrize("cell", sorted(TRACED_CALLS_PER_PACKET_BUDGET))
+    def test_traced_marginal_calls_within_budget(self, cell, tmp_path):
+        build = CALLS_PER_PACKET_BUDGET[cell][0]
+        budget = TRACED_CALLS_PER_PACKET_BUDGET[cell]
+        with JsonlTracer(tmp_path / "short.jsonl") as short, JsonlTracer(
+            tmp_path / "long.jsonl"
+        ) as long:
+            per_packet = _per_packet(build, (short, long))
+        assert long.counts["aqm"] > short.counts["aqm"] > 0
+        assert per_packet <= budget, (
+            f"traced {cell}: {per_packet:.2f} repro calls per bottleneck "
+            f"packet, budget {budget}"
         )

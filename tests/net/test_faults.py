@@ -223,6 +223,24 @@ class TestFaultDataclasses:
         with pytest.raises(ConfigError):
             AqmTimerJitterFault(0.0, 5.0, max_jitter=-0.01)
 
+    @pytest.mark.parametrize("build", [
+        lambda nan: LinkFlapFault(nan, 2.0),
+        lambda nan: AqmStallFault(5.0, nan),
+        lambda nan: LinkFlapFault(5.0, 2.0, repeat_every=nan, count=2),
+        lambda nan: BurstLossFault(0.0, 5.0, mean_burst=nan),
+        lambda nan: AqmTimerJitterFault(0.0, 5.0, max_jitter=nan),
+    ], ids=["start", "duration", "repeat_every", "mean_burst", "max_jitter"])
+    def test_nan_rejected(self, build):
+        # NaN fails every comparison: a NaN start or period used to be
+        # accepted, and a NaN jitter re-armed the AQM timer at one
+        # instant forever.
+        with pytest.raises(ConfigError):
+            build(float("nan"))
+
+    def test_infinite_jitter_rejected(self):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            AqmTimerJitterFault(0.0, 5.0, max_jitter=float("inf"))
+
 
 # ----------------------------------------------------------------------
 # Injector

@@ -79,12 +79,25 @@ class TestCapacityChange:
         with pytest.raises(ValueError):
             link.set_capacity(0)
 
+    def test_nan_capacity_rejected(self, sim):
+        q, link, sink = make_link(sim, capacity=8e6)
+        with pytest.raises(ValueError):
+            link.set_capacity(float("nan"))
+        assert link.capacity_bps == q.capacity_bps == 8e6
+
     def test_invalid_construction(self, sim):
         q = AQMQueue(sim, None, 1e6)
         with pytest.raises(ValueError):
             Link(sim, q, 0)
         with pytest.raises(ValueError):
             Link(sim, q, 1e6, prop_delay=-1)
+
+    def test_nan_construction_rejected(self, sim):
+        q = AQMQueue(sim, None, 1e6)
+        with pytest.raises(ValueError):
+            Link(sim, q, float("nan"))
+        with pytest.raises(ValueError):
+            Link(sim, q, 1e6, prop_delay=float("nan"))
 
 
 class TestRouting:

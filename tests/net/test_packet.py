@@ -32,6 +32,10 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(flow_id=0, size=0)
 
+    def test_nan_size_rejected(self):
+        with pytest.raises(ValueError):
+            Packet(0, float("nan"))
+
     def test_ect_preserved_from_ecn(self):
         pkt = make_packet(ecn=ECN.ECT1)
         assert pkt.ect is ECN.ECT1

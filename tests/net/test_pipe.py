@@ -41,6 +41,10 @@ class TestPipe:
         with pytest.raises(ValueError):
             Pipe(sim, -0.1)
 
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Pipe(sim, float("nan"))
+
     def test_missing_sink_raises(self, sim):
         with pytest.raises(RuntimeError):
             Pipe(sim, 0.1).deliver(make_packet())

@@ -301,6 +301,12 @@ class TestCapacityDelayEstimator:
         with pytest.raises(ValueError):
             AQMQueue(sim, None, 10e6).set_capacity(-1)
 
+    def test_nan_capacity_rejected(self, sim):
+        q = AQMQueue(sim, None, 10e6)
+        with pytest.raises(ValueError):
+            q.set_capacity(float("nan"))
+        assert q.capacity_bps == 10e6
+
 
 class TestDepartureRateEstimator:
     """PIE's measured departure-rate estimator (RFC 8033 §5.1), driven

@@ -86,6 +86,34 @@ class _ScriptedAqm:
         return self.verdict
 
 
+def _squared(p):
+    """PI2's output law, ``p'²`` clamped to [0, 1]."""
+    return min(max(p**2, 0.0), 1.0)
+
+
+class _ControlledAqm:
+    """A PI-family stand-in: ``probability`` depends on ``controller.p``
+    alone, as the decision hook assumes of an AQM with a ``controller``;
+    it counts its own reads."""
+
+    def __init__(self):
+        self.sim = SimpleNamespace(now=0.0)
+        self.controller = SimpleNamespace(p=0.0)
+        self.verdict = Decision.PASS
+        self.reads = 0
+
+    def update(self):
+        pass
+
+    def on_enqueue(self, packet):
+        return self.verdict
+
+    @property
+    def probability(self):
+        self.reads += 1
+        return _squared(self.controller.p)
+
+
 def _line(category, event, t, fields):
     """The JSONL line schema 1 specifies for one event."""
     return json.dumps(
@@ -376,6 +404,48 @@ class TestSinkEncoding:
                 }))
             assert tracer.counts["aqm"] == len(expected)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == expected
+
+    def test_decision_p_text_follows_controller_rebinds(self, tmp_path):
+        # With a controller, the hook reads ``probability`` only when
+        # ``controller.p`` is rebound, even between two decisions of one
+        # event (same ``now`` object) and even to an equal value, and it
+        # rebuilds ``t``'s text only for a new ``now`` object.  An int
+        # ``p`` (PI2's law keeps it an int) or an np.float64 ``t`` goes
+        # through emit.  Every line is still dumps'.
+        t1, t2 = 1.5, 2.0
+        steps = [  # (now, controller.p)
+            (t1, 0.5),
+            (t1, 0.5),
+            (t1, 0.3),
+            (t1, float("0.3")),
+            (t1, 1),
+            (t2, 1),
+            (t2, 0.5),
+            (np.float64(2.5), 0.5),
+            (3.0, 0.5),
+            (t2, 0.0),
+        ]
+        verdicts = itertools.cycle(Decision)
+        codepoints = itertools.cycle(ECN)
+        path = tmp_path / "controlled.jsonl"
+        expected = []
+        with JsonlTracer(path) as tracer:
+            aqm = install_aqm_tracer(_ControlledAqm(), tracer)
+            for now, p in steps:
+                aqm.sim.now, aqm.controller.p = now, p
+                aqm.verdict, ecn = next(verdicts), next(codepoints)
+                assert aqm.on_enqueue(SimpleNamespace(ecn=ecn, flow_id=3)) is aqm.verdict
+                expected.append(_line("aqm", "aqm_decision", now, {
+                    "aqm": "_ControlledAqm",
+                    "verdict": aqm.verdict.name.lower(),
+                    "p": _squared(p),
+                    "ecn": ecn.name,
+                    "flow": 3,
+                }))
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == expected
+        assert '"p": 1,' in expected[4] and '"p": 0.25,' in expected[7]
+        # Steps 1, 3, 4, 5, 7 and 10 bind a new controller.p object.
+        assert aqm.reads == 6
 
     def test_jsonl_lines_encode_the_recorded_events(self, tmp_path):
         exp = _experiment(duration=2.0)

@@ -84,6 +84,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.at(4.0, lambda: None)
 
+    # NaN fails every comparison, so a ``delay < 0`` check lets it through
+    # and its heap entry sits unordered; each entry point rejects it.
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_time_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
 
 class TestRun:
     def test_run_stops_at_until(self, sim):
@@ -174,6 +186,11 @@ class TestPeriodicTimer:
         with pytest.raises(ValueError):
             sim.every(0.0, lambda: None)
 
+    def test_nan_interval_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.every(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
 
 class TestPost:
     """The handle-less entry point the per-packet paths use."""
@@ -197,6 +214,11 @@ class TestPost:
     def test_past_time_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.post(-0.1, lambda: None)
+
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.post(float("nan"), lambda: None)
+        assert sim.pending_events == 0
 
     def test_pending_events_counts_posts(self, sim):
         sim.schedule(1.0, lambda: None)

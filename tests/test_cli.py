@@ -226,6 +226,25 @@ BAD_INPUT = [
     (("grid", "--links", ""), "--links needs at least one value"),
     (("grid", "--rtts", "0"), "--rtts values must be positive"),
     (("grid", "--links", "4,x"), "--links: could not convert"),
+    # The Experiment checks the link rate, the duration and each flow
+    # group's RTT: a non-positive or non-finite one is a ConfigError, not
+    # a traceback from deep in the run (or, for an infinite duration, a
+    # run that never ends).
+    (("coexist", "--rtt", "0"), "rtt must be positive and finite"),
+    (("coexist", "--rtt", "-5"), "rtt must be positive and finite"),
+    (("coexist", "--rtt", "nan"), "rtt must be positive and finite"),
+    (("coexist", "--link", "nan"), "capacity must be positive and finite"),
+    (("run", "--duration", "inf"), "duration must be positive and finite"),
+    # The analysis commands check the same inputs of their own models:
+    # a NaN or infinite RTT used to print nan margins and "stable True".
+    (("bode", "--rtt", "nan"), "R0 must be positive and finite"),
+    (("bode", "--rtt", "inf"), "R0 must be positive and finite"),
+    (("fluid", "--link", "nan"), "base RTT must be positive and finite"),
+    (("fluid", "--rtt", "inf"), "base RTT must be positive and finite"),
+    (("fluid", "--duration", "inf"), "duration must be positive and finite"),
+    # A NaN fault start used to run with no fault; a NaN jitter hung.
+    (("run", "--duration", "5", "--fault", "flap:nan:1"), "fault start"),
+    (("run", "--duration", "5", "--fault", "jitter:1:2:nan"), "max_jitter"),
 ]
 
 

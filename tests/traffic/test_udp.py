@@ -52,3 +52,12 @@ class TestUdpSource:
             UdpSource(sim, 0, transmit=lambda p: None, rate_bps=0)
         with pytest.raises(ValueError):
             UdpSource(sim, 0, transmit=lambda p: None, rate_bps=1e6, packet_size=0)
+
+    def test_nan_params_rejected(self, sim):
+        with pytest.raises(ValueError):
+            UdpSource(sim, 0, transmit=lambda p: None, rate_bps=float("nan"))
+        with pytest.raises(ValueError):
+            UdpSource(
+                sim, 0, transmit=lambda p: None, rate_bps=1e6,
+                packet_size=float("nan"),
+            )
