@@ -94,13 +94,24 @@ class CoupledPi2Aqm(AQM):
         # Classic branch: coupled and squared, think twice.
         self.classic_seen += 1
         # The controller keeps ps finite and in [0, ps_max], and k > 0, so
-        # only the upper clamp can bite.
-        pc_prime = min(ps / self.k, 1.0)
-        if pc_prime > 0.0 and max(self.rng.random(), self.rng.random()) < pc_prime:
-            self.classic_signalled += 1
-            if ecn is not _NOT_ECT:
-                return _MARK  # ECT(0): classic ECN marking
-            return _DROP
+        # only the upper clamp can bite.  The clamp and the larger of the
+        # two draws are plain comparisons that pick the operand
+        # ``min(x, 1.0)`` and ``max(y1, y2)`` pick, with no builtin call;
+        # both draws are still made, in the same order.
+        pc_prime = ps / self.k
+        if pc_prime > 1.0:
+            pc_prime = 1.0
+        if pc_prime > 0.0:
+            rng = self.rng
+            y = rng.random()
+            y2 = rng.random()
+            if y2 > y:
+                y = y2
+            if y < pc_prime:
+                self.classic_signalled += 1
+                if ecn is not _NOT_ECT:
+                    return _MARK  # ECT(0): classic ECN marking
+                return _DROP
         return _PASS
 
     # ------------------------------------------------------------------

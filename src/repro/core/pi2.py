@@ -100,6 +100,8 @@ class Pi2Aqm(AQM):
         self.update_interval = update_interval
         self.classic_p_max = classic_p_max
         self.decision_mode = decision_mode
+        # Settled here rather than compared as a string per decision.
+        self._multiply = decision_mode == "multiply"
         self.ecn = ecn
         self.rng = rng or default_stream()
 
@@ -113,7 +115,7 @@ class Pi2Aqm(AQM):
         p_prime = self.controller.p
         if p_prime <= 0.0:
             return _PASS
-        if self.decision_mode == "multiply":
+        if self._multiply:
             signal = self.rng.random() < p_prime * p_prime
         else:
             # Think twice to drop: both random values must fall below p'.

@@ -36,6 +36,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import engine_tracer, install_aqm_tracer
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.tcp import SENDERS
 
 __all__ = [
     "FlowGroup",
@@ -80,6 +81,19 @@ class UdpGroup:
     label: str = "udp"
 
 
+def _check_window(name: str, start: float, stop: Optional[float]) -> None:
+    """A group's ``start`` must be finite and non-negative, and its
+    ``stop``, when set, after it: a NaN ``stop`` would never stop the
+    flow, and one at or before ``start`` would start a flow that sends
+    nothing."""
+    if not (start >= 0 and math.isfinite(start)):  # also rejects NaN
+        raise ConfigError(
+            f"{name} start must be non-negative and finite (got {start})"
+        )
+    if stop is not None and not stop > start:
+        raise ConfigError(f"{name} stop ({stop}) must be after start ({start})")
+
+
 @dataclass
 class Experiment:
     """One run's declarative description."""
@@ -116,11 +130,28 @@ class Experiment:
                 f"duration must be positive and finite (got {self.duration})"
             )
         for index, group in enumerate(self.flows):
+            if group.cc not in SENDERS:
+                raise ConfigError(
+                    f"flows[{index}] has unknown congestion control "
+                    f"{group.cc!r}; choose from {sorted(SENDERS)}"
+                )
             if not (group.rtt > 0 and math.isfinite(group.rtt)):
                 raise ConfigError(
                     f"flows[{index}] rtt must be positive and finite "
                     f"(got {group.rtt})"
                 )
+            _check_window(f"flows[{index}]", group.start, group.stop)
+        for index, udp in enumerate(self.udp):
+            if not (udp.rate_bps > 0 and math.isfinite(udp.rate_bps)):
+                raise ConfigError(
+                    f"udp[{index}] rate_bps must be positive and finite "
+                    f"(got {udp.rate_bps})"
+                )
+            if not udp.count > 0:
+                raise ConfigError(
+                    f"udp[{index}] count must be positive (got {udp.count})"
+                )
+            _check_window(f"udp[{index}]", udp.start, udp.stop)
         if not 0 <= self.warmup < self.duration:
             raise ConfigError(
                 f"warmup must be in [0, duration) (got {self.warmup} vs {self.duration})"

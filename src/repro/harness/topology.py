@@ -14,9 +14,10 @@ Each fixed delay is one heap entry pushed straight to the next hop, with
 no :meth:`~repro.sim.engine.Simulator.post` frame: the link pushes a
 flow's data packet to its receiver ``rtt / 2`` after transmission (the
 route :meth:`~repro.net.link.Link.add_route` registers), and the
-receiver pushes each ACK to its sender ``rtt / 2`` later (its
-:meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`).  Both take
-their delay from :meth:`Dumbbell.add_tcp_flow`, which requires
+receiver pushes each ACK's fields to its sender's
+:meth:`~repro.tcp.base.TcpSender.on_ack` ``rtt / 2`` later, with no ACK
+packet (its :meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`).
+Both take their delay from :meth:`Dumbbell.add_tcp_flow`, which requires
 ``rtt > 0``.
 
 Per-packet sojourn times at the bottleneck, the AQM probability, the
@@ -231,15 +232,16 @@ class Dumbbell:
             sack=sack,
         )
         # Each one-way delay is a heap entry pushed straight to the next
-        # hop's own deliver.
+        # hop: the data packet to the receiver's deliver, the ACK's
+        # fields to the sender's on_ack (no ACK packet, so no ack_out).
         receiver = TcpReceiver(
             self.sim,
             flow_id,
-            ack_out=sender.deliver,
+            ack_out=None,
             ecn_mode=_ECN_MODE[cc],
             sack=sack,
         )
-        receiver.set_ack_delay(rtt / 2.0)
+        receiver.set_ack_delay(rtt / 2.0, sender.on_ack)
         record.receiver = receiver
         self.link.add_route(flow_id, rtt / 2.0, receiver.deliver)
         self.senders[flow_id] = sender

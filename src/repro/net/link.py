@@ -113,6 +113,8 @@ class Link:
         # The engine's heap and seq handles (never rebound).
         self._heap = sim.heap
         self._seq = sim.seq
+        # The completion event, bound once rather than per push.
+        self._completion = self._transmit_next
         queue.set_wakeup(self._on_queue_nonempty)
 
     # ------------------------------------------------------------------
@@ -203,7 +205,7 @@ class Link:
         self.packets_sent += 1
         heappush(
             self._heap,
-            (now + tx_time, next(self._seq), self._transmit_next, (packet,)),
+            (now + tx_time, next(self._seq), self._completion, (packet,)),
         )
 
     # ------------------------------------------------------------------

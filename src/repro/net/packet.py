@@ -55,10 +55,11 @@ class Packet:
     long flows.  ``seq`` is the index of the one segment a data packet
     carries.
 
-    Every bottleneck packet constructs two of these (the segment and its
-    ACK), so the class is hand-written with ``__slots__``: the constructor
-    is one call that keeps both checks, the positive size and the ECT
-    rule.  Packets compare and hash by identity.
+    Every bottleneck packet constructs one of these (the dumbbell's
+    receiver sends its ACK as heap-entry fields, not as a packet), so the
+    class is hand-written with ``__slots__``: the constructor is one call
+    that keeps both checks, the positive size and the ECT rule.  Packets
+    compare and hash by identity.
 
     Attributes
     ----------

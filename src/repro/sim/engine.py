@@ -24,24 +24,31 @@ Two entry points, and the entry they push
 :class:`Event`; the heap entry is ``(time, seq, None, event)`` and the
 run loop skips it once cancelled.  :meth:`Simulator.post` returns
 nothing: its entry is ``(time, seq, fn, args)`` and allocates no handle.
-Timers that are re-armed or cancelled (TCP retransmission and
-delayed-ACK timers, AQM updates) are scheduled.  Both draw their seq
-from one counter, so same-time events fire in call order across the two.
+An :class:`Event` is kept only for timers that can be cancelled (the
+TCP retransmission timer, moved earlier by cancel and re-arm; periodic
+AQM update and sampling timers; the stage and fault schedules) and for
+per-flow one-shots (flow starts and stops, the warm-up, web arrivals);
+none of them runs per packet.  Both draw their seq from one counter, so
+same-time events fire in call order across the two.
 
 The uncancellable entry is a contract, not an implementation detail.
 :attr:`Simulator.heap` is the heap list and :attr:`Simulator.seq` the
 seq counter; neither is ever rebound (:meth:`Simulator.compact` rewrites
 the list in place), so a handle taken at construction stays valid.  A
 component may push ``(time, next(seq), fn, args)`` onto ``heap`` with
-:func:`heapq.heappush` itself, where ``time`` is ``now`` plus a delay
-that was checked non-negative where it entered the component, ``fn``
-is never None and ``args`` is a tuple.  That is exactly the entry
+:func:`heapq.heappush` itself, where ``time`` is no earlier than
+``now`` (``now`` plus a delay that was checked non-negative where it
+entered the component, or a deadline the component computed that way),
+``fn`` is never None and ``args`` is a tuple.  That is exactly the entry
 :meth:`post` pushes, minus its frame and its delay check, and the seq
-is drawn at the point the post would draw it, so the dispatch order is
-the same.  The four per-packet events do this: the link's completion
-(``Link._transmit_next``), the link's hop to the flow's receiver
-(``Link.routes``), the receiver's ACK hop to its sender
-(``TcpReceiver.ack_delay``) and the constant-rate source's tick
+is drawn at the point the post (or, for a timer nothing cancels, the
+:meth:`at`) would draw it, so the dispatch order is the same.  Five
+events do this: the link's completion (``Link._transmit_next``), the
+link's hop to the flow's receiver (``Link.routes``), the receiver's ACK
+hop to its sender, whose arguments are the ACK's fields for
+``TcpSender.on_ack`` (``TcpReceiver.set_ack_delay``), the receiver's
+delayed-ACK wakeup (``TcpReceiver._on_delack``, guarded by a pending
+flag since nothing cancels it) and the constant-rate source's tick
 (``UdpSource._send_next``).  :meth:`post` stays for every other
 handle-less event (pipes, fault windows, stage schedules): none runs
 per packet on the dumbbell, so its frame costs nothing measurable, and

@@ -20,6 +20,13 @@ The window laws these hooks produce are exactly the ones the paper's
 Appendix A analyses: ``W = 1.22/√p`` (Reno), ``W = 1.68/√p`` (CReno),
 ``W = 1.17 R^¾ / p^¾`` (Cubic), ``W = 2/p`` (DCTCP under probabilistic
 marking).  Sequence numbers are in segments (see :mod:`repro.net.packet`).
+
+ACKs arrive in one of two shapes that run one logic.  On the dumbbell
+the receiver pushes each ACK's fields straight onto the engine's heap
+as the arguments of :meth:`TcpSender.on_ack`, so no ACK packet is
+built; a reverse path built by hand (a pipe, lossy or reordering as a
+test needs) hands an ACK :class:`~repro.net.packet.Packet` to
+:meth:`TcpSender.deliver`, which passes its fields on.
 """
 
 from __future__ import annotations
@@ -284,15 +291,30 @@ class TcpSender:
     # ACK processing
     # ------------------------------------------------------------------
     def deliver(self, ack: Packet) -> None:
-        """Sink interface: the reverse path delivers ACKs here.
+        """Sink interface: a reverse path built by hand (a pipe, lossy or
+        reordering as a test needs) delivers ACK packets here.
 
-        Anything but an ACK, and any ACK after completion, is ignored.
+        Anything but an ACK is ignored; an ACK's fields go to
+        :meth:`on_ack`.
         """
-        if not ack.is_ack or self.completion_time is not None:
+        if ack.is_ack:
+            self.on_ack(ack.ack, ack.ece, ack.send_time, ack.sack)
+
+    def on_ack(self, ack: int, ece: bool, send_time: float, sack: tuple) -> None:
+        """Process one ACK, given as its fields: the cumulative ``ack``,
+        the ECE flag, the echoed ``send_time`` and the SACK blocks.
+
+        The dumbbell's receiver pushes these four fields onto the heap as
+        the entry's arguments (see
+        :meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`), so no
+        ACK :class:`~repro.net.packet.Packet` is built on that path.  Any
+        ACK after completion is ignored.
+        """
+        if self.completion_time is not None:
             return
         now = self.sim.now
         # RTT sample and RTO (RFC 6298).
-        rtt = now - ack.send_time
+        rtt = now - send_time
         if rtt > 0:
             srtt = self.srtt
             if srtt is None:
@@ -306,14 +328,14 @@ class TcpSender:
         if self.sack:
             # Rebuild the scoreboard from the ACK's (start, end) blocks.
             sacked = set()
-            for start, end in ack.sack:
-                if end >= ack.ack:
-                    sacked.update(range(max(start, ack.ack), end + 1))
+            for start, end in sack:
+                if end >= ack:
+                    sacked.update(range(max(start, ack), end + 1))
             self._sacked = sacked
 
-        if ack.ack > self.una:
-            acked = ack.ack - self.una
-            self.una = ack.ack
+        if ack > self.una:
+            acked = ack - self.una
+            self.una = ack
             # After an RTO rewound next_seq, a late ACK for the original
             # transmissions can overtake it; never send below una.
             if self.next_seq < self.una:
@@ -322,7 +344,7 @@ class TcpSender:
             self._backoff = 1
 
             self._round_acked += acked
-            if ack.ece:
+            if ece:
                 self._round_marked += acked
 
             if self.in_recovery:
@@ -348,7 +370,7 @@ class TcpSender:
             else:
                 self.ca_increase(acked)
 
-            if self._classic_ecn and ack.ece:
+            if self._classic_ecn and ece:
                 self._ecn_reaction()
             if self.una >= self._round_end:
                 self.on_round_end(self._round_acked, self._round_marked)
@@ -379,7 +401,7 @@ class TcpSender:
                 self._inflation += 1
                 if self.sack:
                     self._sack_retransmit()
-            if self._classic_ecn and ack.ece:
+            if self._classic_ecn and ece:
                 self._ecn_reaction()
             if self.dupacks == 3 and not self.in_recovery:
                 self._fast_retransmit()
@@ -434,7 +456,7 @@ class TcpSender:
         self.cwnd = self.ssthresh
 
     # ------------------------------------------------------------------
-    # RTO machinery (RFC 6298; the RTT sample is taken in deliver)
+    # RTO machinery (RFC 6298; the RTT sample is taken in on_ack)
     # ------------------------------------------------------------------
     def _arm_rto(self) -> None:
         """(Re)start the retransmission timer at ``now + rto * backoff``.

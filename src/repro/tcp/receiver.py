@@ -17,14 +17,23 @@ Out-of-order segments are buffered and trigger immediate duplicate ACKs so
 the sender's fast-retransmit machinery works; this mirrors the mandatory
 quickack-on-reordering behaviour of real stacks.
 
-Each ACK goes to ``ack_out``, in one of two ways.  By default the
-receiver calls ``ack_out(ack)`` at once: the hand-built test rigs pass a
-reverse pipe there, lossy or reordering as the test needs.  On the
-dumbbell's uncongested reverse path ``ack_out`` is the sender's
-``deliver`` and :meth:`TcpReceiver.set_ack_delay` sets the one-way
-delay: each ACK is then one uncancellable heap entry ``ack_delay``
-seconds out, pushed with no :meth:`~repro.sim.engine.Simulator.post`
-frame.  ``set_ack_delay`` checks the delay where it enters.
+Each ACK leaves in one of two shapes.  By default the receiver builds
+an ACK :class:`~repro.net.packet.Packet` and calls ``ack_out(ack)`` at
+once: the hand-built test rigs pass a reverse pipe there, lossy or
+reordering as the test needs.  On the dumbbell's uncongested reverse
+path :meth:`TcpReceiver.set_ack_delay` sets the one-way delay and the
+sender's :meth:`~repro.tcp.base.TcpSender.on_ack`: each ACK is then one
+uncancellable heap entry ``ack_delay`` seconds out whose arguments are
+the ACK's fields, ``(ack, ece, send_time, sack)``, pushed with no
+:meth:`~repro.sim.engine.Simulator.post` frame and no packet, and the
+dumbbell passes no ``ack_out`` at all.  ``set_ack_delay`` checks the
+delay where it enters.
+
+The delayed-ACK wakeup is pushed the same way: nothing ever cancels it
+(a disarm clears the deadline, and the wakeup drops itself when it
+fires), so it is a plain ``(deadline, seq, _on_delack, ())`` entry with
+a pending flag in place of a cancellable
+:class:`~repro.sim.engine.Event`.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from heapq import heappush
 from typing import Callable, Optional
 
 from repro.net.packet import ACK_SIZE, ECN, Packet
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.tcp.base import _ECN_MODES
 
 __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
@@ -56,9 +65,10 @@ class TcpReceiver:
     flow_id:
         Flow this receiver terminates.
     ack_out:
-        Callback carrying ACK packets back towards the sender: called at
-        once, or ``ack_delay`` later through the heap (see
-        :meth:`set_ack_delay`).
+        Callback carrying ACK packets back towards the sender, called at
+        once.  None when :meth:`set_ack_delay` will send each ACK's
+        fields through the heap instead, which leaves ``ack_out``
+        unused.
     ecn_mode:
         Must match the sender's: "off", "classic" or "scalable".
     delayed_acks:
@@ -80,7 +90,7 @@ class TcpReceiver:
         self,
         sim: Simulator,
         flow_id: int,
-        ack_out: Callable[[Packet], None],
+        ack_out: Optional[Callable[[Packet], None]],
         ecn_mode: str = "off",
         delayed_acks: bool = True,
         sack: bool = False,
@@ -91,9 +101,12 @@ class TcpReceiver:
         self.sim = sim
         self.flow_id = flow_id
         self.ack_out = ack_out
-        #: One-way delay to ``ack_out`` set by :meth:`set_ack_delay`, or
-        #: None to call ``ack_out`` at once.
+        #: One-way delay to :attr:`on_ack` set by :meth:`set_ack_delay`,
+        #: or None to call ``ack_out`` at once.
         self.ack_delay: Optional[float] = None
+        #: Where each pushed ACK's fields go (the sender's
+        #: :meth:`~repro.tcp.base.TcpSender.on_ack`), set with the delay.
+        self.on_ack: Optional[Callable[[int, bool, float, tuple], None]] = None
         # The engine's heap and seq handles (never rebound).
         self._heap = sim.heap
         self._seq = sim.seq
@@ -114,8 +127,10 @@ class TcpReceiver:
 
         self._pending = 0               # in-order segments not yet ACKed
         self._pending_ts = 0.0          # timestamp to echo on the next ACK
-        self._delack_event: Optional[Event] = None
+        self._delack_armed = False      # a wakeup entry is in the heap
         self._delack_deadline: Optional[float] = None
+        # The wakeup, bound once rather than per push.
+        self._delack_wakeup = self._on_delack
 
         #: In-order segments delivered to the application; goodput
         #: accounting (:class:`~repro.metrics.flowstats.FlowRecord`)
@@ -125,9 +140,12 @@ class TcpReceiver:
         self.ce_received = 0
         self.acks_sent = 0
 
-    def set_ack_delay(self, delay: float) -> None:
-        """Hand each ACK to ``ack_out`` ``delay`` seconds after it is
-        sent, as one heap entry pushed directly, instead of at once.
+    def set_ack_delay(
+        self, delay: float, on_ack: Callable[[int, bool, float, tuple], None]
+    ) -> None:
+        """Hand each ACK's fields to ``on_ack(ack, ece, send_time, sack)``
+        ``delay`` seconds after it is sent, as one heap entry pushed
+        directly, instead of an ACK packet to ``ack_out`` at once.
 
         The delay is checked here because the push has no check of its
         own.
@@ -135,6 +153,7 @@ class TcpReceiver:
         if not delay >= 0:  # also rejects NaN, which no comparison orders
             raise ValueError(f"ACK delay must be non-negative (got {delay})")
         self.ack_delay = delay
+        self.on_ack = on_ack
 
     # ------------------------------------------------------------------
     # Datapath
@@ -177,14 +196,18 @@ class TcpReceiver:
                 self._send_ack()
             elif self._delack_deadline is None:
                 # Start the delayed-ACK timer, lazily like the sender's
-                # RTO: arming writes a deadline, and the heap event (one
-                # per receiver, created only when none is pending)
+                # RTO: arming writes a deadline, and the wakeup (one per
+                # receiver, pushed only when none is in the heap)
                 # re-checks it when it fires, so the every-other-ACK
-                # cancel + reschedule cycle never touches the heap.
+                # disarm + re-arm cycle never touches the heap.
                 deadline = self.sim.now + DELACK_TIMEOUT
                 self._delack_deadline = deadline
-                if self._delack_event is None:
-                    self._delack_event = self.sim.at(deadline, self._on_delack)
+                if not self._delack_armed:
+                    self._delack_armed = True
+                    heappush(
+                        self._heap,
+                        (deadline, next(self._seq), self._delack_wakeup, ()),
+                    )
         elif pkt.seq > self.rcv_next:
             self._ooo.add(pkt.seq)
             self._pending_ts = pkt.send_time
@@ -214,40 +237,45 @@ class TcpReceiver:
         return tuple(blocks[: self.SACK_LIMIT])
 
     def _send_ack(self) -> None:
-        # Lazy delayed-ACK disarm: a pending timer event sees the cleared
+        # Lazy delayed-ACK disarm: a pending wakeup sees the cleared
         # deadline and drops itself (or re-sleeps if re-armed later).
         self._delack_deadline = None
         sack_info: tuple = ()
         if self.sack and self._ooo:
             sack_info = self._sack_blocks()
-        # Positional: a keyword call builds a dict per ACK.  Only the
-        # classic mode latches and only the scalable mode tracks CE
-        # state, so at most one of the two ECE sources is ever set.
-        ack = Packet(
-            self.flow_id, ACK_SIZE, -1, self.rcv_next, True, _NOT_ECT,
-            _NOT_ECT, self._ece_latched or self._ce_state, False, sack_info,
-            self._pending_ts,
-        )
+        # Only the classic mode latches and only the scalable mode tracks
+        # CE state, so at most one of the two ECE sources is ever set.
+        ece = self._ece_latched or self._ce_state
         self._pending = 0
         self.acks_sent += 1
         delay = self.ack_delay
         if delay is None:
-            self.ack_out(ack)
+            # Positional: a keyword call builds a dict per ACK.
+            self.ack_out(
+                Packet(
+                    self.flow_id, ACK_SIZE, -1, self.rcv_next, True, _NOT_ECT,
+                    _NOT_ECT, ece, False, sack_info, self._pending_ts,
+                )
+            )
         else:
             heappush(
                 self._heap,
-                (self.sim.now + delay, next(self._seq), self.ack_out, (ack,)),
+                (
+                    self.sim.now + delay, next(self._seq), self.on_ack,
+                    (self.rcv_next, ece, self._pending_ts, sack_info),
+                ),
             )
 
     def _on_delack(self) -> None:
-        self._delack_event = None
         deadline = self._delack_deadline
         if deadline is None:
-            return  # disarmed since this wakeup was scheduled
+            self._delack_armed = False
+            return  # disarmed since this wakeup was pushed
         if self.sim.now < deadline:
             # Stale wakeup for an earlier arming; sleep until the live one.
-            self._delack_event = self.sim.at(deadline, self._on_delack)
+            heappush(self._heap, (deadline, next(self._seq), self._delack_wakeup, ()))
             return
+        self._delack_armed = False
         self._delack_deadline = None
         if self._pending > 0:
             self._send_ack()

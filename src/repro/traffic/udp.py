@@ -9,12 +9,14 @@ tail-drop act) to protect responsive traffic.
 
 Each tick pushes the next one onto the engine's heap itself, as the
 uncancellable entry :meth:`~repro.sim.engine.Simulator.post` would push,
-one packet interval out; the constructor's positive rate and packet size
-make that interval positive.
+one packet interval out; the constructor's finite positive rate and
+positive packet size make that interval positive (an infinite rate
+would make it zero, and the source would tick at one instant forever).
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappush
 from typing import Callable, Optional
 
@@ -38,8 +40,8 @@ class UdpSource:
         ecn: ECN = ECN.NOT_ECT,
     ):
         # ``not x > 0`` also rejects NaN, which no comparison orders.
-        if not rate_bps > 0:
-            raise ValueError(f"rate must be positive (got {rate_bps})")
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            raise ValueError(f"rate must be positive and finite (got {rate_bps})")
         if not packet_size > 0:
             raise ValueError(f"packet size must be positive (got {packet_size})")
         self.sim = sim
@@ -53,11 +55,13 @@ class UdpSource:
         # The engine's heap and seq handles (never rebound).
         self._heap = sim.heap
         self._seq = sim.seq
+        # The tick, bound once rather than per push.
+        self._tick = self._send_next
 
     def start(self, at: float = 0.0, until: Optional[float] = None) -> None:
         """Begin sending at ``at``; optionally stop at ``until``."""
         self._until = until
-        self.sim.at(at, self._send_next)
+        self.sim.at(at, self._tick)
 
     def _send_next(self) -> None:
         now = self.sim.now
@@ -72,7 +76,7 @@ class UdpSource:
         self.packets_sent += 1
         self.transmit(pkt)
         heappush(
-            self._heap, (now + self._interval, next(self._seq), self._send_next, ())
+            self._heap, (now + self._interval, next(self._seq), self._tick, ())
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -9,6 +9,10 @@ on one of these paths fails loudly here.
 
 The hashes are over ``ResultMetrics.digest()`` (the same fingerprint the
 serial/parallel/cache parity gates compare), serialised with sorted keys.
+Each paper-AQM cell also pins the engine's exact counters (events
+processed, cancelled events pending, compactions): a change that adds
+or removes an event that does nothing leaves the digest alone but moves
+these.
 ``random.Random`` (MT19937) and IEEE-754 arithmetic are stable across
 platforms and Python versions, so the values are portable.  If a change
 *intentionally* alters seeded behaviour, rerun the experiment and update
@@ -72,10 +76,28 @@ PAPER_AQM_CELLS = {
 }
 
 
+#: The engine's ``(events_processed, cancelled_pending, compactions)``
+#: at the end of each cell above, from ``result.telemetry``.
+PAPER_AQM_ENGINE_COUNTERS = {
+    "pie": (5866, 0, 0),
+    "pi": (5599, 0, 0),
+    "pi2": (7316, 0, 0),
+    "coupled": (28468, 0, 0),
+    "pi2_udp": (8083, 1, 0),
+}
+
+
 @pytest.mark.parametrize("cell", sorted(PAPER_AQM_CELLS))
 def test_paper_aqm_digest_locked(cell):
     build, golden = PAPER_AQM_CELLS[cell]
-    assert _digest_hash(run_experiment(build())) == golden
+    result = run_experiment(build())
+    assert _digest_hash(result) == golden
+    telemetry = result.telemetry
+    counters = tuple(
+        telemetry[f"engine.{name}"]
+        for name in ("events_processed", "cancelled_pending", "compactions")
+    )
+    assert counters == PAPER_AQM_ENGINE_COUNTERS[cell]
 
 
 def _adaptive_experiment(faults=False):

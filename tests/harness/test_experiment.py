@@ -50,6 +50,48 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlowGroup(cc="reno", count=0, rtt=0.02)
 
+    # Each group check below raises at construction, so no simulation
+    # runs: before them, each of these configurations failed only inside
+    # run_experiment, or ran silently, or (an infinite UDP rate) never
+    # returned.
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1e6])
+    def test_udp_rate_must_be_positive_and_finite(self, rate):
+        udp = [UdpGroup(1e6), UdpGroup(rate)]
+        with pytest.raises(ConfigError, match=r"udp\[1\] rate_bps must be positive"):
+            quick_experiment(udp=udp)
+
+    def test_udp_count_must_be_positive(self):
+        with pytest.raises(ConfigError, match=r"udp\[0\] count must be positive"):
+            quick_experiment(udp=[UdpGroup(1e6, count=0)])
+
+    @pytest.mark.parametrize("stop", [1.0, 2.0, float("nan")])
+    def test_udp_stop_must_be_after_start(self, stop):
+        # Before start (or at it) the flow sends nothing; NaN never stops.
+        with pytest.raises(ConfigError, match=r"udp\[0\] stop .* must be after start"):
+            quick_experiment(udp=[UdpGroup(1e6, start=2.0, stop=stop)])
+
+    @pytest.mark.parametrize("start", [float("nan"), -1.0, float("inf")])
+    def test_udp_start_must_be_non_negative_and_finite(self, start):
+        with pytest.raises(ConfigError, match=r"udp\[0\] start must be non-negative"):
+            quick_experiment(udp=[UdpGroup(1e6, start=start)])
+
+    @pytest.mark.parametrize("start", [float("nan"), -1.0, float("inf")])
+    def test_flow_start_must_be_non_negative_and_finite(self, start):
+        flows = [FlowGroup("reno", 1, 0.02), FlowGroup("reno", 1, 0.02, start=start)]
+        with pytest.raises(ConfigError, match=r"flows\[1\] start must be non-negative"):
+            quick_experiment(flows=flows)
+
+    @pytest.mark.parametrize("stop", [1.0, 2.0, float("nan")])
+    def test_flow_stop_must_be_after_start(self, stop):
+        flows = [FlowGroup("reno", 1, 0.02, start=2.0, stop=stop)]
+        with pytest.raises(ConfigError, match=r"flows\[0\] stop .* must be after start"):
+            quick_experiment(flows=flows)
+
+    def test_flow_cc_must_be_known(self):
+        flows = [FlowGroup("reno", 1, 0.02), FlowGroup("vegas", 1, 0.02)]
+        with pytest.raises(ConfigError, match=r"flows\[1\] has unknown congestion control 'vegas'"):
+            quick_experiment(flows=flows)
+
 
 class TestRun:
     def test_runs_and_reports_goodput(self):

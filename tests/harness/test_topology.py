@@ -37,13 +37,15 @@ class TestFlowWiring:
         assert bed.link.routes == {} and bed.receivers == {}
 
     def test_each_one_way_delay_is_a_direct_hop(self, sim, streams):
-        # The link's route and the receiver's ACK hop each carry rtt / 2
-        # straight to the next hop's deliver.
+        # The link's route carries rtt / 2 straight to the receiver's
+        # deliver, and the receiver's ACK hop carries each ACK's fields
+        # as far to the sender's on_ack; no ACK packet goes to ack_out.
         bed = make_bed(sim, streams)
         bed.add_tcp_flow("reno", rtt=0.05)
         receiver, sender = bed.receivers[0], bed.senders[0]
         assert bed.link.routes[0] == (0.025, receiver.deliver)
-        assert (receiver.ack_delay, receiver.ack_out) == (0.025, sender.deliver)
+        assert (receiver.ack_delay, receiver.on_ack) == (0.025, sender.on_ack)
+        assert receiver.ack_out is None
 
     def test_flow_ids_unique(self, sim, streams):
         bed = make_bed(sim, streams)

@@ -3,9 +3,9 @@
 Every cell of the paper's evaluation pays its cost per bottleneck packet.
 A TCP data segment crosses its sender, the queue and its AQM, and the
 link, which pushes it onto the engine's heap straight to its receiver;
-the receiver pushes each ACK straight back to the sender.  A UDP packet
-crosses its source, the queue and the link, and ends in the dumbbell's
-counting sink.  This check counts Python calls into ``repro`` (with
+the receiver pushes each ACK's fields straight back to the sender's
+``on_ack``, with no ACK packet.  A UDP packet crosses its source, the
+queue and the link, and ends in the dumbbell's counting sink.  This check counts Python calls into ``repro`` (with
 ``sys.setprofile``) during two untraced runs of one cell that differ
 only in length, and divides the extra calls by the extra dequeued
 packets.  Set-up and teardown cancel out, so what is left is the
@@ -47,24 +47,29 @@ from repro.obs import JsonlTracer
 #:   ``AQM.decide`` were folded into the calls that do the work, and
 #:   10.27 once the link's completion, its route to the receiver and the
 #:   receiver's ACK hop pushed their heap entries themselves instead of
-#:   through ``Simulator.post`` (2.62 frames per packet).
+#:   through ``Simulator.post`` (2.62 frames per packet), and 9.39 once
+#:   each ACK went to the sender as its heap entry's fields instead of
+#:   a ``Packet`` and the delayed-ACK wakeup was pushed without
+#:   ``Simulator.at`` and its ``Event``.
 #: * ``tcp_plus_udp`` (PI2, 1 667 extra packets, most of them UDP: 12 Mb/s
 #:   of it into 10 Mb/s) read 17.74, then 14.38, then 11.24, then 8.92
-#:   with the UDP tick's push as well; it also covers the queue's drop
-#:   path and the link's flows with no route.
+#:   with the UDP tick's push as well, then 8.83 with the ACK fields;
+#:   it also covers the queue's drop path and the link's flows with no
+#:   route.
 #: * ``coupled_pair`` (DCTCP and Cubic under the coupled AQM at
 #:   200 Mb/s, 10 ms; 33 333 extra packets) read 17.64, then 11.04, then
-#:   8.54; it is the only case that reaches ``CoupledPi2Aqm.on_enqueue``,
-#:   DCTCP's per-packet echo and Cubic's ``ca_increase``.
+#:   8.54, then 8.04 with the ACK fields; it is the only case that
+#:   reaches ``CoupledPi2Aqm.on_enqueue``, DCTCP's per-packet echo and
+#:   Cubic's ``ca_increase``.
 #: * ``pie_light_tcp`` (PIE, 992 extra packets) and ``pie_tcp_plus_udp``
 #:   (PIE, 1 667) read 13.23 and 12.63 before the pushes and before
 #:   ``AQMQueue.packet_length``, which PIE reads on every arrival, became
-#:   the FIFO's bound ``deque.__len__``; then 10.70 and 8.99.  PIE runs
-#:   in claimed figures and in two benchmark workloads (``many_flows``
-#:   and ``udp_overload``).
+#:   the FIFO's bound ``deque.__len__``; then 10.70 and 8.99, then 9.78
+#:   and 8.90 with the ACK fields.  PIE runs in claimed figures and in
+#:   two benchmark workloads (``many_flows`` and ``udp_overload``).
 CALLS_PER_PACKET_BUDGET = {
-    "light_tcp": (partial(light_tcp, pi2_factory(), seed=3), 10.27),
-    "tcp_plus_udp": (partial(tcp_plus_udp, pi2_factory(), seed=3), 8.93),
+    "light_tcp": (partial(light_tcp, pi2_factory(), seed=3), 9.39),
+    "tcp_plus_udp": (partial(tcp_plus_udp, pi2_factory(), seed=3), 8.83),
     "coupled_pair": (
         partial(
             coexistence_pair,
@@ -74,10 +79,10 @@ CALLS_PER_PACKET_BUDGET = {
             warmup=1.0,
             seed=3,
         ),
-        8.55,
+        8.04,
     ),
-    "pie_light_tcp": (partial(light_tcp, pie_factory(), seed=3), 10.71),
-    "pie_tcp_plus_udp": (partial(tcp_plus_udp, pie_factory(), seed=3), 8.99),
+    "pie_light_tcp": (partial(light_tcp, pie_factory(), seed=3), 9.78),
+    "pie_tcp_plus_udp": (partial(tcp_plus_udp, pie_factory(), seed=3), 8.91),
 }
 
 #: The same count with a ``JsonlTracer`` on every category, for three of
@@ -86,11 +91,12 @@ CALLS_PER_PACKET_BUDGET = {
 #: and 10.56 (``coupled_pair``) calls per packet while it read
 #: ``probability`` (and PI2's ``clamp_unit``) on every record; with the
 #: ``p`` text rebuilt only when ``controller.p`` is rebound they read
-#: 10.43, 12.12 and 9.56.
+#: 10.43, 12.12 and 9.56, and with each ACK sent as its heap entry's
+#: fields 10.34, 11.19 and 9.06.
 TRACED_CALLS_PER_PACKET_BUDGET = {
-    "tcp_plus_udp": 10.44,
-    "pie_light_tcp": 12.12,
-    "coupled_pair": 9.57,
+    "tcp_plus_udp": 10.34,
+    "pie_light_tcp": 11.20,
+    "coupled_pair": 9.06,
 }
 
 

@@ -37,16 +37,17 @@ class TestValidation:
 
 
 class TestAckDelay:
-    """The dumbbell's reverse path: each ACK pushed straight onto the
-    heap, ``ack_delay`` seconds out to ``ack_out``, instead of a call."""
+    """The dumbbell's reverse path: each ACK's fields pushed straight onto
+    the heap, ``ack_delay`` seconds out to ``on_ack``, instead of an ACK
+    packet to ``ack_out`` at once."""
 
     @pytest.mark.parametrize("delay", [-0.001, float("nan")])
     def test_bad_delay_rejected_where_it_enters(self, sim, acks, delay):
         # The push bypasses post's check, so set_ack_delay checks it.
         rcv = make_receiver(sim, acks)
         with pytest.raises(ValueError, match="ACK delay must be non-negative"):
-            rcv.set_ack_delay(delay)
-        assert rcv.ack_delay is None
+            rcv.set_ack_delay(delay, lambda *fields: None)
+        assert rcv.ack_delay is None and rcv.on_ack is None
 
     def test_without_a_delay_ack_out_is_called_at_once(self, sim, acks):
         rcv = make_receiver(sim, acks)
@@ -55,10 +56,13 @@ class TestAckDelay:
         assert sim.pending_events == 0
 
     def test_delay_defers_ack_out(self, sim):
+        # The fields arrive at on_ack, ack_delay later; ack_out is unused.
         arrived = []
-        rcv = TcpReceiver(sim, 0, ack_out=lambda ack: arrived.append((sim.now, ack.ack)),
+        rcv = TcpReceiver(sim, 0, ack_out=lambda ack: arrived.append("packet"),
                           delayed_acks=False)
-        rcv.set_ack_delay(0.005)
+        rcv.set_ack_delay(
+            0.005, lambda ack, ece, send_time, sack: arrived.append((sim.now, ack))
+        )
         rcv.deliver(data(0))
         assert arrived == []
         sim.run(0.0049)
@@ -71,11 +75,14 @@ class TestAckDelay:
         def drive(pushed):
             sim = Simulator()
             seen = []
-            sink = lambda ack: seen.append((sim.now, "ack", ack.ack))  # noqa: E731
             if pushed:
-                rcv = TcpReceiver(sim, 0, ack_out=sink)
-                rcv.set_ack_delay(0.01)
+                rcv = TcpReceiver(sim, 0, ack_out=None)
+                rcv.set_ack_delay(
+                    0.01,
+                    lambda ack, ece, send_time, sack: seen.append((sim.now, "ack", ack)),
+                )
             else:
+                sink = lambda ack: seen.append((sim.now, "ack", ack.ack))  # noqa: E731
                 rcv = TcpReceiver(sim, 0, ack_out=partial(sim.post, 0.01, sink))
             for i in range(4):
                 sim.at(0.001 * i, rcv.deliver, data(i))
@@ -84,6 +91,57 @@ class TestAckDelay:
             return seen
 
         assert drive(True) == drive(False)
+
+    def test_pushed_fields_are_the_packet_fields(self, sim):
+        # The four fields the push carries are the ones the packet would.
+        packets, fields = [], []
+        by_packet = TcpReceiver(sim, 0, ack_out=packets.append,
+                                ecn_mode="scalable", delayed_acks=False, sack=True)
+        pushed = TcpReceiver(sim, 0, ack_out=None, ecn_mode="scalable",
+                             delayed_acks=False, sack=True)
+        pushed.set_ack_delay(0.0, lambda *ack: fields.append(ack))
+        for seq, ce in [(0, False), (2, True), (4, True), (1, False)]:
+            for rcv in (by_packet, pushed):
+                pkt = data(seq, ecn=ECN.ECT1, ce=ce)
+                pkt.send_time = 0.1 * seq
+                rcv.deliver(pkt)
+        sim.run(1.0)
+        assert fields == [(a.ack, a.ece, a.send_time, a.sack) for a in packets]
+        assert any(ece for _, ece, _, _ in fields) and any(sack for *_, sack in fields)
+
+
+class TestDelayedAckWakeup:
+    """The delayed-ACK wakeup is one plain heap entry per receiver, never
+    an Event: arming writes a deadline, and the entry re-checks it."""
+
+    def test_wakeup_is_one_plain_entry_that_resleeps(self, sim):
+        sent = []
+        rcv = TcpReceiver(sim, 0, ack_out=lambda ack: sent.append((sim.now, ack.ack)))
+        rcv.deliver(data(0))                  # arms: deadline 0.040
+        assert [entry[2:] for entry in sim.heap] == [(rcv._on_delack, ())]
+        rcv.deliver(data(1))                  # second segment: ACK at once
+        assert sent == [(0.0, 2)]
+        sim.run(0.010)
+        rcv.deliver(data(2))                  # re-arms: deadline 0.050
+        assert len(sim.heap) == 1             # the pending entry is reused
+        sim.run(0.045)                        # stale wakeup at 0.040 re-sleeps
+        assert sent == [(0.0, 2)]
+        assert [(t, fn) for t, _, fn, _ in sim.heap] == [(0.050, rcv._on_delack)]
+        sim.run(0.1)
+        assert sent == [(0.0, 2), (0.050, 3)]
+        assert sim.pending_events == 0 and sim.events_processed == 2
+
+    def test_disarmed_wakeup_drops_itself_and_frees_the_flag(self, sim):
+        sent = []
+        rcv = TcpReceiver(sim, 0, ack_out=lambda ack: sent.append((sim.now, ack.ack)))
+        rcv.deliver(data(0))
+        rcv.deliver(data(1))                  # ACKed at once: disarmed
+        sim.run(0.041)                        # the wakeup fires and drops
+        assert sim.pending_events == 0
+        rcv.deliver(data(2))                  # a fresh arming pushes again
+        assert len(sim.heap) == 1
+        sim.run(0.1)
+        assert sent == [(0.0, 2), (0.081, 3)]
 
 
 class TestCumulativeAcks:

@@ -1,13 +1,15 @@
 """Every ``Packet`` and ``Event`` in ``repro`` is built positionally.
 
 A keyword call to a Python class builds a dict of its arguments before
-``__init__`` runs.  A bottleneck packet builds 1.65 ``Packet``\\ s (its
-segment and most of an ACK), so on Python 3.11 the keyword form cost
-about 0.6 µs more per packet; the call-budget test cannot see it, because
-the dict is no Python frame.  The hot sites pass every argument by
-position instead, which ties them to the parameter order.  These tests
-pin each site against a keyword-built reference, field by field, and
-scan the package for a keyword call that would bring the dict back.
+``__init__`` runs.  A bottleneck packet built 1.65 ``Packet``\\ s (its
+segment and most of an ACK; the dumbbell's ACK is now its heap entry's
+fields, and only a receiver with no ACK delay builds one), so on Python
+3.11 the keyword form cost about 0.6 µs more per packet; the call-budget
+test cannot see it, because the dict is no Python frame.  The hot sites
+pass every argument by position instead, which ties them to the
+parameter order.  These tests pin each site against a keyword-built
+reference, field by field, and scan the package for a keyword call
+that would bring the dict back.
 """
 
 from __future__ import annotations

@@ -61,3 +61,10 @@ class TestUdpSource:
                 sim, 0, transmit=lambda p: None, rate_bps=1e6,
                 packet_size=float("nan"),
             )
+
+    def test_infinite_rate_rejected(self, sim):
+        # An infinite rate makes the tick interval 0.0: the source would
+        # tick at one instant forever and the run would never return.
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            UdpSource(sim, 0, transmit=lambda p: None, rate_bps=float("inf"))
+        assert sim.pending_events == 0
