@@ -66,8 +66,10 @@ class FlowGroup:
     sack: bool = False
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"count must be positive (got {self.count})")
+        # NaN passes a ``<= 0`` check and fails only inside the run, as
+        # does an infinite count.
+        if not (self.count > 0 and math.isfinite(self.count)):
+            raise ConfigError(f"count must be positive and finite (got {self.count})")
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,11 @@ class Experiment:
                     f"flows[{index}] rtt must be positive and finite "
                     f"(got {group.rtt})"
                 )
+            if group.flow_size is not None and not group.flow_size > 0:
+                raise ConfigError(
+                    f"flows[{index}] flow_size must be positive "
+                    f"(got {group.flow_size})"
+                )
             _check_window(f"flows[{index}]", group.start, group.stop)
         for index, udp in enumerate(self.udp):
             if not (udp.rate_bps > 0 and math.isfinite(udp.rate_bps)):
@@ -156,17 +163,21 @@ class Experiment:
             raise ConfigError(
                 f"warmup must be in [0, duration) (got {self.warmup} vs {self.duration})"
             )
-        if self.sample_period <= 0:
+        # ``not x > 0`` so that NaN fails too: a NaN sample period fails
+        # only inside the run, a NaN buffer never tail-drops and a NaN
+        # watchdog budget never trips.  An infinite sample period takes
+        # no sample, so every series summary would read NaN.
+        if not (self.sample_period > 0 and math.isfinite(self.sample_period)):
             raise ConfigError(
-                f"sample_period must be positive (got {self.sample_period})"
+                f"sample_period must be positive and finite (got {self.sample_period})"
             )
-        if self.buffer_packets <= 0:
+        if not self.buffer_packets > 0:
             raise ConfigError(
                 f"buffer_packets must be positive (got {self.buffer_packets})"
             )
-        if self.max_events is not None and self.max_events <= 0:
+        if self.max_events is not None and not self.max_events > 0:
             raise ConfigError(f"max_events must be positive (got {self.max_events})")
-        if self.max_wall_seconds is not None and self.max_wall_seconds <= 0:
+        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
             raise ConfigError(
                 f"max_wall_seconds must be positive (got {self.max_wall_seconds})"
             )

@@ -8,7 +8,8 @@ experiments:
 * each flow has its own base RTT (per-flow netem delay in the testbed), so
   RTT heterogeneity is possible;
 * the reverse (ACK) path is uncongested;
-* UDP sources feed the same bottleneck and terminate in counting sinks.
+* UDP sources feed the same bottleneck and end at the link, which counts
+  their packets and bytes as it sends them.
 
 Each fixed delay is one heap entry pushed straight to the next hop, with
 no :meth:`~repro.sim.engine.Simulator.post` frame: the link pushes a
@@ -16,8 +17,8 @@ flow's data packet to its receiver ``rtt / 2`` after transmission (the
 route :meth:`~repro.net.link.Link.add_route` registers), and the
 receiver pushes each ACK's fields to its sender's
 :meth:`~repro.tcp.base.TcpSender.on_ack` ``rtt / 2`` later, with no ACK
-packet (its :meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`).
-Both take their delay from :meth:`Dumbbell.add_tcp_flow`, which requires
+packet (the ``ack_delay`` and ``on_ack`` it is built with).  Both take
+their delay from :meth:`Dumbbell.add_tcp_flow`, which requires
 ``rtt > 0``.
 
 Per-packet sojourn times at the bottleneck, the AQM probability, the
@@ -37,7 +38,6 @@ from repro.metrics.flowstats import FlowTable
 from repro.metrics.series import TimeSeries
 from repro.net.faults import FaultInjector
 from repro.net.link import Link
-from repro.net.node import CountingSink
 from repro.net.packet import ECN
 from repro.net.queue import AQMQueue
 from repro.sim.engine import Simulator
@@ -108,7 +108,6 @@ class Dumbbell:
         self.receivers: Dict[int, TcpReceiver] = {}
         self.udp_sources: Dict[int, UdpSource] = {}
         self._next_flow_id = 0
-        self._udp_sink = CountingSink()
 
         self.sojourns = TimeSeries("sojourn")
         self.queue_delay = TimeSeries("queue_delay")
@@ -135,8 +134,8 @@ class Dumbbell:
             self.queue.record_time, self.queue.record_sojourn = (
                 self.sojourns.buffer_appends()
             )
-        # Flows without a route (UDP) end in the counting sink.
-        self.link = Link(sim, self.queue, capacity_bps, sink=self._udp_sink)
+        # Flows without a route (UDP) end at the link.
+        self.link = Link(sim, self.queue, capacity_bps)
         #: Set by :meth:`install_faults` / :meth:`enable_validation`.
         self.fault_injector: Optional[FaultInjector] = None
         self.invariant_checker: Optional[InvariantChecker] = None
@@ -217,6 +216,10 @@ class Dumbbell:
             raise ValueError(f"unknown congestion control {cc!r}; choose from {sorted(SENDERS)}")
         if not rtt > 0:  # NaN too: its half would reach the heap unordered
             raise ValueError(f"RTT must be positive (got {rtt})")
+        # Checked before any wiring, so a rejected flow leaves nothing
+        # behind; written so that a NaN stop fails too.
+        if stop is not None and not stop > start:
+            raise ValueError(f"stop ({stop}) must be after start ({start})")
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         label = label or cc
@@ -233,15 +236,15 @@ class Dumbbell:
         )
         # Each one-way delay is a heap entry pushed straight to the next
         # hop: the data packet to the receiver's deliver, the ACK's
-        # fields to the sender's on_ack (no ACK packet, so no ack_out).
+        # fields to the sender's on_ack (no ACK packet).
         receiver = TcpReceiver(
             self.sim,
             flow_id,
-            ack_out=None,
+            rtt / 2.0,
+            sender.on_ack,
             ecn_mode=_ECN_MODE[cc],
             sack=sack,
         )
-        receiver.set_ack_delay(rtt / 2.0, sender.on_ack)
         record.receiver = receiver
         self.link.add_route(flow_id, rtt / 2.0, receiver.deliver)
         self.senders[flow_id] = sender
@@ -250,8 +253,6 @@ class Dumbbell:
         rng = self.streams.stream(f"flow/{flow_id}")
         sender.start(at=start + rng.uniform(0.0, jitter))
         if stop is not None:
-            if stop <= start:
-                raise ValueError(f"stop ({stop}) must be after start ({start})")
             self.sim.at(stop, sender.stop)
         return sender
 

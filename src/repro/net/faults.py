@@ -1,20 +1,14 @@
-"""Fault injection: adverse-path pipes and scriptable fault schedules.
+"""Fault injection: scriptable fault schedules at the bottleneck.
 
 The paper's stability experiments (Figures 11–13) are claims about AQM
 behaviour under adverse, *changing* conditions — traffic bursts, capacity
 collapses, regime changes.  This module provides the machinery to push the
-reproduction well beyond clean paths:
+reproduction well beyond clean paths.
 
-**Adverse-path pipes** (drop-in replacements for :class:`~repro.net.pipe.Pipe`
-on a flow's forward or reverse path):
-
-* :class:`GilbertElliottPipe` — bursty loss from the classic two-state
-  Gilbert–Elliott Markov model (:class:`GilbertElliottLoss`), the standard
-  way to model correlated wireless/line errors rather than independent
-  Bernoulli coin flips;
-* :class:`ReorderingPipe` — a fraction of packets are held back for an
-  extra delay so later packets overtake them (netem's ``reorder``);
-* :class:`DuplicatingPipe` — a fraction of packets are delivered twice.
+:class:`GilbertElliottLoss` is the classic two-state Gilbert–Elliott
+Markov loss process, the standard way to model correlated wireless/line
+errors rather than independent Bernoulli coin flips; the burst-loss
+fault draws from it.
 
 **Scriptable fault schedules** (declarative dataclasses handed to
 ``Experiment(faults=[...])`` and wired into the dumbbell by
@@ -44,14 +38,10 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.packet import Packet
-from repro.net.pipe import DropPipe, Pipe
 from repro.sim.engine import Simulator
 
 __all__ = [
     "GilbertElliottLoss",
-    "GilbertElliottPipe",
-    "ReorderingPipe",
-    "DuplicatingPipe",
     "Fault",
     "LinkFlapFault",
     "BurstLossFault",
@@ -144,105 +134,6 @@ class GilbertElliottLoss:
                 self.transitions += 1
         loss = self.loss_bad if self.in_bad else self.loss_good
         return loss > 0 and self.rng.random() < loss
-
-
-# ----------------------------------------------------------------------
-# Adverse-path pipes
-# ----------------------------------------------------------------------
-class GilbertElliottPipe(DropPipe):
-    """A pipe whose losses follow a Gilbert–Elliott bursty process."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        model: GilbertElliottLoss,
-        sink=None,
-    ):
-        super().__init__(sim, delay, sink)
-        self.model = model
-
-    def _should_drop(self, packet: Packet) -> bool:
-        return self.model.should_drop()
-
-
-class ReorderingPipe(Pipe):
-    """A pipe that reorders a fraction of packets.
-
-    Each packet is independently selected with probability ``reorder``;
-    selected packets incur ``extra_delay`` seconds on top of the base
-    delay, so any packet entering less than ``extra_delay`` behind
-    overtakes them — netem's ``delay ... reorder`` semantics.  With a
-    large enough ``extra_delay`` this forces spurious duplicate ACKs and
-    exercises fast-retransmit false sharing.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        reorder: float,
-        extra_delay: float,
-        rng: random.Random,
-        sink=None,
-    ):
-        super().__init__(sim, delay, sink)
-        if not 0.0 <= reorder <= 1.0:
-            raise ConfigError(f"reorder probability must be in [0,1] (got {reorder})")
-        if extra_delay <= 0:
-            raise ConfigError(f"extra_delay must be positive (got {extra_delay})")
-        self.reorder = reorder
-        self.extra_delay = extra_delay
-        self.rng = rng
-        self.reordered = 0
-
-    def deliver(self, packet: Packet) -> None:
-        if self.sink is None:
-            raise RuntimeError("pipe has no sink connected")
-        if self.reorder > 0 and self.rng.random() < self.reorder:
-            self.reordered += 1
-            self._schedule_arrival(packet, extra_delay=self.extra_delay)
-        else:
-            self._schedule_arrival(packet)
-
-
-class DuplicatingPipe(Pipe):
-    """A pipe that delivers a fraction of packets twice.
-
-    The duplicate arrives ``dup_gap`` seconds after the original (0 means
-    back-to-back).  Receivers must treat the copy as a stale segment/ACK;
-    senders must not double-count it — exactly the machinery duplication
-    faults in real networks exercise.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        duplicate: float,
-        rng: random.Random,
-        dup_gap: float = 0.0,
-        sink=None,
-    ):
-        super().__init__(sim, delay, sink)
-        if not 0.0 <= duplicate <= 1.0:
-            raise ConfigError(
-                f"duplication probability must be in [0,1] (got {duplicate})"
-            )
-        if dup_gap < 0:
-            raise ConfigError(f"dup_gap cannot be negative (got {dup_gap})")
-        self.duplicate = duplicate
-        self.dup_gap = dup_gap
-        self.rng = rng
-        self.duplicated = 0
-
-    def deliver(self, packet: Packet) -> None:
-        if self.sink is None:
-            raise RuntimeError("pipe has no sink connected")
-        self._schedule_arrival(packet)
-        if self.duplicate > 0 and self.rng.random() < self.duplicate:
-            self.duplicated += 1
-            self._schedule_arrival(packet, extra_delay=self.dup_gap)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Serializing bottleneck link.
 
 Drains an :class:`~repro.net.queue.AQMQueue` at a configurable bit rate and
-hands each packet on after its serialization time: to its flow's entry in
-:attr:`Link.routes`, or else to a downstream sink after a fixed
-propagation delay.  Utilization accounting (busy time and delivered bytes
-per sampling window) feeds Figure 18.
+hands each packet on after its serialization time to its flow's entry in
+:attr:`Link.routes`.  A flow with no route (UDP, which has no receiver)
+ends at the link, whose :attr:`~Link.bytes_sent` and
+:attr:`~Link.packets_sent` have already counted it.  Utilization
+accounting (busy time and delivered bytes per sampling window) feeds
+Figure 18.
 
 The rate may be changed mid-simulation (:meth:`Link.set_capacity`), which
 is how the Figure 12 varying-link-capacity experiment (100:20:100 Mb/s) is
@@ -15,8 +17,8 @@ Events
 ------
 A busy link is the simulator's hot path: a saturated 100 Mb/s
 bottleneck completes ~8600 transmissions per simulated second before any
-TCP or AQM work happens.  Each completion, and each routed flow's
-propagation delay, is one uncancellable ``(time, seq, fn, args)`` entry
+TCP or AQM work happens.  Each completion, and each routed packet's
+hop to its receiver, is one uncancellable ``(time, seq, fn, args)`` entry
 that the link pushes onto the engine's heap itself (the engine
 contract: :attr:`~repro.sim.engine.Simulator.heap`), with no
 :meth:`~repro.sim.engine.Simulator.post` frame.  The completion event is
@@ -30,30 +32,23 @@ no forwarding frame in between.  Both delays are checked where they
 enter, so the pushes need no check of their own: the serialization
 time through the capacity (here) and the packet size
 (:class:`~repro.net.packet.Packet`), the route's delay in
-:meth:`Link.add_route`.  A flow with no route goes to ``sink`` through
-``post``.  A fault (a link
-flap or outage) is an ordinary event that lands between two
-completions: the in-flight packet finishes and nothing new starts until
-the link comes back up.
+:meth:`Link.add_route`.  A fault (a link flap or outage) is an ordinary
+event that lands between two completions: the in-flight packet finishes
+and nothing new starts until the link comes back up.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from math import inf
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.net.queue import AQMQueue
 from repro.sim.engine import Simulator
 from repro.units import BitsPerSecond, Seconds
 
-__all__ = ["Link", "Sink"]
-
-
-class Sink(Protocol):
-    """Anything that can receive a packet from a link or pipe."""
-
-    def deliver(self, packet: Packet) -> None: ...
+__all__ = ["Link"]
 
 
 class Link:
@@ -69,32 +64,15 @@ class Link:
         into an empty queue.
     capacity_bps:
         Line rate in bits per second.
-    sink:
-        Downstream recipient of transmitted packets whose flow has no
-        route (see :meth:`add_route`).
-    prop_delay:
-        One-way propagation delay in seconds appended after serialization
-        on the way to ``sink``.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        queue: AQMQueue,
-        capacity_bps: BitsPerSecond,
-        sink: Optional[Sink] = None,
-        prop_delay: Seconds = 0.0,
-    ):
+    def __init__(self, sim: Simulator, queue: AQMQueue, capacity_bps: BitsPerSecond):
         # ``not x > 0`` also rejects NaN, which no comparison orders.
         if not capacity_bps > 0:
             raise ValueError(f"capacity must be positive (got {capacity_bps})")
-        if not prop_delay >= 0:
-            raise ValueError(f"propagation delay cannot be negative (got {prop_delay})")
         self.sim = sim
         self.queue = queue
         self.capacity_bps = capacity_bps
-        self.sink = sink
-        self.prop_delay = prop_delay
         self.busy = False
         self.down = False
         self.outages = 0
@@ -108,7 +86,7 @@ class Link:
         self._idle_since = sim.now
         #: Per-flow delivery, ``flow_id -> (delay, deliver)``, written by
         #: :meth:`add_route`: at transmission completion the link pushes
-        #: ``deliver(packet)`` ``delay`` seconds out in place of ``sink``.
+        #: ``deliver(packet)`` ``delay`` seconds out.
         self.routes: Dict[int, Tuple[float, Callable[[Packet], None]]] = {}
         # The engine's heap and seq handles (never rebound).
         self._heap = sim.heap
@@ -124,13 +102,17 @@ class Link:
         self, flow_id: int, delay: Seconds, deliver: Callable[[Packet], None]
     ) -> None:
         """Hand each packet of ``flow_id`` to ``deliver`` ``delay``
-        seconds after its transmission completes, in place of ``sink``.
+        seconds after its transmission completes.
 
         The delay is checked here because the completion pushes the
         delivery onto the engine's heap with no check of its own.
         """
-        if not delay >= 0:  # also rejects NaN, which no comparison orders
-            raise ValueError(f"route delay must be non-negative (got {delay})")
+        # Also rejects NaN, which no comparison orders, and an infinite
+        # delay, after which no packet of the flow would ever arrive.
+        if not 0 <= delay < inf:
+            raise ValueError(
+                f"route delay must be non-negative and finite (got {delay})"
+            )
         self.routes[flow_id] = (delay, deliver)
 
     def set_capacity(self, capacity_bps: BitsPerSecond) -> None:
@@ -167,8 +149,8 @@ class Link:
             self._transmit_next()
 
     def _transmit_next(self, sent: Optional[Packet] = None) -> None:
-        """Hand ``sent`` downstream, then start serializing the
-        head-of-line packet, if the link may.
+        """Hand ``sent`` to its flow's route, if it has one, then start
+        serializing the head-of-line packet, if the link may.
 
         Each transmission's completion is this call, pushed with the
         finished packet as ``sent``; a queue wake-up and link restoration
@@ -182,11 +164,6 @@ class Link:
             if route is not None:
                 delay, deliver = route
                 heappush(self._heap, (now + delay, next(self._seq), deliver, (sent,)))
-            elif self.sink is not None:
-                if self.prop_delay > 0:
-                    self.sim.post(self.prop_delay, self.sink.deliver, sent)
-                else:
-                    self.sink.deliver(sent)
         packet = None if self.down else self.queue.dequeue()
         if packet is None:
             self.busy = False

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["ECN", "Packet", "DEFAULT_MSS", "ACK_SIZE", "HEADER_BYTES"]
+__all__ = ["ECN", "Packet", "DEFAULT_MSS", "HEADER_BYTES"]
 
 #: Default maximum segment size in bytes (Ethernet MTU minus IP+TCP headers).
 DEFAULT_MSS = 1448
 
 #: IP + TCP header overhead carried by every segment.
 HEADER_BYTES = 52
-
-#: Size of a pure ACK on the wire.
-ACK_SIZE = HEADER_BYTES
 
 
 class ECN(enum.IntEnum):
@@ -47,7 +44,7 @@ class ECN(enum.IntEnum):
 
 
 class Packet:
-    """A simulated IP packet carrying a TCP segment, an ACK, or UDP payload.
+    """A simulated IP packet carrying a TCP data segment or UDP payload.
 
     Sequence numbers are in **segments**, not bytes: the paper's window
     equations (Appendix A) are all expressed in segments per RTT, and
@@ -55,38 +52,33 @@ class Packet:
     long flows.  ``seq`` is the index of the one segment a data packet
     carries.
 
-    Every bottleneck packet constructs one of these (the dumbbell's
-    receiver sends its ACK as heap-entry fields, not as a packet), so the
-    class is hand-written with ``__slots__``: the constructor is one call
-    that keeps both checks, the positive size and the ECT rule.  Packets
+    Only the forward path carries packets.  The reverse path is
+    uncongested, so an ACK never queues anywhere and is no packet: the
+    receiver pushes its fields, ``(ack, ece, send_time, sack)``, straight
+    to the sender's :meth:`~repro.tcp.base.TcpSender.on_ack`.
+
+    Every bottleneck packet constructs one of these, so the class is
+    hand-written with ``__slots__``: the constructor is one call that
+    keeps both checks, the positive size and the ECT rule.  Packets
     compare and hash by identity.
 
     Attributes
     ----------
     flow_id:
         Identifier of the owning flow; used for per-flow accounting.
-    seq:
-        Segment sequence number for data packets.
-    ack:
-        Cumulative ACK number (next expected segment) for ACK packets.
     size:
         Size on the wire in bytes, including headers.
+    seq:
+        Segment sequence number (-1 on UDP packets).
     ecn:
         Current ECN field (mutated to :attr:`ECN.CE` by a marking AQM).
     ect:
         The original ECT codepoint, preserved across CE marking so the
         classifier can treat ``ECT(1) or CE`` as Scalable (Figure 9).
         Defaults to ``ecn`` when the caller sets only that.
-    ece:
-        ECN-Echo flag on ACKs (classic feedback, RFC 3168) — also used by
-        the DCTCP receiver's accurate per-packet echo.
     cwr:
-        Congestion-Window-Reduced flag on data packets; stops the classic
-        receiver's persistent ECE echo.
-    sack:
-        Selective-acknowledgement information on ACKs: the receiver's
-        out-of-order segment numbers above ``ack`` (a bounded snapshot of
-        the SACK scoreboard; empty when SACK is off).
+        Congestion-Window-Reduced flag; stops the classic receiver's
+        persistent ECE echo.
     enqueue_time / send_time:
         Timestamps stamped by the queue and the sender; the difference
         between dequeue and ``enqueue_time`` is the per-packet queue delay
@@ -96,8 +88,8 @@ class Packet:
     """
 
     __slots__ = (
-        "flow_id", "size", "seq", "ack", "is_ack", "ecn", "ect", "ece", "cwr",
-        "sack", "send_time", "enqueue_time", "is_retransmit",
+        "flow_id", "size", "seq", "ecn", "ect", "cwr", "send_time",
+        "enqueue_time", "is_retransmit",
     )
 
     def __init__(
@@ -105,13 +97,9 @@ class Packet:
         flow_id: int,
         size: int = DEFAULT_MSS + HEADER_BYTES,
         seq: int = -1,
-        ack: int = -1,
-        is_ack: bool = False,
         ecn: ECN = ECN.NOT_ECT,
         ect: ECN = ECN.NOT_ECT,
-        ece: bool = False,
         cwr: bool = False,
-        sack: tuple = (),
         send_time: float = 0.0,
         enqueue_time: float = 0.0,
         is_retransmit: bool = False,
@@ -121,15 +109,11 @@ class Packet:
         self.flow_id = flow_id
         self.size = size
         self.seq = seq
-        self.ack = ack
-        self.is_ack = is_ack
         self.ecn = ecn
         # Preserve the original ECT codepoint if the caller set only
         # `ecn`: NOT_ECT is 0, so `or` falls through to `ecn`.
         self.ect = ect or ecn
-        self.ece = ece
         self.cwr = cwr
-        self.sack = sack
         self.send_time = send_time
         self.enqueue_time = enqueue_time
         self.is_retransmit = is_retransmit
@@ -154,6 +138,4 @@ class Packet:
         self.ecn = ECN.CE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "ACK" if self.is_ack else "DATA"
-        num = self.ack if self.is_ack else self.seq
-        return f"<{kind} flow={self.flow_id} num={num} {self.ecn.name} {self.size}B>"
+        return f"<Packet flow={self.flow_id} seq={self.seq} {self.ecn.name} {self.size}B>"

@@ -46,13 +46,12 @@ is drawn at the point the post (or, for a timer nothing cancels, the
 events do this: the link's completion (``Link._transmit_next``), the
 link's hop to the flow's receiver (``Link.routes``), the receiver's ACK
 hop to its sender, whose arguments are the ACK's fields for
-``TcpSender.on_ack`` (``TcpReceiver.set_ack_delay``), the receiver's
+``TcpSender.on_ack`` (``TcpReceiver._send_ack``), the receiver's
 delayed-ACK wakeup (``TcpReceiver._on_delack``, guarded by a pending
 flag since nothing cancels it) and the constant-rate source's tick
-(``UdpSource._send_next``).  :meth:`post` stays for every other
-handle-less event (pipes, fault windows, stage schedules): none runs
-per packet on the dumbbell, so its frame costs nothing measurable, and
-its delay check guards delays that nothing else validates.
+(``UdpSource._send_next``).  :meth:`post` stays for a handle-less event
+whose delay nothing else has checked, such as a hop a test builds by
+hand around a sender and a receiver; no event of the dumbbell posts.
 
 Cancelled events
 ----------------

@@ -21,12 +21,9 @@ Appendix A analyses: ``W = 1.22/√p`` (Reno), ``W = 1.68/√p`` (CReno),
 ``W = 1.17 R^¾ / p^¾`` (Cubic), ``W = 2/p`` (DCTCP under probabilistic
 marking).  Sequence numbers are in segments (see :mod:`repro.net.packet`).
 
-ACKs arrive in one of two shapes that run one logic.  On the dumbbell
-the receiver pushes each ACK's fields straight onto the engine's heap
-as the arguments of :meth:`TcpSender.on_ack`, so no ACK packet is
-built; a reverse path built by hand (a pipe, lossy or reordering as a
-test needs) hands an ACK :class:`~repro.net.packet.Packet` to
-:meth:`TcpSender.deliver`, which passes its fields on.
+Each ACK arrives as its fields: the receiver pushes them straight onto
+the engine's heap as the arguments of :meth:`TcpSender.on_ack`, so no
+ACK packet is ever built.
 """
 
 from __future__ import annotations
@@ -243,7 +240,7 @@ class TcpSender:
             budget = self.una + (window if window > 1 else 1) - self.next_seq
         # New segments are built here; _send_segment is for retransmissions.
         # ``next_seq`` and ``_cwr_pending`` are read per segment, because
-        # ``transmit`` may re-enter this sender synchronously (the unit rigs).
+        # ``transmit`` is any callable and may re-enter this sender.
         flow_id = self.flow_id
         flow_size = self.flow_size
         size = self.mss + HEADER_BYTES
@@ -256,8 +253,7 @@ class TcpSender:
                 break
             # Positional: a keyword call builds a dict per segment.
             pkt = Packet(
-                flow_id, size, seq, -1, False, codepoint, codepoint, False,
-                self._cwr_pending, (), now,
+                flow_id, size, seq, codepoint, codepoint, self._cwr_pending, now
             )
             self._cwr_pending = False
             self.segments_sent += 1
@@ -274,8 +270,8 @@ class TcpSender:
         :meth:`_maybe_send`)."""
         codepoint = self._data_codepoint
         pkt = Packet(
-            self.flow_id, self.mss + HEADER_BYTES, seq, -1, False, codepoint,
-            codepoint, False, self._cwr_pending, (), self.sim.now, 0.0, True,
+            self.flow_id, self.mss + HEADER_BYTES, seq, codepoint, codepoint,
+            self._cwr_pending, self.sim.now, 0.0, True,
         )
         self._cwr_pending = False
         self.segments_sent += 1
@@ -290,25 +286,14 @@ class TcpSender:
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
-    def deliver(self, ack: Packet) -> None:
-        """Sink interface: a reverse path built by hand (a pipe, lossy or
-        reordering as a test needs) delivers ACK packets here.
-
-        Anything but an ACK is ignored; an ACK's fields go to
-        :meth:`on_ack`.
-        """
-        if ack.is_ack:
-            self.on_ack(ack.ack, ack.ece, ack.send_time, ack.sack)
-
     def on_ack(self, ack: int, ece: bool, send_time: float, sack: tuple) -> None:
         """Process one ACK, given as its fields: the cumulative ``ack``,
         the ECE flag, the echoed ``send_time`` and the SACK blocks.
 
-        The dumbbell's receiver pushes these four fields onto the heap as
-        the entry's arguments (see
-        :meth:`~repro.tcp.receiver.TcpReceiver.set_ack_delay`), so no
-        ACK :class:`~repro.net.packet.Packet` is built on that path.  Any
-        ACK after completion is ignored.
+        The receiver pushes these four fields onto the heap as the
+        entry's arguments (see :class:`~repro.tcp.receiver.TcpReceiver`),
+        so no ACK :class:`~repro.net.packet.Packet` is built.  Any ACK
+        after completion is ignored.
         """
         if self.completion_time is not None:
             return

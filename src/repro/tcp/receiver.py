@@ -17,17 +17,13 @@ Out-of-order segments are buffered and trigger immediate duplicate ACKs so
 the sender's fast-retransmit machinery works; this mirrors the mandatory
 quickack-on-reordering behaviour of real stacks.
 
-Each ACK leaves in one of two shapes.  By default the receiver builds
-an ACK :class:`~repro.net.packet.Packet` and calls ``ack_out(ack)`` at
-once: the hand-built test rigs pass a reverse pipe there, lossy or
-reordering as the test needs.  On the dumbbell's uncongested reverse
-path :meth:`TcpReceiver.set_ack_delay` sets the one-way delay and the
-sender's :meth:`~repro.tcp.base.TcpSender.on_ack`: each ACK is then one
-uncancellable heap entry ``ack_delay`` seconds out whose arguments are
-the ACK's fields, ``(ack, ece, send_time, sack)``, pushed with no
-:meth:`~repro.sim.engine.Simulator.post` frame and no packet, and the
-dumbbell passes no ``ack_out`` at all.  ``set_ack_delay`` checks the
-delay where it enters.
+Each ACK crosses the uncongested reverse path as one uncancellable heap
+entry ``ack_delay`` seconds out whose arguments are the ACK's fields,
+``(ack, ece, send_time, sack)``, for ``on_ack`` (the sender's
+:meth:`~repro.tcp.base.TcpSender.on_ack`, or a test's wrapper around
+it), pushed with no :meth:`~repro.sim.engine.Simulator.post` frame and
+no packet.  The constructor checks the delay where it enters, because
+the push has no check of its own.
 
 The delayed-ACK wakeup is pushed the same way: nothing ever cancels it
 (a disarm clears the deadline, and the wakeup drops itself when it
@@ -39,9 +35,10 @@ a pending flag in place of a cancellable
 from __future__ import annotations
 
 from heapq import heappush
+from math import inf
 from typing import Callable, Optional
 
-from repro.net.packet import ACK_SIZE, ECN, Packet
+from repro.net.packet import ECN, Packet
 from repro.sim.engine import Simulator
 from repro.tcp.base import _ECN_MODES
 
@@ -50,9 +47,8 @@ __all__ = ["TcpReceiver", "DELACK_TIMEOUT"]
 #: Delayed-ACK timer (Linux uses 40 ms by default).
 DELACK_TIMEOUT = 0.040
 
-# Module globals read faster than the enum class attributes per segment.
+# A module global reads faster than the enum class attribute per segment.
 _CE = ECN.CE
-_NOT_ECT = ECN.NOT_ECT
 
 
 class TcpReceiver:
@@ -64,11 +60,13 @@ class TcpReceiver:
         The driving simulator.
     flow_id:
         Flow this receiver terminates.
-    ack_out:
-        Callback carrying ACK packets back towards the sender, called at
-        once.  None when :meth:`set_ack_delay` will send each ACK's
-        fields through the heap instead, which leaves ``ack_out``
-        unused.
+    ack_delay:
+        One-way delay of the reverse path, in seconds: each ACK reaches
+        ``on_ack`` this long after it is sent.  Must be non-negative
+        and finite.
+    on_ack:
+        Called as ``on_ack(ack, ece, send_time, sack)`` with each ACK's
+        fields: the sender's :meth:`~repro.tcp.base.TcpSender.on_ack`.
     ecn_mode:
         Must match the sender's: "off", "classic" or "scalable".
     delayed_acks:
@@ -90,23 +88,25 @@ class TcpReceiver:
         self,
         sim: Simulator,
         flow_id: int,
-        ack_out: Optional[Callable[[Packet], None]],
+        ack_delay: float,
+        on_ack: Callable[[int, bool, float, tuple], None],
         ecn_mode: str = "off",
         delayed_acks: bool = True,
         sack: bool = False,
     ):
         if ecn_mode not in _ECN_MODES:
             raise ValueError(f"ecn_mode must be one of {_ECN_MODES} (got {ecn_mode!r})")
+        # Also rejects NaN, which no comparison orders, and an infinite
+        # delay, after which no ACK would ever arrive.
+        if not 0 <= ack_delay < inf:
+            raise ValueError(
+                f"ACK delay must be non-negative and finite (got {ack_delay})"
+            )
         self.sack = sack
         self.sim = sim
         self.flow_id = flow_id
-        self.ack_out = ack_out
-        #: One-way delay to :attr:`on_ack` set by :meth:`set_ack_delay`,
-        #: or None to call ``ack_out`` at once.
-        self.ack_delay: Optional[float] = None
-        #: Where each pushed ACK's fields go (the sender's
-        #: :meth:`~repro.tcp.base.TcpSender.on_ack`), set with the delay.
-        self.on_ack: Optional[Callable[[int, bool, float, tuple], None]] = None
+        self.ack_delay = ack_delay
+        self.on_ack = on_ack
         # The engine's heap and seq handles (never rebound).
         self._heap = sim.heap
         self._seq = sim.seq
@@ -140,28 +140,11 @@ class TcpReceiver:
         self.ce_received = 0
         self.acks_sent = 0
 
-    def set_ack_delay(
-        self, delay: float, on_ack: Callable[[int, bool, float, tuple], None]
-    ) -> None:
-        """Hand each ACK's fields to ``on_ack(ack, ece, send_time, sack)``
-        ``delay`` seconds after it is sent, as one heap entry pushed
-        directly, instead of an ACK packet to ``ack_out`` at once.
-
-        The delay is checked here because the push has no check of its
-        own.
-        """
-        if not delay >= 0:  # also rejects NaN, which no comparison orders
-            raise ValueError(f"ACK delay must be non-negative (got {delay})")
-        self.ack_delay = delay
-        self.on_ack = on_ack
-
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
     def deliver(self, pkt: Packet) -> None:
-        """Sink interface for the forward path; ACKs are ignored."""
-        if pkt.is_ack:
-            return
+        """Receive one data segment from the forward path."""
         ce = pkt.ecn is _CE
         if ce:
             self.ce_received += 1
@@ -248,23 +231,13 @@ class TcpReceiver:
         ece = self._ece_latched or self._ce_state
         self._pending = 0
         self.acks_sent += 1
-        delay = self.ack_delay
-        if delay is None:
-            # Positional: a keyword call builds a dict per ACK.
-            self.ack_out(
-                Packet(
-                    self.flow_id, ACK_SIZE, -1, self.rcv_next, True, _NOT_ECT,
-                    _NOT_ECT, ece, False, sack_info, self._pending_ts,
-                )
-            )
-        else:
-            heappush(
-                self._heap,
-                (
-                    self.sim.now + delay, next(self._seq), self.on_ack,
-                    (self.rcv_next, ece, self._pending_ts, sack_info),
-                ),
-            )
+        heappush(
+            self._heap,
+            (
+                self.sim.now + self.ack_delay, next(self._seq), self.on_ack,
+                (self.rcv_next, ece, self._pending_ts, sack_info),
+            ),
+        )
 
     def _on_delack(self) -> None:
         deadline = self._delack_deadline

@@ -69,10 +69,7 @@ class UdpSource:
             return
         ecn = self.ecn
         # Positional: a keyword call builds a dict per packet.
-        pkt = Packet(
-            self.flow_id, self.packet_size, -1, -1, False, ecn, ecn, False,
-            False, (), now,
-        )
+        pkt = Packet(self.flow_id, self.packet_size, -1, ecn, ecn, False, now)
         self.packets_sent += 1
         self.transmit(pkt)
         heappush(

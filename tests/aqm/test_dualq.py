@@ -6,7 +6,6 @@ import pytest
 
 from repro.aqm.dualq import DualQueueCoupledAqm
 from repro.net.link import Link
-from repro.net.node import CountingSink
 from repro.net.packet import ECN
 from tests.conftest import make_packet
 
@@ -90,12 +89,12 @@ class TestScheduler:
 
     def test_drains_through_link(self, sim):
         dq = make_dualq(sim)
-        sink = CountingSink()
-        Link(sim, dq, 10e6, sink=sink)
+        delivered = []
+        Link(sim, dq, 10e6).add_route(0, 0.0, delivered.append)
         dq.enqueue(make_packet(ecn=ECN.ECT1))
         dq.enqueue(make_packet(ecn=ECN.NOT_ECT))
         sim.run(1.0)
-        assert sink.packets == 2
+        assert len(delivered) == 2
         assert len(dq) == 0
 
 

@@ -50,6 +50,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlowGroup(cc="reno", count=0, rtt=0.02)
 
+    @pytest.mark.parametrize("count", [-1, float("nan"), float("inf")])
+    def test_flow_group_count_must_be_positive_and_finite(self, count):
+        # A NaN count passes a ``<= 0`` check; it, and an infinite one,
+        # failed only inside the run, with a TypeError from the wiring.
+        with pytest.raises(ConfigError, match="count must be positive and finite"):
+            FlowGroup(cc="reno", count=count, rtt=0.02)
+
     # Each group check below raises at construction, so no simulation
     # runs: before them, each of these configurations failed only inside
     # run_experiment, or ran silently, or (an infinite UDP rate) never
@@ -91,6 +98,38 @@ class TestValidation:
         flows = [FlowGroup("reno", 1, 0.02), FlowGroup("vegas", 1, 0.02)]
         with pytest.raises(ConfigError, match=r"flows\[1\] has unknown congestion control 'vegas'"):
             quick_experiment(flows=flows)
+
+    # NaN passes a ``x <= 0`` check: a NaN watchdog budget never trips, a
+    # NaN buffer never tail-drops, and a NaN sample period or a zero flow
+    # size failed only inside the run, as a ValueError from the engine
+    # or the sender.
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(sample_period=float("nan")), "sample_period must be positive"),
+            (dict(buffer_packets=float("nan")), "buffer_packets must be positive"),
+            (dict(max_events=float("nan")), "max_events must be positive"),
+            (dict(max_wall_seconds=float("nan")), "max_wall_seconds must be positive"),
+            (
+                dict(flows=[FlowGroup("reno", 1, 0.02), FlowGroup("reno", 1, 0.02, flow_size=0)]),
+                r"flows\[1\] flow_size must be positive",
+            ),
+            (
+                dict(flows=[FlowGroup("reno", 1, 0.02, flow_size=float("nan"))]),
+                r"flows\[0\] flow_size must be positive",
+            ),
+        ],
+        ids=["sample_period", "buffer_packets", "max_events", "max_wall_seconds",
+             "flow_size_zero", "flow_size_nan"],
+    )
+    def test_nan_and_zero_settings_rejected_before_the_run(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            quick_experiment(**overrides)
+
+    def test_infinite_sample_period_rejected(self):
+        # It would take no sample, and every series summary would be NaN.
+        with pytest.raises(ConfigError, match="sample_period must be positive and finite"):
+            quick_experiment(sample_period=float("inf"))
 
 
 class TestRun:

@@ -39,13 +39,12 @@ class TestFlowWiring:
     def test_each_one_way_delay_is_a_direct_hop(self, sim, streams):
         # The link's route carries rtt / 2 straight to the receiver's
         # deliver, and the receiver's ACK hop carries each ACK's fields
-        # as far to the sender's on_ack; no ACK packet goes to ack_out.
+        # as far to the sender's on_ack.
         bed = make_bed(sim, streams)
         bed.add_tcp_flow("reno", rtt=0.05)
         receiver, sender = bed.receivers[0], bed.senders[0]
         assert bed.link.routes[0] == (0.025, receiver.deliver)
         assert (receiver.ack_delay, receiver.on_ack) == (0.025, sender.on_ack)
-        assert receiver.ack_out is None
 
     def test_flow_ids_unique(self, sim, streams):
         bed = make_bed(sim, streams)
@@ -53,16 +52,33 @@ class TestFlowWiring:
         b = bed.add_tcp_flow("cubic", rtt=0.05)
         assert a.flow_id != b.flow_id
 
-    def test_stop_before_start_rejected(self, sim, streams):
+    @pytest.mark.parametrize("stop", [4.0, 5.0, float("nan")])
+    def test_stop_not_after_start_wires_nothing(self, sim, streams, stop):
+        # The check runs before any wiring, so a rejected flow leaves no
+        # flow id, record, endpoint, route or start event behind.
         bed = make_bed(sim, streams)
-        with pytest.raises(ValueError):
-            bed.add_tcp_flow("reno", rtt=0.05, start=5.0, stop=4.0)
+        bed.add_tcp_flow("reno", rtt=0.05)
+        before = (
+            dict(bed.senders), dict(bed.receivers), dict(bed.link.routes),
+            len(bed.flows), bed._next_flow_id, list(sim.heap),
+        )
+        with pytest.raises(ValueError, match="must be after start"):
+            bed.add_tcp_flow("reno", rtt=0.05, start=5.0, stop=stop)
+        after = (
+            bed.senders, bed.receivers, bed.link.routes,
+            len(bed.flows), bed._next_flow_id, sim.heap,
+        )
+        assert after == before
 
-    def test_udp_flow_counted_at_sink(self, sim, streams):
+    def test_udp_flow_ends_at_the_link(self, sim, streams):
+        # A UDP flow has no receiver and no route: the link counts its
+        # packets as it sends them, and they end there.
         bed = make_bed(sim, streams)
-        bed.add_udp_flow(rate_bps=2e6)
+        source = bed.add_udp_flow(rate_bps=2e6)
         sim.run(5.0)
-        assert bed._udp_sink.bytes * 8.0 / 5.0 == pytest.approx(2e6, rel=0.05)
+        assert bed.link.routes == {}
+        assert bed.link.bytes_sent * 8.0 / 5.0 == pytest.approx(2e6, rel=0.05)
+        assert source.packets_sent - bed.link.packets_sent in (0, 1)
 
 
 class TestInstrumentation:

@@ -1,6 +1,6 @@
-"""Unit tests for the fault-injection module: adverse pipes, the
-Gilbert–Elliott model's empirical statistics, fault dataclass validation
-and the CLI fault-spec mini-language."""
+"""Unit tests for the fault-injection module: the Gilbert–Elliott
+model's empirical statistics, fault dataclass validation and the CLI
+fault-spec mini-language."""
 
 import random
 
@@ -12,17 +12,12 @@ from repro.net.faults import (
     AqmTimerJitterFault,
     BurstLossFault,
     CorruptionFault,
-    DuplicatingPipe,
     FaultInjector,
     GilbertElliottLoss,
-    GilbertElliottPipe,
     LinkFlapFault,
-    ReorderingPipe,
     parse_fault_spec,
 )
-from repro.net.node import CountingSink
 from repro.sim.engine import Simulator
-from tests.conftest import make_packet
 
 
 # ----------------------------------------------------------------------
@@ -104,84 +99,6 @@ class TestGilbertElliott:
     def test_transition_probability_validation(self):
         with pytest.raises(ConfigError):
             GilbertElliottLoss(random.Random(1), 1.5, 0.1)
-
-
-# ----------------------------------------------------------------------
-# Adverse pipes
-# ----------------------------------------------------------------------
-class TestFaultPipes:
-    def test_gilbert_elliott_pipe_drops_and_counts(self, sim):
-        sink = CountingSink()
-        model = GilbertElliottLoss.from_rates(
-            random.Random(5), loss_rate=0.2, mean_burst=4.0
-        )
-        pipe = GilbertElliottPipe(sim, 0.0, model, sink=sink)
-        n = 20_000
-        for _ in range(n):
-            pipe.deliver(make_packet())
-        assert pipe.lost + sink.packets == n
-        assert pipe.lost / n == pytest.approx(0.2, rel=0.15)
-
-    def test_reordering_pipe_reorders(self, sim):
-        order = []
-
-        class Recorder:
-            def deliver(self, pkt):
-                order.append(pkt.seq)
-
-        pipe = ReorderingPipe(
-            sim, 0.010, reorder=0.3, extra_delay=0.050,
-            rng=random.Random(4), sink=Recorder(),
-        )
-        for i in range(200):
-            sim.schedule(i * 0.001, pipe.deliver, make_packet(seq=i))
-        sim.run(10.0)
-        assert sorted(order) == list(range(200))  # nothing lost
-        assert order != list(range(200))  # but not in order
-        assert pipe.reordered > 0
-
-    def test_reordering_pipe_zero_probability_is_in_order(self, sim):
-        order = []
-
-        class Recorder:
-            def deliver(self, pkt):
-                order.append(pkt.seq)
-
-        pipe = ReorderingPipe(
-            sim, 0.010, reorder=0.0, extra_delay=0.050,
-            rng=random.Random(4), sink=Recorder(),
-        )
-        for i in range(50):
-            sim.schedule(i * 0.001, pipe.deliver, make_packet(seq=i))
-        sim.run(10.0)
-        assert order == list(range(50))
-
-    def test_reordering_pipe_validation(self, sim):
-        rng = random.Random(1)
-        with pytest.raises(ConfigError):
-            ReorderingPipe(sim, 0.0, reorder=2.0, extra_delay=0.01, rng=rng)
-        with pytest.raises(ConfigError):
-            ReorderingPipe(sim, 0.0, reorder=0.1, extra_delay=0.0, rng=rng)
-
-    def test_duplicating_pipe_duplicates(self, sim):
-        sink = CountingSink()
-        pipe = DuplicatingPipe(
-            sim, 0.005, duplicate=0.25, rng=random.Random(6),
-            dup_gap=0.001, sink=sink,
-        )
-        n = 4000
-        for _ in range(n):
-            pipe.deliver(make_packet())
-        sim.run(5.0)
-        assert sink.packets == n + pipe.duplicated
-        assert pipe.duplicated / n == pytest.approx(0.25, rel=0.1)
-
-    def test_duplicating_pipe_validation(self, sim):
-        rng = random.Random(1)
-        with pytest.raises(ConfigError):
-            DuplicatingPipe(sim, 0.0, duplicate=-0.1, rng=rng)
-        with pytest.raises(ConfigError):
-            DuplicatingPipe(sim, 0.0, duplicate=0.1, rng=rng, dup_gap=-1.0)
 
 
 # ----------------------------------------------------------------------

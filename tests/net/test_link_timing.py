@@ -1,23 +1,22 @@
-"""Link and pipe timing: delivery times, accounting, fault interaction.
+"""Link timing: delivery times, accounting, fault interaction.
 
-Every transmission completion, propagation-delay delivery and pipe
-arrival is one posted engine event, so each callback fires at exactly
-the simulated time the packet's serialization and delays dictate.  These
-tests pin those times at the unit level — the end-to-end ``digest()``
-gates live in ``tests/harness/test_digest_regression.py``.
+Every transmission completion and every routed delivery is one pushed
+engine event, so each callback fires at exactly the simulated time the
+packet's serialization and its route's delay dictate.  These tests pin
+those times at the unit level — the end-to-end ``digest()`` gates live
+in ``tests/harness/test_digest_regression.py``.
 """
 
 import pytest
 
 from repro.net.link import Link
-from repro.net.pipe import Pipe
 from repro.net.queue import AQMQueue
 from repro.sim.engine import Simulator
 from tests.conftest import make_packet
 
 
-class TimedSink:
-    """Sink recording the simulated time of every delivery."""
+class TimedReceiver:
+    """Records the simulated time of every delivery."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -27,21 +26,25 @@ class TimedSink:
         self.times.append(self.sim.now)
 
 
-def make_link(sim, capacity=8e6, prop_delay=0.0):
+def make_link(sim, capacity=8e6, delay=0.0, routed=True):
+    """A link whose flow 0 is routed ``delay`` to a timed receiver (or,
+    with ``routed=False``, ends at the link)."""
     q = AQMQueue(sim, None, capacity)
-    sink = TimedSink(sim)
-    link = Link(sim, q, capacity, sink=sink, prop_delay=prop_delay)
-    return q, link, sink
+    receiver = TimedReceiver(sim)
+    link = Link(sim, q, capacity)
+    if routed:
+        link.add_route(0, delay, receiver.deliver)
+    return q, link, receiver
 
 
-def run_burst(n=10, capacity=8e6, prop_delay=0.0, until=1.0):
-    """Enqueue ``n`` back-to-back packets and run; returns (sim, link, sink)."""
+def run_burst(n=10, capacity=8e6, delay=0.0, routed=True, until=1.0):
+    """Enqueue ``n`` back-to-back packets and run; returns (sim, link, receiver)."""
     sim = Simulator()
-    q, link, sink = make_link(sim, capacity=capacity, prop_delay=prop_delay)
+    q, link, receiver = make_link(sim, capacity=capacity, delay=delay, routed=routed)
     for _ in range(n):
         q.enqueue(make_packet(size=1000))  # 1 ms each at 8 Mb/s
     sim.run(until)
-    return sim, link, sink
+    return sim, link, receiver
 
 
 class TestDeliveryTiming:
@@ -49,28 +52,20 @@ class TestDeliveryTiming:
         _, _, sink = run_burst()
         assert sink.times == pytest.approx([0.001 * k for k in range(1, 11)])
 
-    def test_prop_delay_delivery_times(self):
-        _, _, sink = run_burst(prop_delay=0.005)
+    def test_route_delay_delivery_times(self):
+        _, _, sink = run_burst(delay=0.005)
         assert sink.times == pytest.approx(
             [0.005 + 0.001 * k for k in range(1, 11)]
         )
 
     def test_every_completion_and_delivery_is_one_event(self):
-        sim, _, _ = run_burst()
-        assert sim.events_processed == 10
-        delayed, _, _ = run_burst(prop_delay=0.005)
-        assert delayed.events_processed == 20
-
-    def test_pipe_arrival_times(self):
-        sim = Simulator()
-        sink = TimedSink(sim)
-        pipe = Pipe(sim, delay=0.010, sink=sink)
-        sends = [0.001 * k or 1e-6 for k in range(5)]
-        for at in sends:
-            sim.schedule(at, pipe.deliver, make_packet())
-        sim.run(1.0)
-        assert sink.times == pytest.approx([at + 0.010 for at in sends])
-        assert len(sink.times) == len(sends)
+        # A packet with no route ends at its completion; a routed one is
+        # one more event, with or without a delay.
+        sim, _, sink = run_burst(routed=False)
+        assert sim.events_processed == 10 and sink.times == []
+        for delay in (0.0, 0.005):
+            routed, _, _ = run_burst(delay=delay)
+            assert routed.events_processed == 20
 
     def test_foreign_event_mid_burst_changes_no_delivery_time(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.packet import ACK_SIZE, DEFAULT_MSS, ECN, HEADER_BYTES, Packet
+from repro.net.packet import DEFAULT_MSS, ECN, HEADER_BYTES, Packet
 from tests.conftest import make_packet
 
 
@@ -24,9 +24,6 @@ class TestECN:
 class TestPacket:
     def test_default_size_is_mss_plus_headers(self):
         assert Packet(flow_id=0).size == DEFAULT_MSS + HEADER_BYTES
-
-    def test_ack_size_constant(self):
-        assert ACK_SIZE == HEADER_BYTES
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.aqm.fixed import FixedProbabilityAqm
 from repro.net.link import Link
-from repro.net.node import CountingSink
 from repro.net.packet import Packet
 from repro.net.queue import AQMQueue
 from repro.sim.engine import Simulator
@@ -73,14 +72,14 @@ class TestLinkConservation:
     def test_all_enqueued_bytes_eventually_delivered(self, sizes, capacity_mbps):
         sim = Simulator()
         q = AQMQueue(sim, None, capacity_mbps * 1e6)
-        sink = CountingSink()
-        link = Link(sim, q, capacity_mbps * 1e6, sink=sink)
+        link = Link(sim, q, capacity_mbps * 1e6)
+        delivered = []
+        link.add_route(0, 0.0, delivered.append)
         for size in sizes:
             q.enqueue(Packet(flow_id=0, size=size))
         # Run long enough to drain everything.
         sim.run(sum(sizes) * 8 / (capacity_mbps * 1e6) + 1.0)
-        assert sink.bytes == sum(sizes)
-        assert sink.packets == len(sizes)
+        assert [pkt.size for pkt in delivered] == sizes
         assert link.bytes_sent == sum(sizes)
         assert q.byte_length() == 0
 
@@ -90,7 +89,7 @@ class TestLinkConservation:
         sim = Simulator()
         capacity = 8e6
         q = AQMQueue(sim, None, capacity)
-        link = Link(sim, q, capacity, sink=CountingSink())
+        link = Link(sim, q, capacity)
         for size in sizes:
             q.enqueue(Packet(flow_id=0, size=size))
         sim.run(sum(sizes) * 8 / capacity + 1.0)

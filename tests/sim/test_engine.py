@@ -211,6 +211,28 @@ class TestPost:
         sim.run(2.0)
         assert seen == ["early", "post-1", "schedule-1", "post-2", "at-1"]
 
+    def test_fires_delay_after_the_posting_event(self, sim):
+        # The TCP test rigs' hops: a segment posted mid-run arrives one
+        # delay after the event that posted it, not before.
+        seen = []
+        sim.at(0.3, lambda: sim.post(0.05, lambda: seen.append(sim.now)))
+        sim.run(0.349)
+        assert seen == []
+        sim.run(1.0)
+        assert seen == [0.3 + 0.05]
+
+    def test_zero_delay_runs_after_current_instant(self, sim):
+        seen = []
+
+        def first():
+            sim.post(0.0, seen.append, "posted")
+            seen.append("first")
+
+        sim.at(1.0, first)
+        sim.at(1.0, seen.append, "second")
+        sim.run(2.0)
+        assert seen == ["first", "second", "posted"]
+
     def test_past_time_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.post(-0.1, lambda: None)

@@ -1,8 +1,11 @@
 """Loopback wiring for TCP unit tests.
 
-Connects a sender and receiver through simple pipes with an optional
-per-packet interceptor, so tests can drop or CE-mark specific segments
-deterministically and watch the sender's reaction.
+Connects a sender and receiver over the dumbbell's two hops with no
+bottleneck between them: each data segment is posted ``rtt / 2`` to the
+receiver, after an optional per-packet interceptor, and the receiver
+pushes each ACK's fields ``rtt / 2`` back to the sender's ``on_ack``.
+Tests can drop or CE-mark specific segments deterministically and watch
+the sender's reaction.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
-from repro.net.pipe import Pipe
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
 
@@ -19,7 +21,7 @@ FORWARD, DROP, MARK = "forward", "drop", "mark"
 
 
 class Loopback:
-    """Sender → (interceptor) → fwd pipe → receiver → rev pipe → sender."""
+    """Sender → (interceptor) → rtt/2 → receiver → rtt/2 → sender.on_ack."""
 
     def __init__(
         self,
@@ -36,11 +38,11 @@ class Loopback:
         from repro.tcp.reno import RenoSender
 
         self.sim = sim
+        self.one_way = rtt / 2
         self.interceptor = interceptor
         self.forwarded = 0
         self.dropped = 0
 
-        self.rev = Pipe(sim, rtt / 2)
         self.sender = (sender_cls or RenoSender)(
             sim,
             flow_id=0,
@@ -50,16 +52,15 @@ class Loopback:
             sack=sack,
             **sender_kwargs,
         )
-        self.rev.sink = self.sender
         self.receiver = TcpReceiver(
             sim,
-            flow_id=0,
-            ack_out=self.rev.deliver,
+            0,
+            self.one_way,
+            self.sender.on_ack,
             ecn_mode=ecn_mode,
             delayed_acks=delayed_acks,
             sack=sack,
         )
-        self.fwd = Pipe(sim, rtt / 2, sink=self.receiver)
 
     def _intercept(self, pkt: Packet) -> None:
         verdict = FORWARD if self.interceptor is None else self.interceptor(pkt)
@@ -69,7 +70,8 @@ class Loopback:
         if verdict == MARK:
             pkt.mark_ce()
         self.forwarded += 1
-        self.fwd.deliver(pkt)
+        # Looked up per segment, so a test may wrap the receiver's deliver.
+        self.sim.post(self.one_way, self.receiver.deliver, pkt)
 
 
 def drop_seqs(*seqs: int) -> Callable[[Packet], str]:

@@ -232,8 +232,8 @@ class TestClassicEcn:
         # correctly configured test.  Here we just assert data is Not-ECT.
         seen_ecn = []
         lb = Loopback(sim, rtt=0.1, flow_size=20)
-        original = lb.fwd.deliver
-        lb.fwd.deliver = lambda pkt: (seen_ecn.append(pkt.ecn), original(pkt))
+        original = lb.receiver.deliver
+        lb.receiver.deliver = lambda pkt: (seen_ecn.append(pkt.ecn), original(pkt))
         lb.sender.start(0.0)
         sim.run(5.0)
         assert all(not e.ecn_capable for e in seen_ecn)

@@ -28,8 +28,8 @@ class TestConfiguration:
         lb = Loopback(
             sim, sender_cls=DctcpSender, rtt=0.1, ecn_mode="scalable", flow_size=20
         )
-        original = lb.fwd.deliver
-        lb.fwd.deliver = lambda pkt: (seen.append(pkt.ecn), original(pkt))
+        original = lb.receiver.deliver
+        lb.receiver.deliver = lambda pkt: (seen.append(pkt.ecn), original(pkt))
         lb.sender.start(0.0)
         sim.run(5.0)
         assert seen and all(e is ECN.ECT1 for e in seen)

@@ -8,10 +8,15 @@ from tests.tcp.helpers import DROP, FORWARD, Loopback, drop_seqs
 class TestSackAdvertisement:
     @staticmethod
     def _record_acks(lb, acks):
-        """Intercept ACKs at the sender (the pipe resolves its sink's
-        ``deliver`` at call time, so an instance attribute shadows it)."""
-        original = lb.sender.deliver
-        lb.sender.deliver = lambda pkt: (acks.append(pkt), original(pkt))
+        """Record each ACK's ``(ack, sack)`` on its way to the sender (the
+        receiver reads its ``on_ack`` per ACK, so a wrapper replaces it)."""
+        original = lb.receiver.on_ack
+
+        def on_ack(ack, ece, send_time, sack):
+            acks.append((ack, sack))
+            original(ack, ece, send_time, sack)
+
+        lb.receiver.on_ack = on_ack
 
     def test_acks_carry_sack_blocks(self, sim):
         acks = []
@@ -20,11 +25,11 @@ class TestSackAdvertisement:
         self._record_acks(lb, acks)
         lb.sender.start(0.0)
         sim.run(5.0)
-        with_sack = [a for a in acks if a.sack]
+        with_sack = [(ack, sack) for ack, sack in acks if sack]
         assert with_sack
-        for a in with_sack:
-            for start, end in a.sack:
-                assert a.ack < start <= end
+        for ack, sack in with_sack:
+            for start, end in sack:
+                assert ack < start <= end
 
     def test_no_sack_by_default(self, sim):
         acks = []
@@ -33,7 +38,7 @@ class TestSackAdvertisement:
         lb.sender.start(0.0)
         sim.run(5.0)
         assert acks
-        assert all(a.sack == () for a in acks)
+        assert all(sack == () for _, sack in acks)
 
 
 class TestSackRecovery:

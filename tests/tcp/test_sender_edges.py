@@ -70,8 +70,8 @@ class TestEcnEdgeCases:
             sim, rtt=0.1, ecn_mode="classic", flow_size=200,
             interceptor=mark_seqs(40),
         )
-        original = lb.fwd.deliver
-        lb.fwd.deliver = lambda pkt: (seen_cwr.append(pkt.cwr), original(pkt))
+        original = lb.receiver.deliver
+        lb.receiver.deliver = lambda pkt: (seen_cwr.append(pkt.cwr), original(pkt))
         lb.sender.start(0.0)
         sim.run(10.0)
         assert any(seen_cwr)

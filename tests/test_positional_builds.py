@@ -1,11 +1,11 @@
 """Every ``Packet`` and ``Event`` in ``repro`` is built positionally.
 
 A keyword call to a Python class builds a dict of its arguments before
-``__init__`` runs.  A bottleneck packet built 1.65 ``Packet``\\ s (its
-segment and most of an ACK; the dumbbell's ACK is now its heap entry's
-fields, and only a receiver with no ACK delay builds one), so on Python
-3.11 the keyword form cost about 0.6 µs more per packet; the call-budget
-test cannot see it, because the dict is no Python frame.  The hot sites
+``__init__`` runs.  A bottleneck packet once built 1.65 ``Packet``\\ s
+(its segment and most of an ACK), so on Python 3.11 the keyword form
+cost about 0.6 µs more per packet; the call-budget test cannot see it,
+because the dict is no Python frame.  Every ACK is now its heap entry's
+fields, so each bottleneck packet builds one ``Packet``.  The hot sites
 pass every argument by position instead, which ties them to the
 parameter order.  These tests pin each site against a keyword-built
 reference, field by field, and scan the package for a keyword call
@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.net.packet import ACK_SIZE, DEFAULT_MSS, ECN, HEADER_BYTES, Packet
+from repro.net.packet import DEFAULT_MSS, ECN, HEADER_BYTES, Packet
 from repro.sim.engine import Event
-from repro.tcp.receiver import TcpReceiver
 from repro.tcp.reno import RenoSender
 from repro.traffic.udp import UdpSource
 
@@ -70,20 +69,6 @@ class TestHotSitesMatchKeywordBuilds:
         assert_same_packet(sent[-1], Packet(
             flow_id=2, size=1000 + HEADER_BYTES, seq=7, ecn=codepoint,
             cwr=mode == "classic", send_time=0.25, is_retransmit=True,
-        ))
-
-    def test_ack_with_ece_and_sack_blocks(self, sim):
-        acks = []
-        rcv = TcpReceiver(sim, 3, ack_out=acks.append, ecn_mode="classic",
-                          delayed_acks=False, sack=True)
-        rcv.deliver(Packet(3, seq=0, ecn=ECN.ECT0, send_time=0.0))
-        marked = Packet(3, seq=2, ecn=ECN.ECT0, send_time=0.125)
-        marked.mark_ce()
-        rcv.deliver(marked)  # a hole at 1, and a CE mark to echo
-        rcv.deliver(Packet(3, seq=4, ecn=ECN.ECT0, send_time=0.25))
-        assert_same_packet(acks[-1], Packet(
-            flow_id=3, size=ACK_SIZE, ack=1, is_ack=True, ece=True,
-            sack=((2, 2), (4, 4)), send_time=0.25,
         ))
 
     @pytest.mark.parametrize("ecn", [ECN.NOT_ECT, ECN.ECT1])
