@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
-"""Fault tolerance: AQMs under injected faults, and sweeps that survive
-broken cells.
+"""Fault tolerance: sweeps that survive broken cells.
 
-Part 1 drives PI2 and PIE through the same hostile schedule — a 1 s
-bottleneck outage followed by a 4 s window of Gilbert–Elliott bursty
-loss — with invariant checking enabled, and shows each controller
-re-pinning its 20 ms target once the faults clear.
-
-Part 2 runs a coexistence sweep in which one cell's AQM is sabotaged to
-diverge (its controller update returns NaN).  With ``on_error="capture"``
-the sweep retries the cell on a bumped seed, records a structured failure
-with the virtual time of the divergence, and still completes every other
-cell — a 25-cell overnight sweep no longer dies at cell 23.
+A coexistence sweep in which one cell's AQM is sabotaged to diverge (its
+controller update returns NaN).  With ``on_error="capture"`` the sweep
+retries the cell on a bumped seed, records a structured failure with the
+virtual time of the divergence, and still completes every other cell — a
+25-cell overnight sweep no longer dies at cell 23.
 
 Run:  python examples/fault_tolerance.py
 """
@@ -19,44 +13,7 @@ Run:  python examples/fault_tolerance.py
 import random
 
 from repro.aqm.pi import PiAqm
-from repro.harness import (
-    Experiment,
-    FlowGroup,
-    pi2_factory,
-    pie_factory,
-    run_coexistence_grid,
-    run_experiment,
-)
-from repro.net.faults import BurstLossFault, LinkFlapFault
-
-FAULTS = [
-    LinkFlapFault(10.0, 1.0),
-    BurstLossFault(15.0, 4.0, loss_rate=0.05, mean_burst=8.0),
-]
-
-
-def run_through_faults(name, factory):
-    result = run_experiment(
-        Experiment(
-            capacity_bps=10e6,
-            duration=40.0,
-            warmup=5.0,
-            aqm_factory=factory,
-            flows=[FlowGroup(cc="reno", count=5, rtt=0.02)],
-            faults=FAULTS,
-            validate=True,
-        )
-    )
-    print(f"\n=== {name} through link flap + burst loss ===")
-    for t, msg in result.fault_timeline:
-        print(f"  t={t:6.2f}s  {msg}")
-    during = result.queue_delay.window(10.0, 19.0)
-    after = result.queue_delay.window(30.0, 40.0)
-    print(f"  queue delay during faults  mean {during.mean() * 1e3:6.1f} ms")
-    print(f"  queue delay after recovery mean {after.mean() * 1e3:6.1f} ms"
-          f"  (target 20 ms)")
-    print(f"  fault-gate drops {result.queue_stats.fault_dropped}"
-          f"   invariant checks passed {result.invariant_checks}")
+from repro.harness import run_coexistence_grid
 
 
 def divergent_pi_factory():
@@ -95,8 +52,6 @@ def resilient_sweep():
 
 
 def main():
-    run_through_faults("PI2", pi2_factory())
-    run_through_faults("PIE", pie_factory())
     resilient_sweep()
     print("\nSweeps degrade gracefully: partial results plus a structured "
           "failure report, never a dead overnight run.")

@@ -151,7 +151,6 @@ class AQM:
     def __init__(self) -> None:
         self.sim: Optional["Simulator"] = None
         self.queue: Optional[QueueView] = None
-        self._timer = None
 
     # -- lifecycle ------------------------------------------------------
     def attach(self, sim: "Simulator", queue: QueueView) -> None:
@@ -159,30 +158,7 @@ class AQM:
         self.sim = sim
         self.queue = queue
         if self.update_interval is not None:
-            self._timer = sim.every(self.update_interval, self.update)
-
-    def pause_updates(self) -> None:
-        """Suspend the periodic update timer (fault injection: a stalled
-        AQM task).  Idempotent; a no-op for timerless AQMs."""
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
-
-    def resume_updates(self) -> None:
-        """Restart the update timer after :meth:`pause_updates`.
-
-        The controller state (``p``, previous delay) is preserved across
-        the stall — exactly what a real qdisc whose update task was
-        starved would exhibit on resumption.
-        """
-        if self._timer is None and self.sim is not None and self.update_interval:
-            self._timer = self.sim.every(self.update_interval, self.update)
-
-    @property
-    def update_timer(self):
-        """The live :class:`~repro.sim.engine.PeriodicTimer`, if any
-        (fault injectors attach jitter to it)."""
-        return self._timer
+            sim.every(self.update_interval, self.update)
 
     # -- datapath hooks ---------------------------------------------------
     def on_enqueue(self, packet: "Packet") -> Decision:

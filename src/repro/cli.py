@@ -57,7 +57,6 @@ from repro.harness import (
     varying_intensity,
 )
 from repro.harness.sweep import format_table
-from repro.net.faults import FAULT_SPEC_HELP, parse_fault_spec
 
 __all__ = ["main"]
 
@@ -99,13 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration", type=float, default=30.0,
                      help="simulated seconds (stage length for dynamic scenarios)")
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--json", metavar="PATH",
-                     help="also write the result summary as JSON")
     run.add_argument("--validate", action="store_true",
                      help="run with periodic invariant checking "
                           "(packet conservation, p in [0,1], clock)")
-    run.add_argument("--fault", metavar="SPEC", action="append", default=[],
-                     help="inject a fault; repeatable. " + FAULT_SPEC_HELP)
     _add_trace_options(run)
 
     co = sub.add_parser("coexist", help="DCTCP vs Cubic at one grid point")
@@ -479,9 +474,8 @@ def _cmd_run(args, out) -> int:
         exp = scenario(factory, stage=args.duration, seed=args.seed)
     else:
         exp = scenario(factory, duration=args.duration, seed=args.seed)
-    if args.validate or args.fault:
-        faults = tuple(parse_fault_spec(spec) for spec in args.fault)
-        exp = replace(exp, validate=args.validate, faults=faults)
+    if args.validate:
+        exp = replace(exp, validate=True)
     tracer = _make_tracer(args)
     result = run_experiment(exp, tracer=tracer)
     _close_tracer(tracer, out)
@@ -496,8 +490,6 @@ def _cmd_run(args, out) -> int:
     ]
     if args.validate:
         rows.append(("invariant checks", result.invariant_checks))
-    if args.fault:
-        rows.append(("fault drops", result.queue_stats.fault_dropped))
     print(
         format_table(
             ["metric", "value"], rows,
@@ -506,11 +498,6 @@ def _cmd_run(args, out) -> int:
         ),
         file=out,
     )
-    if args.json:
-        from repro.metrics.export import write_result_json
-
-        path = write_result_json(result, args.json)
-        print(f"wrote {path}", file=out)
     return 0
 
 

@@ -12,7 +12,7 @@ Hierarchy
 
 * :class:`ReproError` — root of everything this package raises on purpose.
 
-  * :class:`ConfigError` — invalid experiment/fault configuration, raised
+  * :class:`ConfigError` — invalid experiment configuration, raised
     before any simulation work starts.  Subclasses :class:`ValueError` so
     callers validating inputs the old way keep working.
   * :class:`SimulationError` — something went wrong *during* a run; carries

@@ -6,7 +6,7 @@ content hash of its **full configuration** plus a **fingerprint of the
 simulator's source code**, and stores the frozen result
 (:class:`~repro.harness.frozen.FrozenResult`) as a pickle under that key —
 so a re-run skips straight to the read-outs, while *any* code edit or
-config change (seed, duration, a fault schedule, one AQM gain) misses
+config change (seed, duration, a capacity schedule, one AQM gain) misses
 cleanly and re-simulates.
 
 Keying
@@ -132,7 +132,6 @@ def experiment_cache_key(experiment: Experiment) -> Optional[str]:
         f"flows={[repr(group) for group in experiment.flows]!r}",
         f"udp={[repr(group) for group in experiment.udp]!r}",
         f"capacity_schedule={list(experiment.capacity_schedule)!r}",
-        f"faults={[repr(fault) for fault in experiment.faults]!r}",
     ]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 

@@ -31,7 +31,6 @@ from repro.aqm.base import AQM
 from repro.errors import ConfigError
 from repro.harness.topology import Dumbbell
 from repro.metrics.stats import percentile_summary, rate_balance_ratio
-from repro.net.faults import Fault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import engine_tracer, install_aqm_tracer
 from repro.sim.engine import Simulator
@@ -112,8 +111,6 @@ class Experiment:
     record_sojourns: bool = True
     #: Optional (time, capacity_bps) schedule for mid-run rate changes.
     capacity_schedule: Sequence[Tuple[float, float]] = field(default_factory=tuple)
-    #: Declarative fault schedule (see :mod:`repro.net.faults`).
-    faults: Sequence[Fault] = field(default_factory=tuple)
     #: Run the periodic invariant checker alongside the simulation.
     validate: bool = False
     #: Watchdog budgets for the run (None = unlimited).
@@ -171,6 +168,27 @@ class Experiment:
             raise ConfigError(
                 f"sample_period must be positive and finite (got {self.sample_period})"
             )
+        # The sampling timer fires at sample_period and then one period
+        # after each firing, up to and including duration, and the
+        # summaries read the samples from warmup on: with no firing in
+        # [warmup, duration], every utilization and probability summary
+        # would read NaN.  Walk the float sums the engine computes, since
+        # k * sample_period can fall on the other side of warmup than the
+        # k-th firing (0.1 * 10 is 1.0, the tenth firing 0.9999999999999999);
+        # past a million steps the nominal k * sample_period decides.
+        period = self.sample_period
+        if self.warmup <= 1e6 * period:
+            first = period
+            while first < self.warmup:
+                first += period
+        else:
+            first = period * math.ceil(self.warmup / period)
+        if first > self.duration:
+            raise ConfigError(
+                f"sample_period {self.sample_period} takes no sample in "
+                f"[warmup={self.warmup}, duration={self.duration}]: the first "
+                f"one from warmup on would be at t={first}"
+            )
         if not self.buffer_packets > 0:
             raise ConfigError(
                 f"buffer_packets must be positive (got {self.buffer_packets})"
@@ -182,7 +200,6 @@ class Experiment:
                 f"max_wall_seconds must be positive (got {self.max_wall_seconds})"
             )
         self._validate_capacity_schedule()
-        self._validate_faults()
 
     def _validate_capacity_schedule(self) -> None:
         """Reject schedules that would otherwise fail deep inside ``sim.at``
@@ -217,18 +234,6 @@ class Experiment:
                     f"({when} after {previous})"
                 )
             previous = when
-
-    def _validate_faults(self) -> None:
-        for index, fault in enumerate(self.faults):
-            if not isinstance(fault, Fault):
-                raise ConfigError(
-                    f"faults[{index}] must be a Fault (got {type(fault).__name__})"
-                )
-            if fault.start >= self.duration:
-                raise ConfigError(
-                    f"faults[{index}] starts at {fault.start}, outside "
-                    f"[0, duration={self.duration})"
-                )
 
 
 class ResultMetrics:
@@ -298,7 +303,10 @@ class ResultMetrics:
                 "dequeued": stats.dequeued,
                 "aqm_dropped": stats.aqm_dropped,
                 "tail_dropped": stats.tail_dropped,
-                "fault_dropped": stats.fault_dropped,
+                # Always 0: no drop bypasses the buffer limit and the AQM
+                # any more.  The key stays because the golden digests (the
+                # tier-1 locks and perf/e2e/golden.json) hash this dict.
+                "fault_dropped": 0,
                 "ce_marked": stats.ce_marked,
             },
         }
@@ -380,12 +388,6 @@ class ExperimentResult(ResultMetrics):
 
     # -- robustness read-outs -------------------------------------------------
     @property
-    def fault_timeline(self) -> List[Tuple[float, str]]:
-        """(virtual time, event) pairs of every injected-fault transition."""
-        injector = self.bed.fault_injector
-        return list(injector.timeline) if injector is not None else []
-
-    @property
     def invariant_checks(self) -> int:
         """Number of periodic invariant passes that ran (0 = validation off)."""
         checker = self.bed.invariant_checker
@@ -397,8 +399,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build the dumbbell, run to ``duration``, and collect results.
 
-    Fault schedules, the invariant checker and the run watchdog are all
-    wired here from the experiment's declarative fields; a failing run
+    The stage schedule, the invariant checker and the run watchdog are
+    all wired here from the experiment's declarative fields; a failing run
     raises a structured :class:`~repro.errors.SimulationError` carrying
     virtual-time and component context.
 
@@ -450,8 +452,6 @@ def run_experiment(
             )
     for when, rate in experiment.capacity_schedule:
         sim.at(when, bed.set_capacity, rate)
-    if experiment.faults:
-        bed.install_faults(experiment.faults, streams.stream("faults"))
     if experiment.validate:
         bed.enable_validation()
     if experiment.max_events is not None or experiment.max_wall_seconds is not None:

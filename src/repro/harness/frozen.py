@@ -22,7 +22,7 @@ traces — anything that would re-tether it to live simulation state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class FrozenResult(ResultMetrics):
         sojourns: TimeSeries,
         goodputs: Dict[str, List[float]],
         queue_stats,
-        fault_timeline: List[Tuple[float, str]],
         invariant_checks: int,
         experiment: Optional[Experiment] = None,
         events_processed: int = 0,
@@ -62,7 +61,6 @@ class FrozenResult(ResultMetrics):
         self.sojourns = sojourns
         self._goodputs = goodputs
         self.queue_stats = queue_stats
-        self.fault_timeline = fault_timeline
         self.invariant_checks = invariant_checks
         #: The experiment that produced this result, when it was picklable
         #: (named factories); None otherwise.
@@ -120,7 +118,6 @@ def freeze_result(
         sojourns=bed.sojourns,
         goodputs=goodputs,
         queue_stats=bed.queue.stats,
-        fault_timeline=result.fault_timeline,
         invariant_checks=result.invariant_checks,
         experiment=result.experiment if keep_experiment else None,
         events_processed=bed.sim.events_processed,

@@ -36,7 +36,6 @@ from repro.aqm.base import AQM
 from repro.errors import ConfigError
 from repro.metrics.flowstats import FlowTable
 from repro.metrics.series import TimeSeries
-from repro.net.faults import FaultInjector
 from repro.net.link import Link
 from repro.net.packet import ECN
 from repro.net.queue import AQMQueue
@@ -136,8 +135,7 @@ class Dumbbell:
             )
         # Flows without a route (UDP) end at the link.
         self.link = Link(sim, self.queue, capacity_bps)
-        #: Set by :meth:`install_faults` / :meth:`enable_validation`.
-        self.fault_injector: Optional[FaultInjector] = None
+        #: Set by :meth:`enable_validation`.
         self.invariant_checker: Optional[InvariantChecker] = None
 
         self._last_bytes = 0
@@ -166,18 +164,6 @@ class Dumbbell:
         """Change the bottleneck rate (Figure 12's experiment)."""
         self.capacity_bps = capacity_bps
         self.link.set_capacity(capacity_bps)
-
-    def install_faults(self, faults, rng) -> FaultInjector:
-        """Wire a declarative fault schedule (see :mod:`repro.net.faults`)
-        into the bottleneck link, queue and AQM.  Returns the injector,
-        whose :attr:`~repro.net.faults.FaultInjector.timeline` records
-        every fault transition with its virtual time."""
-        if self.fault_injector is None:
-            self.fault_injector = FaultInjector(
-                self.sim, rng, link=self.link, queue=self.queue, aqm=self.aqm
-            )
-        self.fault_injector.install(faults)
-        return self.fault_injector
 
     def enable_validation(self, check_interval: Optional[float] = None) -> InvariantChecker:
         """Attach a periodic :class:`~repro.sim.invariants.InvariantChecker`

@@ -1,6 +1,5 @@
 """Measurement substrate: time series, statistics, per-flow accounting."""
 
-from repro.metrics.export import result_summary, write_result_json
 from repro.metrics.flowstats import FlowRecord, FlowTable
 from repro.metrics.series import TimeSeries
 from repro.metrics.stats import (
@@ -18,6 +17,4 @@ __all__ = [
     "rate_balance_ratio",
     "normalized_rates",
     "geometric_mean",
-    "result_summary",
-    "write_result_json",
 ]

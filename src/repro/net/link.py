@@ -32,9 +32,7 @@ no forwarding frame in between.  Both delays are checked where they
 enter, so the pushes need no check of their own: the serialization
 time through the capacity (here) and the packet size
 (:class:`~repro.net.packet.Packet`), the route's delay in
-:meth:`Link.add_route`.  A fault (a link flap or outage) is an ordinary
-event that lands between two completions: the in-flight packet finishes
-and nothing new starts until the link comes back up.
+:meth:`Link.add_route`.
 """
 
 from __future__ import annotations
@@ -74,8 +72,6 @@ class Link:
         self.queue = queue
         self.capacity_bps = capacity_bps
         self.busy = False
-        self.down = False
-        self.outages = 0
         self.busy_time = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
@@ -122,39 +118,20 @@ class Link:
         self.capacity_bps = capacity_bps
         self.queue.set_capacity(capacity_bps)
 
-    def set_down(self) -> None:
-        """Take the link down (fault injection: an outage / flap window).
-
-        A transmission already in progress completes — the bits are on the
-        wire — but no new packet starts serializing until :meth:`set_up`.
-        Arriving packets keep queuing (and tail-drop once the buffer
-        fills), exactly as behind a dead interface.  Idempotent.
-        """
-        if not self.down:
-            self.down = True
-            self.outages += 1
-
-    def set_up(self) -> None:
-        """Restore a downed link and resume draining the queue.  Idempotent."""
-        if self.down:
-            self.down = False
-            if not self.busy:
-                self._transmit_next()
-
     # ------------------------------------------------------------------
     # Transmission loop
     # ------------------------------------------------------------------
     def _on_queue_nonempty(self) -> None:
-        if not self.busy and not self.down:
+        if not self.busy:
             self._transmit_next()
 
     def _transmit_next(self, sent: Optional[Packet] = None) -> None:
         """Hand ``sent`` to its flow's route, if it has one, then start
-        serializing the head-of-line packet, if the link may.
+        serializing the head-of-line packet, if there is one.
 
         Each transmission's completion is this call, pushed with the
-        finished packet as ``sent``; a queue wake-up and link restoration
-        call it with no packet.  Both pushes are the entry
+        finished packet as ``sent``; a queue wake-up calls it with no
+        packet.  Both pushes are the entry
         :meth:`~repro.sim.engine.Simulator.post` would push, at the
         point it would draw its seq.
         """
@@ -164,7 +141,7 @@ class Link:
             if route is not None:
                 delay, deliver = route
                 heappush(self._heap, (now + delay, next(self._seq), deliver, (sent,)))
-        packet = None if self.down else self.queue.dequeue()
+        packet = self.queue.dequeue()
         if packet is None:
             self.busy = False
             if self._busy_since is not None:
@@ -199,16 +176,15 @@ class Link:
         registry.register_provider("link", self._metrics_snapshot)  # type: ignore[attr-defined]
 
     def _metrics_snapshot(self) -> dict:
-        """Flat metric values: throughput, busy/idle and outage counters."""
+        """Flat metric values: throughput and busy/idle counters."""
         return {
             "capacity_bps": self.capacity_bps,
             "bytes_sent": self.bytes_sent,
             "packets_sent": self.packets_sent,
             "busy_time": self.busy_time,
             "idle_time": self.idle_time,
-            "outages": self.outages,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "down" if self.down else ("busy" if self.busy else "idle")
+        state = "busy" if self.busy else "idle"
         return f"<Link {self.capacity_bps / 1e6:.1f}Mbps {state}>"

@@ -53,7 +53,6 @@ class QueueStats:
         "dequeued",
         "aqm_dropped",
         "tail_dropped",
-        "fault_dropped",
         "ce_marked",
         "bytes_arrived",
         "bytes_dequeued",
@@ -65,20 +64,19 @@ class QueueStats:
         self.dequeued = 0
         self.aqm_dropped = 0
         self.tail_dropped = 0
-        self.fault_dropped = 0
         self.ce_marked = 0
         self.bytes_arrived = 0
         self.bytes_dequeued = 0
 
     @property
     def dropped(self) -> int:
-        return self.aqm_dropped + self.tail_dropped + self.fault_dropped
+        return self.aqm_dropped + self.tail_dropped
 
     @property
     def decisions(self) -> int:
-        """Arrivals past the fault gate and then the buffer limit, the
-        two drops the queue applies before it asks its AQM for a verdict."""
-        return self.arrived - self.fault_dropped - self.tail_dropped
+        """Arrivals past the buffer limit, the one drop the queue applies
+        before it asks its AQM for a verdict."""
+        return self.arrived - self.tail_dropped
 
     @property
     def passed(self) -> int:
@@ -89,7 +87,7 @@ class QueueStats:
         return (
             f"<QueueStats in={self.arrived} out={self.dequeued} "
             f"aqm_drop={self.aqm_dropped} tail_drop={self.tail_dropped} "
-            f"fault_drop={self.fault_dropped} mark={self.ce_marked}>"
+            f"mark={self.ce_marked}>"
         )
 
 
@@ -139,10 +137,6 @@ class AQMQueue:
         self.packet_length: Callable[[], int] = self._fifo.__len__
         self._bytes = 0
         self._wakeup: Optional[Callable[[], None]] = None
-        #: Fault-injection gate: a predicate consulted before the AQM; a
-        #: True return drops the arriving packet (counted separately from
-        #: AQM/tail drops so loss attribution in reports stays honest).
-        self._ingress_fault: Optional[Callable[[Packet], bool]] = None
         # The AQM verdict and departure hook, bound once (see the module
         # docstring); None where there is nothing to call.  The verdicts
         # are counted here, in ``stats``, and nowhere else.
@@ -175,10 +169,6 @@ class AQMQueue:
         stats = self.stats
         stats.arrived += 1
         stats.bytes_arrived += packet.size
-
-        if self._ingress_fault is not None and self._ingress_fault(packet):
-            stats.fault_dropped += 1
-            return False
 
         fifo = self._fifo
         if len(fifo) >= self.buffer_packets:
@@ -227,21 +217,9 @@ class AQMQueue:
         """Register the link's 'queue became non-empty' notification.
 
         It fires on an enqueue into an empty queue only: a link drains a
-        non-empty queue without being told, and a downed link restarts on
-        its own when it comes back up.
+        non-empty queue without being told.
         """
         self._wakeup = fn
-
-    def set_ingress_fault(self, fn: Optional[Callable[[Packet], bool]]) -> None:
-        """Install (or clear, with ``None``) a fault-injection drop gate.
-
-        The predicate runs on every arrival before the AQM sees the
-        packet; returning True drops it and increments
-        ``stats.fault_dropped``.  Used by
-        :class:`repro.net.faults.FaultInjector` for bursty-loss and
-        corruption windows at the bottleneck.
-        """
-        self._ingress_fault = fn
 
     def __len__(self) -> int:
         return len(self._fifo)

@@ -24,12 +24,13 @@ Two entry points, and the entry they push
 :class:`Event`; the heap entry is ``(time, seq, None, event)`` and the
 run loop skips it once cancelled.  :meth:`Simulator.post` returns
 nothing: its entry is ``(time, seq, fn, args)`` and allocates no handle.
-An :class:`Event` is kept only for timers that can be cancelled (the
-TCP retransmission timer, moved earlier by cancel and re-arm; periodic
-AQM update and sampling timers; the stage and fault schedules) and for
-per-flow one-shots (flow starts and stops, the warm-up, web arrivals);
-none of them runs per packet.  Both draw their seq from one counter, so
-same-time events fire in call order across the two.
+An :class:`Event` is kept for the one timer that is cancelled (the TCP
+retransmission timer, moved earlier by cancel and re-arm), for the
+periodic timers (AQM updates, sampling, invariant checks) and the stage
+schedule, and for per-flow one-shots (flow starts and stops, the
+warm-up, web arrivals); none of them runs per packet.  Both draw their
+seq from one counter, so same-time events fire in call order across the
+two.
 
 The uncancellable entry is a contract, not an implementation detail.
 :attr:`Simulator.heap` is the heap list and :attr:`Simulator.seq` the
@@ -286,7 +287,7 @@ class Simulator:
         *args: Any,
         start_delay: Optional[Seconds] = None,
     ) -> "PeriodicTimer":
-        """Run ``fn(*args)`` every ``interval`` seconds until cancelled.
+        """Run ``fn(*args)`` every ``interval`` seconds.
 
         The first firing is after ``start_delay`` (default: one interval).
         Used for AQM update timers (the paper's ``T`` = 32 ms / 16 ms).
@@ -562,48 +563,22 @@ class Simulator:
 
 
 class PeriodicTimer:
-    """Re-arming timer produced by :meth:`Simulator.every`."""
+    """Re-arming timer produced by :meth:`Simulator.every`; it fires for
+    as long as the simulation runs."""
 
-    __slots__ = (
-        "_sim", "interval", "_fn", "_args", "_event", "_stopped", "fires", "_jitter",
-    )
+    __slots__ = ("_sim", "interval", "_fn", "_args", "fires")
 
     def __init__(self, sim: Simulator, interval: float, fn: Callable[..., Any], args: tuple):
         self._sim = sim
         self.interval = interval
         self._fn = fn
         self._args = args
-        self._event: Optional[Event] = None
-        self._stopped = False
         self.fires = 0
-        self._jitter: Optional[Callable[[], float]] = None
 
     def start(self, delay: float) -> None:
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def set_jitter(self, jitter: Optional[Callable[[], float]]) -> None:
-        """Install (or clear, with ``None``) a per-firing delay perturbation.
-
-        ``jitter()`` is sampled before each re-arm and added to the
-        nominal interval; the result is floored at 0.  Used by the fault
-        injector to model an AQM update timer that drifts under load.
-        """
-        self._jitter = jitter
+        self._sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:
-        if self._stopped:
-            return
         self.fires += 1
         self._fn(*self._args)
-        if not self._stopped:
-            delay = self.interval
-            if self._jitter is not None:
-                delay = max(0.0, delay + self._jitter())
-            self._event = self._sim.schedule(delay, self._fire)
-
-    def stop(self) -> None:
-        """Stop the timer; pending firing is cancelled."""
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._sim.schedule(self.interval, self._fire)

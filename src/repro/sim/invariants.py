@@ -7,8 +7,8 @@ rides the simulation on a periodic timer and asserts, at every tick, the
 properties that must hold in any correct run:
 
 * **packet conservation** — every packet that arrived at the bottleneck
-  queue was either enqueued or dropped (AQM, tail or injected fault), and
-  every enqueued packet is either dequeued or still resident;
+  queue was either enqueued or dropped (by the AQM or at the buffer
+  limit), and every enqueued packet is either dequeued or still resident;
 * **clock monotonicity** — virtual time never runs backwards between
   checks;
 * **probability range** — the AQM's applied and raw probabilities are

@@ -380,7 +380,10 @@ class TcpSender:
                     self._rto_event = self.sim.at(deadline, self._on_rto)
             else:
                 self._rto_deadline = None  # lazy disarm (see _cancel_rto)
-        else:
+        elif ack == self.una:
+            # Only an ACK for una itself is a dupACK: one below it is a
+            # stale ACK that a newer one overtook, and counting it would
+            # fast-retransmit a segment the receiver already holds.
             self.dupacks += 1
             if self.in_recovery:
                 self._inflation += 1

@@ -38,14 +38,6 @@ class TestLifecycle:
         sim.run(1.0)  # must not raise; nothing scheduled
         assert sim.events_processed == 0
 
-    def test_pause_updates_idempotent(self, sim, stub_queue):
-        aqm = Recording(Decision.PASS)
-        aqm.attach(sim, stub_queue)
-        aqm.pause_updates()
-        aqm.pause_updates()
-        sim.run(1.0)
-        assert aqm.updates == 0
-
 
 class TestDecisionRecording:
     @pytest.mark.parametrize(

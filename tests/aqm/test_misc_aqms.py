@@ -99,17 +99,15 @@ class TestAqmStats:
         assert (t["aqm.decisions"], t["aqm.passed"]) == (0, 0)
         assert t["aqm.signal_fraction"] == 0.0
 
-    def test_tail_and_fault_drops_are_not_decisions(self, sim):
-        # Neither a fault-gated arrival nor one over the buffer limit
-        # reaches on_enqueue, so neither is an AQM decision.
+    def test_tail_drops_are_not_decisions(self, sim):
+        # An arrival over the buffer limit never reaches on_enqueue, so
+        # it is no AQM decision.
         aqm = Scripted([Decision.PASS, Decision.MARK, Decision.DROP])
         queue, registry = self._queue(sim, aqm, buffer_packets=2)
-        queue.set_ingress_fault(lambda packet: packet.flow_id == 9)
-        flows = [0, 9, 0, 9, 0, 0]  # flow 9 is fault-dropped
-        accepted = [queue.enqueue(make_packet(flow_id=f, ecn=ECN.ECT0)) for f in flows]
-        # PASS, fault, MARK, fault, then two tail drops (2 queued).
-        assert accepted == [True, False, True, False, False, False]
-        assert (queue.stats.fault_dropped, queue.stats.tail_dropped) == (2, 2)
+        accepted = [queue.enqueue(make_packet(ecn=ECN.ECT0)) for _ in range(4)]
+        # PASS, MARK, then two tail drops (2 queued).
+        assert accepted == [True, True, False, False]
+        assert queue.stats.tail_dropped == 2
         t = registry.snapshot()
         assert t["aqm.decisions"] == 2
         assert (t["aqm.passed"], t["aqm.marked"], t["aqm.dropped"]) == (1, 1, 0)

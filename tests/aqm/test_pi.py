@@ -109,12 +109,3 @@ class TestPiAqm:
             aqm.on_enqueue(make_packet()) is Decision.DROP for _ in range(n)
         )
         assert signals / n == pytest.approx(0.3, rel=0.05)
-
-    def test_pause_updates_stops_timer(self, sim):
-        aqm = PiAqm(rng=random.Random(1))
-        aqm.attach(sim, StubQueue(delay=0.050))
-        sim.run(0.1)
-        aqm.pause_updates()
-        p = aqm.probability
-        sim.run(1.0)
-        assert aqm.probability == p

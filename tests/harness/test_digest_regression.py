@@ -1,11 +1,10 @@
-"""Seeded digest locks: the paper's AQMs, adaptive PI and the fault path.
+"""Seeded digest locks: the paper's AQMs and adaptive PI.
 
 One short seeded cell per paper AQM — PIE, PI and PI2 on the light TCP
 scenario, the coupled PI+PI2 AQM under DCTCP/Cubic coexistence and PI2
-under unresponsive UDP — plus the adaptive PI AQM alone and under the
-fault-injection pipeline (``net/faults``).  Any change that perturbs a
-single random draw, a clamp, a unit conversion or a controller update
-on one of these paths fails loudly here.
+under unresponsive UDP — plus the adaptive PI AQM.  Any change that
+perturbs a single random draw, a clamp, a unit conversion or a
+controller update on one of these paths fails loudly here.
 
 The hashes are over ``ResultMetrics.digest()`` (the same fingerprint the
 serial/parallel/cache parity gates compare), serialised with sorted keys.
@@ -21,7 +20,6 @@ the constants — in a commit that says so.
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -34,12 +32,8 @@ from repro.harness.factories import (
     pi_factory,
     pie_factory,
 )
-from repro.net.faults import parse_fault_spec
 
 GOLDEN_ADAPTIVE = "4cdd424b5d79dc400098546eb5ee3a441f72dcd73ede0fd86799bcb0e802a0b3"
-GOLDEN_ADAPTIVE_FAULTS = (
-    "446f119c1940576c0ff1160cbb50f6934e7d254c7b378f50cbe799337c8a4eef"
-)
 
 
 def _digest_hash(result) -> str:
@@ -100,32 +94,12 @@ def test_paper_aqm_digest_locked(cell):
     assert counters == PAPER_AQM_ENGINE_COUNTERS[cell]
 
 
-def _adaptive_experiment(faults=False):
-    exp = light_tcp(NamedAqmFactory(AdaptivePiAqm), duration=4.0, seed=3)
-    if faults:
-        exp = replace(
-            exp,
-            faults=(
-                parse_fault_spec("burstloss:1.0:0.5"),
-                parse_fault_spec("jitter:2.0:1.0"),
-            ),
-        )
-    return exp
+def _adaptive_experiment():
+    return light_tcp(NamedAqmFactory(AdaptivePiAqm), duration=4.0, seed=3)
 
 
 def test_adaptive_digest_locked():
     assert _digest_hash(run_experiment(_adaptive_experiment())) == GOLDEN_ADAPTIVE
-
-
-def test_adaptive_with_faults_digest_locked():
-    result = run_experiment(_adaptive_experiment(faults=True))
-    assert _digest_hash(result) == GOLDEN_ADAPTIVE_FAULTS
-
-
-def test_faulted_run_is_run_to_run_deterministic():
-    first = run_experiment(_adaptive_experiment(faults=True))
-    second = run_experiment(_adaptive_experiment(faults=True))
-    assert first.digest() == second.digest()
 
 
 def test_fallback_stream_matches_historical_seed():

@@ -2,6 +2,7 @@
 seed-bumped retries, failure reports, and the new Experiment field
 validation."""
 
+import math
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from repro.harness.resilience import (
     run_with_retries,
 )
 from repro.harness.sweep import _mix_tasks, run_coexistence_grid
-from repro.net.faults import LinkFlapFault
 from repro.sim.random import RandomStreams
 
 
@@ -220,6 +220,30 @@ class TestExperimentValidation:
         with pytest.raises(ConfigError):
             _quick_experiment(sample_period=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # The first sample would fall at t=5, after the run ends at
+            # t=3, so every utilization and probability summary read NaN.
+            dict(sample_period=5.0),
+            # Ten 0.1 s steps sum to 0.9999999999999999, just before the
+            # warmup, and the next firing falls after the run ends.
+            dict(duration=1.05, warmup=1.0, sample_period=0.1),
+        ],
+        ids=["past_the_end", "float_sums"],
+    )
+    def test_sample_period_must_sample_after_warmup(self, overrides):
+        with pytest.raises(ConfigError, match="takes no sample in"):
+            _quick_experiment(**overrides)
+
+    def test_sample_at_duration_is_in_the_window(self):
+        """The timer's sample at t=duration is taken and read, so a
+        period equal to the duration leaves one post-warmup sample."""
+        exp = _quick_experiment(sample_period=3.0)  # duration=3, warmup=1
+        result = run_experiment(exp)
+        assert result.utilization.times.tolist() == [3.0]
+        assert math.isfinite(result.utilization_summary()["mean"])
+
     def test_buffer_packets_must_be_positive(self):
         with pytest.raises(ConfigError):
             _quick_experiment(buffer_packets=0)
@@ -252,14 +276,6 @@ class TestExperimentValidation:
         with pytest.raises(ConfigError):
             _quick_experiment(capacity_schedule=[(1.0,)])
 
-    def test_faults_must_be_fault_instances(self):
-        with pytest.raises(ConfigError):
-            _quick_experiment(faults=["flap:1:2"])
-
-    def test_fault_must_start_within_duration(self):
-        with pytest.raises(ConfigError):
-            _quick_experiment(faults=[LinkFlapFault(5.0, 1.0)])  # duration=3
-
     def test_watchdog_budgets_must_be_positive(self):
         with pytest.raises(ConfigError):
             _quick_experiment(max_events=0)
@@ -274,7 +290,6 @@ class TestExperimentValidation:
     def test_valid_experiment_accepted(self):
         exp = _quick_experiment(
             capacity_schedule=[(1.0, 5e6), (2.0, 8e6)],
-            faults=[LinkFlapFault(1.5, 0.5)],
             validate=True,
             max_events=10_000_000,
         )

@@ -57,9 +57,6 @@ class TestExamples:
 
     def test_fault_tolerance(self):
         out = run_example("fault_tolerance.py")
-        assert "=== PI2 through link flap + burst loss ===" in out
-        assert "link down" in out and "link up" in out
-        assert "burst loss" in out
         assert "resilient sweep with one sabotaged cell" in out
         assert "cells completed: 2 of 3" in out
         assert "ControllerDivergence" in out

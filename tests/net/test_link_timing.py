@@ -1,4 +1,4 @@
-"""Link timing: delivery times, accounting, fault interaction.
+"""Link timing: delivery times and accounting.
 
 Every transmission completion and every routed delivery is one pushed
 engine event, so each callback fires at exactly the simulated time the
@@ -92,32 +92,3 @@ class TestAccounting:
         # time (trailing idle is accounted at the next busy transition).
         assert link.busy_time == pytest.approx(0.002)
         assert link.idle_time == pytest.approx(0.004)
-
-
-class TestFaultInteraction:
-    def test_flap_lands_between_completions(self):
-        """An outage event lands between two completions: the in-flight
-        packet finishes, nothing new starts until the link is back up."""
-        sim = Simulator()
-        q, link, sink = make_link(sim)
-        for _ in range(10):
-            q.enqueue(make_packet(size=1000))
-        sim.schedule(0.0025, link.set_down)  # between 2 ms and 3 ms
-        sim.schedule(0.010, link.set_up)
-        sim.run(1.0)
-        assert link.outages == 1
-        # 3 packets before the outage (the one in flight at 2.5 ms
-        # completes at 3 ms), 7 after restoration at 10 ms.
-        assert sink.times == pytest.approx(
-            [0.001, 0.002, 0.003] + [0.010 + 0.001 * k for k in range(1, 8)]
-        )
-        assert link.busy_time == pytest.approx(0.010)
-
-    def test_flap_while_idle_delays_nothing(self):
-        sim = Simulator()
-        q, link, sink = make_link(sim)
-        q.enqueue(make_packet(size=1000))
-        sim.schedule(0.005, link.set_down)  # link drained and idle by then
-        sim.run(0.010)
-        assert link.outages == 1
-        assert sink.times == pytest.approx([0.001])

@@ -174,15 +174,6 @@ class TestAutoCompaction:
 
 
 class TestPeriodicTimerChurn:
-    def test_stopped_timer_leaves_no_live_event(self, sim):
-        timer = sim.every(0.5, _noop)
-        sim.run(until=2.1)
-        assert timer.fires == 4
-        timer.stop()
-        assert sim.cancelled_pending == 1
-        sim.run(until=10.0)
-        assert timer.fires == 4
-
     def test_counter_is_upper_bound_after_fired_event_cancel(self, sim):
         """Cancelling an event that already fired still bumps the tally
         (documented upper-bound semantics); compact() resets it."""

@@ -164,19 +164,6 @@ class TestPeriodicTimer:
         sim.run(2.5)
         assert seen == [0.25, 1.25, 2.25]
 
-    def test_stop_halts_firing(self, sim):
-        seen = []
-        timer = sim.every(1.0, lambda: seen.append(sim.now))
-        sim.schedule(2.5, timer.stop)
-        sim.run(10.0)
-        assert seen == [1.0, 2.0]
-
-    def test_stop_from_within_callback(self, sim):
-        seen = []
-        timer = sim.every(1.0, lambda: (seen.append(sim.now), timer.stop()))
-        sim.run(10.0)
-        assert seen == [1.0]
-
     def test_fire_count(self, sim):
         timer = sim.every(0.5, lambda: None)
         sim.run(2.4)
@@ -302,7 +289,7 @@ def _drive(mode, ops):
 
     * ``later``  — relative schedule; ``rearm`` callbacks reschedule a
       child, ``flap`` callbacks cancel the oldest pending sibling
-      *mid-dispatch* (the fault-injection pattern).
+      *mid-dispatch* (as an ACK cancels a pending RTO event).
     * ``cancel`` — cancel a pending event from outside the run loop.
     * ``post``   — a handle-less event (:meth:`Simulator.post`).
     * ``push``   — the same entry pushed through the public ``heap`` and
@@ -371,7 +358,7 @@ try:
         """Property: run() and the traced run loop produce the
         identical dispatch stream — same (time, id) sequence — for
         arbitrary interleavings of scheduling, cancellation (incl.
-        mid-dispatch fault flaps), posted events, directly pushed
+        mid-dispatch cancels), posted events, directly pushed
         per-packet entries, and staged horizons."""
 
         @settings(max_examples=50, deadline=None)

@@ -153,7 +153,6 @@ class TestControllerDivergenceGuard:
         aqm.attach(sim, NanQueue())
         with pytest.raises(ControllerDivergence):
             sim.run(0.1)
-        aqm.pause_updates()
 
     def test_broken_aqm_detected_by_checker_in_experiment(self, sim, rng):
         """End-to-end: a sabotaged PiAqm emitting p > 1 is caught by the

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.errors import ConfigError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,51 +52,11 @@ class TestRun:
         assert code == 0
         assert "duration=15s" in text  # 3 stages of 5 s
 
-    def test_json_export(self, tmp_path):
-        import json
-
-        path = tmp_path / "out.json"
-        code, text = run_cli("run", "--scenario", "light", "--aqm", "pi2",
-                             "--duration", "8", "--json", str(path))
-        assert code == 0
-        assert f"wrote {path}" in text
-        assert json.loads(path.read_text())["config"]["capacity_bps"] == 10e6
-
-
-class TestRunValidateAndFaults:
     def test_validate_flag_reports_checks(self):
         code, text = run_cli("run", "--scenario", "light", "--aqm", "pi2",
                              "--duration", "8", "--validate")
         assert code == 0
         assert "invariant checks" in text
-
-    def test_fault_flag_injects_and_reports(self):
-        code, text = run_cli("run", "--scenario", "light", "--aqm", "pi2",
-                             "--duration", "10",
-                             "--fault", "burstloss:3:4:0.05:8")
-        assert code == 0
-        assert "fault drops" in text
-
-    def test_repeatable_fault_flag(self):
-        code, text = run_cli("run", "--scenario", "light", "--aqm", "pi2",
-                             "--duration", "10",
-                             "--fault", "flap:3:1",
-                             "--fault", "stall:5:2")
-        assert code == 0
-        assert "queue delay mean" in text
-
-    def test_bad_fault_spec_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_cli("run", "--scenario", "light", "--fault", "meteor:1:2")
-
-    def test_fault_beyond_duration_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_cli("run", "--scenario", "light", "--duration", "5",
-                    "--fault", "flap:30:2")
 
 
 class TestCoexist:
@@ -242,9 +203,6 @@ BAD_INPUT = [
     (("fluid", "--link", "nan"), "base RTT must be positive and finite"),
     (("fluid", "--rtt", "inf"), "base RTT must be positive and finite"),
     (("fluid", "--duration", "inf"), "duration must be positive and finite"),
-    # A NaN fault start used to run with no fault; a NaN jitter hung.
-    (("run", "--duration", "5", "--fault", "flap:nan:1"), "fault start"),
-    (("run", "--duration", "5", "--fault", "jitter:1:2:nan"), "max_jitter"),
 ]
 
 
@@ -275,3 +233,45 @@ class TestRemovedOptions:
         assert code == 2, (out, err)
         assert "unrecognized arguments: --compact-every 2" in err
         assert out == ""
+
+
+#: Every subcommand's flags, in declaration order.  A flag added or
+#: removed later shows up as a diff to this table.
+FLAGS = {
+    "list": [],
+    "run": ["--scenario", "--aqm", "--duration", "--seed", "--validate",
+            "--trace", "--trace-filter"],
+    "coexist": ["--aqm", "--link", "--rtt", "--duration", "--cc-a", "--cc-b",
+                "--seed"],
+    "grid": ["--aqm", "--links", "--rtts", "--duration", "--cc-a", "--cc-b",
+             "--seed", "--on-error", "--max-retries", "--journal", "--resume",
+             "--task-timeout", "--heartbeat-timeout", "--jobs", "--cache-dir",
+             "--no-cache", "--trace", "--trace-filter"],
+    "bode": ["--kind", "--p", "--rtt", "--alpha", "--beta"],
+    "figure": ["--scale", "--csv", "--journal", "--resume", "--task-timeout",
+               "--heartbeat-timeout", "--jobs", "--cache-dir", "--no-cache",
+               "--trace", "--trace-filter"],
+    "trace": ["--json", "--rows"],
+    "check": [],
+    "cache": ["--cache-dir", "--clear", "--verify"],
+    "fluid": ["--kind", "--flows", "--link", "--rtt", "--duration"],
+}
+
+
+class TestFlagList:
+    def test_each_subcommand_has_exactly_its_pinned_flags(self):
+        (commands,) = [
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: [
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            ]
+            for name, parser in commands.choices.items()
+        }
+        assert flags == FLAGS
+        assert sum(map(len, flags.values())) == 58
