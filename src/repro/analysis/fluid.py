@@ -56,12 +56,16 @@ class PiGains:
     t_update: float = 0.032
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
+        # ``not x > 0`` so that NaN fails too: a NaN or infinite gain
+        # gives nan margins, and ``bode`` would print them as a result.
+        gains = (self.alpha, self.beta)
+        if not all(g > 0 and math.isfinite(g) for g in gains):
             raise ValueError(
-                f"gains must be positive (got alpha={self.alpha}, beta={self.beta})"
+                f"gains must be positive and finite "
+                f"(got alpha={self.alpha}, beta={self.beta})"
             )
-        if self.t_update <= 0:
-            raise ValueError(f"T must be positive (got {self.t_update})")
+        if not (self.t_update > 0 and math.isfinite(self.t_update)):
+            raise ValueError(f"T must be positive and finite (got {self.t_update})")
 
     def scaled(self, factor: float) -> "PiGains":
         """Gains multiplied by ``factor`` (PIE's tune scaling)."""

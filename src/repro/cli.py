@@ -535,11 +535,11 @@ def _cmd_coexist(args, out) -> int:
 
 def _cmd_bode(args, out) -> int:
     alpha, beta = DEFAULT_GAINS[args.kind]
-    gains = PiGains(
-        alpha if args.alpha is None else args.alpha,
-        beta if args.beta is None else args.beta,
-    )
     try:
+        gains = PiGains(
+            alpha if args.alpha is None else args.alpha,
+            beta if args.beta is None else args.beta,
+        )
         margins = BODE_KINDS[args.kind](args.p, args.rtt / 1e3, gains)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -1109,8 +1109,8 @@ def generate_figure(
     """
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
-    if not scale > 0:
-        raise ConfigError(f"scale must be positive (got {scale})")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ConfigError(f"scale must be positive and finite (got {scale})")
     tasks, reduce = FIGURES[name](scale)
     journal_obj, owned = _resolve_journal(journal, name)
     try:

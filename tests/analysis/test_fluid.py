@@ -35,6 +35,16 @@ class TestPiGains:
         with pytest.raises(ValueError):
             PiGains(alpha=1, beta=1, t_update=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "t_update"])
+    def test_non_finite_or_negative_rejected(self, name, value):
+        """NaN fails every comparison, so a ``<= 0`` check let it through
+        and the margins came out nan; an infinite gain did the same."""
+        params = dict(alpha=0.3125, beta=3.125, t_update=0.032)
+        params[name] = value
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PiGains(**params)
+
 
 class TestAqmTransfer:
     def test_constants_equation31(self):

@@ -21,6 +21,7 @@ from repro.harness.resilience import (
     run_with_retries,
 )
 from repro.harness.sweep import _mix_tasks, run_coexistence_grid
+from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 
@@ -243,6 +244,41 @@ class TestExperimentValidation:
         result = run_experiment(exp)
         assert result.utilization.times.tolist() == [3.0]
         assert math.isfinite(result.utilization_summary()["mean"])
+
+    #: (duration, warmup, sample_period) on either side of the rule.
+    SAMPLE_WINDOWS = {
+        "every_second": (3.0, 1.0, 1.0),
+        "first_after_warmup": (3.0, 1.0, 2.0),
+        "at_warmup": (3.0, 2.0, 1.0),
+        "no_warmup": (0.5, 0.0, 0.5),
+        "jumps_over_window": (3.0, 2.5, 2.0),
+        "second_firing_past_end": (4.0, 3.5, 3.0),
+        "lands_on_duration": (3.0, 2.5, 1.5),
+        "thirds_sum_to_duration": (1.0, 0.9, 1 / 3),
+        "float_sum_past_duration": (2.0, 1.5, 0.7),
+        "float_sum_just_in": (2.1, 1.5, 0.7),
+        "eleventh_tenth": (1.1, 1.0, 0.1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAMPLE_WINDOWS))
+    def test_sample_window_rule_matches_the_sampling_timer(self, case):
+        """The check accepts a setting exactly when the engine's timer,
+        armed as the dumbbell arms it, fires at least once in
+        [warmup, duration]; the cases sit on both sides of the rule,
+        some only through float sums."""
+        duration, warmup, period = self.SAMPLE_WINDOWS[case]
+        sim, firings = Simulator(), []
+        sim.every(period, lambda: firings.append(sim.now))
+        sim.run(duration)
+        sampled = any(warmup <= t <= duration for t in firings)
+        try:
+            _quick_experiment(duration=duration, warmup=warmup, sample_period=period)
+        except ConfigError as exc:
+            assert "takes no sample in" in str(exc)
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == sampled
 
     def test_buffer_packets_must_be_positive(self):
         with pytest.raises(ConfigError):

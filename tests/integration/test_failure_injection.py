@@ -303,14 +303,10 @@ class TestAdversePaths:
         assert receiver.rcv_next == 400
         assert fired["duplicated"] > 0
 
-    @pytest.mark.parametrize("sack", [False, True])
-    def test_completes_under_reordered_acks(self, sack):
+    def _reordered_acks(self, fired):
         """30% of ACKs held back 10 ms, so an older cumulative ACK lands
-        after newer ones: a stale ACK must not move ``una`` back or wedge
-        recovery, and it is no dupACK, so no segment is resent (none is
-        lost)."""
+        after newer ones."""
         rng = RandomStreams(5).stream("rev")
-        fired = Counter()
 
         def ack_delays():
             if rng.random() < 0.3:
@@ -318,7 +314,16 @@ class TestAdversePaths:
                 return (0.010,)
             return (0.0,)
 
-        sender, receiver = transfer(lambda pkt: (self.ONE_WAY,), ack_delays, sack=sack)
+        return ack_delays
+
+    @pytest.mark.parametrize("sack", [False, True])
+    def test_completes_under_reordered_acks(self, sack):
+        """A stale ACK must not move ``una`` back or wedge recovery, and
+        it is no dupACK, so no segment is resent (none is lost)."""
+        fired = Counter()
+        sender, receiver = transfer(
+            lambda pkt: (self.ONE_WAY,), self._reordered_acks(fired), sack=sack
+        )
         assert sender.completed
         assert receiver.rcv_next == 400
         assert fired["reordered"] > 0
@@ -351,6 +356,18 @@ class TestAdversePaths:
         assert sender.completed
         assert receiver.rcv_next == 400
         assert fired["lost"] > 0
+
+    @pytest.mark.parametrize("sender_cls", [CubicSender, DctcpSender], ids=["cubic", "dctcp"])
+    def test_other_senders_resend_nothing_under_reordered_acks(self, sender_cls):
+        fired = Counter()
+        sender, receiver = transfer(
+            lambda pkt: (self.ONE_WAY,), self._reordered_acks(fired),
+            sender_cls=sender_cls,
+        )
+        assert sender.completed
+        assert receiver.rcv_next == 400
+        assert fired["reordered"] > 0
+        assert sender.retransmits == 0
 
 
 class TestBlackouts:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tcp import SENDERS
 from repro.tcp.cubic import CubicSender
 from tests.tcp.helpers import Loopback, drop_seqs, mark_seqs
 
@@ -122,3 +123,74 @@ class TestStopSemantics:
         lb = Loopback(sim, rtt=0.1)
         lb.sender.stop()
         assert lb.sender.completed
+
+
+class TestStaleAcks:
+    """An ACK below ``una`` is one that a newer ACK overtook: it carries
+    no news, so it is no dupACK, and it moves neither the window nor the
+    recovery state.  Only ACKs for ``una`` itself count towards the three
+    that start a fast retransmit.  Each case feeds ``on_ack`` directly."""
+
+    UNA = 5
+
+    def _sender(self, sim, cc, sack=False):
+        """A sender with its initial window out and ``una`` at 5."""
+        sent = []
+        sender = SENDERS[cc](sim, 0, transmit=sent.append, sack=sack)
+        sender.start(0.0)
+        sim.run(0.001)
+        sender.on_ack(self.UNA, False, 0.0, ())
+        return sender, sent
+
+    @staticmethod
+    def _resent(sent):
+        return [pkt.seq for pkt in sent if pkt.is_retransmit]
+
+    @pytest.mark.parametrize("sack", [False, True], ids=["newreno", "sack"])
+    @pytest.mark.parametrize("cc", sorted(SENDERS))
+    def test_stale_acks_are_no_dupacks(self, sim, cc, sack):
+        sender, sent = self._sender(sim, cc, sack)
+        cwnd, segments = sender.cwnd, len(sent)
+        for _ in range(3):
+            sender.on_ack(self.UNA - 2, False, 0.0, ())
+        assert sender.dupacks == 0
+        assert not sender.in_recovery
+        assert sender.retransmits == 0 and self._resent(sent) == []
+        assert (sender.una, sender.cwnd, len(sent)) == (self.UNA, cwnd, segments)
+
+    @pytest.mark.parametrize("cc", sorted(SENDERS))
+    def test_three_acks_for_una_still_fast_retransmit(self, sim, cc):
+        sender, sent = self._sender(sim, cc)
+        for _ in range(3):
+            sender.on_ack(self.UNA, False, 0.0, ())
+        assert sender.dupacks == 3
+        assert sender.in_recovery
+        assert sender.loss_reductions == 1
+        assert self._resent(sent) == [self.UNA]
+
+    @pytest.mark.parametrize("cc", sorted(SENDERS))
+    def test_stale_acks_neither_count_nor_reset_dupacks(self, sim, cc):
+        """Two dupACKs, then stale ACKs: still two.  The third ACK for
+        ``una`` is what starts the fast retransmit."""
+        sender, sent = self._sender(sim, cc)
+        sender.on_ack(self.UNA, False, 0.0, ())
+        sender.on_ack(self.UNA, False, 0.0, ())
+        for _ in range(3):
+            sender.on_ack(self.UNA - 1, False, 0.0, ())
+        assert sender.dupacks == 2 and not sender.in_recovery
+        sender.on_ack(self.UNA, False, 0.0, ())
+        assert sender.in_recovery
+        assert self._resent(sent) == [self.UNA]
+
+    @pytest.mark.parametrize("sack", [False, True], ids=["newreno", "sack"])
+    def test_stale_ack_in_recovery_moves_nothing(self, sim, sack):
+        """In recovery a dupACK inflates the window (NewReno) or resends
+        the next hole (SACK); a stale ACK does neither."""
+        sender, sent = self._sender(sim, "reno", sack)
+        for _ in range(3):
+            sender.on_ack(self.UNA, False, 0.0, ())
+        assert sender.in_recovery
+        state = (sender.cwnd, sender.dupacks, sender.retransmits, len(sent))
+        sender.on_ack(self.UNA - 1, False, 0.0, ())
+        assert sender.in_recovery
+        assert (sender.cwnd, sender.dupacks, sender.retransmits, len(sent)) == state

@@ -203,6 +203,34 @@ BAD_INPUT = [
     (("fluid", "--link", "nan"), "base RTT must be positive and finite"),
     (("fluid", "--rtt", "inf"), "base RTT must be positive and finite"),
     (("fluid", "--duration", "inf"), "duration must be positive and finite"),
+    # Each remaining numeric flag refuses NaN, infinity and the values
+    # out of its range.  A NaN or infinite PI gain used to print nan
+    # margins and exit 0, and a negative one ended in a traceback.
+    (("run", "--duration", "nan"), "duration must be positive and finite"),
+    (("run", "--duration", "0"), "duration must be positive and finite"),
+    (("coexist", "--duration", "nan"), "duration must be positive and finite"),
+    (("coexist", "--link", "inf"), "capacity must be positive and finite"),
+    (("coexist", "--rtt", "inf"), "rtt must be positive and finite"),
+    (("grid", "--duration", "nan"), "duration must be positive and finite"),
+    (("grid", "--links", "nan"), "--links values must be positive"),
+    (("grid", "--links", "inf"), "capacity must be positive and finite"),
+    (("grid", "--rtts", "nan"), "--rtts values must be positive"),
+    (("grid", "--max-retries", "-1"), "max_retries cannot be negative"),
+    (("grid", "--task-timeout", "nan"), "task_timeout must be positive or None"),
+    (("grid", "--heartbeat-timeout", "-1"), "heartbeat_timeout must be positive or None"),
+    (("grid", "--jobs", "-1"), "jobs must be positive, 0 (one per CPU) or None"),
+    (("figure", "fig11", "--scale", "nan"), "scale must be positive and finite"),
+    (("figure", "fig11", "--scale", "inf"), "scale must be positive and finite"),
+    (("figure", "fig12", "--task-timeout", "nan"), "task_timeout must be positive or None"),
+    (("figure", "fig12", "--heartbeat-timeout", "0"),
+     "heartbeat_timeout must be positive or None"),
+    (("figure", "fig12", "--jobs", "-1"), "jobs must be positive, 0 (one per CPU) or None"),
+    (("bode", "--p", "nan"), "must be in (0,1]"),
+    (("bode", "--alpha", "nan"), "gains must be positive and finite"),
+    (("bode", "--beta", "inf"), "gains must be positive and finite"),
+    (("bode", "--alpha", "-1"), "gains must be positive and finite"),
+    (("fluid", "--flows", "nan"), "flows and base RTT must be positive and finite"),
+    (("fluid", "--duration", "nan"), "duration must be positive and finite"),
 ]
 
 
